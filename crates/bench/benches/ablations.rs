@@ -115,7 +115,7 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 
     // The summary sweeps below are independent simulations — run them on
-    // the shared work-stealing pool (SHM_JOBS opts out).
+    // the shared sim-exec pool (SHM_JOBS opts out).
     let pool = sim_exec::Executor::from_env();
 
     println!("\ntree-arity ablation (PSSM, random reads): BMT bytes");

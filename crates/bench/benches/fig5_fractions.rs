@@ -25,7 +25,7 @@ fn bench_fig5(c: &mut Criterion) {
 
     println!("\nfig5 fractions (streaming, read-only):");
     // Oracle profiling of each suite benchmark is independent — fan the
-    // suite out on the work-stealing pool.
+    // suite out on the sim-exec pool.
     let suite = BenchmarkProfile::suite();
     let rows = sim_exec::Executor::from_env().map(&suite, |_, p| {
         let mut p = p.clone();

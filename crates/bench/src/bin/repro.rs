@@ -14,7 +14,7 @@
 //! cancels the sweep after N fresh completions (CI crash-recovery smoke).
 //!
 //! Figures run their (benchmark × design) simulations on the `sim-exec`
-//! work-stealing pool; `--jobs N` bounds the pool (1 = serial) and the
+//! worker pool; `--jobs N` bounds the pool (1 = serial) and the
 //! `SHM_JOBS` environment variable is the session-wide override.  Results
 //! are reassembled in submission order, so the printed tables are
 //! byte-identical at any worker count.

@@ -258,38 +258,21 @@ pub fn run_dist_jobs<F>(
     jobs: Vec<DistJob>,
     cfg: &DistSweepConfig,
     token: &CancelToken,
-    on_complete: F,
+    mut on_complete: F,
 ) -> Result<DistReport, DistError>
 where
     F: FnMut(usize, &str, &sim_exec::JobResult<String>),
 {
-    let hash = dist_config_hash();
-    let coord = Coordinator::bind(&cfg.bind, hash, cfg.opts.clone())?;
-    let addr = coord.local_addr().to_string();
-
-    let mut self_workers = Vec::new();
-    // Split the machine's parallelism across the loopback workers so a
-    // self-hosted cluster does not oversubscribe the cores.
-    if let Some(per_worker) = effective_jobs(None).checked_div(cfg.self_workers) {
-        let per_worker = per_worker.max(1);
-        for i in 0..cfg.self_workers {
-            let addr = addr.clone();
-            let opts = WorkerOptions {
-                worker_id: format!("local-{i}"),
-                jobs: Some(per_worker),
-                ..WorkerOptions::from_env()
-            };
-            self_workers.push(std::thread::spawn(move || {
-                run_worker(&addr, hash, opts, dist_worker_handler)
-            }));
+    run_dist_jobs_events(jobs, cfg, token, |ev| {
+        if let DistEvent::Resolved {
+            index,
+            worker,
+            outcome,
+        } = ev
+        {
+            on_complete(*index, worker, outcome);
         }
-    }
-
-    let result = coord.run_with(jobs, token, on_complete);
-    for h in self_workers {
-        let _ = h.join();
-    }
-    result
+    })
 }
 
 /// [`run_dist_jobs`] with the full coordinator event stream (dispatches,
@@ -313,6 +296,8 @@ where
     let addr = coord.local_addr().to_string();
 
     let mut self_workers = Vec::new();
+    // Split the machine's parallelism across the loopback workers so a
+    // self-hosted cluster does not oversubscribe the cores.
     if let Some(per_worker) = effective_jobs(None).checked_div(cfg.self_workers) {
         let per_worker = per_worker.max(1);
         for i in 0..cfg.self_workers {

@@ -112,7 +112,7 @@ pub fn run_suite_jobs(designs: &[DesignPoint], scale: f64, jobs: Option<usize>) 
 
 /// Fallible sweep over the full `(benchmark × design)` cross product.
 ///
-/// Every pair is one job on the work-stealing pool; results reassemble in
+/// Every pair is one job on the `sim-exec` pool; results reassemble in
 /// submission order so the rows (and all downstream tables) are identical
 /// to a serial run regardless of worker count.
 ///

@@ -46,7 +46,7 @@ pub fn run_one_pooled(profile: &BenchmarkProfile, pools: PoolsConfig) -> SimStat
         .run(&trace)
 }
 
-/// Fallible `(profile × policy)` sweep on the work-stealing pool.
+/// Fallible `(profile × policy)` sweep on the `sim-exec` pool.
 ///
 /// Jobs reassemble in submission order, so the rows — and the rendered
 /// table — are identical for any `--jobs` count.

@@ -259,16 +259,6 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
             "worker-pool width for local sweeps (1 = serial)",
         ),
         (
-            sim_exec::JOB_TIMEOUT_ENV,
-            "0",
-            "per-job wall-clock budget in ms for robust sweeps (0 = off)",
-        ),
-        (
-            sim_exec::JOB_RETRIES_ENV,
-            "derived",
-            "sweep-wide retry budget for robust sweeps",
-        ),
-        (
             sim_dist::DIST_WORKERS_ENV,
             "0",
             "loopback workers a --dist sweep spawns in-process",

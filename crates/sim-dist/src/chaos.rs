@@ -446,7 +446,14 @@ mod tests {
                 }
             }
         }
-        let stats = proxy.stats();
+        // The proxy counts a frame after writing it, so the last echo can
+        // arrive before its count: wait (bounded) for the count to land.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut stats = proxy.stats();
+        while stats.frames_forwarded < 16 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            stats = proxy.stats();
+        }
         assert_eq!(stats.frames_forwarded, 16, "8 up + 8 echoed down");
         assert_eq!(stats.faults(), 0);
         drop(conn);

@@ -702,8 +702,15 @@ fn settle_audit(inner: &mut Inner, shared: &Shared, index: usize) {
 /// budget on targeted re-asks (each producer re-answers its own disputed
 /// job — honest workers reproduce, liars self-contradict), bounded by
 /// [`MAX_AUDIT_ROUNDS`]; past that the job fails *labelled*.
+///
+/// A round ends only when every copy of the job is back: starting the next
+/// round on the first answer would let a fast honest worker spend every
+/// round before the liar's re-ask arrives to contradict itself.
 fn arbitrate(inner: &mut Inner, shared: &Shared, index: usize) {
-    if inner.resolved[index] {
+    if inner.resolved[index]
+        || inner.dispatched_out.contains_key(&index)
+        || inner.pending.iter().any(|p| p.index == index)
+    {
         return;
     }
     let (mismatch, rounds, producers) = {
@@ -1118,8 +1125,11 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         }
                         inner.pending.push_back(p);
                     }
-                    if picked.is_some() {
+                    if let Some(p) = &picked {
+                        // Counted from the pick, not the send, so a copy is
+                        // always either pending or outstanding.
                         inner.in_flight_total += 1;
+                        *inner.dispatched_out.entry(p.index).or_insert(0) += 1;
                     }
                     picked
                 }
@@ -1145,7 +1155,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                             let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                             inner.workers[wslot].bytes_sent += bytes as u64;
                             inner.dispatch_ms.insert(p.index, dispatched_ms);
-                            *inner.dispatched_out.entry(p.index).or_insert(0) += 1;
                             if let Some(st) = inner.audit.get_mut(&p.index) {
                                 if !st.holders.contains(&wslot) {
                                     st.holders.push(wslot);
@@ -1162,6 +1171,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                             // Send failed: hand the job straight back (no
                             // budget charge — it never reached the worker).
                             let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+                            dec_dispatched(&mut inner, p.index);
                             inner.pending.push_front(p);
                             inner.in_flight_total -= 1;
                             inner.reassignments += 1;

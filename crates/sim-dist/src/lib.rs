@@ -159,7 +159,7 @@ mod tests {
     use super::*;
     use sim_exec::CancelToken;
     use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Condvar, Mutex};
     use std::time::Duration;
 
     fn echo_jobs(n: usize) -> Vec<DistJob> {
@@ -206,12 +206,46 @@ mod tests {
         })
     }
 
+    /// Two-worker rendezvous: bit `0b01` or `0b10` is set once that worker
+    /// is serving a job.
+    type Gate = Arc<(Mutex<u8>, Condvar)>;
+
+    /// Marks worker `me` as serving a job and holds until the other worker
+    /// is too, so neither can finish the sweep alone before the other has
+    /// connected.  Capped at 10 s: a worker that never connects fails the
+    /// test's assertions instead of hanging it.
+    fn hold_until_both_serving(gate: &Gate, me: u8) {
+        let (seen, cv) = &**gate;
+        let mut seen = seen.lock().unwrap_or_else(|e| e.into_inner());
+        *seen |= me;
+        cv.notify_all();
+        let _ = cv.wait_timeout_while(seen, Duration::from_secs(10), |s| *s != 0b11);
+    }
+
+    /// [`spawn_worker`] for worker `me` of a pair gated on each other.
+    fn spawn_gated_worker(
+        addr: String,
+        hash: u64,
+        opts: WorkerOptions,
+        gate: &Gate,
+        me: u8,
+    ) -> std::thread::JoinHandle<Result<WorkerSummary, DistError>> {
+        let gate = Arc::clone(gate);
+        std::thread::spawn(move || {
+            run_worker(&addr, hash, opts, move |label, payload| {
+                hold_until_both_serving(&gate, me);
+                format!("{label}:{payload}:ok")
+            })
+        })
+    }
+
     #[test]
     fn two_workers_preserve_submission_order() {
         let coord = Coordinator::bind("127.0.0.1:0", 0xABCD, quick_opts()).unwrap();
         let addr = coord.local_addr().to_string();
-        let w1 = spawn_worker(addr.clone(), 0xABCD, worker_opts("w1"));
-        let w2 = spawn_worker(addr, 0xABCD, worker_opts("w2"));
+        let gate = Gate::default();
+        let w1 = spawn_gated_worker(addr.clone(), 0xABCD, worker_opts("w1"), &gate, 0b01);
+        let w2 = spawn_gated_worker(addr, 0xABCD, worker_opts("w2"), &gate, 0b10);
 
         let report = coord.run(echo_jobs(24), &CancelToken::new()).unwrap();
         assert!(report.is_clean());
@@ -364,10 +398,9 @@ mod tests {
         let mut liar = worker_opts("bad-digest");
         liar.byzantine_bad_digest_every = Some(2);
         let honest = worker_opts("honest");
-        let (a1, a2) = (addr.clone(), addr);
-        let echo = |label: &str, payload: &str| format!("{label}:{payload}:ok");
-        let w1 = std::thread::spawn(move || run_worker(&a1, 0xD16E, liar, echo));
-        let w2 = std::thread::spawn(move || run_worker(&a2, 0xD16E, honest, echo));
+        let gate = Gate::default();
+        let w1 = spawn_gated_worker(addr.clone(), 0xD16E, liar, &gate, 0b01);
+        let w2 = spawn_gated_worker(addr, 0xD16E, honest, &gate, 0b10);
 
         let report = coord.run(echo_jobs(16), &CancelToken::new()).unwrap();
         assert!(
@@ -406,10 +439,21 @@ mod tests {
         let mut liar = worker_opts("liar");
         liar.byzantine_lie_every = Some(1);
         let honest = worker_opts("honest");
+        // Both handlers hold their results until both workers are serving
+        // a job, so the honest worker cannot settle the whole sweep on its
+        // own before the liar connects.
+        let gate = Gate::default();
+        let echo = |me: u8| {
+            let gate = Arc::clone(&gate);
+            move |label: &str, payload: &str| {
+                hold_until_both_serving(&gate, me);
+                format!("{label}:{payload}:7")
+            }
+        };
         let (a1, a2) = (addr.clone(), addr);
-        let echo = |label: &str, payload: &str| format!("{label}:{payload}:7");
-        let w1 = std::thread::spawn(move || run_worker(&a1, 0x11E5, liar, echo));
-        let w2 = std::thread::spawn(move || run_worker(&a2, 0x11E5, honest, echo));
+        let (liar_echo, honest_echo) = (echo(0b01), echo(0b10));
+        let w1 = std::thread::spawn(move || run_worker(&a1, 0x11E5, liar, liar_echo));
+        let w2 = std::thread::spawn(move || run_worker(&a2, 0x11E5, honest, honest_echo));
 
         let report = coord.run(echo_jobs(12), &CancelToken::new()).unwrap();
         assert!(
@@ -443,8 +487,9 @@ mod tests {
         opts.audit_seed = 42;
         let coord = Coordinator::bind("127.0.0.1:0", 0xA0D1, opts).unwrap();
         let addr = coord.local_addr().to_string();
-        let w1 = spawn_worker(addr.clone(), 0xA0D1, worker_opts("w1"));
-        let w2 = spawn_worker(addr, 0xA0D1, worker_opts("w2"));
+        let gate = Gate::default();
+        let w1 = spawn_gated_worker(addr.clone(), 0xA0D1, worker_opts("w1"), &gate, 0b01);
+        let w2 = spawn_gated_worker(addr, 0xA0D1, worker_opts("w2"), &gate, 0b10);
 
         let report = coord.run(echo_jobs(20), &CancelToken::new()).unwrap();
         assert!(report.is_clean(), "{report:?}");

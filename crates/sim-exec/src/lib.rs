@@ -1,4 +1,4 @@
-//! A dependency-free work-stealing job executor for simulation sweeps.
+//! A dependency-free job executor for simulation sweeps.
 //!
 //! Every figure of the SHM evaluation is a (benchmark × design) cross
 //! product of completely independent single-threaded simulations, so the
@@ -10,12 +10,12 @@
 //!
 //! Design constraints (and how they are met):
 //!
-//! * **No registry access** — `std` only: `std::thread::scope` workers,
-//!   `Mutex<VecDeque>` per-worker job queues with stealing, and mutexed
+//! * **No registry access** — `std` only: `std::thread::scope` workers
+//!   pulling job indices from one shared atomic cursor, and mutexed
 //!   per-job result slots.
-//! * **Deterministic results** — jobs carry their submission index; each
-//!   worker writes its result into the job's dedicated slot, so the order
-//!   in which jobs *finish* never affects the order results are returned.
+//! * **Deterministic results** — each worker writes a job's result into
+//!   the job's dedicated slot, so the order in which jobs *finish* never
+//!   affects the order results are returned.
 //! * **Panic isolation** — each job body runs under
 //!   [`std::panic::catch_unwind`]; a panicking job yields a [`JobPanic`]
 //!   carrying its index and payload instead of poisoning the whole sweep.
@@ -24,28 +24,24 @@
 //!   variable, then [`std::thread::available_parallelism`].  `SHM_JOBS=1`
 //!   forces fully serial execution on the calling thread.
 //!
+//! [`Executor::map`], [`Executor::map_cancellable`] and
+//! [`Executor::run_robust`] are each one call to the same job loop:
+//! cancellation is its stop check, and `run_robust` adds its deadline and
+//! retry inside each job.
+//!
 //! The [`arena`] module complements the executor: keyed scratch pools let
 //! repeated jobs reuse their per-job working state (bank matrices, event
 //! buffers) instead of rebuilding it from the allocator every time.
 
 pub mod arena;
 
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable overriding the worker-pool width (`1` = serial).
 pub const JOBS_ENV: &str = "SHM_JOBS";
-
-/// Environment variable setting the per-job wall-clock budget in
-/// milliseconds for [`Executor::run_robust`] (`0` disables the watchdog).
-pub const JOB_TIMEOUT_ENV: &str = "SHM_JOB_TIMEOUT_MS";
-
-/// Environment variable setting the sweep-wide retry budget for
-/// [`Executor::run_robust`].
-pub const JOB_RETRIES_ENV: &str = "SHM_JOB_RETRIES";
 
 /// Process-global cancellation flag, set by the CLI's SIGINT/SIGTERM
 /// handler.  An atomic store is all a signal handler may safely do, so the
@@ -184,7 +180,57 @@ pub fn effective_jobs(requested: Option<usize>) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// A bounded work-stealing thread pool for independent jobs.
+/// The job loop behind every sweep.
+///
+/// Up to `workers` scoped threads (or the calling thread alone, when one
+/// suffices) each check `stop`, take the next index from one shared
+/// cursor, run `job(index)` under `catch_unwind`, and store the outcome in
+/// that index's slot.  Jobs never add jobs, so an exhausted cursor means
+/// the sweep is done; jobs are coarse (milliseconds to seconds), so one
+/// cursor balances load as well as per-worker queues would.  Slots of
+/// jobs that `stop` kept from starting come back as `None`.
+fn run_jobs<T, J, S>(workers: usize, n: usize, stop: S, job: J) -> Vec<Option<JobResult<T>>>
+where
+    T: Send,
+    J: Fn(usize) -> T + Sync,
+    S: Fn() -> bool + Sync,
+{
+    let slots: Vec<Mutex<Option<JobResult<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    // Relaxed suffices: the cursor only hands out distinct indices; results
+    // travel through the slot mutexes and the scope's join.
+    let cursor = AtomicUsize::new(0);
+    let worker = || {
+        while !stop() {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            let outcome =
+                catch_unwind(AssertUnwindSafe(|| job(index))).map_err(|payload| JobPanic {
+                    index,
+                    label: None,
+                    message: panic_message(payload),
+                });
+            *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+        }
+    };
+    let workers = workers.min(n);
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
+        .collect()
+}
+
+/// A bounded thread pool for independent jobs.
 ///
 /// The executor is stateless between calls: every [`Executor::map`] spawns
 /// a fresh scope of workers and joins them before returning, so there is
@@ -227,80 +273,20 @@ impl Executor {
     /// Runs `work(index, &items[index])` for every item and returns the
     /// per-job outcomes in submission order.
     ///
-    /// Jobs are dealt round-robin into per-worker queues; an idle worker
-    /// steals from the tail of its neighbours' queues.  With one worker
-    /// (or one item) everything runs on the calling thread — the panic
-    /// capture and result shape are identical, so `--jobs 1` output is the
-    /// reference the parallel path must reproduce byte-for-byte.
+    /// Idle workers take the next unstarted job, so a slow benchmark never
+    /// holds up the rest of the sweep.  With one worker (or one item)
+    /// everything runs on the calling thread — the panic capture and result
+    /// shape are identical, so `--jobs 1` output is the reference the
+    /// parallel path must reproduce byte-for-byte.
     pub fn map<I, T, F>(&self, items: &[I], work: F) -> Vec<JobResult<T>>
     where
         I: Sync,
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        let workers = self.jobs.min(items.len()).max(1);
-        let slots: Vec<Mutex<Option<JobResult<T>>>> =
-            (0..items.len()).map(|_| Mutex::new(None)).collect();
-
-        let run_one = |i: usize| {
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| work(i, &items[i]))).map_err(|payload| JobPanic {
-                    index: i,
-                    label: None,
-                    message: panic_message(payload),
-                });
-            // Each index is scheduled exactly once, so the slot is empty.
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-        };
-
-        if workers == 1 {
-            for i in 0..items.len() {
-                run_one(i);
-            }
-        } else {
-            // Deal jobs round-robin so queues start balanced even when job
-            // costs correlate with index (heavier benchmarks first).
-            let queues: Vec<Mutex<VecDeque<usize>>> =
-                (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-            for (i, q) in (0..items.len()).zip((0..workers).cycle()) {
-                queues[q].lock().expect("fresh queue").push_back(i);
-            }
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let run_one = &run_one;
-                    scope.spawn(move || loop {
-                        // Own queue first (front), then steal from the tail
-                        // of the other queues.  Jobs never enqueue new jobs,
-                        // so "every queue empty" is a stable exit condition.
-                        let next = queues[w]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|d| {
-                                    queues[(w + d) % workers]
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .pop_back()
-                                })
-                            });
-                        match next {
-                            Some(i) => run_one(i),
-                            None => break,
-                        }
-                    });
-                }
-            });
-        }
-
-        slots
+        run_jobs(self.jobs, items.len(), || false, |i| work(i, &items[i]))
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("every job scheduled once")
-            })
+            .map(|slot| slot.expect("nothing stops a plain map"))
             .collect()
     }
 
@@ -324,66 +310,12 @@ impl Executor {
         T: Send,
         F: Fn(usize, &I) -> T + Sync,
     {
-        let workers = self.jobs.min(items.len()).max(1);
-        let slots: Vec<Mutex<Option<JobResult<T>>>> =
-            (0..items.len()).map(|_| Mutex::new(None)).collect();
-
-        let run_one = |i: usize| {
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| work(i, &items[i]))).map_err(|payload| JobPanic {
-                    index: i,
-                    label: None,
-                    message: panic_message(payload),
-                });
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-        };
-
-        if workers == 1 {
-            for i in 0..items.len() {
-                if token.is_cancelled() {
-                    break;
-                }
-                run_one(i);
-            }
-        } else {
-            let queues: Vec<Mutex<VecDeque<usize>>> =
-                (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-            for (i, q) in (0..items.len()).zip((0..workers).cycle()) {
-                queues[q].lock().expect("fresh queue").push_back(i);
-            }
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let queues = &queues;
-                    let run_one = &run_one;
-                    scope.spawn(move || loop {
-                        if token.is_cancelled() {
-                            break;
-                        }
-                        let next = queues[w]
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|d| {
-                                    queues[(w + d) % workers]
-                                        .lock()
-                                        .unwrap_or_else(|e| e.into_inner())
-                                        .pop_back()
-                                })
-                            });
-                        match next {
-                            Some(i) => run_one(i),
-                            None => break,
-                        }
-                    });
-                }
-            });
-        }
-
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
-            .collect()
+        run_jobs(
+            self.jobs,
+            items.len(),
+            || token.is_cancelled(),
+            |i| work(i, &items[i]),
+        )
     }
 
     /// Like [`map`](Executor::map), but turns any captured panic into an
@@ -420,191 +352,82 @@ impl Executor {
         }
     }
 
-    /// Runs every job under a wall-clock watchdog and a bounded retry
-    /// budget, always completing the sweep: a hung job is abandoned as a
-    /// [`JobOutcome::TimedOut`] while the remaining jobs keep running, so
-    /// the caller gets deterministic partial results instead of a wedged
-    /// process.
+    /// Runs every job under a per-attempt wall-clock budget and a bounded
+    /// retry budget, and always completes the sweep: the report holds one
+    /// [`JobOutcome`] per job, in submission order.
     ///
-    /// Mechanics:
-    ///
-    /// * Jobs run on detached worker threads (hence the `'static` bounds —
-    ///   a wedged job cannot be killed, only abandoned, and a scoped thread
-    ///   would block the join).  When the watchdog expires a job it sets
-    ///   the job's [`JobCtx`] cancel flag — cooperative jobs poll
-    ///   [`JobCtx::cancelled`] and bail out; uncooperative ones leak a
-    ///   thread that dies with the process — and spawns a replacement
-    ///   worker so pending jobs still drain.
-    /// * A job whose attempt panics is re-queued exactly once while the
-    ///   sweep-wide `retry_budget` lasts (transient-failure recovery);
-    ///   its second panic is final.  Timed-out jobs are never retried — a
-    ///   wedge is assumed to reproduce.
-    /// * Outcomes come back in submission order; a late completion of an
-    ///   abandoned attempt is discarded (first verdict wins), so the
-    ///   report shape is deterministic given which jobs wedge.
+    /// * **Cooperative watchdog.** With `timeout_ms > 0`, each attempt's
+    ///   [`JobCtx`] carries a deadline and [`JobCtx::cancelled`] turns true
+    ///   once it passes; long jobs poll it and return early.  An attempt
+    ///   that ends past its deadline is a [`JobOutcome::TimedOut`],
+    ///   whatever it returned.  A job that never polls cannot be stopped,
+    ///   so the sweep waits for it.
+    /// * **In-place retry.** A job whose attempt panics before its deadline
+    ///   is re-run once, on the same worker, while the sweep-wide
+    ///   `retry_budget` lasts; its second panic is final.  Timed-out jobs
+    ///   are never retried — a wedge is assumed to reproduce.
     pub fn run_robust<I, T, F, L>(
         &self,
-        items: Vec<I>,
+        items: &[I],
         cfg: RobustConfig,
         label: L,
         work: F,
     ) -> RobustReport<T>
     where
-        I: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(&JobCtx, &I) -> T + Send + Sync + 'static,
+        I: Sync,
+        T: Send,
+        F: Fn(&JobCtx, &I) -> T + Sync,
         L: Fn(usize, &I) -> String,
     {
-        let n = items.len();
-        if n == 0 {
-            return RobustReport {
-                outcomes: Vec::new(),
-                retries_used: 0,
-            };
-        }
-        let items = Arc::new(items);
-        let work = Arc::new(work);
-        let pending: Arc<Mutex<VecDeque<(usize, u32)>>> =
-            Arc::new(Mutex::new((0..n).map(|i| (i, 0u32)).collect()));
-        let cancels: Arc<Vec<AtomicBool>> =
-            Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
-        let (tx, rx) = mpsc::channel::<RobustMsg<T>>();
-
-        let spawn_worker = |tx: mpsc::Sender<RobustMsg<T>>| {
-            let items = Arc::clone(&items);
-            let work = Arc::clone(&work);
-            let pending = Arc::clone(&pending);
-            let cancels = Arc::clone(&cancels);
-            std::thread::spawn(move || loop {
-                let job = pending
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .pop_front();
-                let Some((i, attempt)) = job else { break };
-                let _ = tx.send(RobustMsg::Started { index: i });
-                let ctx = JobCtx {
-                    index: i,
-                    cancels: Arc::clone(&cancels),
-                };
-                let result =
-                    catch_unwind(AssertUnwindSafe(|| work(&ctx, &items[i]))).map_err(panic_message);
-                if tx
-                    .send(RobustMsg::Finished {
-                        index: i,
-                        attempt,
-                        result,
-                    })
-                    .is_err()
-                {
-                    break; // sweep already reported; nobody is listening
-                }
-            });
+        let timeout = (cfg.timeout_ms > 0).then(|| Duration::from_millis(cfg.timeout_ms));
+        let budget = AtomicU32::new(cfg.retry_budget);
+        let take_retry = || {
+            budget
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
+                .is_ok()
         };
-        for _ in 0..self.jobs.min(n) {
-            spawn_worker(tx.clone());
-        }
-
-        let watchdog = (cfg.timeout_ms > 0).then(|| Duration::from_millis(cfg.timeout_ms));
-        let mut outcomes: Vec<Option<JobOutcome<T>>> = (0..n).map(|_| None).collect();
-        let mut running: HashMap<usize, Instant> = HashMap::new();
-        let mut resolved = 0usize;
-        let mut budget = cfg.retry_budget;
-        let mut retries_used = 0u32;
-
-        while resolved < n {
-            // Wake at the earliest running deadline; with no watchdog (or
-            // nothing running yet) poll at a coarse interval — `tx` is held
-            // here, so the channel can never disconnect under us.
-            let wait = match (watchdog, running.values().min()) {
-                (Some(_), Some(&deadline)) => deadline.saturating_duration_since(Instant::now()),
-                _ => Duration::from_millis(25),
-            };
-            match rx.recv_timeout(wait) {
-                Ok(RobustMsg::Started { index }) => {
-                    if outcomes[index].is_none() {
-                        if let Some(t) = watchdog {
-                            running.insert(index, Instant::now() + t);
-                        }
-                    }
-                }
-                Ok(RobustMsg::Finished {
+        let job = |index: usize| {
+            let attempt = || {
+                let ctx = JobCtx {
                     index,
-                    attempt,
-                    result,
-                }) => {
-                    running.remove(&index);
-                    if outcomes[index].is_some() {
-                        continue; // abandoned attempt finished late
-                    }
-                    match result {
-                        Ok(v) => {
-                            outcomes[index] = Some(JobOutcome::Ok(v));
-                            resolved += 1;
-                        }
-                        Err(_) if attempt == 0 && budget > 0 => {
-                            budget -= 1;
-                            retries_used += 1;
-                            pending
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push_back((index, 1));
-                            spawn_worker(tx.clone());
-                        }
-                        Err(message) => {
-                            outcomes[index] = Some(JobOutcome::Panicked(JobPanic {
-                                index,
-                                label: Some(label(index, &items[index])),
-                                message,
-                            }));
-                            resolved += 1;
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    let now = Instant::now();
-                    let expired: Vec<usize> = running
-                        .iter()
-                        .filter(|&(_, &deadline)| deadline <= now)
-                        .map(|(&i, _)| i)
-                        .collect();
-                    for i in expired {
-                        running.remove(&i);
-                        cancels[i].store(true, Ordering::Relaxed);
-                        outcomes[i] = Some(JobOutcome::TimedOut(JobTimeout {
-                            index: i,
-                            label: label(i, &items[i]),
-                            timeout_ms: cfg.timeout_ms,
-                        }));
-                        resolved += 1;
-                        // The worker on job i may be wedged for good;
-                        // replace it so the rest of the queue still drains.
-                        spawn_worker(tx.clone());
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                    deadline: timeout.map(|t| Instant::now() + t),
+                };
+                let result = catch_unwind(AssertUnwindSafe(|| work(&ctx, &items[index])));
+                (result.map_err(panic_message), ctx.cancelled())
+            };
+            let (mut result, mut late) = attempt();
+            if result.is_err() && !late && take_retry() {
+                (result, late) = attempt();
             }
-        }
-
+            (result, late)
+        };
+        let outcomes = run_jobs(self.jobs, items.len(), || false, job)
+            .into_iter()
+            .enumerate()
+            .map(|(index, slot)| {
+                let label = || label(index, &items[index]);
+                match slot.expect("nothing stops a robust sweep") {
+                    Ok((_, true)) => JobOutcome::TimedOut(JobTimeout {
+                        index,
+                        label: label(),
+                        timeout_ms: cfg.timeout_ms,
+                    }),
+                    Ok((Ok(v), false)) => JobOutcome::Ok(v),
+                    Ok((Err(message), false)) | Err(JobPanic { message, .. }) => {
+                        JobOutcome::Panicked(JobPanic {
+                            index,
+                            label: Some(label()),
+                            message,
+                        })
+                    }
+                }
+            })
+            .collect();
         RobustReport {
-            outcomes: outcomes
-                .into_iter()
-                .map(|o| o.expect("every job resolved"))
-                .collect(),
-            retries_used,
+            outcomes,
+            retries_used: cfg.retry_budget - budget.into_inner(),
         }
     }
-}
-
-/// Completion-channel messages for [`Executor::run_robust`].
-enum RobustMsg<T> {
-    Started {
-        index: usize,
-    },
-    Finished {
-        index: usize,
-        attempt: u32,
-        result: Result<T, String>,
-    },
 }
 
 /// Watchdog and retry policy for [`Executor::run_robust`].  The default is
@@ -619,29 +442,12 @@ pub struct RobustConfig {
     pub retry_budget: u32,
 }
 
-impl RobustConfig {
-    /// Policy from [`JOB_TIMEOUT_ENV`] and [`JOB_RETRIES_ENV`], defaulting
-    /// to "no watchdog, no retries" when unset or unparsable.
-    pub fn from_env() -> Self {
-        Self {
-            timeout_ms: std::env::var(JOB_TIMEOUT_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
-            retry_budget: std::env::var(JOB_RETRIES_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(0),
-        }
-    }
-}
-
-/// Handle passed to [`Executor::run_robust`] jobs for cooperative
-/// cancellation.
+/// Handle passed to [`Executor::run_robust`] jobs: the job's submission
+/// index and the current attempt's deadline, for cooperative cancellation.
 #[derive(Clone, Debug)]
 pub struct JobCtx {
     index: usize,
-    cancels: Arc<Vec<AtomicBool>>,
+    deadline: Option<Instant>,
 }
 
 impl JobCtx {
@@ -650,18 +456,18 @@ impl JobCtx {
         self.index
     }
 
-    /// True once the watchdog has abandoned this attempt.  Long-running
-    /// jobs should poll this and return early; the value they return is
-    /// discarded.
+    /// True once this attempt has run past its wall-clock budget.
+    /// Long-running jobs should poll this and return early; the value they
+    /// return is discarded.
     pub fn cancelled(&self) -> bool {
-        self.cancels[self.index].load(Ordering::Relaxed)
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
-/// A job that exceeded its wall-clock budget and was abandoned.
+/// A job that ran past its wall-clock budget.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JobTimeout {
-    /// Submission index of the abandoned job.
+    /// Submission index of the timed-out job.
     pub index: usize,
     /// Human-readable job description (e.g. `"kmeans under SHM"`).
     pub label: String,
@@ -688,7 +494,7 @@ pub enum JobOutcome<T> {
     Ok(T),
     /// The job panicked on its final attempt.
     Panicked(JobPanic),
-    /// The job exceeded its wall-clock budget and was abandoned.
+    /// The job ran past its wall-clock budget.
     TimedOut(JobTimeout),
 }
 
@@ -774,82 +580,148 @@ impl std::error::Error for SweepError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Barrier};
+
+    /// Wall-clock limit for any threaded test below: a hung executor fails
+    /// the test in seconds instead of stalling the whole `cargo test` run.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// Runs `body` on a helper thread and fails with "executor hung" when
+    /// it has not returned within `limit`.  The helper is detached, so a
+    /// hung body is leaked rather than joined; its panics propagate.
+    fn within<R: Send + 'static>(limit: Duration, body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, finished) = mpsc::channel::<()>();
+        let helper = std::thread::spawn(move || {
+            let out = body();
+            let _ = done.send(());
+            out
+        });
+        if let Err(mpsc::RecvTimeoutError::Timeout) = finished.recv_timeout(limit) {
+            panic!("executor hung: no result within {limit:?}");
+        }
+        helper
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+
+    #[test]
+    fn map_survives_thousands_of_rounds_without_hanging() {
+        // Mixed shapes that end every round with all workers idle at once:
+        // a barrier round (every worker holds one job until all have one),
+        // then a round of zero-cost jobs.  A worker that holds one lock
+        // while waiting for another deadlocks here within a second.
+        const BUDGET: Duration = Duration::from_secs(2);
+        let rounds = within(BUDGET + Duration::from_secs(5), || {
+            let start = Instant::now();
+            let mut rounds = 0u64;
+            while start.elapsed() < BUDGET {
+                for jobs in [2, 3, 4, 8] {
+                    let exec = Executor::new(jobs);
+                    let barrier = Barrier::new(jobs);
+                    let items: Vec<usize> = (0..jobs).collect();
+                    let out = exec.map(&items, |_, &x| {
+                        barrier.wait();
+                        x
+                    });
+                    assert!(out.into_iter().map(|r| r.expect("no panic")).eq(0..jobs));
+                    let items: Vec<usize> = (0..2 * jobs).collect();
+                    let out = exec.map(&items, |_, &x| x);
+                    assert!(out
+                        .into_iter()
+                        .map(|r| r.expect("no panic"))
+                        .eq(0..2 * jobs));
+                    rounds += 1;
+                }
+            }
+            rounds
+        });
+        assert!(rounds >= 4, "only {rounds} rounds ran");
+    }
 
     #[test]
     fn results_come_back_in_submission_order() {
-        let items: Vec<u64> = (0..100).collect();
-        for jobs in [1, 2, 7] {
-            let out = Executor::new(jobs).map(&items, |i, &x| {
-                // Make later jobs finish earlier to stress reassembly.
-                if i % 3 == 0 {
-                    std::thread::yield_now();
-                }
-                x * 2
-            });
-            let vals: Vec<u64> = out.into_iter().map(|r| r.expect("no panic")).collect();
-            assert_eq!(vals, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        }
+        within(DEADLINE, || {
+            let items: Vec<u64> = (0..100).collect();
+            for jobs in [1, 2, 7] {
+                let out = Executor::new(jobs).map(&items, |i, &x| {
+                    // Make later jobs finish earlier to stress reassembly.
+                    if i % 3 == 0 {
+                        std::thread::yield_now();
+                    }
+                    x * 2
+                });
+                let vals: Vec<u64> = out.into_iter().map(|r| r.expect("no panic")).collect();
+                assert_eq!(vals, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+            }
+        });
     }
 
     #[test]
     fn parallel_equals_serial() {
-        let items: Vec<u64> = (0..64).collect();
-        let f = |_: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(13);
-        let serial = Executor::new(1).map(&items, f);
-        let parallel = Executor::new(8).map(&items, f);
-        assert_eq!(serial, parallel);
+        within(DEADLINE, || {
+            let items: Vec<u64> = (0..64).collect();
+            let f = |_: usize, &x: &u64| x.wrapping_mul(0x9E37_79B9).rotate_left(13);
+            let serial = Executor::new(1).map(&items, f);
+            let parallel = Executor::new(8).map(&items, f);
+            assert_eq!(serial, parallel);
+        });
     }
 
     #[test]
     fn panics_are_captured_per_job() {
-        let items: Vec<u32> = (0..10).collect();
-        let out = Executor::new(4).map(&items, |_, &x| {
-            if x == 3 {
-                panic!("boom at {x}");
+        within(DEADLINE, || {
+            let items: Vec<u32> = (0..10).collect();
+            let out = Executor::new(4).map(&items, |_, &x| {
+                if x == 3 {
+                    panic!("boom at {x}");
+                }
+                x + 1
+            });
+            for (i, r) in out.iter().enumerate() {
+                if i == 3 {
+                    let p = r.as_ref().expect_err("job 3 must fail");
+                    assert_eq!(p.index, 3);
+                    assert!(p.message.contains("boom at 3"), "got {:?}", p.message);
+                } else {
+                    assert_eq!(*r.as_ref().expect("other jobs unaffected"), i as u32 + 1);
+                }
             }
-            x + 1
         });
-        for (i, r) in out.iter().enumerate() {
-            if i == 3 {
-                let p = r.as_ref().expect_err("job 3 must fail");
-                assert_eq!(p.index, 3);
-                assert!(p.message.contains("boom at 3"), "got {:?}", p.message);
-            } else {
-                assert_eq!(*r.as_ref().expect("other jobs unaffected"), i as u32 + 1);
-            }
-        }
     }
 
     #[test]
     fn try_map_labels_failures() {
-        let items = ["alpha", "beta", "gamma"];
-        let err = Executor::new(2)
-            .try_map(
-                &items,
-                |_, name| format!("job/{name}"),
-                |_, &name| {
-                    if name == "beta" {
-                        panic!("bad {name}");
-                    }
-                    name.len()
-                },
-            )
-            .expect_err("beta fails");
-        assert_eq!(err.failed.len(), 1);
-        assert_eq!(err.failed[0].label, "job/beta");
-        assert!(err.to_string().contains("job/beta"));
+        within(DEADLINE, || {
+            let items = ["alpha", "beta", "gamma"];
+            let err = Executor::new(2)
+                .try_map(
+                    &items,
+                    |_, name| format!("job/{name}"),
+                    |_, &name| {
+                        if name == "beta" {
+                            panic!("bad {name}");
+                        }
+                        name.len()
+                    },
+                )
+                .expect_err("beta fails");
+            assert_eq!(err.failed.len(), 1);
+            assert_eq!(err.failed[0].label, "job/beta");
+            assert!(err.to_string().contains("job/beta"));
+        });
     }
 
     #[test]
     fn all_jobs_run_exactly_once() {
-        let counter = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..333).collect();
-        let out = Executor::new(5).map(&items, |_, _| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        within(DEADLINE, || {
+            let counter = AtomicUsize::new(0);
+            let items: Vec<usize> = (0..333).collect();
+            let out = Executor::new(5).map(&items, |_, _| {
+                counter.fetch_add(1, Ordering::Relaxed);
+            });
+            assert_eq!(out.len(), 333);
+            assert_eq!(counter.load(Ordering::Relaxed), 333);
         });
-        assert_eq!(out.len(), 333);
-        assert_eq!(counter.load(Ordering::Relaxed), 333);
     }
 
     #[test]
@@ -879,109 +751,116 @@ mod tests {
 
     #[test]
     fn try_map_attaches_label_to_the_panic_itself() {
-        let items = ["alpha", "beta"];
-        let err = Executor::new(2)
-            .try_map(
-                &items,
-                |_, name| format!("job/{name}"),
-                |_, &name| {
-                    if name == "beta" {
-                        panic!("bad");
-                    }
-                    1
-                },
-            )
-            .expect_err("beta fails");
-        assert!(
-            err.failed[0].panic.to_string().contains("(job/beta)"),
-            "{}",
-            err.failed[0].panic
-        );
+        within(DEADLINE, || {
+            let items = ["alpha", "beta"];
+            let err = Executor::new(2)
+                .try_map(
+                    &items,
+                    |_, name| format!("job/{name}"),
+                    |_, &name| {
+                        if name == "beta" {
+                            panic!("bad");
+                        }
+                        1
+                    },
+                )
+                .expect_err("beta fails");
+            assert!(
+                err.failed[0].panic.to_string().contains("(job/beta)"),
+                "{}",
+                err.failed[0].panic
+            );
+        });
     }
 
     #[test]
     fn run_robust_times_out_wedged_jobs_and_returns_partial_results() {
-        let report = Executor::new(2).run_robust(
-            vec![1u32, 2, 3, 4],
-            RobustConfig {
-                timeout_ms: 150,
-                retry_budget: 0,
-            },
-            |i, _| format!("job-{i}"),
-            |ctx, &x| {
-                if x == 3 {
-                    // Wedge cooperatively: hold until the watchdog abandons
-                    // this attempt, so the test leaks no long-lived thread.
-                    while !ctx.cancelled() {
-                        std::thread::sleep(Duration::from_millis(5));
+        within(DEADLINE, || {
+            let report = Executor::new(2).run_robust(
+                &[1u32, 2, 3, 4],
+                RobustConfig {
+                    timeout_ms: 150,
+                    retry_budget: 0,
+                },
+                |i, _| format!("job-{i}"),
+                |ctx, &x| {
+                    if x == 3 {
+                        // Wedge cooperatively: hold until the watchdog
+                        // cancels this attempt.
+                        while !ctx.cancelled() {
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        return 0;
                     }
-                    return 0;
+                    x * 10
+                },
+            );
+            assert_eq!(report.outcomes.len(), 4);
+            assert!(matches!(report.outcomes[0], JobOutcome::Ok(10)));
+            assert!(matches!(report.outcomes[1], JobOutcome::Ok(20)));
+            match &report.outcomes[2] {
+                JobOutcome::TimedOut(t) => {
+                    assert_eq!(t.label, "job-2");
+                    assert_eq!(t.timeout_ms, 150);
+                    assert!(t.to_string().contains("job-2"), "{t}");
                 }
-                x * 10
-            },
-        );
-        assert_eq!(report.outcomes.len(), 4);
-        assert!(matches!(report.outcomes[0], JobOutcome::Ok(10)));
-        assert!(matches!(report.outcomes[1], JobOutcome::Ok(20)));
-        match &report.outcomes[2] {
-            JobOutcome::TimedOut(t) => {
-                assert_eq!(t.label, "job-2");
-                assert_eq!(t.timeout_ms, 150);
-                assert!(t.to_string().contains("job-2"), "{t}");
+                other => panic!("expected timeout, got {other:?}"),
             }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(matches!(report.outcomes[3], JobOutcome::Ok(40)));
-        assert_eq!(report.ok_count(), 3);
-        assert_eq!(report.failed_count(), 1);
-        assert!(!report.is_clean());
-        assert_eq!(report.failure_lines().len(), 1);
+            assert!(matches!(report.outcomes[3], JobOutcome::Ok(40)));
+            assert_eq!(report.ok_count(), 3);
+            assert_eq!(report.failed_count(), 1);
+            assert!(!report.is_clean());
+            assert_eq!(report.failure_lines().len(), 1);
+        });
     }
 
     #[test]
     fn run_robust_retries_transient_panics_within_budget() {
-        let tries = Arc::new(AtomicUsize::new(0));
-        let t2 = Arc::clone(&tries);
-        let report = Executor::new(2).run_robust(
-            vec![0u32, 1],
-            RobustConfig {
-                timeout_ms: 0,
-                retry_budget: 2,
-            },
-            |i, _| format!("job-{i}"),
-            move |ctx, _| {
-                if ctx.index() == 1 && t2.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient");
-                }
-                7u32
-            },
-        );
-        assert!(report.is_clean(), "{:?}", report.failure_lines());
-        assert_eq!(report.retries_used, 1);
-        assert_eq!(tries.load(Ordering::SeqCst), 2);
+        within(DEADLINE, || {
+            let tries = AtomicUsize::new(0);
+            let report = Executor::new(2).run_robust(
+                &[0u32, 1],
+                RobustConfig {
+                    timeout_ms: 0,
+                    retry_budget: 2,
+                },
+                |i, _| format!("job-{i}"),
+                |ctx, _| {
+                    if ctx.index() == 1 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
+                        panic!("transient");
+                    }
+                    7u32
+                },
+            );
+            assert!(report.is_clean(), "{:?}", report.failure_lines());
+            assert_eq!(report.retries_used, 1);
+            assert_eq!(tries.load(Ordering::SeqCst), 2);
+        });
     }
 
     #[test]
     fn run_robust_reports_final_panics_with_labels() {
-        let report = Executor::new(2).run_robust(
-            vec![0u32, 1],
-            RobustConfig::default(),
-            |i, _| format!("job-{i}"),
-            |ctx, _| {
-                if ctx.index() == 1 {
-                    panic!("always");
+        within(DEADLINE, || {
+            let report = Executor::new(2).run_robust(
+                &[0u32, 1],
+                RobustConfig::default(),
+                |i, _| format!("job-{i}"),
+                |ctx, _| {
+                    if ctx.index() == 1 {
+                        panic!("always");
+                    }
+                    3u32
+                },
+            );
+            assert_eq!(report.ok_count(), 1);
+            match &report.outcomes[1] {
+                JobOutcome::Panicked(p) => {
+                    assert_eq!(p.label.as_deref(), Some("job-1"));
+                    assert!(p.to_string().contains("(job-1)"), "{p}");
                 }
-                3u32
-            },
-        );
-        assert_eq!(report.ok_count(), 1);
-        match &report.outcomes[1] {
-            JobOutcome::Panicked(p) => {
-                assert_eq!(p.label.as_deref(), Some("job-1"));
-                assert!(p.to_string().contains("(job-1)"), "{p}");
+                other => panic!("expected panic, got {other:?}"),
             }
-            other => panic!("expected panic, got {other:?}"),
-        }
+        });
     }
 
     /// Serializes tests that read or write the process-global cancel flag —
@@ -991,14 +870,16 @@ mod tests {
     #[test]
     fn map_cancellable_without_cancel_matches_map() {
         let _guard = CANCEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let items: Vec<u64> = (0..40).collect();
-        let token = CancelToken::new();
-        let out = Executor::new(4).map_cancellable(&items, &token, |_, &x| x + 1);
-        let vals: Vec<u64> = out
-            .into_iter()
-            .map(|o| o.expect("all ran").expect("no panic"))
-            .collect();
-        assert_eq!(vals, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        within(DEADLINE, || {
+            let items: Vec<u64> = (0..40).collect();
+            let token = CancelToken::new();
+            let out = Executor::new(4).map_cancellable(&items, &token, |_, &x| x + 1);
+            let vals: Vec<u64> = out
+                .into_iter()
+                .map(|o| o.expect("all ran").expect("no panic"))
+                .collect();
+            assert_eq!(vals, items.iter().map(|x| x + 1).collect::<Vec<_>>());
+        });
     }
 
     #[test]
@@ -1028,28 +909,31 @@ mod tests {
     #[test]
     fn map_cancellable_parallel_drains_in_flight_jobs() {
         let _guard = CANCEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let items: Vec<u64> = (0..64).collect();
-        let token = CancelToken::new();
-        let started = AtomicUsize::new(0);
-        let out = Executor::new(4).map_cancellable(&items, &token, |i, &x| {
-            started.fetch_add(1, Ordering::SeqCst);
-            if i == 0 {
-                token.cancel();
+        within(DEADLINE, || {
+            let items: Vec<u64> = (0..64).collect();
+            let token = CancelToken::new();
+            let started = AtomicUsize::new(0);
+            let out = Executor::new(4).map_cancellable(&items, &token, |i, &x| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if i == 0 {
+                    token.cancel();
+                }
+                std::thread::yield_now();
+                x
+            });
+            let ran = out.iter().filter(|o| o.is_some()).count();
+            // Every slot that ran holds a complete result (drained, not
+            // torn), and cancellation kept at least some of the 64 jobs
+            // from starting.
+            assert_eq!(ran, started.load(Ordering::SeqCst));
+            assert!(ran >= 1);
+            assert!(ran < items.len(), "cancel had no effect");
+            for (o, &x) in out.iter().zip(&items) {
+                if let Some(r) = o {
+                    assert_eq!(*r.as_ref().expect("ok"), x);
+                }
             }
-            std::thread::yield_now();
-            x
         });
-        let ran = out.iter().filter(|o| o.is_some()).count();
-        // Every slot that ran holds a complete result (drained, not torn),
-        // and cancellation kept at least some of the 64 jobs from starting.
-        assert_eq!(ran, started.load(Ordering::SeqCst));
-        assert!(ran >= 1);
-        assert!(ran < items.len(), "cancel had no effect");
-        for (o, &x) in out.iter().zip(&items) {
-            if let Some(r) = o {
-                assert_eq!(*r.as_ref().expect("ok"), x);
-            }
-        }
     }
 
     #[test]

@@ -73,7 +73,7 @@ fn smoke_campaign_is_a_clean_pass_and_covers_every_class() {
 fn wedged_job_times_out_with_partial_results() {
     let items: Vec<u64> = (0..6).collect();
     let report = Executor::from_request(Some(3)).run_robust(
-        items,
+        &items,
         RobustConfig {
             timeout_ms: 200,
             retry_budget: 0,

@@ -1,4 +1,4 @@
-//! Parallel-executor determinism: the work-stealing pool must be an
+//! Parallel-executor determinism: the worker pool must be an
 //! implementation detail — running the benchmark suite on one worker or
 //! many must produce byte-identical results.
 
