@@ -426,7 +426,8 @@ struct Finalize {
     journal: Vec<(String, String)>,
 }
 
-/// Remove a finished request (remaining == 0) and build its terminal
+/// Remove a finished request (remaining == 0, and running == 0 so every
+/// progress frame is already written) and build its terminal
 /// [`Frame::SweepResult`].  Must be called with the state lock held.
 fn finalize_locked(shared: &Shared, state: &mut ServeState, req: u64) -> Option<Finalize> {
     let r = state.requests.remove(&req)?;
@@ -534,7 +535,7 @@ fn cancel_request_locked(
     }
     state.report.jobs_skipped += skipped;
     let r = state.requests.get(&req)?;
-    (r.remaining == 0)
+    (r.remaining == 0 && r.running == 0)
         .then(|| finalize_locked(shared, state, req))
         .flatten()
 }
@@ -705,7 +706,10 @@ fn pool_thread(shared: &Shared) {
                             r.remaining -= 1;
                             state.report.jobs_skipped += 1;
                         }
-                        let done = state.requests.get(&req).is_some_and(|r| r.remaining == 0);
+                        let done = state
+                            .requests
+                            .get(&req)
+                            .is_some_and(|r| r.remaining == 0 && r.running == 0);
                         if done {
                             if let Some(f) = finalize_locked(shared, &mut state, req) {
                                 drop(state);
@@ -743,7 +747,10 @@ fn pool_thread(shared: &Shared) {
             Err(panic) => (JOB_FAILED, panic_text(panic)),
         };
 
-        let (progress, finalize) = {
+        // The job stays `running` until its progress frame is written, so
+        // no other thread can finalize the request and send its
+        // SweepResult ahead of this frame.
+        let progress = {
             let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             match status {
                 JOB_OK => state.report.jobs_ok += 1,
@@ -752,12 +759,11 @@ fn pool_thread(shared: &Shared) {
             let Some(r) = state.requests.get_mut(&req) else {
                 continue;
             };
-            r.running -= 1;
             if r.results[index].is_none() {
                 r.results[index] = Some((status, body));
                 r.remaining -= 1;
             }
-            let progress = (!r.dead).then(|| {
+            (!r.dead).then(|| {
                 let seq = r.seq;
                 r.seq += 1;
                 (
@@ -771,15 +777,21 @@ fn pool_thread(shared: &Shared) {
                         status,
                     },
                 )
-            });
-            let finalize = (r.remaining == 0 && r.running == 0)
-                .then(|| finalize_locked(shared, &mut state, req))
-                .flatten();
-            (progress, finalize)
+            })
         };
         if let Some((w, frame)) = progress {
             send(&w, &frame);
         }
+        let finalize = {
+            let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let Some(r) = state.requests.get_mut(&req) else {
+                continue;
+            };
+            r.running -= 1;
+            (r.remaining == 0 && r.running == 0)
+                .then(|| finalize_locked(shared, &mut state, req))
+                .flatten()
+        };
         if let Some(f) = finalize {
             apply_finalize(shared, f);
         }
@@ -1393,6 +1405,40 @@ mod tests {
         assert_eq!(report.accepted, 1);
         assert_eq!(report.completed, 1);
         assert!(report.drained_clean);
+    }
+
+    #[test]
+    fn every_progress_frame_arrives_before_its_sweep_result() {
+        let (addr, token, daemon) = start(quick_opts(0x0BDE));
+        let mut c = ServeClient::connect(&addr, "t0", 0x0BDE, "").unwrap();
+        let mut short = 0usize;
+        for _ in 0..400 {
+            let req = c.submit(0, &echo_jobs(6)).unwrap();
+            let mut seqs = Vec::new();
+            loop {
+                match c.next_event(Duration::from_secs(10)).unwrap() {
+                    // A frame that outran an earlier round's result was
+                    // already counted against that round.
+                    Some(ServeEvent::Progress { req_id, seq, .. }) => {
+                        if req_id == req {
+                            seqs.push(seq);
+                        }
+                    }
+                    Some(ServeEvent::Done(o)) if o.req_id == req => break,
+                    other => panic!("unexpected event: {other:?}"),
+                }
+            }
+            seqs.sort_unstable();
+            if seqs != [0, 1, 2, 3, 4, 5] {
+                short += 1;
+            }
+        }
+        token.cancel();
+        daemon.join().unwrap();
+        assert_eq!(
+            short, 0,
+            "{short} of 400 sweeps ended before all their progress frames arrived"
+        );
     }
 
     #[test]
