@@ -43,10 +43,10 @@ use std::time::Instant;
 use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, ShmConfig};
 use shm::{required_mechanisms, DataProperty, OracleProfile};
-use shm_bench::dist::{try_run_suite_dist, try_run_suite_dist_journaled, DistSweepConfig};
+use shm_bench::dist::{DistSummary, DistSweepConfig};
 use shm_bench::{
-    format_table, mean, scaled_suite, traffic_breakdown, try_run_suite_jobs,
-    try_run_suite_journaled, BenchRow, Executor,
+    format_table, mean, scaled_suite, traffic_breakdown, Backend, BenchRow, Executor, Journal,
+    Sweep,
 };
 use shm_telemetry::{Probe, TelemetryConfig};
 
@@ -127,7 +127,7 @@ struct SweepCtx {
 
 /// Prints the cluster accounting of a distributed sweep to stderr (stdout
 /// must stay byte-identical to a local run).
-fn report_dist(figure: &str, summary: &shm_bench::dist::DistSummary) {
+fn report_dist(figure: &str, summary: &DistSummary) {
     if summary.degraded {
         return; // the fallback path already warned
     }
@@ -168,49 +168,46 @@ fn suite_rows(
     jobs: Option<usize>,
     sctx: &SweepCtx,
 ) -> Result<Vec<BenchRow>, FigError> {
-    let Some(ctx) = &sctx.jctx else {
-        if let Some(cfg) = &sctx.dist {
-            let (rows, summary) = try_run_suite_dist(designs, scale, cfg)
-                .map_err(|e| FigError::Failed(format!("{figure} distributed sweep: {e}")))?;
-            report_dist(figure, &summary);
-            return Ok(rows);
+    let mut sweep = Sweep::suite(designs, scale);
+    sweep.backend = match &sctx.dist {
+        Some(cfg) => Backend::Dist(cfg.clone()),
+        None => Backend::Local(Executor::from_request(jobs)),
+    };
+    if let Some(ctx) = &sctx.jctx {
+        let journal = Journal::figure(
+            std::path::Path::new(&ctx.dir),
+            figure,
+            &sweep.jobs,
+            ctx.crash_after_jobs,
+        );
+        if !ctx.resume && journal.path.exists() {
+            return Err(FigError::Failed(format!(
+                "journal {}/{figure}.jsonl already exists; pass --resume to continue it or remove it",
+                ctx.dir
+            )));
         }
-        return try_run_suite_jobs(designs, scale, jobs)
-            .map_err(|e| FigError::Failed(format!("{figure} sweep failed: {e}")));
-    };
-    let dir = std::path::Path::new(&ctx.dir);
-    if !ctx.resume && dir.join(format!("{figure}.jsonl")).exists() {
-        return Err(FigError::Failed(format!(
-            "journal {}/{figure}.jsonl already exists; pass --resume to continue it or remove it",
-            ctx.dir
-        )));
+        sweep.journal = Some(journal);
     }
-    let sweep = if let Some(cfg) = &sctx.dist {
-        let (sweep, summary) =
-            try_run_suite_dist_journaled(figure, designs, scale, cfg, dir, ctx.crash_after_jobs)
-                .map_err(|e| {
-                    FigError::Failed(format!("{figure} distributed journaled sweep: {e}"))
-                })?;
-        report_dist(figure, &summary);
-        sweep
-    } else {
-        try_run_suite_journaled(figure, designs, scale, jobs, dir, ctx.crash_after_jobs)
-            .map_err(|e| FigError::Failed(format!("{figure} journaled sweep failed: {e}")))?
-    };
-    if sweep.reused > 0 {
+    let run = sweep
+        .run(|_, job| job.run())
+        .map_err(|e| FigError::Failed(format!("{figure} sweep failed: {e}")))?;
+    if let Some(summary) = &run.cluster {
+        report_dist(figure, summary);
+    }
+    let journal = sweep.journal.as_ref().map(|j| j.path.display().to_string());
+    if let Some(path) = journal.as_ref().filter(|_| run.reused > 0) {
         eprintln!(
-            "{figure}: resumed from {}: {} job(s) reused, {} executed",
-            sweep.journal_path.display(),
-            sweep.reused,
-            sweep.executed
+            "{figure}: resumed from {path}: {} job(s) reused, {} executed",
+            run.reused, run.executed
         );
     }
-    match sweep.rows {
-        Some(rows) => Ok(rows),
-        None => Err(FigError::Interrupted {
-            journal: sweep.journal_path.display().to_string(),
-            done: sweep.completed_labels,
+    match (run.complete(), journal) {
+        (Some(stats), _) => Ok(sweep.rows(stats)),
+        (None, Some(journal)) => Err(FigError::Interrupted {
+            journal,
+            done: run.completed_labels,
         }),
+        (None, None) => Err(FigError::Failed(format!("{figure} sweep interrupted"))),
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! Every robustness claim the cluster makes — CRC fail-closed framing,
 //! end-to-end result digests, byzantine audit + quarantine, dispatch
-//! timeouts, reconnect backoff, coordinator checkpoints — is only worth
-//! what survives contact with an adversary.  This module runs the full
-//! suite sweep through a gauntlet of deterministic, seeded fault
+//! timeouts, reconnect backoff, crash-resume from the job journal — is
+//! only worth what survives contact with an adversary.  This module runs
+//! the full suite sweep through a gauntlet of deterministic, seeded fault
 //! scenarios (a [`ChaosProxy`] between workers and coordinator, byzantine
 //! worker knobs, a simulated coordinator crash) and classifies each
 //! outcome:
@@ -27,21 +27,22 @@ use std::thread;
 
 use gpu_mem_sim::DesignPoint;
 use gpu_types::SimStats;
-use shm_recovery::{JournalCodec, RecoveryError};
+use shm_recovery::JournalCodec;
 use sim_dist::{
-    run_worker, ChaosConfig, ChaosProxy, ChaosStats, Coordinator, DistOptions, PartitionWindow,
-    WorkerOptions,
+    run_worker, ChaosConfig, ChaosProxy, ChaosStats, Coordinator, DistJob, DistOptions,
+    PartitionWindow, WorkerOptions,
 };
-use sim_exec::CancelToken;
+use sim_exec::{CancelToken, Executor};
 
-use crate::dist::{
-    dist_config_hash, dist_worker_handler, suite_dist_jobs, try_run_suite_dist_checkpointed,
-    DistSweepConfig, DistSweepError,
-};
-use crate::{format_table, BenchRow};
+use crate::dist::{dist_config_hash, dist_worker_handler, DistSweepConfig, SimJob};
+use crate::{format_table, Backend, BenchRow, Journal, Sweep};
 
 /// Design points the campaign sweeps (baseline rides along implicitly).
 pub const CHAOS_DESIGNS: &[DesignPoint] = &[DesignPoint::Pssm, DesignPoint::Shm];
+
+/// Journal appends after which the crash-resume scenario's coordinator
+/// "dies"; its resume must reuse at least this many jobs.
+const CRASH_AFTER_JOBS: usize = 3;
 
 /// How a chaos scenario ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -210,7 +211,8 @@ struct Scenario {
     byz_bad_digest_every: Option<u64>,
     /// Audit sampling for this scenario (per-mille).
     audit_per_mille: u32,
-    /// Coordinator crash-resume instead of a plain run.
+    /// Coordinator crash-resume from the job journal instead of a plain
+    /// run.
     crash_resume: bool,
 }
 
@@ -385,7 +387,8 @@ fn classify(rendered: &str, golden: &str) -> Verdict {
 }
 
 fn run_cluster_scenario(s: &Scenario, seed: u64, scale: f64, golden: &str) -> ScenarioResult {
-    let (profiles, pairs, jobs) = suite_dist_jobs(CHAOS_DESIGNS, scale);
+    let sweep = Sweep::suite(CHAOS_DESIGNS, scale);
+    let jobs: Vec<DistJob> = sweep.jobs.iter().map(SimJob::dist_job).collect();
     let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
     let hash = dist_config_hash();
 
@@ -480,10 +483,7 @@ fn run_cluster_scenario(s: &Scenario, seed: u64, scale: f64, golden: &str) -> Sc
             }
             result.verdict = match detected {
                 Some(d) => Verdict::Detected(d),
-                None => {
-                    let rows = crate::dist::assemble_rows(&profiles, &pairs, stats);
-                    classify(&render_rows(&rows), golden)
-                }
+                None => classify(&render_rows(&sweep.rows(stats)), golden),
             };
         }
     }
@@ -508,22 +508,31 @@ fn run_crash_resume_scenario(
         dispatch_timeouts: 0,
         reassignments: 0,
     };
-    let ckpt_path = dir.join(format!("chaos-ckpt-{seed}.jsonl"));
-    let _ = std::fs::remove_file(&ckpt_path);
-    let cfg = DistSweepConfig {
+    let mut sweep = Sweep::suite(CHAOS_DESIGNS, scale);
+    sweep.backend = Backend::Dist(DistSweepConfig {
         bind: "127.0.0.1:0".into(),
         self_workers: 2,
         opts: scenario_dist_opts(s, seed),
-    };
+    });
+    // The coordinator "dies" after a few journal appends: the cancel
+    // fires, in-flight jobs drain into the journal, rows are withheld.
+    let journal = Journal::figure(
+        dir,
+        &format!("chaos-journal-{seed}"),
+        &sweep.jobs,
+        Some(CRASH_AFTER_JOBS),
+    );
+    let _ = std::fs::remove_file(&journal.path);
+    let path = journal.path.clone();
+    sweep.journal = Some(journal);
 
-    // Phase 1: the coordinator "dies" after three resolves — cancel fires,
-    // the checkpoint is flushed, rows are withheld.
-    match try_run_suite_dist_checkpointed(CHAOS_DESIGNS, scale, &cfg, &ckpt_path, 2, Some(3)) {
-        Ok((suite, _)) => {
-            if let Some(rows) = suite.rows {
+    match sweep.run(|_, job| job.run()) {
+        Ok(run) => {
+            if let Some(stats) = run.complete() {
+                let rows = sweep.rows(stats);
                 // Too fast to interrupt is still a completed run; verify it.
                 result.verdict = classify(&render_rows(&rows), golden);
-                let _ = std::fs::remove_file(&ckpt_path);
+                let _ = std::fs::remove_file(&path);
                 return result;
             }
         }
@@ -533,28 +542,26 @@ fn run_crash_resume_scenario(
         }
     }
 
-    // Phase 2: a fresh coordinator resumes from the checkpoint and must
-    // finish byte-identical, re-running only the unresolved jobs.
-    match try_run_suite_dist_checkpointed(CHAOS_DESIGNS, scale, &cfg, &ckpt_path, 2, None) {
-        Ok((suite, summary)) => {
-            result.reassignments = summary.reassignments;
-            match suite.rows {
-                Some(rows) => {
-                    if suite.reused == 0 {
-                        result.verdict =
-                            Verdict::Detected("resume replayed nothing from the checkpoint".into());
-                    } else {
-                        result.verdict = classify(&render_rows(&rows), golden);
-                    }
-                }
-                None => {
-                    result.verdict = Verdict::Detected("resume did not complete".into());
-                }
-            }
+    // A fresh coordinator resumes from the journal and must finish
+    // byte-identical, re-running only the jobs it does not hold.
+    if let Some(journal) = sweep.journal.as_mut() {
+        journal.crash_after_jobs = None;
+    }
+    match sweep.run(|_, job| job.run()) {
+        Ok(run) => {
+            result.reassignments = run.cluster.as_ref().map_or(0, |c| c.reassignments);
+            result.verdict = match run.complete() {
+                Some(_) if run.reused < CRASH_AFTER_JOBS => Verdict::Detected(format!(
+                    "resume reused {} of the {CRASH_AFTER_JOBS}+ journaled jobs",
+                    run.reused
+                )),
+                Some(stats) => classify(&render_rows(&sweep.rows(stats)), golden),
+                None => Verdict::Detected("resume did not complete".into()),
+            };
         }
         Err(e) => result.verdict = Verdict::Detected(format!("resume failed: {e}")),
     }
-    let _ = std::fs::remove_file(&ckpt_path);
+    let _ = std::fs::remove_file(&path);
     result
 }
 
@@ -565,25 +572,30 @@ fn run_crash_resume_scenario(
 ///
 /// # Errors
 ///
-/// [`DistSweepError`] when the golden run itself fails or the flight
-/// recorder cannot be written; scenario failures are never errors — they
-/// classify as [`Verdict::Detected`] (or, catastrophically,
-/// [`Verdict::Silent`]).
+/// A message when the golden run itself fails or the flight recorder
+/// cannot be written; scenario failures are never errors — they classify
+/// as [`Verdict::Detected`] (or, catastrophically, [`Verdict::Silent`]).
 pub fn run_chaos_campaign(
     schedule: &str,
     seed: u64,
     scale: f64,
     dir: &Path,
-) -> Result<ChaosReport, DistSweepError> {
+) -> Result<ChaosReport, String> {
     let scenarios = match schedule {
         "full" => full_scenarios(),
         _ => smoke_scenarios(),
     };
-    let golden_rows =
-        crate::try_run_suite_jobs(CHAOS_DESIGNS, scale, Some(1)).map_err(DistSweepError::Sweep)?;
-    let golden = render_rows(&golden_rows);
+    let golden_sweep = Sweep {
+        backend: Backend::Local(Executor::new(1)),
+        ..Sweep::suite(CHAOS_DESIGNS, scale)
+    };
+    let golden_run = golden_sweep
+        .run(|_, job| job.run())
+        .map_err(|e| format!("golden sweep: {e}"))?;
+    let golden_stats = golden_run.complete().ok_or("golden sweep interrupted")?;
+    let golden = render_rows(&golden_sweep.rows(golden_stats));
 
-    std::fs::create_dir_all(dir).map_err(|e| DistSweepError::Recovery(RecoveryError::Io(e)))?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
     let mut results = Vec::with_capacity(scenarios.len());
     for s in &scenarios {
         let r = if s.crash_resume {
@@ -603,6 +615,6 @@ pub fn run_chaos_campaign(
     };
     let flight = dir.join(format!("chaos_flight_{schedule}_{seed}.jsonl"));
     std::fs::write(&flight, report.flight_lines())
-        .map_err(|e| DistSweepError::Recovery(RecoveryError::Io(e)))?;
+        .map_err(|e| format!("write {}: {e}", flight.display()))?;
     Ok(report)
 }

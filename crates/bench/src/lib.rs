@@ -8,18 +8,19 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 
 use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats, TrafficClass};
 pub use shm_recovery::RecoveryError;
-use shm_recovery::{config_hash, map_journaled, JobJournal, SweepOptions};
 use shm_workloads::BenchmarkProfile;
 pub use sim_exec::{CancelToken, Executor, SweepError};
 
 pub mod chaos;
 pub mod dist;
 pub mod pool;
+pub mod sweep;
+
+pub use sweep::{Backend, Journal, Sweep, SweepFailure, SweepRun};
 
 /// Scale factor for event counts: 1.0 = full runs (repro binary),
 /// smaller for quick tests/benches.
@@ -88,176 +89,6 @@ impl BenchRow {
     pub fn normalized_energy(&self, design: DesignPoint, model: &EnergyModel) -> f64 {
         model.normalized_epi(&self.stats[design.name()], &self.stats["Baseline"])
     }
-}
-
-/// Runs `designs` (plus the baseline) over the scaled suite, parallelising
-/// across the worker pool resolved from `SHM_JOBS` / available parallelism.
-pub fn run_suite(designs: &[DesignPoint], scale: f64) -> Vec<BenchRow> {
-    run_suite_jobs(designs, scale, None)
-}
-
-/// [`run_suite`] with an explicit worker count (`--jobs N`); `None` defers
-/// to `SHM_JOBS` / available parallelism.
-///
-/// # Panics
-///
-/// Panics with every failing `(benchmark, design)` pair if any simulation
-/// job panics; see [`try_run_suite_jobs`] for the non-panicking variant.
-pub fn run_suite_jobs(designs: &[DesignPoint], scale: f64, jobs: Option<usize>) -> Vec<BenchRow> {
-    match try_run_suite_jobs(designs, scale, jobs) {
-        Ok(rows) => rows,
-        Err(e) => panic!("suite sweep failed: {e}"),
-    }
-}
-
-/// Fallible sweep over the full `(benchmark × design)` cross product.
-///
-/// Every pair is one job on the `sim-exec` pool; results reassemble in
-/// submission order so the rows (and all downstream tables) are identical
-/// to a serial run regardless of worker count.
-///
-/// # Errors
-///
-/// Returns a [`SweepError`] labelling every `(benchmark, design)` job that
-/// panicked; successful rows are discarded in that case.
-pub fn try_run_suite_jobs(
-    designs: &[DesignPoint],
-    scale: f64,
-    jobs: Option<usize>,
-) -> Result<Vec<BenchRow>, SweepError> {
-    let profiles = scaled_suite(scale);
-    // Baseline first, then each requested design once.
-    let (_, pairs) = suite_pairs(designs, &profiles);
-
-    let stats = Executor::from_request(jobs).try_map(
-        &pairs,
-        |_, &(p, d)| format!("{} under {}", profiles[p].name, d.name()),
-        |_, &(p, d)| run_one(&profiles[p], d),
-    )?;
-
-    let mut rows: Vec<BenchRow> = profiles
-        .iter()
-        .map(|p| BenchRow {
-            name: p.name.to_string(),
-            stats: BTreeMap::new(),
-        })
-        .collect();
-    for (&(p, d), s) in pairs.iter().zip(stats) {
-        rows[p].stats.insert(d.name(), s);
-    }
-    Ok(rows)
-}
-
-/// The baseline-first design list and `(profile index, design)` job pairs
-/// every suite sweep iterates, in deterministic submission order.
-pub(crate) fn suite_pairs(
-    designs: &[DesignPoint],
-    profiles: &[BenchmarkProfile],
-) -> (Vec<DesignPoint>, Vec<(usize, DesignPoint)>) {
-    let mut points: Vec<DesignPoint> = vec![DesignPoint::Unprotected];
-    points.extend(
-        designs
-            .iter()
-            .copied()
-            .filter(|d| *d != DesignPoint::Unprotected),
-    );
-    let pairs: Vec<(usize, DesignPoint)> = (0..profiles.len())
-        .flat_map(|p| points.iter().map(move |&d| (p, d)))
-        .collect();
-    (points, pairs)
-}
-
-/// Outcome of a journaled (checkpointed) suite sweep.
-#[derive(Debug)]
-pub struct JournaledSuite {
-    /// The assembled rows — `None` when the sweep was interrupted before
-    /// every job completed (everything finished so far is journaled).
-    pub rows: Option<Vec<BenchRow>>,
-    /// Jobs whose results were loaded from the journal instead of re-run.
-    pub reused: usize,
-    /// Jobs executed (and journaled) during this call.
-    pub executed: usize,
-    /// Labels of every job the journal now holds, sorted.
-    pub completed_labels: Vec<String>,
-    /// The journal file backing this sweep.
-    pub journal_path: PathBuf,
-}
-
-/// [`try_run_suite_jobs`] through a durable job journal: each completed
-/// `(benchmark, design)` result is appended to
-/// `journal_dir/<figure>.jsonl` as it lands, and a later call with the same
-/// arguments reloads those results instead of re-simulating them — so an
-/// interrupted sweep (SIGINT/SIGTERM routed into sim-exec cancellation, or
-/// `crash_after_jobs` in tests) resumes where it stopped and assembles rows
-/// byte-identical to an uninterrupted run.
-///
-/// The journal is bound to a hash of `figure`, the scaled profile list and
-/// the design list; reusing the file for a different sweep is rejected.
-///
-/// # Errors
-///
-/// I/O or corruption errors on the journal, a rejected config hash, or a
-/// [`SweepError`] from panicking jobs.
-pub fn try_run_suite_journaled(
-    figure: &str,
-    designs: &[DesignPoint],
-    scale: f64,
-    jobs: Option<usize>,
-    journal_dir: &Path,
-    crash_after_jobs: Option<usize>,
-) -> Result<JournaledSuite, RecoveryError> {
-    let profiles = scaled_suite(scale);
-    let (_, pairs) = suite_pairs(designs, &profiles);
-
-    let mut parts: Vec<String> = vec![figure.to_string()];
-    parts.extend(
-        profiles
-            .iter()
-            .map(|p| format!("{}:{}", p.name, p.events_per_kernel)),
-    );
-    parts.extend(pairs.iter().map(|&(_, d)| d.name().to_string()));
-    let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-
-    std::fs::create_dir_all(journal_dir)?;
-    let journal_path = journal_dir.join(format!("{figure}.jsonl"));
-    let mut journal = JobJournal::open(&journal_path, config_hash(&part_refs))?;
-
-    let token = CancelToken::new();
-    let sweep = map_journaled(
-        &Executor::from_request(jobs),
-        &pairs,
-        &mut journal,
-        &token,
-        SweepOptions { crash_after_jobs },
-        |_, &(p, d)| format!("{} under {}", profiles[p].name, d.name()),
-        |_, &(p, d)| run_one(&profiles[p], d),
-    )?;
-    let (reused, executed) = (sweep.reused, sweep.executed);
-
-    let rows = sweep.complete().map(|stats| {
-        let mut rows: Vec<BenchRow> = profiles
-            .iter()
-            .map(|p| BenchRow {
-                name: p.name.to_string(),
-                stats: BTreeMap::new(),
-            })
-            .collect();
-        for (&(p, d), s) in pairs.iter().zip(stats) {
-            rows[p].stats.insert(d.name(), s);
-        }
-        rows
-    });
-    Ok(JournaledSuite {
-        rows,
-        reused,
-        executed,
-        completed_labels: journal
-            .completed_labels()
-            .into_iter()
-            .map(str::to_string)
-            .collect(),
-        journal_path,
-    })
 }
 
 /// Runs `designs` (plus the baseline) for one profile.

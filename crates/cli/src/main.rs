@@ -24,13 +24,14 @@ use std::time::Instant;
 
 use gpu_mem_sim::{read_trace, write_trace, ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats, TrafficClass};
-use shm_recovery::{
-    config_hash, crash_sweep, map_journaled, run_crash, CrashConfig, JobJournal, SweepOptions,
-};
+use shm_bench::dist::DistSweepConfig;
+use shm_bench::{Backend, Journal, Sweep};
+use shm_recovery::{config_hash, crash_sweep, run_crash, CrashConfig};
 use shm_runtime::{BufferKind, Context, RecoveryPolicy};
+use shm_telemetry::span::JobSpanInput;
 use shm_telemetry::{Event, Probe, TelemetryConfig};
 use shm_workloads::BenchmarkProfile;
-use sim_exec::{CancelToken, Executor};
+use sim_exec::Executor;
 
 mod args;
 mod obs;
@@ -702,59 +703,151 @@ fn cmd_sweep_inner(args: &Args) -> Result<(), CliError> {
         }
         return cmd_sweep_pools(args, &policies);
     }
-    if let Some(bind) = args.get("dist") {
-        let bind = bind.to_string();
-        let stats = sweep_dist(args, &bind)?;
-        print_sweep_table(&stats, args.flag("csv"));
-        return Ok(());
+    let dist = args.get("dist");
+    if dist.is_some() && (args.get("trace").is_some() || args.get("custom").is_some()) {
+        return Err(CliError::usage(
+            "--dist needs a named benchmark (-b): workers regenerate the trace from its name",
+        ));
     }
     let trace = load_trace(args)?;
     let probe = telemetry_probe(args)?;
-    let jobs = parse_jobs(args)?;
-    let cfg = GpuConfig::default();
-    // All design points are independent — sweep them on the pool, then
-    // print in the fixed `ALL` order (results come back in that order).
-    let all = DesignPoint::ALL;
-    let exec = Executor::from_request(jobs);
-    let stats: Vec<SimStats> = if let Some(path) = args.get("journal") {
-        sweep_journaled(args, &trace, &cfg, &exec, path)?
-    } else {
-        if args.flag("resume") || args.get("crash-after-jobs").is_some() {
+    // Cluster workers regenerate a named benchmark's trace from (name,
+    // events, seed); a stored or custom trace only ever runs locally.
+    let events = match args.get_u64("events")? {
+        Some(n) => n,
+        None => BenchmarkProfile::by_name(&trace.name).map_or(0, |p| p.events_per_kernel),
+    };
+    let seed = args.get_u64("seed")?.unwrap_or(0xBEEF);
+    let mut sweep = Sweep::all_designs(&trace.name, events, seed);
+    sweep.backend = match dist {
+        Some(bind) => {
+            let mut cfg = DistSweepConfig::from_env(bind);
+            if let Some(ms) = args.get_u64("heartbeat-timeout-ms")? {
+                cfg.opts.heartbeat_timeout_ms = ms.max(1);
+            }
+            Backend::Dist(cfg)
+        }
+        None => Backend::Local(Executor::from_request(parse_jobs(args)?)),
+    };
+    match args.get("journal") {
+        Some(path) => {
+            if !args.flag("resume") && Path::new(path).exists() {
+                return Err(CliError::usage(format!(
+                    "journal {path} already exists; pass --resume to continue it or remove it first"
+                )));
+            }
+            // The hash binds the journal to this exact sweep: same trace
+            // content (name + event count) and same design list, or the
+            // journal is rejected.
+            let mut parts: Vec<String> = vec![
+                trace.name.to_string(),
+                trace.all_events().count().to_string(),
+            ];
+            parts.extend(DesignPoint::ALL.iter().map(|d| d.name().to_string()));
+            let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
+            sweep.journal = Some(Journal {
+                path: path.into(),
+                config_hash: config_hash(&part_refs),
+                crash_after_jobs: args.get_u64("crash-after-jobs")?.map(|n| n as usize),
+            });
+        }
+        None if args.flag("resume") || args.get("crash-after-jobs").is_some() => {
             return Err(CliError::usage(
                 "--resume/--crash-after-jobs require --journal <file>",
             ));
         }
-        // Per-job wall timings, recorded by the worker threads so the
-        // local path emits the same span tree a --dist sweep does.
-        let sweep_started = Instant::now();
-        let timings: std::sync::Mutex<Vec<(usize, u64, u64, u64)>> =
-            std::sync::Mutex::new(Vec::new());
-        let stats = exec
-            .try_map(
-                &all,
-                |_, d| format!("{} under {}", trace.name, d.name()),
-                |i, &d| {
-                    let begun = Instant::now();
-                    let begun_ms = sweep_started.elapsed().as_millis() as u64;
-                    let s = Simulator::new(&cfg, d).run(&trace);
-                    let run_ns = begun.elapsed().as_nanos() as u64;
-                    timings.lock().unwrap_or_else(|e| e.into_inner()).push((
-                        i,
-                        begun_ms,
-                        sweep_started.elapsed().as_millis() as u64,
-                        run_ns,
-                    ));
-                    s
+        None => {}
+    }
+
+    let cfg = GpuConfig::default();
+    let run = sweep
+        .run(|i, _| Simulator::new(&cfg, DesignPoint::ALL[i]).run(&trace))
+        .map_err(|e| CliError::runtime(format!("sweep failed: {e}"), &probe))?;
+    if let Some(cluster) = &run.cluster {
+        // Per-worker accounting: one flight-recorder event each (satisfies
+        // `--telemetry`) and a stderr line so plain runs see the cluster
+        // shape without touching stdout.
+        for w in &cluster.workers {
+            probe.emit(
+                0,
+                Event::DistWorker {
+                    worker: w.id.clone(),
+                    jobs: w.jobs_done,
+                    bytes_rx: w.bytes_received,
+                    bytes_tx: w.bytes_sent,
+                    reassigned: w.reassigned,
                 },
-            )
-            .map_err(|e| CliError::runtime(format!("sweep failed: {e}"), &probe))?;
-        if probe.is_enabled() {
-            emit_local_sweep_spans(&probe, &trace.name, &stats, timings.into_inner().unwrap());
+            );
+            eprintln!(
+                "worker {}: {} job(s), {} B dispatched, {} B of results{}",
+                w.id,
+                w.jobs_done,
+                w.bytes_sent,
+                w.bytes_received,
+                if w.reassigned > 0 {
+                    format!(", {} reassigned", w.reassigned)
+                } else {
+                    String::new()
+                }
+            );
         }
-        stats
+        if cluster.reassignments > 0 {
+            eprintln!(
+                "{} job(s) reassigned after worker loss",
+                cluster.reassignments
+            );
+        }
+    }
+    if probe.is_enabled() {
+        // The canonical span tree (`shm_telemetry::span::build_job_spans`):
+        // a sweep root plus one span per job, whichever backend ran it.
+        let inputs: Vec<JobSpanInput> = run
+            .timings
+            .iter()
+            .map(|t| JobSpanInput {
+                index: t.index,
+                label: sweep.jobs[t.index].label(),
+                worker: t.worker.clone(),
+                dispatch_ms: t.dispatch_ms,
+                end_ms: t.end_ms,
+                run_ns: t.run_ns,
+                cycles: run.stats[t.index].as_ref().map_or(0, |s| s.cycles),
+            })
+            .collect();
+        probe.emit_job_spans(run.trace_id, &format!("sweep {}", trace.name), &inputs);
+    }
+    let Some(stats) = run.complete() else {
+        if let Some(journal) = &sweep.journal {
+            eprintln!(
+                "interrupted: {} of {} job(s) completed and journaled in {}",
+                run.completed_labels.len(),
+                sweep.jobs.len(),
+                journal.path.display()
+            );
+            for label in &run.completed_labels {
+                eprintln!("  done {label}");
+            }
+            eprintln!("re-run with --resume to pick up where this left off");
+        }
+        return Err(CliError::interrupted("sweep interrupted"));
     };
+    if let Some(journal) = sweep.journal.as_ref().filter(|_| run.reused > 0) {
+        eprintln!(
+            "resumed from {}: {} job(s) reused, {} executed",
+            journal.path.display(),
+            run.reused,
+            run.executed
+        );
+    }
+    // A --dist sweep closes its telemetry document before the table; each
+    // path keeps the stdout it always had.
+    if dist.is_some() {
+        finish_sweep_telemetry(args, &probe)?;
+    }
     print_sweep_table(&stats, args.flag("csv"));
-    finish_sweep_telemetry(args, &probe)?;
+    if dist.is_none() {
+        finish_sweep_telemetry(args, &probe)?;
+    }
     Ok(())
 }
 
@@ -827,33 +920,6 @@ fn format_pool_sweep_tables(
         );
     }
     out
-}
-
-/// Converts the local executor's per-job timings into the canonical span
-/// tree (`shm_telemetry::span::build_job_spans`), so `--jobs N` and
-/// `--dist` sweeps produce structurally identical traces.
-fn emit_local_sweep_spans(
-    probe: &Probe,
-    bench: &str,
-    stats: &[SimStats],
-    mut timings: Vec<(usize, u64, u64, u64)>,
-) {
-    use shm_telemetry::span::JobSpanInput;
-    timings.sort_by_key(|t| t.0);
-    let inputs: Vec<JobSpanInput> = timings
-        .into_iter()
-        .map(|(i, dispatch_ms, end_ms, run_ns)| JobSpanInput {
-            index: i,
-            label: format!("{} under {}", bench, DesignPoint::ALL[i].name()),
-            worker: "local".to_string(),
-            dispatch_ms,
-            end_ms,
-            run_ns,
-            cycles: stats.get(i).map_or(0, |s| s.cycles),
-        })
-        .collect();
-    let trace_id = shm_telemetry::wall_ms().wrapping_mul(1_000_000) | 1;
-    probe.emit_job_spans(trace_id, &format!("sweep {bench}"), &inputs);
 }
 
 /// Shared `--telemetry` epilogue for sweep paths that never run a
@@ -937,286 +1003,6 @@ fn format_sweep_table(stats: &[SimStats], csv: bool) -> String {
         }
     }
     out
-}
-
-/// `shm sweep --dist HOST:PORT`: runs the design sweep on a sim-dist worker
-/// cluster.  Requires a *named* benchmark — workers regenerate the trace
-/// from its (name, events, seed) triple, so stored traces and `--custom`
-/// profiles cannot be shipped over the wire.  Composes with
-/// `--journal`/`--resume` using the exact hash recipe of the local path, so
-/// a journal written locally resumes distributed and vice versa (entries
-/// gain a `worker` attribution when they come from the cluster).
-fn sweep_dist(args: &Args, bind: &str) -> Result<Vec<SimStats>, CliError> {
-    use shm_bench::dist::{run_dist_jobs, DistSweepConfig, SimJob};
-    use shm_recovery::JournalCodec;
-    use sim_dist::{DistError, DistJob};
-
-    if args.get("trace").is_some() || args.get("custom").is_some() {
-        return Err(CliError::usage(
-            "--dist needs a named benchmark (-b): workers regenerate the trace from its name",
-        ));
-    }
-    let bench = args
-        .get("b")
-        .or_else(|| args.get("benchmark"))
-        .ok_or_else(|| CliError::usage("need --benchmark/-b with --dist"))?
-        .to_string();
-    let mut profile = BenchmarkProfile::by_name(&bench)
-        .ok_or_else(|| CliError::usage(format!("unknown benchmark {bench:?}")))?;
-    if let Some(n) = args.get_u64("events")? {
-        profile.events_per_kernel = n;
-    }
-    let seed = args.get_u64("seed")?.unwrap_or(0xBEEF);
-    let probe = telemetry_probe(args)?;
-    let mut cfg = DistSweepConfig::from_env(bind);
-    if let Some(ms) = args.get_u64("heartbeat-timeout-ms")? {
-        cfg.opts.heartbeat_timeout_ms = ms.max(1);
-    }
-    let all = DesignPoint::ALL;
-
-    let all_jobs: Vec<DistJob> = all
-        .iter()
-        .map(|d| DistJob {
-            label: format!("{bench} under {}", d.name()),
-            payload: SimJob {
-                bench: bench.clone(),
-                events_per_kernel: profile.events_per_kernel,
-                seed,
-                design: d.name().to_string(),
-            }
-            .encode(),
-        })
-        .collect();
-
-    let mut journal = match args.get("journal") {
-        Some(path) => {
-            if !args.flag("resume") && Path::new(path).exists() {
-                return Err(CliError::usage(format!(
-                    "journal {path} already exists; pass --resume to continue it or remove it first"
-                )));
-            }
-            // Same hash parts as `sweep_journaled`: trace content (name +
-            // event count) plus the design list.
-            let trace = profile.generate(seed);
-            let mut parts: Vec<String> = vec![
-                trace.name.to_string(),
-                trace.all_events().count().to_string(),
-            ];
-            parts.extend(all.iter().map(|d| d.name().to_string()));
-            let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-            let journal = JobJournal::open(Path::new(path), config_hash(&part_refs))
-                .map_err(|e| CliError::runtime(format!("journal {path}: {e}"), &probe))?;
-            Some((journal, path.to_string()))
-        }
-        None => {
-            if args.flag("resume") || args.get("crash-after-jobs").is_some() {
-                return Err(CliError::usage(
-                    "--resume/--crash-after-jobs require --journal <file>",
-                ));
-            }
-            None
-        }
-    };
-
-    let mut results: Vec<Option<SimStats>> = Vec::with_capacity(all.len());
-    let mut missing: Vec<usize> = Vec::new();
-    for (i, job) in all_jobs.iter().enumerate() {
-        match journal
-            .as_ref()
-            .and_then(|(j, _)| j.get::<SimStats>(&job.label))
-        {
-            Some(s) => results.push(Some(s)),
-            None => {
-                missing.push(i);
-                results.push(None);
-            }
-        }
-    }
-    let reused = all.len() - missing.len();
-    if reused > 0 {
-        if let Some((_, path)) = &journal {
-            eprintln!(
-                "resumed from {path}: {reused} job(s) reused, {} to run",
-                missing.len()
-            );
-        }
-    }
-
-    if !missing.is_empty() {
-        let jobs: Vec<DistJob> = missing.iter().map(|&i| all_jobs[i].clone()).collect();
-        let labels: Vec<String> = jobs.iter().map(|j| j.label.clone()).collect();
-        let token = CancelToken::new();
-        let crash_after = args.get_u64("crash-after-jobs")?.map(|n| n as usize);
-        let mut appended = 0usize;
-        let mut io_error: Option<std::io::Error> = None;
-        let mut decoded: Vec<Option<SimStats>> = vec![None; missing.len()];
-        let report = run_dist_jobs(jobs, &cfg, &token, |j, worker, outcome| {
-            let Ok(payload) = outcome else { return };
-            let Some(stats) = SimStats::decode_journal(payload) else {
-                return;
-            };
-            if let Some((jr, _)) = journal.as_mut() {
-                if io_error.is_none() {
-                    match jr.record_with_worker(&labels[j], Some(worker), &stats) {
-                        Ok(()) => {
-                            appended += 1;
-                            if crash_after == Some(appended) {
-                                token.cancel();
-                            }
-                        }
-                        Err(e) => {
-                            io_error = Some(e);
-                            token.cancel();
-                        }
-                    }
-                }
-            }
-            decoded[j] = Some(stats);
-        });
-        match report {
-            Ok(rep) => {
-                if let Some(e) = io_error {
-                    return Err(CliError::runtime(format!("journal write: {e}"), &probe));
-                }
-                // Per-worker accounting: one flight-recorder event each
-                // (satisfies `--telemetry`) and a stderr line so plain runs
-                // see the cluster shape without touching stdout.
-                for w in &rep.workers {
-                    probe.emit(
-                        0,
-                        Event::DistWorker {
-                            worker: w.id.clone(),
-                            jobs: w.jobs_done,
-                            bytes_rx: w.bytes_received,
-                            bytes_tx: w.bytes_sent,
-                            reassigned: w.reassigned,
-                        },
-                    );
-                    eprintln!(
-                        "worker {}: {} job(s), {} B dispatched, {} B of results{}",
-                        w.id,
-                        w.jobs_done,
-                        w.bytes_sent,
-                        w.bytes_received,
-                        if w.reassigned > 0 {
-                            format!(", {} reassigned", w.reassigned)
-                        } else {
-                            String::new()
-                        }
-                    );
-                }
-                if rep.reassignments > 0 {
-                    eprintln!("{} job(s) reassigned after worker loss", rep.reassignments);
-                }
-                if probe.is_enabled() && !rep.timings.is_empty() {
-                    // Same span-tree recipe as the local path: root span +
-                    // one child per job, ids fixed by submission index.
-                    use shm_telemetry::span::JobSpanInput;
-                    let inputs: Vec<JobSpanInput> = rep
-                        .timings
-                        .iter()
-                        .map(|t| JobSpanInput {
-                            index: t.index,
-                            label: labels[t.index].clone(),
-                            worker: t.worker.clone(),
-                            dispatch_ms: t.dispatch_ms,
-                            end_ms: t.end_ms,
-                            run_ns: t.run_ns,
-                            cycles: decoded[t.index].as_ref().map_or(0, |s| s.cycles),
-                        })
-                        .collect();
-                    probe.emit_job_spans(rep.trace_id, &format!("sweep {bench}"), &inputs);
-                }
-                let mut failed: Vec<String> = Vec::new();
-                for (j, outcome) in rep.results.iter().enumerate() {
-                    match outcome {
-                        None => {}
-                        Some(Ok(_)) => {
-                            results[missing[j]] = decoded[j].take();
-                            if results[missing[j]].is_none() {
-                                failed.push(format!("{}: undecodable result payload", labels[j]));
-                            }
-                        }
-                        Some(Err(p)) => failed.push(format!("{}: {}", labels[j], p.message)),
-                    }
-                }
-                if !failed.is_empty() {
-                    return Err(CliError::runtime(
-                        format!("distributed sweep failed: {}", failed.join("; ")),
-                        &probe,
-                    ));
-                }
-            }
-            Err(DistError::NoWorkers) => {
-                // Degraded mode: nothing connected within the window, so the
-                // sweep runs on the local executor instead of failing.
-                eprintln!(
-                    "warning: no distributed worker reachable at {bind}; \
-                     running the sweep on the local executor"
-                );
-                let trace = profile.generate(seed);
-                let gpu = GpuConfig::default();
-                let designs: Vec<DesignPoint> = missing.iter().map(|&i| all[i]).collect();
-                let stats = Executor::from_request(parse_jobs(args)?)
-                    .try_map(
-                        &designs,
-                        |_, d| format!("{bench} under {}", d.name()),
-                        |_, &d| Simulator::new(&gpu, d).run(&trace),
-                    )
-                    .map_err(|e| CliError::runtime(format!("sweep failed: {e}"), &probe))?;
-                for (&i, s) in missing.iter().zip(stats) {
-                    if let Some((jr, path)) = journal.as_mut() {
-                        jr.record(&all_jobs[i].label, &s).map_err(|e| {
-                            CliError::runtime(format!("journal {path}: {e}"), &probe)
-                        })?;
-                    }
-                    results[i] = Some(s);
-                }
-            }
-            Err(e) => {
-                return Err(CliError::runtime(
-                    format!("distributed sweep failed: {e}"),
-                    &probe,
-                ))
-            }
-        }
-    }
-
-    if results.iter().any(Option::is_none) {
-        if let Some((jr, path)) = &journal {
-            eprintln!(
-                "interrupted: {} of {} job(s) completed and journaled in {path}",
-                jr.len(),
-                all.len()
-            );
-            for label in jr.completed_labels() {
-                eprintln!("  done {label}");
-            }
-            eprintln!("re-run with --resume to pick up where this left off");
-        }
-        return Err(CliError::interrupted("distributed sweep interrupted"));
-    }
-    if probe.is_enabled() {
-        // No simulator ran in this process, so close the telemetry document
-        // here — otherwise a `--trace-out` stream never gets its trailer.
-        probe.finalize(0);
-        if let Some(s) = probe.summary() {
-            println!("{s}");
-        }
-        if let Some(path) = args.get("trace-out") {
-            if let Some(e) = probe.stream_error() {
-                return Err(CliError::runtime(format!("write {path}: {e}"), &probe));
-            }
-            println!("telemetry trace streamed to {path}");
-        }
-        if let Some(path) = args.get("epoch-csv") {
-            probe
-                .write_epoch_csv(Path::new(path))
-                .map_err(|e| CliError::runtime(format!("write {path}: {e}"), &probe))?;
-            println!("epoch CSV written to {path}");
-        }
-    }
-    Ok(results.into_iter().flatten().collect())
 }
 
 /// `shm worker --connect HOST:PORT`: serve sweep jobs to a coordinator.
@@ -1309,72 +1095,6 @@ fn cmd_worker(args: Args) -> Result<(), CliError> {
             format!("worker: {e}"),
             &Probe::disabled(),
         )),
-    }
-}
-
-/// Runs the design sweep through a durable job journal: every completed
-/// (benchmark, design) result is appended to `path` as it lands, so an
-/// interrupted sweep (SIGINT/SIGTERM, or `--crash-after-jobs N` for tests)
-/// can be re-run with `--resume` and skip straight past the finished jobs —
-/// the final table is byte-identical to an uninterrupted run.
-fn sweep_journaled(
-    args: &Args,
-    trace: &ContextTrace,
-    cfg: &GpuConfig,
-    exec: &Executor,
-    path: &str,
-) -> Result<Vec<SimStats>, CliError> {
-    let all = DesignPoint::ALL;
-    let resume = args.flag("resume");
-    if !resume && Path::new(path).exists() {
-        return Err(CliError::usage(format!(
-            "journal {path} already exists; pass --resume to continue it or remove it first"
-        )));
-    }
-    // The hash binds the journal to this exact sweep: same trace content
-    // (name + event count) and same design list, or the journal is rejected.
-    let mut parts: Vec<String> = vec![
-        trace.name.to_string(),
-        trace.all_events().count().to_string(),
-    ];
-    parts.extend(all.iter().map(|d| d.name().to_string()));
-    let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-    let mut journal = JobJournal::open(Path::new(path), config_hash(&part_refs))
-        .map_err(|e| CliError::runtime(format!("journal {path}: {e}"), &Probe::disabled()))?;
-    let token = CancelToken::new();
-    let opts = SweepOptions {
-        crash_after_jobs: args.get_u64("crash-after-jobs")?.map(|n| n as usize),
-    };
-    let sweep = map_journaled(
-        exec,
-        &all,
-        &mut journal,
-        &token,
-        opts,
-        |_, d| format!("{} under {}", trace.name, d.name()),
-        |_, &d| Simulator::new(cfg, d).run(trace),
-    )
-    .map_err(|e| CliError::runtime(format!("sweep failed: {e}"), &Probe::disabled()))?;
-    let (reused, executed) = (sweep.reused, sweep.executed);
-    match sweep.complete() {
-        Some(stats) => {
-            if reused > 0 {
-                eprintln!("resumed from {path}: {reused} job(s) reused, {executed} executed");
-            }
-            Ok(stats)
-        }
-        None => {
-            eprintln!(
-                "interrupted: {} of {} job(s) completed and journaled in {path}",
-                journal.len(),
-                all.len()
-            );
-            for label in journal.completed_labels() {
-                eprintln!("  done {label}");
-            }
-            eprintln!("re-run with --resume to pick up where this left off");
-            Err(CliError::interrupted("sweep interrupted"))
-        }
     }
 }
 

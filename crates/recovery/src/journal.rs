@@ -1,26 +1,24 @@
-//! Durable job journal + resumable sweep execution.
+//! Durable job journal.
 //!
 //! A sweep is a list of independent jobs with stable string labels (e.g.
 //! `"fdtd2d under SHM"`).  [`JobJournal`] is an append-only JSONL file: a
 //! leading `journal_meta` line carrying a config hash, then one `job` line
 //! per completed job with its encoded result.  Each completion is appended
-//! and synced *as it happens*, from whichever worker thread finished it, so
-//! a SIGKILL at any instant leaves at most one torn final line — which
-//! [`JobJournal::open`] tolerates and drops.
+//! and synced *as it happens*, so a SIGKILL at any instant leaves at most
+//! one torn final line — which [`JobJournal::open`] tolerates and drops.
+//! A label recorded twice (a distributed job re-run after its first
+//! producer was quarantined) resolves to its last line.
 //!
-//! [`map_journaled`] is the resume engine: journaled jobs are skipped and
-//! their results decoded back (`reused`), missing jobs run on a
-//! [`sim_exec::Executor`] under a [`CancelToken`] (`executed`), and results
-//! come back in submission order — so a resumed sweep renders the exact
-//! bytes an uninterrupted one would.  The config hash guards against
-//! resuming with a different benchmark set, scale or design list.
+//! The sweep runner (`shm_bench::Sweep`) skips journaled jobs, decodes
+//! their results back, and appends the rest as they finish — so a resumed
+//! sweep renders the exact bytes an uninterrupted one would.  The config
+//! hash guards against resuming with a different benchmark set, scale or
+//! design list.
 
 use gpu_types::{SimStats, TrafficBytes};
-use sim_exec::{CancelToken, Executor, JobPanic, LabelledPanic, SweepError};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Journal format version; bump on any schema change.
 pub const JOURNAL_VERSION: u32 = 1;
@@ -54,7 +52,7 @@ pub trait JournalCodec: Sized {
 }
 
 /// Extracts `"key":<u64>` from a flat JSON object.
-pub(crate) fn json_u64(s: &str, key: &str) -> Option<u64> {
+fn json_u64(s: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let rest = &s[s.find(&pat)? + pat.len()..];
     let end = rest
@@ -179,7 +177,7 @@ impl JournalCodec for String {
     }
 }
 
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+fn escape_into(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -190,7 +188,7 @@ pub(crate) fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-pub(crate) fn unescape(s: &str) -> Option<String> {
+fn unescape(s: &str) -> Option<String> {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -230,8 +228,6 @@ pub enum RecoveryError {
         /// 1-based line number of the offending record.
         line: usize,
     },
-    /// One or more jobs panicked while running the missing set.
-    Sweep(SweepError),
 }
 
 impl core::fmt::Display for RecoveryError {
@@ -252,7 +248,6 @@ impl core::fmt::Display for RecoveryError {
             RecoveryError::Corrupt { path, line } => {
                 write!(f, "journal {} is corrupt at line {line}", path.display())
             }
-            RecoveryError::Sweep(e) => write!(f, "{e}"),
         }
     }
 }
@@ -262,12 +257,6 @@ impl std::error::Error for RecoveryError {}
 impl From<std::io::Error> for RecoveryError {
     fn from(e: std::io::Error) -> Self {
         RecoveryError::Io(e)
-    }
-}
-
-impl From<SweepError> for RecoveryError {
-    fn from(e: SweepError) -> Self {
-        RecoveryError::Sweep(e)
     }
 }
 
@@ -494,157 +483,6 @@ fn parse_job(line: &str) -> Option<(String, Option<String>, String)> {
     Some((label, worker, payload.to_string()))
 }
 
-/// Knobs for [`map_journaled`] beyond the journal itself.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SweepOptions {
-    /// Deterministic kill switch for tests and CI: trip the cancel token
-    /// after this many journal appends *in this invocation*, simulating a
-    /// crash at a fixed job index.
-    pub crash_after_jobs: Option<usize>,
-}
-
-/// What a journaled sweep produced.
-#[derive(Clone, Debug)]
-pub struct JournaledSweep<T> {
-    /// Per-item results in submission order; `None` = not completed (the
-    /// sweep was interrupted before the job ran).
-    pub results: Vec<Option<T>>,
-    /// Jobs whose results were decoded from the journal.
-    pub reused: usize,
-    /// Jobs executed (and journaled) by this invocation.
-    pub executed: usize,
-    /// True when cancellation left at least one job incomplete.
-    pub interrupted: bool,
-}
-
-impl<T> JournaledSweep<T> {
-    /// All results, when every job completed; `None` if interrupted.
-    pub fn complete(self) -> Option<Vec<T>> {
-        self.results.into_iter().collect()
-    }
-}
-
-/// Runs `work` over `items` with journal-backed resume and cooperative
-/// cancellation — see the module docs for the contract.
-///
-/// Completions are journaled from worker threads *as they finish*; when
-/// `token` trips (Ctrl-C, or the [`SweepOptions::crash_after_jobs`] test
-/// knob), workers stop pulling new jobs, in-flight jobs drain into the
-/// journal, and the partial result set comes back with
-/// [`JournaledSweep::interrupted`] set.
-///
-/// # Errors
-///
-/// [`RecoveryError::Sweep`] when any job panicked, [`RecoveryError::Io`]
-/// when a journal append failed (the sweep stops early in that case).
-pub fn map_journaled<I, T, F, L>(
-    exec: &Executor,
-    items: &[I],
-    journal: &mut JobJournal,
-    token: &CancelToken,
-    opts: SweepOptions,
-    label: L,
-    work: F,
-) -> Result<JournaledSweep<T>, RecoveryError>
-where
-    I: Sync,
-    T: JournalCodec + Send,
-    F: Fn(usize, &I) -> T + Sync,
-    L: Fn(usize, &I) -> String,
-{
-    let labels: Vec<String> = items
-        .iter()
-        .enumerate()
-        .map(|(i, it)| label(i, it))
-        .collect();
-
-    let mut results: Vec<Option<T>> = Vec::with_capacity(items.len());
-    let mut missing: Vec<usize> = Vec::new();
-    let mut reused = 0usize;
-    for (i, l) in labels.iter().enumerate() {
-        match journal.get::<T>(l) {
-            Some(v) => {
-                reused += 1;
-                results.push(Some(v));
-            }
-            None => {
-                missing.push(i);
-                results.push(None);
-            }
-        }
-    }
-
-    struct Shared<'j> {
-        journal: &'j mut JobJournal,
-        appended: usize,
-        io_error: Option<std::io::Error>,
-    }
-    let shared = Mutex::new(Shared {
-        journal,
-        appended: 0,
-        io_error: None,
-    });
-
-    let outcomes = exec.map_cancellable(&missing, token, |_, &idx| {
-        let value = work(idx, &items[idx]);
-        let mut g = shared.lock().unwrap_or_else(|e| e.into_inner());
-        if g.io_error.is_none() {
-            match g.journal.record(&labels[idx], &value) {
-                Ok(()) => {
-                    g.appended += 1;
-                    if opts.crash_after_jobs == Some(g.appended) {
-                        token.cancel();
-                    }
-                }
-                Err(e) => {
-                    // The journal is gone; finishing more jobs would lose
-                    // their results anyway, so drain and stop.
-                    g.io_error = Some(e);
-                    token.cancel();
-                }
-            }
-        }
-        value
-    });
-
-    let mut executed = 0usize;
-    let mut failed: Vec<LabelledPanic> = Vec::new();
-    for (&idx, outcome) in missing.iter().zip(outcomes) {
-        match outcome {
-            None => {}
-            Some(Ok(v)) => {
-                executed += 1;
-                results[idx] = Some(v);
-            }
-            Some(Err(p)) => {
-                let l = labels[idx].clone();
-                failed.push(LabelledPanic {
-                    label: l.clone(),
-                    panic: JobPanic {
-                        label: Some(l),
-                        ..p
-                    },
-                });
-            }
-        }
-    }
-
-    let shared = shared.into_inner().unwrap_or_else(|e| e.into_inner());
-    if let Some(e) = shared.io_error {
-        return Err(e.into());
-    }
-    if !failed.is_empty() {
-        return Err(SweepError { failed }.into());
-    }
-    let interrupted = results.iter().any(Option::is_none);
-    Ok(JournaledSweep {
-        results,
-        reused,
-        executed,
-        interrupted,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,97 +604,22 @@ mod tests {
     }
 
     #[test]
-    fn map_journaled_resumes_without_rerunning_completed_jobs() {
-        let path = tmp("resume");
+    fn re_resolve_is_last_line_wins() {
+        let path = tmp("rewrite");
         let _ = std::fs::remove_file(&path);
-        let hash = config_hash(&["resume-test"]);
-        let items: Vec<u64> = (0..6).collect();
-        let exec = Executor::new(1);
-        let runs = std::sync::atomic::AtomicUsize::new(0);
-        let work = |_: usize, &x: &u64| {
-            runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            format!("result-{x}")
-        };
-        let label = |_: usize, x: &u64| format!("job-{x}");
-
-        // First invocation crashes after 2 completions.
         {
-            let mut j = JobJournal::open(&path, hash).expect("create");
-            let token = CancelToken::new();
-            let sweep = map_journaled(
-                &exec,
-                &items,
-                &mut j,
-                &token,
-                SweepOptions {
-                    crash_after_jobs: Some(2),
-                },
-                label,
-                work,
-            )
-            .expect("no panics");
-            assert!(sweep.interrupted);
-            assert_eq!(sweep.executed, 2);
-            assert_eq!(j.len(), 2);
+            let mut j = JobJournal::open(&path, 7).expect("create");
+            j.record_with_worker("job-3", Some("liar"), &stats(1))
+                .expect("resolve");
+            // Quarantine invalidation re-runs the job and resolves again.
+            j.record_with_worker("job-3", Some("honest"), &stats(2))
+                .expect("re-resolve");
+            assert_eq!(j.get::<SimStats>("job-3"), Some(stats(2)));
         }
-        assert_eq!(runs.load(std::sync::atomic::Ordering::SeqCst), 2);
-
-        // Resume: only the missing 4 run; results are complete and ordered.
-        let mut j = JobJournal::open(&path, hash).expect("reopen");
-        let token = CancelToken::new();
-        let sweep = map_journaled(
-            &exec,
-            &items,
-            &mut j,
-            &token,
-            SweepOptions::default(),
-            label,
-            work,
-        )
-        .expect("no panics");
-        assert!(!sweep.interrupted);
-        assert_eq!(sweep.reused, 2);
-        assert_eq!(sweep.executed, 4);
-        assert_eq!(runs.load(std::sync::atomic::Ordering::SeqCst), 6);
-        assert_eq!(j.len(), 6);
-        let all = sweep.complete().expect("complete");
-        let expected: Vec<String> = items.iter().map(|x| format!("result-{x}")).collect();
-        assert_eq!(all, expected);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn map_journaled_reports_panics_with_labels() {
-        let path = tmp("panics");
-        let _ = std::fs::remove_file(&path);
-        let mut j = JobJournal::open(&path, 3).expect("create");
-        let items = [1u64, 2, 3];
-        let err = map_journaled(
-            &Executor::new(1),
-            &items,
-            &mut j,
-            &CancelToken::new(),
-            SweepOptions::default(),
-            |_, x| format!("job-{x}"),
-            |_, &x| {
-                if x == 2 {
-                    panic!("boom");
-                }
-                format!("ok-{x}")
-            },
-        )
-        .expect_err("job 2 panics");
-        match err {
-            RecoveryError::Sweep(e) => {
-                assert_eq!(e.failed.len(), 1);
-                assert_eq!(e.failed[0].label, "job-2");
-            }
-            other => panic!("expected sweep error, got {other}"),
-        }
-        // The panicking job is absent; the others were journaled.
-        let j2 = JobJournal::open(&path, 3).expect("reopen");
-        assert_eq!(j2.len(), 2);
-        assert!(!j2.contains("job-2"));
+        let j = JobJournal::open(&path, 7).expect("reopen");
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.get::<SimStats>("job-3"), Some(stats(2)));
+        assert_eq!(j.worker_of("job-3"), Some("honest"));
         let _ = std::fs::remove_file(&path);
     }
 

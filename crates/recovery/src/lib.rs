@@ -17,31 +17,20 @@
 //! **Layer 2 — harness level** ([`journal`]).  A sweep is a list of
 //! independent (benchmark, design) jobs; [`journal::JobJournal`] is a
 //! durable JSONL record of completed jobs keyed by label and guarded by a
-//! config hash.  [`journal::map_journaled`] skips already-journaled jobs,
-//! appends each completion durably *as it finishes*, and drains in-flight
-//! jobs on cooperative cancellation — so `--resume` after SIGINT/SIGTERM
-//! or a kill re-runs only what is missing and reproduces byte-identical
-//! final tables.  The JSONL journal format is deliberately the seam a
-//! future distributed backend can speak.
-//!
-//! [`checkpoint`] extends layer 2 to the cluster: the distributed
-//! coordinator periodically checkpoints assignment/result state in the
-//! same JSONL-with-config-guard discipline, so a coordinator killed
-//! mid-sweep restarts, replays the checkpoint, re-dispatches only the
-//! unresolved jobs, and renders byte-identical merged tables.
+//! config hash.  The sweep runner skips already-journaled jobs, appends
+//! each completion durably *as it finishes* — locally or from a worker
+//! cluster, with the worker's name — and drains in-flight jobs on
+//! cooperative cancellation, so `--resume` after SIGINT/SIGTERM, a kill or
+//! a dead coordinator re-runs only what is missing and reproduces
+//! byte-identical final tables.
 
-pub mod checkpoint;
 pub mod crash;
 pub mod journal;
 pub mod wal;
 
-pub use checkpoint::{CkptOutcome, CoordinatorCheckpoint, CHECKPOINT_VERSION};
 pub use crash::{
     crash_sweep, run_crash, CrashConfig, CrashOutcome, CrashReport, CrashSweepReport,
     RegionOutcome, MICRO_OPS_PER_WRITE,
 };
-pub use journal::{
-    config_hash, map_journaled, JobJournal, JournalCodec, JournaledSweep, RecoveryError,
-    SweepOptions,
-};
+pub use journal::{config_hash, JobJournal, JournalCodec, RecoveryError};
 pub use wal::{WalRecord, WriteAheadLog};

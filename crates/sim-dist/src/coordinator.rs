@@ -33,9 +33,9 @@
 //!   contradicts itself is quarantined, and a deadlocked tie resolves as
 //!   a *labelled* [`JobPanic`] — detected, never silent.
 //!
-//! Quarantine invalidations flow through the normal resolution events, so
-//! journal/checkpoint layers simply overwrite the poisoned entry (last
-//! record wins on replay).
+//! Quarantine invalidations flow through the normal completion callback,
+//! so the job journal simply overwrites the poisoned entry (last record
+//! wins on replay).
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -133,34 +133,12 @@ pub struct JobTiming {
     pub run_ns: u64,
 }
 
-/// Lifecycle notifications delivered to [`Coordinator::run_with_events`]'
-/// callback — on the calling thread, in occurrence order.  A job may
-/// resolve *twice*: a quarantine invalidates the first resolution and a
-/// later [`DistEvent::Resolved`] overwrites it (journals keep the last
-/// record per label, so replay stays correct).
-#[derive(Debug)]
-pub enum DistEvent {
-    /// A job copy was written to a worker.
-    Dispatched {
-        index: usize,
-        worker: String,
-        attempt: u32,
-    },
-    /// A job settled (possibly re-settled after invalidation).
-    Resolved {
-        index: usize,
-        worker: String,
-        outcome: JobResult<String>,
-    },
-    /// A worker died; its in-flight jobs were requeued.
-    WorkerLost { worker: String, requeued: usize },
-    /// A worker was quarantined for byzantine behaviour; `invalidated`
-    /// of its previously accepted results were discarded and re-run.
-    Quarantined {
-        worker: String,
-        invalidated: usize,
-        reason: String,
-    },
+/// A job settled: the payload or failure the run loop hands to the
+/// completion callback, on the calling thread, in occurrence order.
+struct Resolution {
+    index: usize,
+    worker: String,
+    outcome: JobResult<String>,
 }
 
 /// What a finished distributed sweep looked like.
@@ -234,7 +212,7 @@ struct Inner {
     in_flight_total: usize,
     /// Copies of each job currently on workers (dispatch-counted).
     dispatched_out: HashMap<usize, u32>,
-    events: VecDeque<DistEvent>,
+    resolutions: VecDeque<Resolution>,
     retry_left: u32,
     retries_used: u32,
     reassignments: u64,
@@ -316,6 +294,11 @@ impl Coordinator {
     /// on the calling thread as each job resolves (in completion order —
     /// the journal layer uses this to record which worker produced each
     /// job).  Results in the report are always in submission order.
+    ///
+    /// A job may resolve *twice*: a quarantine invalidates the results the
+    /// byzantine worker delivered and re-runs them, so a later call
+    /// overwrites the first (journals keep the last record per label, so
+    /// a resume replays the honest result).
     pub fn run_with<F>(
         self,
         jobs: Vec<DistJob>,
@@ -324,30 +307,6 @@ impl Coordinator {
     ) -> Result<DistReport, DistError>
     where
         F: FnMut(usize, &str, &JobResult<String>),
-    {
-        self.run_with_events(jobs, token, move |ev| {
-            if let DistEvent::Resolved {
-                index,
-                worker,
-                outcome,
-            } = ev
-            {
-                on_complete(*index, worker, outcome);
-            }
-        })
-    }
-
-    /// Runs the sweep, streaming every [`DistEvent`] (dispatches,
-    /// resolutions, worker losses, quarantines) to `on_event` on the
-    /// calling thread — the checkpoint layer journals these.
-    pub fn run_with_events<F>(
-        self,
-        jobs: Vec<DistJob>,
-        token: &CancelToken,
-        mut on_event: F,
-    ) -> Result<DistReport, DistError>
-    where
-        F: FnMut(&DistEvent),
     {
         let n = jobs.len();
         // Trace id: wall-clock derived, unique enough to tell sweeps apart
@@ -395,7 +354,7 @@ impl Coordinator {
                 resolved_count: 0,
                 in_flight_total: 0,
                 dispatched_out: HashMap::new(),
-                events: VecDeque::new(),
+                resolutions: VecDeque::new(),
                 retry_left: self.opts.retry_budget,
                 retries_used: 0,
                 reassignments: 0,
@@ -438,14 +397,12 @@ impl Coordinator {
 
         let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            // Drain events on this thread so `on_event` (journal appends)
-            // never runs under a connection thread.
-            while let Some(ev) = inner.events.pop_front() {
+            // Drain resolutions on this thread so `on_complete` (journal
+            // appends) never runs under a connection thread.
+            while let Some(r) = inner.resolutions.pop_front() {
                 drop(inner);
-                on_event(&ev);
-                if let DistEvent::Resolved { index, outcome, .. } = ev {
-                    results[index] = Some(outcome);
-                }
+                on_complete(r.index, &r.worker, &r.outcome);
+                results[r.index] = Some(r.outcome);
                 inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
             }
 
@@ -458,11 +415,11 @@ impl Coordinator {
                 // like `map_cancellable`; in-flight jobs drain.  (No
                 // resolved-count arithmetic here: audited jobs hold
                 // duplicate pending copies, so queue length is not a job
-                // count — the break below keys on in-flight + events.)
+                // count — the break below keys on in-flight + resolutions.)
                 inner.pending.clear();
                 shared.cond.notify_all();
             }
-            if inner.cancelled && inner.in_flight_total == 0 && inner.events.is_empty() {
+            if inner.cancelled && inner.in_flight_total == 0 && inner.resolutions.is_empty() {
                 break;
             }
             if !inner.ever_connected && started.elapsed() >= connect_wait {
@@ -488,7 +445,7 @@ impl Coordinator {
                                 "no live workers and reconnect window expired".into(),
                             );
                         }
-                        continue; // events drain next iteration
+                        continue; // resolutions drain next iteration
                     }
                 }
             }
@@ -511,20 +468,18 @@ impl Coordinator {
             let _ = h.join();
         }
 
-        // Workers may have pushed final events between the last drain and
-        // `done`; collect them so no resolved job is lost.
+        // Workers may have pushed final resolutions between the last drain
+        // and `done`; collect them so no resolved job is lost.
         let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         let workers = inner.workers.clone();
         let quarantines = inner.quarantines;
         let audit_mismatches = inner.audit_mismatches;
         let digest_mismatches = inner.digest_mismatches;
         let dispatch_timeouts = inner.dispatch_timeouts;
-        while let Some(ev) = inner.events.pop_front() {
+        while let Some(r) = inner.resolutions.pop_front() {
             drop(inner);
-            on_event(&ev);
-            if let DistEvent::Resolved { index, outcome, .. } = ev {
-                results[index] = Some(outcome);
-            }
+            on_complete(r.index, &r.worker, &r.outcome);
+            results[r.index] = Some(r.outcome);
             inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         }
         let mut timings: Vec<JobTiming> = inner.timings.values().cloned().collect();
@@ -581,7 +536,7 @@ fn resolve_panic(inner: &mut Inner, shared: &Shared, index: usize, worker: &str,
         },
     );
     let label = shared.jobs[index].label.clone();
-    inner.events.push_back(DistEvent::Resolved {
+    inner.resolutions.push_back(Resolution {
         index,
         worker: worker.to_string(),
         outcome: Err(JobPanic {
@@ -675,7 +630,7 @@ fn settle_audit(inner: &mut Inner, shared: &Shared, index: usize) {
             run_ns,
         },
     );
-    inner.events.push_back(DistEvent::Resolved {
+    inner.resolutions.push_back(Resolution {
         index,
         worker: worker_name,
         outcome: Ok(payload),
@@ -688,12 +643,8 @@ fn settle_audit(inner: &mut Inner, shared: &Shared, index: usize) {
         )
         .add(losers.len() as u64);
         for w in losers {
-            quarantine_worker(
-                inner,
-                shared,
-                w,
-                "audited result out-voted by agreeing copies",
-            );
+            // Audited result out-voted by agreeing copies.
+            quarantine_worker(inner, shared, w);
         }
     }
 }
@@ -784,11 +735,11 @@ fn arbitrate(inner: &mut Inner, shared: &Shared, index: usize) {
 }
 
 /// Quarantine a byzantine worker: scrub its audit contributions,
-/// invalidate and re-run its unconfirmed results, retarget its pending
-/// re-asks, and emit [`DistEvent::Quarantined`].  Its connection thread
+/// invalidate and re-run its unconfirmed results, and retarget its pending
+/// re-asks.  Its connection thread
 /// notices the flag, sends [`Frame::Shutdown`], and severs; reconnects
 /// under the same worker id are refused at hello.
-fn quarantine_worker(inner: &mut Inner, shared: &Shared, wslot: usize, reason: &str) {
+fn quarantine_worker(inner: &mut Inner, shared: &Shared, wslot: usize) {
     if inner.workers[wslot].quarantined {
         return;
     }
@@ -822,7 +773,6 @@ fn quarantine_worker(inner: &mut Inner, shared: &Shared, wslot: usize, reason: &
         .filter(|&(_, &w)| w == wslot)
         .map(|(&i, _)| i)
         .collect();
-    let mut invalidated = 0usize;
     for index in suspect {
         inner.delivered_by.remove(&index);
         if inner.done || !inner.resolved[index] {
@@ -831,7 +781,6 @@ fn quarantine_worker(inner: &mut Inner, shared: &Shared, wslot: usize, reason: &
         inner.resolved[index] = false;
         inner.resolved_count -= 1;
         inner.timings.remove(&index);
-        invalidated += 1;
         if inner.retry_left > 0 && !inner.cancelled {
             inner.retry_left -= 1;
             inner.retries_used += 1;
@@ -858,12 +807,6 @@ fn quarantine_worker(inner: &mut Inner, shared: &Shared, wslot: usize, reason: &
             );
         }
     }
-    let id = inner.workers[wslot].id.clone();
-    inner.events.push_back(DistEvent::Quarantined {
-        worker: id,
-        invalidated,
-        reason: reason.to_string(),
-    });
     // The scrub may have completed — or starved — audited jobs.
     for i in audited {
         settle_audit(inner, shared, i);
@@ -1160,11 +1103,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                                     st.holders.push(wslot);
                                 }
                             }
-                            inner.events.push_back(DistEvent::Dispatched {
-                                index: p.index,
-                                worker: worker_id.clone(),
-                                attempt: p.attempt,
-                            });
                             shared.cond.notify_all();
                         }
                         Err(_) => {
@@ -1244,12 +1182,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                     // (In-range duplicates stay ignored below — the chaos
                     // proxy duplicates frames from honest workers.)
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                    quarantine_worker(
-                        &mut inner,
-                        &shared,
-                        wslot,
-                        "result for an unknown job index",
-                    );
+                    quarantine_worker(&mut inner, &shared, wslot);
                     shared.cond.notify_all();
                     drop(inner);
                     let _ = write_frame(&mut writer, &Frame::Shutdown);
@@ -1281,7 +1214,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         inner.digest_mismatches += 1;
                         inner.in_flight_total -= 1;
                         dec_dispatched(&mut inner, index);
-                        quarantine_worker(&mut inner, &shared, wslot, "result digest mismatch");
+                        quarantine_worker(&mut inner, &shared, wslot);
                         ensure_copy(&mut inner, index);
                         shared.cond.notify_all();
                         drop(inner);
@@ -1342,18 +1275,10 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                             .inc();
                         }
                         match action {
-                            1 => quarantine_worker(
-                                &mut inner,
-                                &shared,
-                                wslot,
-                                "result contradicts settled audit winner",
-                            ),
-                            2 => quarantine_worker(
-                                &mut inner,
-                                &shared,
-                                wslot,
-                                "self-contradiction on audited job",
-                            ),
+                            // Result contradicts settled audit winner.
+                            1 => quarantine_worker(&mut inner, &shared, wslot),
+                            // Self-contradiction on audited job.
+                            2 => quarantine_worker(&mut inner, &shared, wslot),
                             3 => {
                                 settle_audit(&mut inner, &shared, index);
                                 arbitrate(&mut inner, &shared, index);
@@ -1363,12 +1288,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                                 // lands on a distinct worker.
                                 ensure_copy(&mut inner, index);
                             }
-                            4 => quarantine_worker(
-                                &mut inner,
-                                &shared,
-                                wslot,
-                                "result for an unknown audit state",
-                            ),
+                            // Result for an unknown audit state.
+                            4 => quarantine_worker(&mut inner, &shared, wslot),
                             _ => {}
                         }
                     } else if !inner.resolved[index] {
@@ -1389,7 +1310,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         // Unaudited single: provisionally confirmed — a
                         // later quarantine of this worker re-runs it.
                         inner.delivered_by.insert(index, wslot);
-                        inner.events.push_back(DistEvent::Resolved {
+                        inner.resolutions.push_back(Resolution {
                             index,
                             worker: worker_id.clone(),
                             outcome: Ok(payload),
@@ -1403,12 +1324,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 let index = index as usize;
                 if index >= shared.jobs.len() {
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                    quarantine_worker(
-                        &mut inner,
-                        &shared,
-                        wslot,
-                        "error report for an unknown job index",
-                    );
+                    // Error report for an unknown job index.
+                    quarantine_worker(&mut inner, &shared, wslot);
                     shared.cond.notify_all();
                     drop(inner);
                     let _ = write_frame(&mut writer, &Frame::Shutdown);
@@ -1508,7 +1425,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
         if inner.live_workers == 0 {
             inner.workerless_since = Some(Instant::now());
         }
-        let mut requeued = 0usize;
         for (index, attempts) in in_flight.drain() {
             for attempt in attempts {
                 inner.in_flight_total -= 1;
@@ -1526,7 +1442,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         attempt,
                         target: None,
                     });
-                    requeued += 1;
                     continue;
                 }
                 inner.workers[wslot].reassigned += 1;
@@ -1549,7 +1464,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         attempt,
                         target: None,
                     });
-                    requeued += 1;
                 } else {
                     let msg = format!(
                         "worker '{worker_id}' lost with job in flight and retry budget exhausted"
@@ -1564,10 +1478,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                 p.target = None;
             }
         }
-        inner.events.push_back(DistEvent::WorkerLost {
-            worker: worker_id.clone(),
-            requeued,
-        });
     }
     shared.cond.notify_all();
 }

@@ -29,7 +29,7 @@ pub mod protocol;
 mod worker;
 
 pub use chaos::{ChaosConfig, ChaosProxy, ChaosStats, PartitionWindow};
-pub use coordinator::{Coordinator, DistEvent, DistJob, DistOptions, DistReport, JobTiming};
+pub use coordinator::{Coordinator, DistJob, DistOptions, DistReport, JobTiming};
 pub use worker::{run_worker, WorkerOptions, WorkerSummary};
 
 /// Environment variable: number of loopback workers a `--dist` sweep
@@ -48,7 +48,7 @@ pub const HEARTBEAT_INTERVAL_ENV: &str = "SHM_HEARTBEAT_MS";
 
 /// Environment variable: consecutive failed (re)connect attempts a worker
 /// tolerates before giving up.  Raise it when workers must outlive a
-/// coordinator restart (checkpoint resume).
+/// coordinator restart (a `--resume` from the job journal).
 pub const RECONNECT_ATTEMPTS_ENV: &str = "SHM_RECONNECT_ATTEMPTS";
 
 /// SplitMix64 mix — the crate's seeded randomness source (reconnect

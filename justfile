@@ -53,7 +53,8 @@ attack-smoke seed="7":
 
 # Crash-consistency smoke: the power-cut matrix must classify every cut with
 # zero silent divergence, and a sweep killed mid-run must --resume to
-# byte-identical tables without re-executing completed jobs.
+# byte-identical tables without re-executing completed jobs (repro locally;
+# a local `shm sweep` journal resumed on a loopback cluster).
 recovery-smoke scale="0.25":
     cargo run --release -p shm-cli -- crash --sweep --seed 7
     rm -rf /tmp/shm_recovery_j
@@ -62,6 +63,13 @@ recovery-smoke scale="0.25":
     cargo run --release -p shm-bench --bin repro -- fig16 --scale {{scale}} --journal /tmp/shm_recovery_j --resume > /tmp/shm_recovery_resumed.txt
     diff /tmp/shm_recovery_golden.txt /tmp/shm_recovery_resumed.txt
     rm -rf /tmp/shm_recovery_j /tmp/shm_recovery_golden.txt /tmp/shm_recovery_resumed.txt
+    rm -f /tmp/shm_recovery_sweep.jsonl
+    cargo run --release -p shm-cli -- sweep -b lbm --journal /tmp/shm_recovery_sweep.jsonl --crash-after-jobs 3; test $? -eq 130
+    SHM_DIST_WORKERS=2 cargo run --release -p shm-cli -- sweep -b lbm --dist 127.0.0.1:0 --journal /tmp/shm_recovery_sweep.jsonl --resume > /tmp/shm_recovery_sweep_resumed.txt
+    grep -q '^SHM ' /tmp/shm_recovery_sweep_resumed.txt
+    SHM_JOBS=1 cargo run --release -p shm-cli -- sweep -b lbm > /tmp/shm_recovery_sweep_serial.txt
+    diff /tmp/shm_recovery_sweep_serial.txt /tmp/shm_recovery_sweep_resumed.txt
+    rm -f /tmp/shm_recovery_sweep.jsonl /tmp/shm_recovery_sweep_serial.txt /tmp/shm_recovery_sweep_resumed.txt
 
 # Observability smoke: live /metrics during a loopback dist sweep must serve
 # the key series (per-worker gauges included), the sweep table must stay

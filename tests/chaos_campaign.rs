@@ -1,14 +1,14 @@
 //! Chaos-campaign regression: the fault gauntlet must be deterministic
 //! (same seed + schedule, same classification, same tables), must never
-//! report a silent divergence, and the coordinator crash-resume path must
-//! replay its checkpoint to byte-identical rows.
+//! report a silent divergence, and a coordinator killed mid-sweep must
+//! resume from its job journal to byte-identical rows.
 
 use std::path::PathBuf;
 
 use gpu_mem_sim::DesignPoint;
 use shm_bench::chaos::{render_rows, run_chaos_campaign, CHAOS_DESIGNS};
-use shm_bench::dist::{try_run_suite_dist_checkpointed, DistSweepConfig};
-use shm_bench::try_run_suite_jobs;
+use shm_bench::dist::DistSweepConfig;
+use shm_bench::{Backend, Executor, Journal, Sweep};
 use sim_dist::DistOptions;
 
 const SCALE: f64 = 0.01;
@@ -69,45 +69,48 @@ fn same_seed_and_schedule_classify_identically_twice() {
 
 #[test]
 fn coordinator_crash_resume_is_byte_identical() {
-    let dir = scratch_dir("ckpt");
+    let dir = scratch_dir("journal");
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let ckpt = dir.join("coord.jsonl");
 
-    let golden = try_run_suite_jobs(CHAOS_DESIGNS, SCALE, Some(1)).expect("golden sweep");
-    let golden_text = render_rows(&golden);
+    let golden_sweep = Sweep {
+        backend: Backend::Local(Executor::new(1)),
+        ..Sweep::suite(CHAOS_DESIGNS, SCALE)
+    };
+    let golden = golden_sweep.run(|_, job| job.run()).expect("golden sweep");
+    let golden_text = render_rows(&golden_sweep.rows(golden.complete().expect("complete")));
 
-    let cfg = DistSweepConfig {
-        bind: "127.0.0.1:0".into(),
-        self_workers: 2,
-        opts: DistOptions {
-            connect_wait_ms: 10_000,
-            heartbeat_timeout_ms: 2_000,
-            read_timeout_ms: 25,
-            retry_budget: 64,
-            dispatch_timeout_ms: 3_000,
-            ..DistOptions::default()
-        },
+    let mut sweep = Sweep {
+        backend: Backend::Dist(DistSweepConfig {
+            bind: "127.0.0.1:0".into(),
+            self_workers: 2,
+            opts: DistOptions {
+                connect_wait_ms: 10_000,
+                heartbeat_timeout_ms: 2_000,
+                read_timeout_ms: 25,
+                retry_budget: 64,
+                dispatch_timeout_ms: 3_000,
+                ..DistOptions::default()
+            },
+        }),
+        ..Sweep::suite(CHAOS_DESIGNS, SCALE)
     };
 
-    // Phase 1: the coordinator dies (cancel) after 3 resolves.
-    let (crashed, _) =
-        try_run_suite_dist_checkpointed(CHAOS_DESIGNS, SCALE, &cfg, &ckpt, 2, Some(3))
-            .expect("crash phase");
-    if let Some(rows) = crashed.rows {
+    // Phase 1: the coordinator dies (cancel) after 3 journal appends.
+    sweep.journal = Some(Journal::figure(&dir, "coord", &sweep.jobs, Some(3)));
+    let crashed = sweep.run(|_, job| job.run()).expect("crash phase");
+    if let Some(stats) = crashed.complete() {
         // Sweep outran the crash budget: it must still match golden.
-        assert_eq!(render_rows(&rows), golden_text);
+        assert_eq!(render_rows(&sweep.rows(stats)), golden_text);
     } else {
         assert!(crashed.executed >= 3, "crash budget resolved first");
 
-        // Phase 2: a fresh coordinator resumes from the checkpoint.
-        let (resumed, _) =
-            try_run_suite_dist_checkpointed(CHAOS_DESIGNS, SCALE, &cfg, &ckpt, 2, None)
-                .expect("resume phase");
-        assert!(resumed.reused >= 3, "checkpointed jobs replay, not re-run");
-        let rows = resumed.rows.expect("resume completes");
+        // Phase 2: a fresh coordinator resumes from the journal.
+        sweep.journal = Some(Journal::figure(&dir, "coord", &sweep.jobs, None));
+        let resumed = sweep.run(|_, job| job.run()).expect("resume phase");
+        assert!(resumed.reused >= 3, "journaled jobs replay, not re-run");
+        let stats = resumed.complete().expect("resume completes");
         assert_eq!(
-            render_rows(&rows),
+            render_rows(&sweep.rows(stats)),
             golden_text,
             "resumed tables must be byte-identical to the golden run"
         );

@@ -5,11 +5,11 @@
 //! observable under repeated violations of the same region.
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::{format_table, try_run_suite_journaled, BenchRow};
+use shm_bench::{format_table, Backend, BenchRow, Executor, Journal, Sweep, SweepRun};
 use shm_recovery::{crash_sweep, run_crash, CrashConfig, CrashOutcome, RegionOutcome};
 use shm_runtime::{BufferKind, Context, RecoveryPolicy};
 use shm_telemetry::{Probe, TelemetryConfig};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const SEED: u64 = 7;
 const OPS: usize = 12;
@@ -114,7 +114,32 @@ fn scratch_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("shm_crash_recovery_{}_{tag}", std::process::id()))
 }
 
-fn journal_lines(path: &std::path::Path) -> usize {
+/// The suite sweep over `designs` on `jobs` local workers, journaled as
+/// figure "resume" in `dir`.
+fn journaled(
+    designs: &[DesignPoint],
+    jobs: usize,
+    dir: &Path,
+    crash_after_jobs: Option<usize>,
+) -> Sweep {
+    let mut sweep = Sweep {
+        backend: Backend::Local(Executor::new(jobs)),
+        ..Sweep::suite(designs, SCALE)
+    };
+    sweep.journal = Some(Journal::figure(
+        dir,
+        "resume",
+        &sweep.jobs,
+        crash_after_jobs,
+    ));
+    sweep
+}
+
+fn run(sweep: &Sweep) -> SweepRun {
+    sweep.run(|_, job| job.run()).expect("sweep")
+}
+
+fn journal_lines(path: &Path) -> usize {
     std::fs::read_to_string(path)
         .expect("journal readable")
         .lines()
@@ -143,29 +168,38 @@ fn interrupted_sweep_resumes_to_byte_identical_tables() {
     let _ = std::fs::remove_dir_all(&crash_dir);
 
     // Uninterrupted reference run.
-    let golden = try_run_suite_journaled("resume", DESIGNS, SCALE, Some(2), &golden_dir, None)
-        .expect("golden sweep");
-    let golden_rows = golden.rows.expect("golden sweep ran to completion");
+    let golden_sweep = journaled(DESIGNS, 2, &golden_dir, None);
+    let golden = run(&golden_sweep);
+    let golden_rows = golden_sweep.rows(golden.complete().expect("golden sweep ran to completion"));
     let total_jobs = golden.executed;
     assert!(golden.reused == 0 && total_jobs > 3);
 
     // Crash after 3 fresh completions (single worker: nothing in flight to
     // drain, so exactly 3 land): rows withheld, completions durable.
-    let crashed = try_run_suite_journaled("resume", DESIGNS, SCALE, Some(1), &crash_dir, Some(3))
-        .expect("crashed sweep");
-    assert!(crashed.rows.is_none(), "interrupted sweep yields no rows");
+    let crash_sweep = journaled(DESIGNS, 1, &crash_dir, Some(3));
+    let crashed = run(&crash_sweep);
+    assert!(
+        crashed.complete().is_none(),
+        "interrupted sweep yields no rows"
+    );
     assert_eq!(crashed.executed, 3);
     assert_eq!(crashed.completed_labels.len(), 3);
+    let journal = crash_sweep
+        .journal
+        .as_ref()
+        .expect("journaled")
+        .path
+        .clone();
     // Meta line + one line per completed job, nothing torn.
-    assert_eq!(journal_lines(&crashed.journal_path), 4);
+    assert_eq!(journal_lines(&journal), 4);
 
     // Resume: completed jobs are loaded, not re-executed.
-    let resumed = try_run_suite_journaled("resume", DESIGNS, SCALE, Some(2), &crash_dir, None)
-        .expect("resumed sweep");
+    let resume_sweep = journaled(DESIGNS, 2, &crash_dir, None);
+    let resumed = run(&resume_sweep);
     assert_eq!(resumed.reused, 3, "journaled jobs must not re-run");
     assert_eq!(resumed.executed, total_jobs - 3);
-    assert_eq!(journal_lines(&resumed.journal_path), total_jobs + 1);
-    let resumed_rows = resumed.rows.expect("resumed sweep completes");
+    assert_eq!(journal_lines(&journal), total_jobs + 1);
+    let resumed_rows = resume_sweep.rows(resumed.complete().expect("resumed sweep completes"));
     assert_eq!(
         render(&resumed_rows),
         render(&golden_rows),
@@ -173,11 +207,10 @@ fn interrupted_sweep_resumes_to_byte_identical_tables() {
     );
 
     // A second resume finds everything journaled and executes nothing.
-    let idle = try_run_suite_journaled("resume", DESIGNS, SCALE, Some(2), &crash_dir, None)
-        .expect("idle resume");
+    let idle = run(&resume_sweep);
     assert_eq!(idle.reused, total_jobs);
     assert_eq!(idle.executed, 0);
-    assert_eq!(journal_lines(&idle.journal_path), total_jobs + 1);
+    assert_eq!(journal_lines(&journal), total_jobs + 1);
 
     let _ = std::fs::remove_dir_all(&golden_dir);
     let _ = std::fs::remove_dir_all(&crash_dir);
@@ -187,17 +220,10 @@ fn interrupted_sweep_resumes_to_byte_identical_tables() {
 fn journal_rejects_a_different_sweep_configuration() {
     let dir = scratch_dir("confighash");
     let _ = std::fs::remove_dir_all(&dir);
-    try_run_suite_journaled("mismatch", DESIGNS, SCALE, Some(2), &dir, Some(1))
-        .expect("seed the journal");
-    let err = try_run_suite_journaled(
-        "mismatch",
-        &[DesignPoint::Shm, DesignPoint::ShmVL2],
-        SCALE,
-        Some(2),
-        &dir,
-        None,
-    )
-    .expect_err("changed design list must be rejected");
+    run(&journaled(DESIGNS, 2, &dir, Some(1)));
+    let err = journaled(&[DesignPoint::Shm, DesignPoint::ShmVL2], 2, &dir, None)
+        .run(|_, job| job.run())
+        .expect_err("changed design list must be rejected");
     assert!(
         format!("{err}").contains("config"),
         "error should name the config hash: {err}"

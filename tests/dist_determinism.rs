@@ -2,21 +2,18 @@
 //! implementation detail.  A suite run on a loopback cluster — even one
 //! that loses a worker mid-sweep — must be byte-identical to `--jobs 1`,
 //! a worker with a different configuration must be rejected at hello, and
-//! journals written distributed must resume locally (and carry worker
-//! attributions).
+//! a journal must resume across backends in both directions (cluster
+//! entries carry worker attributions).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::thread;
 
 use gpu_mem_sim::DesignPoint;
 use gpu_types::SimStats;
 use shm_bench::dist::{
-    dist_config_hash, dist_worker_handler, serve_worker, try_run_suite_dist,
-    try_run_suite_dist_journaled, DistSweepConfig, SimJob,
+    dist_config_hash, dist_worker_handler, serve_worker, DistSweepConfig, SimJob,
 };
-use shm_bench::{
-    format_table, scaled_suite, trace_seed, try_run_suite_jobs, try_run_suite_journaled, BenchRow,
-};
+use shm_bench::{format_table, Backend, BenchRow, Executor, Journal, Sweep, SweepRun};
 use shm_recovery::JournalCodec;
 use sim_dist::{run_worker, Coordinator, DistError, DistJob, DistOptions, WorkerOptions};
 use sim_exec::CancelToken;
@@ -52,12 +49,36 @@ fn worker_opts(id: &str) -> WorkerOptions {
     }
 }
 
-fn loopback_cfg(self_workers: usize) -> DistSweepConfig {
-    DistSweepConfig {
+fn loopback(self_workers: usize) -> Backend {
+    Backend::Dist(DistSweepConfig {
         bind: "127.0.0.1:0".into(),
         self_workers,
         opts: quick_opts(),
-    }
+    })
+}
+
+fn local() -> Backend {
+    Backend::Local(Executor::new(1))
+}
+
+/// The suite sweep on `backend`, journaled as figure "dist" in `dir` when
+/// one is given.
+fn sweep(backend: Backend, journal: Option<(&Path, Option<usize>)>) -> Sweep {
+    let mut sweep = Sweep {
+        backend,
+        ..Sweep::suite(DESIGNS, SCALE)
+    };
+    sweep.journal =
+        journal.map(|(dir, crash_after)| Journal::figure(dir, "dist", &sweep.jobs, crash_after));
+    sweep
+}
+
+fn run(sweep: &Sweep) -> SweepRun {
+    sweep.run(|_, job| job.run()).expect("sweep")
+}
+
+fn rows(sweep: &Sweep) -> Vec<BenchRow> {
+    sweep.rows(run(sweep).complete().expect("sweep completes"))
 }
 
 fn render(rows: &[BenchRow]) -> String {
@@ -83,41 +104,34 @@ fn assert_rows_identical(serial: &[BenchRow], dist: &[BenchRow], what: &str) {
     assert_eq!(render(serial), render(dist), "{what}: rendered table text");
 }
 
-/// The exact job list `try_run_suite_dist` ships, labelled the same way.
+/// The exact job list a suite sweep ships to the cluster.
 fn suite_jobs() -> Vec<DistJob> {
-    scaled_suite(SCALE)
+    Sweep::suite(DESIGNS, SCALE)
+        .jobs
         .iter()
-        .flat_map(|p| {
-            DESIGNS.iter().map(move |d| DistJob {
-                label: format!("{} under {}", p.name, d.name()),
-                payload: SimJob {
-                    bench: p.name.to_string(),
-                    events_per_kernel: p.events_per_kernel,
-                    seed: trace_seed(p.name),
-                    design: d.name().to_string(),
-                }
-                .encode(),
-            })
-        })
+        .map(SimJob::dist_job)
         .collect()
 }
 
 #[test]
 fn loopback_cluster_matches_serial_sweep() {
-    let serial = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("serial sweep");
-    let (dist, summary) = try_run_suite_dist(DESIGNS, SCALE, &loopback_cfg(2)).expect("dist sweep");
+    let serial = rows(&sweep(local(), None));
+    let dist_sweep = sweep(loopback(2), None);
+    let dist_run = run(&dist_sweep);
+    let summary = dist_run.cluster.as_ref().expect("cluster accounting");
     assert!(!summary.degraded, "both self-workers must connect");
     assert_eq!(summary.workers.len(), 2, "both workers must register");
     let total: u64 = summary.workers.iter().map(|w| w.jobs_done).sum();
     // +1 design: the suite always carries the Baseline column the rows
     // normalize against.
     assert_eq!(total as usize, serial.len() * (DESIGNS.len() + 1));
+    let dist = dist_sweep.rows(dist_run.complete().expect("dist sweep completes"));
     assert_rows_identical(&serial, &dist, "loopback cluster");
 }
 
 #[test]
 fn killed_worker_reassigns_without_changing_results() {
-    let serial = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("serial sweep");
+    let serial = rows(&sweep(local(), None));
     let hash = dist_config_hash();
     let coord = Coordinator::bind("127.0.0.1:0", hash, quick_opts()).expect("bind");
     let addr = coord.local_addr().to_string();
@@ -204,49 +218,56 @@ fn config_hash_mismatch_is_rejected_at_hello() {
 
 #[test]
 fn dist_journal_crash_resumes_locally_to_identical_rows() {
-    let golden_dir = scratch_dir("golden");
-    let crash_dir = scratch_dir("crash");
-    let _ = std::fs::remove_dir_all(&golden_dir);
-    let _ = std::fs::remove_dir_all(&crash_dir);
+    let golden = rows(&sweep(local(), None));
+    // Both directions: a cluster sweep crashed after 3 journal appends
+    // resumes locally, and a local one resumes on the cluster.
+    for (crash_on, resume_on, tag) in [
+        (loopback(2), local(), "dist-then-local"),
+        (local(), loopback(2), "local-then-dist"),
+    ] {
+        let dir = scratch_dir(tag);
+        let _ = std::fs::remove_dir_all(&dir);
 
-    let golden = try_run_suite_journaled("dist", DESIGNS, SCALE, Some(1), &golden_dir, None)
-        .expect("golden sweep");
-    let golden_rows = golden.rows.expect("golden sweep completed");
+        // Rows withheld; every job that finished is journaled.
+        let crash_sweep = sweep(crash_on, Some((&dir, Some(3))));
+        let crashed = run(&crash_sweep);
+        assert!(
+            crashed.complete().is_none(),
+            "{tag}: interrupted sweep yields no rows"
+        );
+        assert!(
+            crashed.executed >= 3,
+            "{tag}: at least the crash budget completed"
+        );
 
-    // Distributed sweep crashed after 3 journal appends: rows withheld,
-    // every journaled entry names the worker that produced it.
-    let (crashed, _) = try_run_suite_dist_journaled(
-        "dist",
-        DESIGNS,
-        SCALE,
-        &loopback_cfg(2),
-        &crash_dir,
-        Some(3),
-    )
-    .expect("crashed dist sweep");
-    assert!(crashed.rows.is_none(), "interrupted sweep yields no rows");
-    assert!(crashed.executed >= 3, "at least the crash budget completed");
-    let text = std::fs::read_to_string(&crashed.journal_path).expect("journal readable");
-    let attributed = text
-        .lines()
-        .filter(|l| l.contains("\"worker\":\"local-"))
-        .count();
-    assert_eq!(
-        attributed, crashed.executed,
-        "every dist-journaled entry carries its worker"
-    );
+        // Same hash on either backend: the resume picks the journal up and
+        // finishes to byte-identical rows.
+        let resume_sweep = sweep(resume_on, Some((&dir, None)));
+        let resumed = run(&resume_sweep);
+        assert_eq!(
+            resumed.reused, crashed.executed,
+            "{tag}: journaled jobs reused"
+        );
+        let resumed_rows = resume_sweep.rows(resumed.complete().expect("resume completed"));
+        assert_rows_identical(&golden, &resumed_rows, tag);
 
-    // The *local* path picks the distributed journal up — same hash — and
-    // finishes to byte-identical rows.
-    let resumed = try_run_suite_journaled("dist", DESIGNS, SCALE, Some(1), &crash_dir, None)
-        .expect("local resume");
-    assert_eq!(
-        resumed.reused, crashed.executed,
-        "dist results reused locally"
-    );
-    let resumed_rows = resumed.rows.expect("resume completed");
-    assert_rows_identical(&golden_rows, &resumed_rows, "dist crash + local resume");
-
-    let _ = std::fs::remove_dir_all(&golden_dir);
-    let _ = std::fs::remove_dir_all(&crash_dir);
+        // Every entry the cluster wrote names the worker that produced it;
+        // local entries carry no attribution.
+        let from_cluster = if crashed.cluster.is_some() {
+            crashed.executed
+        } else {
+            resumed.executed
+        };
+        let journal = resume_sweep.journal.as_ref().expect("journaled");
+        let text = std::fs::read_to_string(&journal.path).expect("journal readable");
+        let attributed = text
+            .lines()
+            .filter(|l| l.contains("\"worker\":\"local-"))
+            .count();
+        assert_eq!(
+            attributed, from_cluster,
+            "{tag}: every cluster-journaled entry carries its worker"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

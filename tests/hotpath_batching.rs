@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use gpu_mem_sim::{set_batch_issue, DesignPoint};
 use proptest::prelude::*;
-use shm_bench::{scaled_suite, try_run_suite_jobs};
+use shm_bench::{scaled_suite, Backend, BenchRow, Executor, Sweep};
 use shm_crypto::aes::{aesni_available, reference, Aes128};
 
 /// Batching and profiling are process-global toggles; every test that
@@ -23,6 +23,16 @@ const DESIGNS: &[DesignPoint] = &[
 ];
 const SCALE: f64 = 0.05;
 
+/// The suite sweep over `designs` at `scale` on `jobs` local workers.
+fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow> {
+    let sweep = Sweep {
+        backend: Backend::Local(Executor::new(jobs)),
+        ..Sweep::suite(designs, scale)
+    };
+    let run = sweep.run(|_, job| job.run()).expect("sweep");
+    sweep.rows(run.complete().expect("sweep completes"))
+}
+
 /// Every statistic every repro figure reads — cycles, traffic classes,
 /// cache counters, predictor accuracies — must be identical whether the
 /// scheduler processes one event per heap pick or batches runs.
@@ -30,9 +40,9 @@ const SCALE: f64 = 0.05;
 fn batched_issue_is_byte_identical_across_the_suite() {
     let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     set_batch_issue(false);
-    let unbatched = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("unbatched sweep");
+    let unbatched = suite_rows(DESIGNS, SCALE, 1);
     set_batch_issue(true);
-    let batched = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("batched sweep");
+    let batched = suite_rows(DESIGNS, SCALE, 1);
 
     assert_eq!(unbatched.len(), batched.len());
     for (u, b) in unbatched.iter().zip(&batched) {
@@ -57,8 +67,7 @@ fn profiled_sweep_still_tiles_the_wall_clock() {
     shm_metrics::phase::set_profiling(true);
     shm_metrics::phase::reset_phases();
     let started = std::time::Instant::now();
-    let _ = try_run_suite_jobs(&[DesignPoint::Pssm, DesignPoint::Shm], SCALE, Some(1))
-        .expect("profiled sweep");
+    let _ = suite_rows(&[DesignPoint::Pssm, DesignPoint::Shm], SCALE, 1);
     let wall = started.elapsed().as_nanos() as u64;
     let covered = shm_metrics::phase::total_nanos();
     shm_metrics::phase::set_profiling(false);
@@ -84,7 +93,7 @@ fn identity_sweep_covers_the_whole_suite() {
     let rows = {
         let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
         set_batch_issue(true);
-        try_run_suite_jobs(&[DesignPoint::Shm], SCALE, Some(1)).expect("sweep")
+        suite_rows(&[DesignPoint::Shm], SCALE, 1)
     };
     assert_eq!(rows.len(), profiles.len());
 }

@@ -6,10 +6,9 @@
 use std::sync::Mutex;
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::dist::{try_run_suite_dist, DistSweepConfig};
-use shm_bench::{scaled_suite, try_run_suite_jobs};
+use shm_bench::dist::DistSweepConfig;
+use shm_bench::{Backend, BenchRow, Executor, Sweep, SweepRun};
 use shm_telemetry::span::{build_job_spans, job_span_id, JobSpanInput, TraceReport, ROOT_SPAN_ID};
-use shm_workloads::BenchmarkProfile;
 use sim_dist::{DistOptions, WorkerOptions};
 
 const DESIGNS: &[DesignPoint] = &[DesignPoint::Pssm, DesignPoint::Shm];
@@ -20,41 +19,35 @@ const SCALE: f64 = 0.02;
 /// global state it touched.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
-fn loopback_cfg(self_workers: usize) -> DistSweepConfig {
-    DistSweepConfig {
-        bind: "127.0.0.1:0".into(),
-        self_workers,
-        opts: DistOptions {
-            connect_wait_ms: 5_000,
-            heartbeat_timeout_ms: 2_000,
-            read_timeout_ms: 20,
-            retry_budget: 16,
-            ..DistOptions::default()
-        },
+/// The suite sweep on a loopback cluster of `self_workers` workers.
+fn dist_sweep(self_workers: usize) -> Sweep {
+    Sweep {
+        backend: Backend::Dist(DistSweepConfig {
+            bind: "127.0.0.1:0".into(),
+            self_workers,
+            opts: DistOptions {
+                connect_wait_ms: 5_000,
+                heartbeat_timeout_ms: 2_000,
+                read_timeout_ms: 20,
+                retry_budget: 16,
+                ..DistOptions::default()
+            },
+        }),
+        ..Sweep::suite(DESIGNS, SCALE)
     }
 }
 
-/// The suite sweep's `(profile, design)` job list in submission order:
-/// baseline first, then each requested design, per profile.
-fn sweep_pairs() -> (Vec<BenchmarkProfile>, Vec<(usize, DesignPoint)>) {
-    let profiles = scaled_suite(SCALE);
-    let points = [
-        DesignPoint::Unprotected,
-        DesignPoint::Pssm,
-        DesignPoint::Shm,
-    ];
-    let pairs = (0..profiles.len())
-        .flat_map(|p| points.iter().map(move |&d| (p, d)))
-        .collect();
-    (profiles, pairs)
+fn run(sweep: &Sweep) -> SweepRun {
+    sweep.run(|_, job| job.run()).expect("sweep")
 }
 
-fn sweep_labels() -> Vec<String> {
-    let (profiles, pairs) = sweep_pairs();
-    pairs
-        .iter()
-        .map(|&(p, d)| format!("{} under {}", profiles[p].name, d.name()))
-        .collect()
+/// The suite sweep on one local worker.
+fn serial_rows() -> Vec<BenchRow> {
+    let sweep = Sweep {
+        backend: Backend::Local(Executor::new(1)),
+        ..Sweep::suite(DESIGNS, SCALE)
+    };
+    sweep.rows(run(&sweep).complete().expect("sweep completes"))
 }
 
 #[test]
@@ -62,12 +55,12 @@ fn observability_disabled_run_matches_enabled_run_exactly() {
     let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     shm_metrics::set_enabled(false);
     shm_metrics::phase::set_profiling(false);
-    let plain = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("plain sweep");
+    let plain = serial_rows();
 
     shm_metrics::set_enabled(true);
     shm_metrics::phase::set_profiling(true);
     shm_metrics::phase::reset_phases();
-    let observed = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("observed sweep");
+    let observed = serial_rows();
     shm_metrics::set_enabled(false);
     shm_metrics::phase::set_profiling(false);
 
@@ -86,7 +79,7 @@ fn observability_disabled_run_matches_enabled_run_exactly() {
 fn real_run_populates_core_metric_series() {
     let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     shm_metrics::set_enabled(true);
-    let _ = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("sweep");
+    let _ = serial_rows();
     let body = shm_metrics::render_prometheus();
     shm_metrics::set_enabled(false);
 
@@ -113,7 +106,7 @@ fn profiler_disabled_path_records_nothing() {
     let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     shm_metrics::phase::set_profiling(false);
     shm_metrics::phase::reset_phases();
-    let _ = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("sweep");
+    let _ = serial_rows();
     assert_eq!(
         shm_metrics::phase::total_nanos(),
         0,
@@ -128,7 +121,7 @@ fn profiler_phases_cover_the_simulation() {
     shm_metrics::phase::set_profiling(true);
     shm_metrics::phase::reset_phases();
     let started = std::time::Instant::now();
-    let _ = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("sweep");
+    let _ = serial_rows();
     let wall = started.elapsed().as_nanos() as u64;
     let covered = shm_metrics::phase::total_nanos();
     shm_metrics::phase::set_profiling(false);
@@ -147,27 +140,23 @@ fn profiler_phases_cover_the_simulation() {
 fn dist_and_local_span_trees_have_identical_shape() {
     let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
     shm_metrics::set_enabled(false);
-    let (profiles, pairs) = sweep_pairs();
-    let labels = sweep_labels();
+    let sweep = dist_sweep(2);
+    let labels: Vec<String> = sweep.jobs.iter().map(|j| j.label()).collect();
 
-    let (rows, summary) = try_run_suite_dist(DESIGNS, SCALE, &loopback_cfg(2)).expect("dist sweep");
-    assert!(!summary.degraded);
-    assert_ne!(summary.trace_id, 0, "coordinator mints a trace id");
+    let run = run(&sweep);
+    let cluster = run.cluster.as_ref().expect("cluster accounting");
+    assert!(!cluster.degraded);
+    assert_ne!(run.trace_id, 0, "coordinator mints a trace id");
     assert_eq!(
-        summary.timings.len(),
+        run.timings.len(),
         labels.len(),
         "every job reports a timing"
     );
 
-    let cycles_of = |index: usize| -> u64 {
-        let (p, d) = pairs[index];
-        rows.iter()
-            .find(|r| r.name == profiles[p].name)
-            .map_or(0, |r| r.stats[d.name()].cycles)
-    };
+    let cycles_of = |index: usize| -> u64 { run.stats[index].as_ref().map_or(0, |s| s.cycles) };
 
-    // Dist spans: coordinator-observed timings, cycles joined from rows.
-    let dist_inputs: Vec<JobSpanInput> = summary
+    // Dist spans: coordinator-observed timings, cycles from the sweep.
+    let dist_inputs: Vec<JobSpanInput> = run
         .timings
         .iter()
         .map(|t| JobSpanInput {
@@ -180,7 +169,7 @@ fn dist_and_local_span_trees_have_identical_shape() {
             cycles: cycles_of(t.index),
         })
         .collect();
-    let dist_spans = build_job_spans(summary.trace_id, "sweep suite", &dist_inputs);
+    let dist_spans = build_job_spans(run.trace_id, "sweep suite", &dist_inputs);
 
     // Local spans: same job list, synthetic local timings.
     let local_inputs: Vec<JobSpanInput> = labels
@@ -215,7 +204,7 @@ fn dist_and_local_span_trees_have_identical_shape() {
     // Per-job cycle totals reconcile with the sweep's own stats.
     let report = TraceReport::from_spans(dist_spans).remove(0);
     assert!(report.check_invariants().is_empty());
-    let stats_cycles: u64 = (0..pairs.len()).map(cycles_of).sum();
+    let stats_cycles: u64 = (0..labels.len()).map(cycles_of).sum();
     assert!(stats_cycles > 0);
     assert_eq!(report.total_cycles(), stats_cycles);
     assert_eq!(report.jobs.len(), labels.len());
@@ -228,8 +217,8 @@ fn coordinator_serves_live_metrics_during_dist_sweep() {
     let server = shm_metrics::MetricsServer::bind("127.0.0.1:0").expect("bind /metrics");
     let addr = server.local_addr().to_string();
 
-    let (_, summary) = try_run_suite_dist(DESIGNS, SCALE, &loopback_cfg(2)).expect("dist sweep");
-    assert!(!summary.degraded);
+    let run = run(&dist_sweep(2));
+    assert!(!run.cluster.expect("cluster accounting").degraded);
 
     let body = shm_metrics::fetch_metrics(&addr).expect("scrape");
     server.shutdown();
@@ -240,7 +229,7 @@ fn coordinator_serves_live_metrics_during_dist_sweep() {
         .iter()
         .find(|s| s.name == "shm_jobs_completed_total")
         .expect("job-completion counter exported");
-    assert!(completed.value >= sweep_labels().len() as f64);
+    assert!(completed.value >= Sweep::suite(DESIGNS, SCALE).jobs.len() as f64);
     // The coordinator polled both loopback workers for stats and exported
     // their gauges labelled by worker id.
     for worker in ["local-0", "local-1"] {

@@ -3,16 +3,26 @@
 //! many must produce byte-identical results.
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::{format_table, try_run_suite_jobs};
+use shm_bench::{format_table, Backend, BenchRow, Sweep};
 use sim_exec::Executor;
 
 const DESIGNS: &[DesignPoint] = &[DesignPoint::Pssm, DesignPoint::Shm];
 const SCALE: f64 = 0.02;
 
+/// The suite sweep over `designs` at `scale` on `jobs` local workers.
+fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow> {
+    let sweep = Sweep {
+        backend: Backend::Local(Executor::new(jobs)),
+        ..Sweep::suite(designs, scale)
+    };
+    let run = sweep.run(|_, job| job.run()).expect("sweep");
+    sweep.rows(run.complete().expect("sweep completes"))
+}
+
 #[test]
 fn suite_stats_identical_across_worker_counts() {
-    let serial = try_run_suite_jobs(DESIGNS, SCALE, Some(1)).expect("serial sweep");
-    let parallel = try_run_suite_jobs(DESIGNS, SCALE, Some(4)).expect("parallel sweep");
+    let serial = suite_rows(DESIGNS, SCALE, 1);
+    let parallel = suite_rows(DESIGNS, SCALE, 4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.name, p.name, "row order must match submission order");
@@ -32,7 +42,7 @@ fn suite_stats_identical_across_worker_counts() {
 #[test]
 fn rendered_table_identical_across_worker_counts() {
     let render = |jobs| {
-        let rows = try_run_suite_jobs(DESIGNS, SCALE, Some(jobs)).expect("sweep");
+        let rows = suite_rows(DESIGNS, SCALE, jobs);
         let table: Vec<(String, Vec<f64>)> = rows
             .iter()
             .map(|r| {

@@ -7,9 +7,19 @@
 
 use gpu_mem_sim::DesignPoint;
 use shm_bench::pool::{format_pool_table, run_one_pooled, try_run_pool_sweep};
-use shm_bench::{run_one, scaled_suite, try_run_suite_jobs};
+use shm_bench::{run_one, scaled_suite, Backend, BenchRow, Executor, Sweep};
 use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_workloads::BenchmarkProfile;
+
+/// The suite sweep over `designs` at `scale` on `jobs` local workers.
+fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow> {
+    let sweep = Sweep {
+        backend: Backend::Local(Executor::new(jobs)),
+        ..Sweep::suite(designs, scale)
+    };
+    let run = sweep.run(|_, job| job.run()).expect("sweep");
+    sweep.rows(run.complete().expect("sweep completes"))
+}
 
 /// Without `.with_pools`, no pool model exists: every pool counter in the
 /// stats must be exactly zero, for every design point, on every profile of
@@ -34,8 +44,8 @@ fn default_single_pool_runs_have_zero_pool_counters() {
 /// perturb submission-order determinism.
 #[test]
 fn default_sweep_is_byte_identical_across_job_counts() {
-    let serial = try_run_suite_jobs(&[DesignPoint::Shm], 0.02, Some(1)).expect("serial sweep");
-    let parallel = try_run_suite_jobs(&[DesignPoint::Shm], 0.02, Some(4)).expect("parallel sweep");
+    let serial = suite_rows(&[DesignPoint::Shm], 0.02, 1);
+    let parallel = suite_rows(&[DesignPoint::Shm], 0.02, 4);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.name, p.name);
