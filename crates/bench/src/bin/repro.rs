@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the SHM evaluation.
 //!
-//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|bench|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--bench-out PATH] [--journal DIR [--resume] [--crash-after-jobs N]]`
+//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--journal DIR [--resume] [--crash-after-jobs N]]`
 //!
 //! The `hetero` target renders the heterogeneous-pool placement sweep; it
 //! is deliberately *not* part of `all`, which stays byte-identical to a
@@ -19,12 +19,6 @@
 //! are reassembled in submission order, so the printed tables are
 //! byte-identical at any worker count.
 //!
-//! The `bench` target renders every figure across a (scale × jobs) grid —
-//! scales {0.05, 0.25} plus any explicit `--scale`, serial plus the
-//! resolved worker count — timing each point, verifying every parallel
-//! rendering matches its serial reference byte-for-byte, and writing the
-//! whole trajectory to `BENCH_throughput.json` (see `--bench-out`).
-//!
 //! With `--telemetry-dir DIR`, every figure target additionally captures a
 //! representative telemetry trace (first suite benchmark under SHM) as
 //! `DIR/<figure>.jsonl` — epoch bandwidth series for Fig. 14-style plots.
@@ -38,7 +32,6 @@ use std::collections::BTreeMap;
 use std::env;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, ShmConfig};
@@ -214,10 +207,8 @@ fn suite_rows(
 fn run(args: &[String]) -> Result<(), ReproError> {
     let mut what = "all".to_string();
     let mut scale = 0.5f64;
-    let mut scale_explicit = false;
     let mut jobs: Option<usize> = None;
     let mut telemetry_dir: Option<String> = None;
-    let mut bench_out = "BENCH_throughput.json".to_string();
     let mut journal_dir: Option<String> = None;
     let mut resume = false;
     let mut crash_after_jobs: Option<usize> = None;
@@ -256,7 +247,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ReproError::usage("--scale needs a number"))?;
-                scale_explicit = true;
                 i += 2;
             }
             "--jobs" => {
@@ -288,13 +278,6 @@ fn run(args: &[String]) -> Result<(), ReproError> {
                 );
                 i += 2;
             }
-            "--bench-out" => {
-                bench_out = args
-                    .get(i + 1)
-                    .cloned()
-                    .ok_or_else(|| ReproError::usage("--bench-out needs a path"))?;
-                i += 2;
-            }
             other => {
                 what = other.to_string();
                 i += 1;
@@ -316,26 +299,22 @@ fn run(args: &[String]) -> Result<(), ReproError> {
         dist: dist_bind.map(|bind| DistSweepConfig::from_env(&bind)),
     };
 
-    if what == "bench" {
-        bench_mode(scale_explicit.then_some(scale), jobs, &bench_out)?;
-    } else {
-        match render_target(&what, scale, jobs, &sctx) {
-            Ok(Some(text)) => print!("{text}"),
-            Ok(None) => return Err(ReproError::usage(format!("unknown target: {what}"))),
-            Err(FigError::Interrupted { journal, done }) => {
-                eprintln!(
-                    "interrupted: {} job(s) completed and journaled in {journal}",
-                    done.len()
-                );
-                for label in &done {
-                    eprintln!("  done {label}");
-                }
-                eprintln!("re-run with --resume to pick up where this left off");
-                return Err(ReproError::interrupted("figure sweep interrupted"));
+    match render_target(&what, scale, jobs, &sctx) {
+        Ok(Some(text)) => print!("{text}"),
+        Ok(None) => return Err(ReproError::usage(format!("unknown target: {what}"))),
+        Err(FigError::Interrupted { journal, done }) => {
+            eprintln!(
+                "interrupted: {} job(s) completed and journaled in {journal}",
+                done.len()
+            );
+            for label in &done {
+                eprintln!("  done {label}");
             }
-            Err(FigError::Failed(e)) => {
-                return Err(ReproError::runtime(e, &Probe::disabled()));
-            }
+            eprintln!("re-run with --resume to pick up where this left off");
+            return Err(ReproError::interrupted("figure sweep interrupted"));
+        }
+        Err(FigError::Failed(e)) => {
+            return Err(ReproError::runtime(e, &Probe::disabled()));
         }
     }
 
@@ -357,8 +336,7 @@ fn run(args: &[String]) -> Result<(), ReproError> {
 
 /// Renders one named target (or `all`) to a string; `Ok(None)` for unknown
 /// targets, `Err` when a simulation job failed or a journaled sweep was
-/// interrupted.  Keeping figures as strings lets `bench` compare serial and
-/// parallel renderings byte-for-byte.
+/// interrupted.
 fn render_target(
     what: &str,
     scale: f64,
@@ -399,120 +377,6 @@ fn render_target(
         }
         _ => return Ok(None),
     }))
-}
-
-/// Trace-scale grid every `bench` run covers (an explicit `--scale` adds a
-/// third point).  Small scale exposes fixed per-job overhead; the larger
-/// one is dominated by the simulation hot loop.
-const BENCH_SCALES: [f64; 2] = [0.05, 0.25];
-
-/// `bench` target: renders every figure across a (scale × jobs) grid,
-/// timing each point and verifying that every parallel rendering is
-/// byte-identical to the serial reference at the same scale.  The whole
-/// trajectory is recorded as JSON (see `--bench-out`).
-fn bench_mode(
-    explicit_scale: Option<f64>,
-    jobs: Option<usize>,
-    out_path: &str,
-) -> Result<(), ReproError> {
-    let workers = Executor::from_request(jobs).jobs();
-    let mut scales: Vec<f64> = BENCH_SCALES.to_vec();
-    if let Some(s) = explicit_scale {
-        if !scales.iter().any(|&x| (x - s).abs() < 1e-12) {
-            scales.push(s);
-        }
-    }
-    scales.sort_by(f64::total_cmp);
-    // The jobs axis: the serial reference, plus the resolved worker count
-    // when it actually is parallel.
-    let mut jobs_axis = vec![1usize];
-    if workers > 1 {
-        jobs_axis.push(workers);
-    }
-
-    let render_all = |scale: f64, jobs: usize| -> Result<String, ReproError> {
-        render_target("all", scale, Some(jobs), &SweepCtx::default())
-            .map_err(|e| match e {
-                FigError::Interrupted { journal, .. } => {
-                    ReproError::interrupted(format!("bench sweep interrupted (journal {journal})"))
-                }
-                FigError::Failed(msg) => ReproError::runtime(msg, &Probe::disabled()),
-            })?
-            .ok_or_else(|| ReproError::usage("render target \"all\" is unknown"))
-    };
-
-    let mut point_lines: Vec<String> = Vec::new();
-    let mut all_identical = true;
-    let mut first_divergence: Option<String> = None;
-    for &scale in &scales {
-        let t0 = Instant::now();
-        let reference = render_all(scale, 1)?;
-        let serial_wall = t0.elapsed().as_secs_f64();
-        for &j in &jobs_axis {
-            let (wall, identical) = if j == 1 {
-                // The serial rendering IS the reference for this scale.
-                (serial_wall, true)
-            } else {
-                let t1 = Instant::now();
-                let parallel = render_all(scale, j)?;
-                let wall = t1.elapsed().as_secs_f64();
-                let identical = parallel == reference;
-                if !identical && first_divergence.is_none() {
-                    first_divergence = Some(
-                        reference
-                            .lines()
-                            .zip(parallel.lines())
-                            .enumerate()
-                            .find(|(_, (a, b))| a != b)
-                            .map(|(n, (a, b))| {
-                                format!(
-                                    "scale={scale} jobs={j}: first divergence at line {}: \
-                                     {a:?} vs {b:?}",
-                                    n + 1
-                                )
-                            })
-                            .unwrap_or_else(|| {
-                                format!("scale={scale} jobs={j}: outputs differ in length")
-                            }),
-                    );
-                }
-                (wall, identical)
-            };
-            all_identical &= identical;
-            let speedup = if wall > 0.0 { serial_wall / wall } else { 0.0 };
-            point_lines.push(format!(
-                "    {{\"scale\": {scale}, \"jobs\": {j}, \"wall_s\": {wall:.3}, \
-                 \"serial_wall_s\": {serial_wall:.3}, \"speedup\": {speedup:.3}, \
-                 \"identical\": {identical}}}"
-            ));
-            println!(
-                "repro bench: scale={scale} jobs={j} wall={wall:.3}s \
-                 speedup={speedup:.2}x identical={identical}"
-            );
-        }
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"shm-bench-trajectory/v1\",\n  \"host_parallelism\": {},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-        point_lines.join(",\n"),
-    );
-    std::fs::write(out_path, &json)
-        .map_err(|e| ReproError::usage(format!("write {out_path}: {e}")))?;
-    println!("throughput trajectory written to {out_path}");
-
-    if all_identical {
-        Ok(())
-    } else {
-        Err(ReproError::runtime(
-            format!(
-                "parallel output diverges from serial ({})",
-                first_divergence.unwrap_or_else(|| "divergence detail unavailable".to_string())
-            ),
-            &Probe::disabled(),
-        ))
-    }
 }
 
 /// Captures one representative telemetry trace for `figure` — the first

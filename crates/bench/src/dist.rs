@@ -15,7 +15,7 @@
 //! at any `--scale`.
 
 use gpu_mem_sim::{DesignPoint, Simulator};
-use gpu_types::{GpuConfig, SimStats};
+use gpu_types::{json, GpuConfig, SimStats};
 use shm_recovery::{config_hash, JournalCodec};
 use shm_workloads::BenchmarkProfile;
 use sim_dist::protocol::PROTOCOL_VERSION;
@@ -63,23 +63,11 @@ impl SimJob {
 
     /// Parses [`SimJob::encode`] output.
     pub fn decode(payload: &str) -> Option<Self> {
-        let field = |key: &str| -> Option<&str> {
-            let pat = format!("\"{key}\":");
-            let rest = &payload[payload.find(&pat)? + pat.len()..];
-            if let Some(stripped) = rest.strip_prefix('"') {
-                Some(&stripped[..stripped.find('"')?])
-            } else {
-                let end = rest
-                    .find(|c: char| !c.is_ascii_digit())
-                    .unwrap_or(rest.len());
-                Some(&rest[..end])
-            }
-        };
         Some(SimJob {
-            bench: field("bench")?.to_string(),
-            events_per_kernel: field("events")?.parse().ok()?,
-            seed: field("seed")?.parse().ok()?,
-            design: field("design")?.parse().ok()?,
+            bench: json::str_field(payload, "bench")?,
+            events_per_kernel: json::u64_field(payload, "events")?,
+            seed: json::u64_field(payload, "seed")?,
+            design: json::str_field(payload, "design")?,
         })
     }
 

@@ -40,12 +40,7 @@ pub fn scaled_suite(scale: f64) -> Vec<BenchmarkProfile> {
 /// an earlier `0xBEEF ^ name.len()` scheme gave every same-length pair of
 /// benchmarks (e.g. `bfs`/`nw`) identical traces.
 pub fn trace_seed(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    sim_dist::protocol::payload_digest(name.as_bytes())
 }
 
 /// Runs one benchmark under one design; seeds are fixed for determinism.

@@ -16,7 +16,7 @@ pub fn print_run(
         trace.name,
         design.name(),
         trace.kernels.len(),
-        stats.accesses.max(stats.l2_hits + stats.l2_misses)
+        stats.accesses
     );
     println!(
         "  cycles           {:>12}   (baseline {}, normalized IPC {:.4})",

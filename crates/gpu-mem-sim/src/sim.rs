@@ -10,7 +10,7 @@ use secure_core::{DramFabric, MemRequest, SecureMemorySystem};
 use shm::{OracleProfile, ShmSystem};
 use shm_cache::Eviction;
 use shm_metadata::MetadataKind;
-use shm_telemetry::{Event, Probe};
+use shm_telemetry::{Event, Hook, Probe};
 
 use crate::design::DesignPoint;
 use crate::l2::{L2Bank, L2Outcome, L2_HIT_LATENCY};
@@ -271,7 +271,10 @@ impl Simulator {
                 }
             }
             stats.instructions += kernel.instructions();
-            probe.on_instructions(clock, kernel.instructions());
+            probe.record(Hook::Instructions {
+                cycle: clock,
+                n: kernel.instructions(),
+            });
         }
 
         // End of context: metadata caches drain.
@@ -294,36 +297,15 @@ impl Simulator {
             let (to_gpu, to_cpu) = pool.link_bytes();
             stats.link_bytes_to_gpu = to_gpu;
             stats.link_bytes_to_cpu = to_cpu;
-            shm_metrics::counter!(
-                "shm_pool_migrations_total",
-                "Pages migrated CPU->GPU through the secure channel"
-            )
-            .add(c.migrations);
-            shm_metrics::counter!("shm_pool_spills_total", "Pages spilled GPU->CPU").add(c.spills);
-            shm_metrics::counter!(
-                "shm_pool_cpu_accesses_total",
-                "Data accesses served by the CPU-side pool"
-            )
-            .add(c.cpu_accesses);
-            shm_metrics::counter!(
-                "shm_pool_capacity_events_total",
-                "Accesses under gpu-only capacity pressure"
-            )
-            .add(c.capacity_events);
-            shm_metrics::counter!(
-                "shm_link_to_gpu_bytes_total",
-                "Bytes the coherent link carried toward the GPU pool"
-            )
-            .add(to_gpu);
-            shm_metrics::counter!(
-                "shm_link_to_cpu_bytes_total",
-                "Bytes the coherent link carried toward the CPU pool"
-            )
-            .add(to_cpu);
         }
         stats.cycles = clock.max(drain).max(1);
         stats.traffic = fabric.traffic();
         stats.dram_requests = fabric.requests();
+        stats.visit_metrics(|m, value| {
+            if pool.is_some() || !m.pooled {
+                shm_metrics::register_counter(m.name, m.help).add(value);
+            }
+        });
         probe.finalize(stats.cycles);
         (stats, engine, fabric)
     }
@@ -354,7 +336,6 @@ impl Simulator {
         let max_outstanding = self.cfg.sm_max_outstanding as usize;
         let span = self.cfg.protected_bytes_per_partition();
         let batch = batch_issue_enabled();
-        let (hits_before, misses_before) = (stats.l2_hits, stats.l2_misses);
         // Scratch for drained evictions, reused across every access in the
         // kernel so the hot path never allocates.
         let mut scratch: Vec<Eviction> = Vec::new();
@@ -452,15 +433,7 @@ impl Simulator {
             }
         }
 
-        shm_metrics::counter!("shm_accesses_total", "Warp-level memory accesses issued")
-            .add(events.len() as u64);
-        shm_metrics::counter!("shm_l2_hits_total", "L2 hits (merged misses included)")
-            .add(stats.l2_hits - hits_before);
-        shm_metrics::counter!(
-            "shm_l2_misses_total",
-            "L2 misses (write allocations included)"
-        )
-        .add(stats.l2_misses - misses_before);
+        stats.accesses += events.len() as u64;
         end
     }
 
@@ -500,7 +473,7 @@ impl Simulator {
             }
         }
 
-        probe.on_access(t);
+        probe.record(Hook::Access { cycle: t });
         let bank = &mut banks[p.index()][bank_idx];
         let stalls_before = bank.mshr_stalls();
         let outcome = {
@@ -518,22 +491,34 @@ impl Simulator {
         let completion = match outcome {
             L2Outcome::Hit => {
                 stats.l2_hits += 1;
-                probe.on_l2_hit(t, p.index());
+                probe.record(Hook::L2Hit {
+                    cycle: t,
+                    partition: p.index(),
+                });
                 t + L2_HIT_LATENCY
             }
             L2Outcome::WriteAllocated => {
                 stats.l2_misses += 1;
-                probe.on_l2_miss(t, p.index());
+                probe.record(Hook::L2Miss {
+                    cycle: t,
+                    partition: p.index(),
+                });
                 t + L2_HIT_LATENCY
             }
             L2Outcome::MergedMiss { ready_at } => {
                 stats.l2_hits += 1; // merged: no extra DRAM traffic
-                probe.on_l2_hit(t, p.index());
+                probe.record(Hook::L2Hit {
+                    cycle: t,
+                    partition: p.index(),
+                });
                 ready_at.max(t) + L2_HIT_LATENCY
             }
             L2Outcome::Miss => {
                 stats.l2_misses += 1;
-                probe.on_l2_miss(t, p.index());
+                probe.record(Hook::L2Miss {
+                    cycle: t,
+                    partition: p.index(),
+                });
                 if probe.is_enabled() {
                     probe.emit(
                         t,
@@ -577,19 +562,29 @@ impl Simulator {
                     }
                     if probe.is_enabled() {
                         if out.remote {
-                            probe.on_pool_remote_access(t, SECTOR_BYTES, is_write);
+                            probe.record(Hook::PoolRemoteAccess {
+                                cycle: t,
+                                bytes: SECTOR_BYTES,
+                                is_write,
+                            });
                         }
                         if out.migrated {
                             let page = pool.config().page_bytes;
                             let spilled = if out.spilled { page } else { 0 };
-                            probe.on_pool_migration(t, page, spilled);
+                            probe.record(Hook::PoolMigration {
+                                cycle: t,
+                                to_gpu_bytes: page,
+                                to_cpu_bytes: spilled,
+                            });
                         }
                     }
                 }
                 banks[p.index()][bank_idx].note_pending(local.offset, done);
                 // MSHR residency: the entry lives from allocation until the
                 // fill lands and is retired by a later drain.
-                probe.on_mshr_residency(done.saturating_sub(t));
+                probe.record(Hook::MshrResidency {
+                    cycles: done.saturating_sub(t),
+                });
                 done
             }
         };
@@ -739,6 +734,7 @@ mod tests {
         let t = demo(4096);
         let s = run(DesignPoint::Unprotected, &t);
         assert_eq!(s.instructions, 4096);
+        assert_eq!(s.accesses, t.all_events().count() as u64);
         assert!(s.cycles > 0);
         assert!(s.l2_hits + s.l2_misses >= 4096);
         assert_eq!(s.traffic.metadata_bytes(), 0);
@@ -821,6 +817,7 @@ mod tests {
         let s = run(DesignPoint::Shm, &trace);
         assert!(s.readonly_fast_path > 0);
         assert_eq!(s.instructions, 8192);
+        assert_eq!(s.accesses, trace.all_events().count() as u64);
     }
 
     #[test]

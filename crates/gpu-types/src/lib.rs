@@ -29,6 +29,7 @@ pub mod access;
 pub mod addr;
 pub mod config;
 pub mod fxhash;
+pub mod json;
 pub mod rng;
 pub mod stats;
 
@@ -37,7 +38,7 @@ pub use addr::{ChunkId, LocalAddr, PartitionId, PartitionMap, PhysAddr, RegionId
 pub use config::{GpuConfig, MdcConfig, ShmConfig};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SplitMix64;
-pub use stats::{SimStats, TrafficBytes, TrafficClass};
+pub use stats::{SimStats, StatMetric, StatValue, TrafficBytes, TrafficClass};
 
 /// Size of a cache line / memory block in bytes (a "block" in the paper).
 pub const BLOCK_BYTES: u64 = 128;

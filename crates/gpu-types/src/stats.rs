@@ -100,64 +100,187 @@ impl AddAssign for TrafficBytes {
     }
 }
 
-/// End-of-run statistics from one simulation.
-#[derive(Clone, Default, Debug, PartialEq)]
-pub struct SimStats {
+/// One [`SimStats`] value as [`SimStats::visit`] reports it and
+/// [`SimStats::set`] takes it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StatValue {
+    /// A single counter.
+    Count(u64),
+    /// One byte counter per traffic class, in `TrafficClass::ALL` order.
+    PerClass([u64; 5]),
+}
+
+/// A [`SimStats`] counter published to the metrics registry at end of run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StatMetric {
+    /// Prometheus metric name.
+    pub name: &'static str,
+    /// Prometheus help string.
+    pub help: &'static str,
+    /// Only runs that model heterogeneous pools publish it.
+    pub pooled: bool,
+}
+
+/// How one declared field appears to the visitor and the by-name setter.
+trait StatField {
+    fn visit(&self, name: &'static str, f: &mut impl FnMut(&'static str, StatValue));
+    fn set(&mut self, name: &'static str, key: &str, value: StatValue) -> bool;
+}
+
+impl StatField for u64 {
+    fn visit(&self, name: &'static str, f: &mut impl FnMut(&'static str, StatValue)) {
+        f(name, StatValue::Count(*self));
+    }
+
+    fn set(&mut self, name: &'static str, key: &str, value: StatValue) -> bool {
+        match value {
+            StatValue::Count(v) if key == name => *self = v,
+            _ => return false,
+        }
+        true
+    }
+}
+
+/// Traffic appears as its two per-class arrays, `read` and `write`.
+impl StatField for TrafficBytes {
+    fn visit(&self, _: &'static str, f: &mut impl FnMut(&'static str, StatValue)) {
+        f("read", StatValue::PerClass(self.read));
+        f("write", StatValue::PerClass(self.write));
+    }
+
+    fn set(&mut self, _: &'static str, key: &str, value: StatValue) -> bool {
+        match (key, value) {
+            ("read", StatValue::PerClass(v)) => self.read = v,
+            ("write", StatValue::PerClass(v)) => self.write = v,
+            _ => return false,
+        }
+        true
+    }
+}
+
+macro_rules! stat_metric {
+    (metric, $name:literal, $help:literal) => {
+        StatMetric {
+            name: $name,
+            help: $help,
+            pooled: false,
+        }
+    };
+    (pool_metric, $name:literal, $help:literal) => {
+        StatMetric {
+            name: $name,
+            help: $help,
+            pooled: true,
+        }
+    };
+}
+
+/// Declares every [`SimStats`] field once.  A field may carry
+/// `=> metric(name, help)` (published by every run) or
+/// `=> pool_metric(name, help)` (published by pool runs only).
+macro_rules! sim_stats {
+    ($(
+        $(#[doc = $doc:literal])+
+        $field:ident: $ty:ty $(=> $kind:ident($metric:literal, $help:literal))?,
+    )*) => {
+        /// End-of-run statistics from one simulation.
+        #[derive(Clone, Default, Debug, PartialEq)]
+        pub struct SimStats {
+            $($(#[doc = $doc])+ pub $field: $ty,)*
+        }
+
+        impl SimStats {
+            /// Visits every value in declaration order as `(name, value)`;
+            /// `traffic` appears as its `read` and `write` arrays.
+            pub fn visit(&self, mut f: impl FnMut(&'static str, StatValue)) {
+                $(StatField::visit(&self.$field, stringify!($field), &mut f);)*
+            }
+
+            /// Sets the value [`SimStats::visit`] reports as `name`; false
+            /// when no value has that name and kind.
+            pub fn set(&mut self, name: &str, value: StatValue) -> bool {
+                $(StatField::set(&mut self.$field, stringify!($field), name, value) ||)* false
+            }
+
+            /// Visits every exported counter with its value.
+            pub fn visit_metrics(&self, mut f: impl FnMut(StatMetric, u64)) {
+                $($(f(stat_metric!($kind, $metric, $help), self.$field);)?)*
+            }
+        }
+    };
+}
+
+sim_stats! {
     /// Total simulated core cycles.
-    pub cycles: u64,
+    cycles: u64,
     /// Instructions retired (trace events completed, including think time).
-    pub instructions: u64,
+    instructions: u64,
     /// Warp-level memory accesses issued.
-    pub accesses: u64,
+    accesses: u64 => metric("shm_accesses_total", "Warp-level memory accesses issued"),
     /// L2 hits.
-    pub l2_hits: u64,
+    l2_hits: u64 => metric("shm_l2_hits_total", "L2 hits (merged misses included)"),
     /// L2 misses.
-    pub l2_misses: u64,
+    l2_misses: u64 => metric("shm_l2_misses_total", "L2 misses (write allocations included)"),
     /// L2 write-backs sent to DRAM.
-    pub l2_writebacks: u64,
+    l2_writebacks: u64,
     /// Counter-cache hits/misses.
-    pub ctr_hits: u64,
+    ctr_hits: u64,
     /// Counter-cache misses.
-    pub ctr_misses: u64,
+    ctr_misses: u64,
     /// MAC-cache hits.
-    pub mac_hits: u64,
+    mac_hits: u64,
     /// MAC-cache misses.
-    pub mac_misses: u64,
+    mac_misses: u64,
     /// BMT-cache hits.
-    pub bmt_hits: u64,
+    bmt_hits: u64,
     /// BMT-cache misses.
-    pub bmt_misses: u64,
+    bmt_misses: u64,
     /// Victim-cache (L2) hits for metadata.
-    pub victim_hits: u64,
+    victim_hits: u64,
     /// DRAM traffic broken down by class.
-    pub traffic: TrafficBytes,
+    traffic: TrafficBytes,
     /// Accesses that skipped counter fetch + BMT walk via the shared counter.
-    pub readonly_fast_path: u64,
+    readonly_fast_path: u64,
     /// Accesses served by a chunk-level MAC.
-    pub chunk_mac_accesses: u64,
+    chunk_mac_accesses: u64,
     /// Streaming-predictor mispredictions observed.
-    pub stream_mispredictions: u64,
+    stream_mispredictions: u64,
     /// Read-only-predictor mispredictions observed.
-    pub readonly_mispredictions: u64,
+    readonly_mispredictions: u64,
     /// Sum of access completion latencies (completion - issue), cycles.
-    pub lat_sum: u64,
+    lat_sum: u64,
     /// Maximum access completion latency observed.
-    pub lat_max: u64,
+    lat_max: u64,
     /// DRAM requests completed by the fabric (all traffic classes).
-    pub dram_requests: u64,
+    dram_requests: u64,
     /// Pages migrated CPU→GPU through the secure inter-pool channel
     /// (heterogeneous-pool runs only; zero in single-pool mode).
-    pub pool_migrations: u64,
+    pool_migrations: u64 => pool_metric(
+        "shm_pool_migrations_total",
+        "Pages migrated CPU->GPU through the secure channel"
+    ),
     /// Pages spilled GPU→CPU to make room for a hot page.
-    pub pool_spills: u64,
+    pool_spills: u64 => pool_metric("shm_pool_spills_total", "Pages spilled GPU->CPU"),
     /// Data accesses served by the CPU-side pool.
-    pub pool_cpu_accesses: u64,
+    pool_cpu_accesses: u64 => pool_metric(
+        "shm_pool_cpu_accesses_total",
+        "Data accesses served by the CPU-side pool"
+    ),
     /// Accesses that hit GPU-pool capacity pressure (gpu-only policy).
-    pub pool_capacity_events: u64,
+    pool_capacity_events: u64 => pool_metric(
+        "shm_pool_capacity_events_total",
+        "Accesses under gpu-only capacity pressure"
+    ),
     /// Bytes the coherent link carried toward the GPU pool.
-    pub link_bytes_to_gpu: u64,
+    link_bytes_to_gpu: u64 => pool_metric(
+        "shm_link_to_gpu_bytes_total",
+        "Bytes the coherent link carried toward the GPU pool"
+    ),
     /// Bytes the coherent link carried toward the CPU pool.
-    pub link_bytes_to_cpu: u64,
+    link_bytes_to_cpu: u64 => pool_metric(
+        "shm_link_to_cpu_bytes_total",
+        "Bytes the coherent link carried toward the CPU pool"
+    ),
 }
 
 impl SimStats {

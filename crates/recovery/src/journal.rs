@@ -15,7 +15,8 @@
 //! hash guards against resuming with a different benchmark set, scale or
 //! design list.
 
-use gpu_types::{SimStats, TrafficBytes};
+use gpu_types::json;
+use gpu_types::{SimStats, StatValue};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -26,6 +27,10 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// FNV-1a hash of an ordered list of config parts (benchmark names, design
 /// labels, scale, …) — the guard a journal stores so `--resume` refuses to
 /// mix results from different sweep configurations.
+///
+/// It repeats the FNV-1a loop behind `sim_dist::protocol::payload_digest`
+/// because this crate cannot depend on `sim-dist` without adding a
+/// dependency edge to the benchmark package's lockfile.
 pub fn config_hash(parts: &[&str]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mut eat = |b: u8| {
@@ -51,159 +56,57 @@ pub trait JournalCodec: Sized {
     fn decode_journal(payload: &str) -> Option<Self>;
 }
 
-/// Extracts `"key":<u64>` from a flat JSON object.
-fn json_u64(s: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let rest = &s[s.find(&pat)? + pat.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key":[a,b,c,d,e]` from a flat JSON object.
-fn json_arr5(s: &str, key: &str) -> Option<[u64; 5]> {
-    let pat = format!("\"{key}\":[");
-    let rest = &s[s.find(&pat)? + pat.len()..];
-    let body = &rest[..rest.find(']')?];
-    let mut out = [0u64; 5];
-    let mut parts = body.split(',');
-    for slot in &mut out {
-        *slot = parts.next()?.trim().parse().ok()?;
-    }
-    parts.next().is_none().then_some(out)
-}
-
+/// A flat object with one member per [`SimStats::visit`] value, in
+/// declaration order.
 impl JournalCodec for SimStats {
     fn encode_journal(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            "{{\"cycles\":{},\"instructions\":{},\"accesses\":{},\"l2_hits\":{},\"l2_misses\":{},\
-             \"l2_writebacks\":{},\"ctr_hits\":{},\"ctr_misses\":{},\"mac_hits\":{},\
-             \"mac_misses\":{},\"bmt_hits\":{},\"bmt_misses\":{},\"victim_hits\":{},",
-            self.cycles,
-            self.instructions,
-            self.accesses,
-            self.l2_hits,
-            self.l2_misses,
-            self.l2_writebacks,
-            self.ctr_hits,
-            self.ctr_misses,
-            self.mac_hits,
-            self.mac_misses,
-            self.bmt_hits,
-            self.bmt_misses,
-            self.victim_hits,
-        );
-        for (key, arr) in [("read", &self.traffic.read), ("write", &self.traffic.write)] {
-            let _ = write!(out, "\"{key}\":[");
-            for (i, v) in arr.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        out.push('{');
+        self.visit(|name, value| {
+            let _ = write!(out, "\"{name}\":");
+            match value {
+                StatValue::Count(v) => {
+                    let _ = write!(out, "{v}");
                 }
-                let _ = write!(out, "{v}");
+                StatValue::PerClass(arr) => {
+                    out.push('[');
+                    for v in arr {
+                        let _ = write!(out, "{v},");
+                    }
+                    out.pop();
+                    out.push(']');
+                }
             }
-            out.push_str("],");
-        }
-        let _ = write!(
-            out,
-            "\"readonly_fast_path\":{},\"chunk_mac_accesses\":{},\"stream_mispredictions\":{},\
-             \"readonly_mispredictions\":{},\"lat_sum\":{},\"lat_max\":{},\"dram_requests\":{},\
-             \"pool_migrations\":{},\"pool_spills\":{},\"pool_cpu_accesses\":{},\
-             \"pool_capacity_events\":{},\"link_bytes_to_gpu\":{},\"link_bytes_to_cpu\":{}}}",
-            self.readonly_fast_path,
-            self.chunk_mac_accesses,
-            self.stream_mispredictions,
-            self.readonly_mispredictions,
-            self.lat_sum,
-            self.lat_max,
-            self.dram_requests,
-            self.pool_migrations,
-            self.pool_spills,
-            self.pool_cpu_accesses,
-            self.pool_capacity_events,
-            self.link_bytes_to_gpu,
-            self.link_bytes_to_cpu,
-        );
+            out.push(',');
+        });
+        out.pop();
+        out.push('}');
     }
 
     fn decode_journal(payload: &str) -> Option<Self> {
-        Some(SimStats {
-            cycles: json_u64(payload, "cycles")?,
-            instructions: json_u64(payload, "instructions")?,
-            accesses: json_u64(payload, "accesses")?,
-            l2_hits: json_u64(payload, "l2_hits")?,
-            l2_misses: json_u64(payload, "l2_misses")?,
-            l2_writebacks: json_u64(payload, "l2_writebacks")?,
-            ctr_hits: json_u64(payload, "ctr_hits")?,
-            ctr_misses: json_u64(payload, "ctr_misses")?,
-            mac_hits: json_u64(payload, "mac_hits")?,
-            mac_misses: json_u64(payload, "mac_misses")?,
-            bmt_hits: json_u64(payload, "bmt_hits")?,
-            bmt_misses: json_u64(payload, "bmt_misses")?,
-            victim_hits: json_u64(payload, "victim_hits")?,
-            traffic: TrafficBytes {
-                read: json_arr5(payload, "read")?,
-                write: json_arr5(payload, "write")?,
-            },
-            readonly_fast_path: json_u64(payload, "readonly_fast_path")?,
-            chunk_mac_accesses: json_u64(payload, "chunk_mac_accesses")?,
-            stream_mispredictions: json_u64(payload, "stream_mispredictions")?,
-            readonly_mispredictions: json_u64(payload, "readonly_mispredictions")?,
-            lat_sum: json_u64(payload, "lat_sum")?,
-            lat_max: json_u64(payload, "lat_max")?,
-            dram_requests: json_u64(payload, "dram_requests")?,
-            pool_migrations: json_u64(payload, "pool_migrations")?,
-            pool_spills: json_u64(payload, "pool_spills")?,
-            pool_cpu_accesses: json_u64(payload, "pool_cpu_accesses")?,
-            pool_capacity_events: json_u64(payload, "pool_capacity_events")?,
-            link_bytes_to_gpu: json_u64(payload, "link_bytes_to_gpu")?,
-            link_bytes_to_cpu: json_u64(payload, "link_bytes_to_cpu")?,
-        })
+        let mut stats = SimStats::default();
+        let mut complete = true;
+        SimStats::default().visit(|name, kind| {
+            let value = match kind {
+                StatValue::Count(_) => json::u64_field(payload, name).map(StatValue::Count),
+                StatValue::PerClass(_) => json::u64_array(payload, name).map(StatValue::PerClass),
+            };
+            complete &= value.is_some_and(|v| stats.set(name, v));
+        });
+        complete.then_some(stats)
     }
 }
 
 impl JournalCodec for String {
     fn encode_journal(&self, out: &mut String) {
         out.push('"');
-        escape_into(self, out);
+        json::escape_into(self, out);
         out.push('"');
     }
 
     fn decode_journal(payload: &str) -> Option<Self> {
-        let inner = payload.strip_prefix('"')?.strip_suffix('"')?;
-        unescape(inner)
+        json::unescape(payload.strip_prefix('"')?.strip_suffix('"')?)
     }
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-}
-
-fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                _ => return None,
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Some(out)
 }
 
 /// Anything the crash-consistency layer can fail with.
@@ -407,11 +310,11 @@ impl JobJournal {
     ) -> std::io::Result<()> {
         let mut line = String::with_capacity(128);
         line.push_str("{\"type\":\"job\",\"label\":\"");
-        escape_into(label, &mut line);
+        json::escape_into(label, &mut line);
         line.push('"');
         if let Some(w) = worker {
             line.push_str(",\"worker\":\"");
-            escape_into(w, &mut line);
+            json::escape_into(w, &mut line);
             line.push('"');
         }
         line.push_str(",\"payload\":");
@@ -440,52 +343,31 @@ fn parse_meta(line: &str) -> Option<(u32, u64)> {
     if !line.starts_with("{\"type\":\"journal_meta\"") || !line.ends_with('}') {
         return None;
     }
-    let version = json_u64(line, "version")? as u32;
-    let pat = "\"config_hash\":\"";
-    let rest = &line[line.find(pat)? + pat.len()..];
-    let hex = &rest[..rest.find('"')?];
-    Some((version, u64::from_str_radix(hex, 16).ok()?))
-}
-
-/// Finds the closing quote of an escaped string starting at `s[0]`.
-fn escaped_string_end(s: &str) -> Option<usize> {
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        match (escaped, c) {
-            (true, _) => escaped = false,
-            (false, '\\') => escaped = true,
-            (false, '"') => return Some(i),
-            _ => {}
-        }
-    }
-    None
+    let version = json::u64_field(line, "version")? as u32;
+    let hash = json::str_field(line, "config_hash")?;
+    Some((version, u64::from_str_radix(&hash, 16).ok()?))
 }
 
 /// Parses a `job` line into `(label, worker, payload)`.  The `worker`
 /// field is optional — local sweeps never write it — so journals from
 /// before the distributed backend still parse.
 fn parse_job(line: &str) -> Option<(String, Option<String>, String)> {
-    let rest = line.strip_prefix("{\"type\":\"job\",\"label\":\"")?;
-    if !line.ends_with('}') {
+    if !line.starts_with("{\"type\":\"job\",\"label\":\"") || !line.ends_with('}') {
         return None;
     }
-    let end = escaped_string_end(rest)?;
-    let label = unescape(&rest[..end])?;
-    let mut rest = rest[end..].strip_prefix('"')?;
-    let mut worker = None;
-    if let Some(w) = rest.strip_prefix(",\"worker\":\"") {
-        let wend = escaped_string_end(w)?;
-        worker = Some(unescape(&w[..wend])?);
-        rest = w[wend..].strip_prefix('"')?;
-    }
-    let payload = rest.strip_prefix(",\"payload\":")?;
-    let payload = payload.strip_suffix('}')?;
+    let label = json::str_field(line, "label")?;
+    let worker = match json::raw(line, "worker") {
+        Some(_) => Some(json::str_field(line, "worker")?),
+        None => None,
+    };
+    let payload = json::raw(line, "payload")?;
     Some((label, worker, payload.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_types::TrafficBytes;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("shm-journal-{}-{name}.jsonl", std::process::id()))
@@ -532,6 +414,30 @@ mod tests {
         let mut enc = String::new();
         s.encode_journal(&mut enc);
         assert_eq!(SimStats::decode_journal(&enc).expect("decodes"), s);
+    }
+
+    #[test]
+    fn every_declared_stat_roundtrips_through_the_codec() {
+        // Set each declared value to a distinct number through the setter,
+        // so a dropped, swapped or misnamed member cannot round-trip.
+        let mut s = SimStats::default();
+        let mut expected = Vec::new();
+        SimStats::default().visit(|name, kind| {
+            let next = 1 + 5 * expected.len() as u64;
+            let value = match kind {
+                StatValue::Count(_) => StatValue::Count(next),
+                StatValue::PerClass(_) => StatValue::PerClass([0, 1, 2, 3, 4].map(|i| next + i)),
+            };
+            assert!(s.set(name, value), "setter rejects {name}");
+            expected.push((name, value));
+        });
+        let mut enc = String::new();
+        s.encode_journal(&mut enc);
+        let mut decoded = Vec::new();
+        SimStats::decode_journal(&enc)
+            .expect("decodes")
+            .visit(|name, value| decoded.push((name, value)));
+        assert_eq!(decoded, expected);
     }
 
     #[test]

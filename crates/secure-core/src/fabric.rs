@@ -2,7 +2,7 @@
 
 use gpu_types::{GpuConfig, PartitionId, PartitionMap, PhysAddr, TrafficClass};
 use shm_dram::{DramConfig, DramPartition};
-use shm_telemetry::{Event, Probe};
+use shm_telemetry::{Event, Hook, Probe};
 
 /// Extra latency for a request that crosses the partition crossbar (a
 /// metadata fetch whose metadata lives in another partition — only happens
@@ -78,9 +78,17 @@ impl DramFabric {
             );
         }
         let done = chan.access(now, offset, bytes, is_write);
-        self.probe
-            .on_traffic(now, partition.index(), class, bytes, is_write);
-        self.probe.on_dram_request(done, done.saturating_sub(now));
+        self.probe.record(Hook::Traffic {
+            cycle: now,
+            partition: partition.index(),
+            class,
+            bytes,
+            is_write,
+        });
+        self.probe.record(Hook::DramRequest {
+            cycle: done,
+            latency: done.saturating_sub(now),
+        });
         done
     }
 
@@ -122,9 +130,17 @@ impl DramFabric {
         self.traffic.record(class, bytes, false);
         self.requests += 1;
         let done = self.partitions[partition.index()].access_priority(now, offset, bytes);
-        self.probe
-            .on_traffic(now, partition.index(), class, bytes, false);
-        self.probe.on_dram_request(done, done.saturating_sub(now));
+        self.probe.record(Hook::Traffic {
+            cycle: now,
+            partition: partition.index(),
+            class,
+            bytes,
+            is_write: false,
+        });
+        self.probe.record(Hook::DramRequest {
+            cycle: done,
+            latency: done.saturating_sub(now),
+        });
         if partition != from {
             self.cross_partition_accesses += 1;
             done + CROSSBAR_LATENCY

@@ -17,7 +17,7 @@ use gpu_types::{
 };
 use shm_cache::{Eviction, Lookup, SectoredCache};
 use shm_metadata::MetadataLayout;
-use shm_telemetry::{Event, Probe};
+use shm_telemetry::{Event, Hook, Probe};
 
 use crate::fabric::DramFabric;
 use crate::scheme::Addressing;
@@ -229,7 +229,10 @@ impl MeeCore {
         // while resident) to telemetry so the victim policy can be tuned
         // from traces instead of aggregate miss rates.
         if matches!(class, TrafficClass::Counter) {
-            self.probe.on_ctr_victim(now, ev.uses);
+            self.probe.record(Hook::CtrVictim {
+                cycle: now,
+                uses: ev.uses,
+            });
         }
         if matches!(class, TrafficClass::Mac)
             && victim.insert_victim(ev.addr, ev.valid_sectors, ev.dirty_sectors)
@@ -356,7 +359,7 @@ impl MeeCore {
         if stats.ctr_misses == misses_before {
             // Hit: already verified when first brought on chip; the engine
             // pipeline touched a single metadata level.
-            self.probe.on_engine_depth(1);
+            self.probe.record(Hook::EngineDepth { depth: 1 });
             return ctr_ready;
         }
         self.probe.emit(
@@ -399,8 +402,13 @@ impl MeeCore {
                 },
             );
             // Counter level plus every BMT level visited.
-            self.probe.on_engine_depth(1 + u64::from(walked));
-            self.probe.on_bmt_walk(now, u64::from(walked));
+            self.probe.record(Hook::EngineDepth {
+                depth: 1 + u64::from(walked),
+            });
+            self.probe.record(Hook::BmtWalk {
+                cycle: now,
+                depth: u64::from(walked),
+            });
         }
         ctr_ready
     }

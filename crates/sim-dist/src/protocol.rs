@@ -63,20 +63,14 @@ pub const JOB_SKIPPED: u8 = 2;
 /// response that was corrupted anywhere past the frame CRC's single hop is
 /// still caught.
 pub fn sweep_result_digest(partial: bool, results: &[(u8, String)]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut mix = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    mix(u8::from(partial));
+    let mut h = Fnv1a::new();
+    h.write(&[u8::from(partial)]);
     for (status, payload) in results {
-        mix(*status);
-        for &b in payload.as_bytes() {
-            mix(b);
-        }
-        mix(0xFF); // entry separator so ("a","") != ("","a")
+        h.write(&[*status]);
+        h.write(payload.as_bytes());
+        h.write(&[0xFF]); // entry separator so ("a","") != ("","a")
     }
-    h
+    h.finish()
 }
 
 /// Frame magic: `"SHMD"`.
@@ -127,12 +121,30 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// the worker's job handler to the coordinator's merge, so byzantine or
 /// corrupt workers cannot hide behind clean framing.
 pub fn payload_digest(data: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = Fnv1a::new();
+    h.write(data);
+    h.finish()
+}
+
+/// Streaming FNV-1a 64: the one copy behind [`payload_digest`] (and so
+/// the benchmark trace seeds) and [`sweep_result_digest`].
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Self(0xCBF2_9CE4_8422_2325)
     }
-    h
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+
+    fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 /// Total wire length of the frame starting at `buf[0]`, once enough header

@@ -8,68 +8,160 @@
 use gpu_types::{TrafficBytes, TrafficClass};
 use std::fmt::Write as _;
 
-use crate::event::json_escape;
-
-/// Per-L2-partition activity inside one epoch (one entry per memory
-/// partition that was touched; the vector grows on demand, so partitions
-/// beyond the highest recorded index are implicitly all-zero).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PartitionEpoch {
-    /// DRAM bytes read through this partition during the epoch.
-    pub read_bytes: u64,
-    /// DRAM bytes written through this partition during the epoch.
-    pub write_bytes: u64,
-    /// L2 hits in this partition's banks during the epoch.
-    pub l2_hits: u64,
-    /// L2 misses in this partition's banks during the epoch.
-    pub l2_misses: u64,
+/// How a declared column is written: JSON members end in `,`, CSV cells in
+/// `,`, and the line writer trims the last separator.
+trait Column {
+    fn json(&self, name: &str, out: &mut String);
+    fn csv_header(prefix: &str, name: &str, out: &mut String);
+    fn csv(&self, out: &mut String);
 }
 
-/// Metrics accumulated over one epoch window of the simulation.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct EpochSnapshot {
-    /// Zero-based epoch number.
-    pub index: u64,
-    /// First cycle covered by this epoch (inclusive).
-    pub start_cycle: u64,
-    /// Last cycle observed inside this epoch.
-    pub end_cycle: u64,
-    /// DRAM bytes recorded during the epoch, per traffic class.
-    pub traffic: TrafficBytes,
-    /// Instructions retired during the epoch (IPC proxy numerator).
-    pub instructions: u64,
-    /// Warp-level memory accesses issued.
-    pub accesses: u64,
-    /// L2 hits during the epoch.
-    pub l2_hits: u64,
-    /// L2 misses during the epoch.
-    pub l2_misses: u64,
-    /// DRAM requests completed during the epoch.
-    pub dram_requests: u64,
-    /// Counter-cache lines evicted during the epoch (victim-policy tuning).
-    pub ctr_victims: u64,
-    /// Sum of per-line hit counts over those evicted counter lines — the
-    /// hotness the MDC victim policy gave up by evicting them.
-    pub ctr_victim_uses: u64,
-    /// BMT authentication walks started during the epoch (counter misses).
-    pub bmt_walks: u64,
-    /// Sum of levels climbed over those walks (`sum / walks` = mean depth —
-    /// how far up the tree misses travel before hitting a cached node).
-    pub bmt_depth_sum: u64,
-    /// Deepest single walk observed during the epoch.
-    pub bmt_depth_max: u64,
-    /// Pages migrated CPU→GPU during the epoch (heterogeneous-pool runs).
-    pub pool_migrations: u64,
-    /// Pages spilled GPU→CPU during the epoch.
-    pub pool_spills: u64,
-    /// Data accesses served by the CPU-side pool during the epoch.
-    pub pool_cpu_accesses: u64,
-    /// Bytes the coherent link carried toward the GPU pool this epoch.
-    pub link_to_gpu_bytes: u64,
-    /// Bytes the coherent link carried toward the CPU pool this epoch.
-    pub link_to_cpu_bytes: u64,
-    /// Per-partition traffic and L2 hit/miss breakdown (index = partition).
-    pub partitions: Vec<PartitionEpoch>,
+impl Column for u64 {
+    fn json(&self, name: &str, out: &mut String) {
+        let _ = write!(out, "\"{name}\":{self},");
+    }
+
+    fn csv_header(prefix: &str, name: &str, out: &mut String) {
+        let _ = write!(out, "{prefix}{name},");
+    }
+
+    fn csv(&self, out: &mut String) {
+        let _ = write!(out, "{self},");
+    }
+}
+
+/// Traffic is a `read_bytes` and a `write_bytes` object keyed by class
+/// label in JSON, and one `read_<class>` / `write_<class>` cell per class
+/// in CSV.
+impl Column for TrafficBytes {
+    fn json(&self, _: &str, out: &mut String) {
+        for (dir, bytes) in [("read_bytes", &self.read), ("write_bytes", &self.write)] {
+            let _ = write!(out, "\"{dir}\":{{");
+            for (class, v) in TrafficClass::ALL.iter().zip(bytes) {
+                let _ = write!(out, "\"{}\":{v},", class.label());
+            }
+            out.pop();
+            out.push_str("},");
+        }
+    }
+
+    fn csv_header(prefix: &str, _: &str, out: &mut String) {
+        for dir in ["read", "write"] {
+            for class in TrafficClass::ALL {
+                let _ = write!(out, "{prefix}{dir}_{},", class.label());
+            }
+        }
+    }
+
+    fn csv(&self, out: &mut String) {
+        for v in self.read.iter().chain(&self.write) {
+            let _ = write!(out, "{v},");
+        }
+    }
+}
+
+/// Declares a struct whose fields are output columns, in JSONL and CSV
+/// order; fields after `;` are carried but not written as columns.
+macro_rules! columns {
+    (
+        $(#[doc = $sdoc:literal])+
+        pub struct $name:ident {
+            $($(#[doc = $doc:literal])+ $col:ident: $cty:ty,)*
+            $(; $(#[doc = $xdoc:literal])+ $extra:ident: $xty:ty,)?
+        }
+    ) => {
+        $(#[doc = $sdoc])+
+        #[derive(Clone, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[doc = $doc])+ pub $col: $cty,)*
+            $($(#[doc = $xdoc])+ pub $extra: $xty,)?
+        }
+
+        impl $name {
+            /// Declared column names, in output order.
+            pub const COLUMNS: &'static [&'static str] = &[$(stringify!($col)),*];
+
+            /// Appends one `"name":value,` JSON member per column.
+            pub(crate) fn write_json_members(&self, out: &mut String) {
+                $(Column::json(&self.$col, stringify!($col), out);)*
+            }
+
+            /// Appends one `<prefix><name>,` CSV header cell per column cell.
+            pub(crate) fn write_csv_header(prefix: &str, out: &mut String) {
+                $(<$cty as Column>::csv_header(prefix, stringify!($col), out);)*
+            }
+
+            /// Appends one `value,` CSV cell per column cell.
+            pub(crate) fn write_csv_row(&self, out: &mut String) {
+                $(Column::csv(&self.$col, out);)*
+            }
+        }
+    };
+}
+
+columns! {
+    /// Per-L2-partition activity inside one epoch (one entry per memory
+    /// partition that was touched; the vector grows on demand, so partitions
+    /// beyond the highest recorded index are implicitly all-zero).
+    pub struct PartitionEpoch {
+        /// DRAM bytes read through this partition during the epoch.
+        read_bytes: u64,
+        /// DRAM bytes written through this partition during the epoch.
+        write_bytes: u64,
+        /// L2 hits in this partition's banks during the epoch.
+        l2_hits: u64,
+        /// L2 misses in this partition's banks during the epoch.
+        l2_misses: u64,
+    }
+}
+
+columns! {
+    /// Metrics accumulated over one epoch window of the simulation.
+    pub struct EpochSnapshot {
+        /// Zero-based epoch number.
+        index: u64,
+        /// First cycle covered by this epoch (inclusive).
+        start_cycle: u64,
+        /// Last cycle observed inside this epoch.
+        end_cycle: u64,
+        /// DRAM bytes recorded during the epoch, per traffic class.
+        traffic: TrafficBytes,
+        /// Instructions retired during the epoch (IPC proxy numerator).
+        instructions: u64,
+        /// Warp-level memory accesses issued.
+        accesses: u64,
+        /// L2 hits during the epoch.
+        l2_hits: u64,
+        /// L2 misses during the epoch.
+        l2_misses: u64,
+        /// DRAM requests completed during the epoch.
+        dram_requests: u64,
+        /// Counter-cache lines evicted during the epoch (victim-policy tuning).
+        ctr_victims: u64,
+        /// Sum of per-line hit counts over those evicted counter lines — the
+        /// hotness the MDC victim policy gave up by evicting them.
+        ctr_victim_uses: u64,
+        /// BMT authentication walks started during the epoch (counter misses).
+        bmt_walks: u64,
+        /// Sum of levels climbed over those walks (`sum / walks` = mean depth —
+        /// how far up the tree misses travel before hitting a cached node).
+        bmt_depth_sum: u64,
+        /// Deepest single walk observed during the epoch.
+        bmt_depth_max: u64,
+        /// Pages migrated CPU→GPU during the epoch (heterogeneous-pool runs).
+        pool_migrations: u64,
+        /// Pages spilled GPU→CPU during the epoch.
+        pool_spills: u64,
+        /// Data accesses served by the CPU-side pool during the epoch.
+        pool_cpu_accesses: u64,
+        /// Bytes the coherent link carried toward the GPU pool this epoch.
+        link_to_gpu_bytes: u64,
+        /// Bytes the coherent link carried toward the CPU pool this epoch.
+        link_to_cpu_bytes: u64,
+        ;
+        /// Per-partition traffic and L2 hit/miss breakdown (index = partition).
+        partitions: Vec<PartitionEpoch>,
+    }
 }
 
 impl EpochSnapshot {
@@ -98,49 +190,20 @@ impl EpochSnapshot {
         }
     }
 
-    /// Appends this snapshot as one JSON object line (no trailing newline).
+    /// Appends this snapshot as one JSON object line (no trailing newline):
+    /// the declared columns, then the per-partition objects.
     pub fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"type\":\"epoch\",\"index\":{},\"start_cycle\":{},\"end_cycle\":{}",
-            self.index, self.start_cycle, self.end_cycle
-        );
-        for (dir, bytes) in [
-            ("read_bytes", &self.traffic.read),
-            ("write_bytes", &self.traffic.write),
-        ] {
-            let _ = write!(out, ",\"{dir}\":{{");
-            for (i, class) in TrafficClass::ALL.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{}\":{}", json_escape(class.label()), bytes[i]);
-            }
-            out.push('}');
+        out.push_str("{\"type\":\"epoch\",");
+        self.write_json_members(out);
+        out.push_str("\"partitions\":[");
+        for p in &self.partitions {
+            out.push('{');
+            p.write_json_members(out);
+            out.pop();
+            out.push_str("},");
         }
-        let _ = write!(
-            out,
-            ",\"instructions\":{},\"accesses\":{},\"l2_hits\":{},\"l2_misses\":{},\"dram_requests\":{},\"ctr_victims\":{},\"ctr_victim_uses\":{},\"bmt_walks\":{},\"bmt_depth_sum\":{},\"bmt_depth_max\":{}",
-            self.instructions, self.accesses, self.l2_hits, self.l2_misses, self.dram_requests,
-            self.ctr_victims, self.ctr_victim_uses, self.bmt_walks, self.bmt_depth_sum,
-            self.bmt_depth_max
-        );
-        let _ = write!(
-            out,
-            ",\"pool_migrations\":{},\"pool_spills\":{},\"pool_cpu_accesses\":{},\"link_to_gpu_bytes\":{},\"link_to_cpu_bytes\":{}",
-            self.pool_migrations, self.pool_spills, self.pool_cpu_accesses,
-            self.link_to_gpu_bytes, self.link_to_cpu_bytes
-        );
-        out.push_str(",\"partitions\":[");
-        for (i, p) in self.partitions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"read_bytes\":{},\"write_bytes\":{},\"l2_hits\":{},\"l2_misses\":{}}}",
-                p.read_bytes, p.write_bytes, p.l2_hits, p.l2_misses
-            );
+        if !self.partitions.is_empty() {
+            out.pop();
         }
         out.push_str("]}");
     }

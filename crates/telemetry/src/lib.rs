@@ -195,9 +195,84 @@ impl Telemetry {
         }
     }
 
-    /// Records a structured event at `cycle`.
-    pub fn emit(&mut self, cycle: u64, event: Event) {
-        self.advance_epochs(cycle);
+    /// Turns one probe hook into collected state: the only place hooks
+    /// update epochs, histograms and the event log.
+    pub fn apply(&mut self, hook: Hook) {
+        if let Some(cycle) = hook.cycle() {
+            self.advance_epochs(cycle);
+        }
+        let cur = self.epochs.current_mut();
+        match hook {
+            Hook::Event { cycle, event } => self.log_event(cycle, event),
+            Hook::Traffic {
+                partition,
+                class,
+                bytes,
+                is_write,
+                ..
+            } => {
+                cur.traffic.record(class, bytes, is_write);
+                let part = cur.partition_mut(partition);
+                if is_write {
+                    part.write_bytes += bytes;
+                } else {
+                    part.read_bytes += bytes;
+                }
+            }
+            Hook::DramRequest { latency, .. } => {
+                cur.dram_requests += 1;
+                self.dram_requests += 1;
+                self.dram_latency.record(latency);
+            }
+            Hook::MshrResidency { cycles } => self.mshr_residency.record(cycles),
+            Hook::EngineDepth { depth } => self.engine_depth.record(depth),
+            Hook::Instructions { n, .. } => cur.instructions += n,
+            Hook::Access { .. } => cur.accesses += 1,
+            Hook::L2Hit { partition, .. } => {
+                cur.l2_hits += 1;
+                cur.partition_mut(partition).l2_hits += 1;
+            }
+            Hook::L2Miss { partition, .. } => {
+                cur.l2_misses += 1;
+                cur.partition_mut(partition).l2_misses += 1;
+            }
+            Hook::CtrVictim { uses, .. } => {
+                cur.ctr_victims += 1;
+                cur.ctr_victim_uses += uses;
+            }
+            Hook::BmtWalk { depth, .. } => {
+                cur.bmt_walks += 1;
+                cur.bmt_depth_sum += depth;
+                cur.bmt_depth_max = cur.bmt_depth_max.max(depth);
+            }
+            Hook::PoolRemoteAccess {
+                bytes, is_write, ..
+            } => {
+                cur.pool_cpu_accesses += 1;
+                if is_write {
+                    cur.link_to_cpu_bytes += bytes;
+                } else {
+                    cur.link_to_gpu_bytes += bytes;
+                }
+            }
+            Hook::PoolMigration {
+                to_gpu_bytes,
+                to_cpu_bytes,
+                ..
+            } => {
+                cur.pool_migrations += 1;
+                cur.link_to_gpu_bytes += to_gpu_bytes;
+                if to_cpu_bytes > 0 {
+                    cur.pool_spills += 1;
+                    cur.link_to_cpu_bytes += to_cpu_bytes;
+                }
+            }
+        }
+    }
+
+    /// Counts `event`, keeps it in the flight-recorder ring, and logs it
+    /// unless sampling drops it.
+    fn log_event(&mut self, cycle: u64, event: Event) {
         let idx = event.kind_index();
         self.kind_totals[idx] += 1;
         if self.ring.len() == self.cfg.ring_capacity.max(1) {
@@ -237,119 +312,6 @@ impl Telemetry {
         self.next_seq += 1;
         self.spans.push(span);
         self.spans_meta.push((seq, wall_ms()));
-    }
-
-    /// Attributes DRAM traffic through `partition` to the current epoch,
-    /// both in the per-class totals and the per-partition breakdown.
-    pub fn on_traffic(
-        &mut self,
-        cycle: u64,
-        partition: usize,
-        class: TrafficClass,
-        bytes: u64,
-        is_write: bool,
-    ) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.traffic.record(class, bytes, is_write);
-        let part = cur.partition_mut(partition);
-        if is_write {
-            part.write_bytes += bytes;
-        } else {
-            part.read_bytes += bytes;
-        }
-    }
-
-    /// Records one completed DRAM request and its latency.
-    pub fn on_dram_request(&mut self, cycle: u64, latency: u64) {
-        self.advance_epochs(cycle);
-        self.dram_requests += 1;
-        self.epochs.current_mut().dram_requests += 1;
-        self.dram_latency.record(latency);
-    }
-
-    /// Records how long an MSHR entry stayed allocated.
-    pub fn on_mshr_residency(&mut self, cycles: u64) {
-        self.mshr_residency.record(cycles);
-    }
-
-    /// Records the secure-engine pipeline depth for one request.
-    pub fn on_engine_depth(&mut self, depth: u64) {
-        self.engine_depth.record(depth);
-    }
-
-    /// Counts retired instructions toward the current epoch's IPC proxy.
-    pub fn on_instructions(&mut self, cycle: u64, n: u64) {
-        self.advance_epochs(cycle);
-        self.epochs.current_mut().instructions += n;
-    }
-
-    /// Counts a warp-level memory access in the current epoch.
-    pub fn on_access(&mut self, cycle: u64) {
-        self.advance_epochs(cycle);
-        self.epochs.current_mut().accesses += 1;
-    }
-
-    /// Counts an L2 hit in `partition` in the current epoch.
-    pub fn on_l2_hit(&mut self, cycle: u64, partition: usize) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.l2_hits += 1;
-        cur.partition_mut(partition).l2_hits += 1;
-    }
-
-    /// Counts an L2 miss in `partition` in the current epoch.
-    pub fn on_l2_miss(&mut self, cycle: u64, partition: usize) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.l2_misses += 1;
-        cur.partition_mut(partition).l2_misses += 1;
-    }
-
-    /// Records a counter-cache victim eviction: `uses` is how many lookup
-    /// hits the evicted line had served (its hotness).
-    pub fn on_ctr_victim(&mut self, cycle: u64, uses: u64) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.ctr_victims += 1;
-        cur.ctr_victim_uses += uses;
-    }
-
-    /// Records one BMT authentication walk that climbed `depth` levels
-    /// before terminating (at a cached node or the root).
-    pub fn on_bmt_walk(&mut self, cycle: u64, depth: u64) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.bmt_walks += 1;
-        cur.bmt_depth_sum += depth;
-        cur.bmt_depth_max = cur.bmt_depth_max.max(depth);
-    }
-
-    /// Records one data access served by the CPU-side pool: `bytes` crossed
-    /// the coherent link (toward the CPU for writes, the GPU for reads).
-    pub fn on_pool_remote_access(&mut self, cycle: u64, bytes: u64, is_write: bool) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.pool_cpu_accesses += 1;
-        if is_write {
-            cur.link_to_cpu_bytes += bytes;
-        } else {
-            cur.link_to_gpu_bytes += bytes;
-        }
-    }
-
-    /// Records one secure page migration: `to_gpu_bytes` promoted across the
-    /// link, `to_cpu_bytes` spilled the other way to make room (0 = no
-    /// eviction was needed).
-    pub fn on_pool_migration(&mut self, cycle: u64, to_gpu_bytes: u64, to_cpu_bytes: u64) {
-        self.advance_epochs(cycle);
-        let cur = self.epochs.current_mut();
-        cur.pool_migrations += 1;
-        cur.link_to_gpu_bytes += to_gpu_bytes;
-        if to_cpu_bytes > 0 {
-            cur.pool_spills += 1;
-            cur.link_to_cpu_bytes += to_cpu_bytes;
-        }
     }
 
     /// Closes the run: flushes the trailing partial epoch and, when a
@@ -455,17 +417,18 @@ impl Drop for Telemetry {
     }
 }
 
-/// Number of buffered hook records drained into [`Telemetry`] per block.
+/// Number of buffered hooks drained into [`Telemetry`] per block.
 const HOOK_BLOCK: usize = 1024;
 
-/// One recorded probe hook, queued by a buffered probe and replayed into
-/// [`Telemetry`] in emission order at block drains.
+/// One probe hook: a structured event or a counter update reported by a
+/// simulator layer.  [`Probe::record`] takes every hook and
+/// [`Telemetry::apply`] is the one place that turns it into state.
 #[derive(Clone, Debug)]
-enum HookRecord {
-    Emit {
-        cycle: u64,
-        event: Event,
-    },
+pub enum Hook {
+    /// A structured event, sampled into the log (see [`TelemetryConfig`]).
+    Event { cycle: u64, event: Event },
+    /// DRAM traffic through `partition`, attributed to the current epoch
+    /// both in the per-class totals and the per-partition breakdown.
     Traffic {
         cycle: u64,
         partition: usize,
@@ -473,49 +436,62 @@ enum HookRecord {
         bytes: u64,
         is_write: bool,
     },
-    DramRequest {
-        cycle: u64,
-        latency: u64,
-    },
-    MshrResidency {
-        cycles: u64,
-    },
-    EngineDepth {
-        depth: u64,
-    },
-    Instructions {
-        cycle: u64,
-        n: u64,
-    },
-    Access {
-        cycle: u64,
-    },
-    L2Hit {
-        cycle: u64,
-        partition: usize,
-    },
-    L2Miss {
-        cycle: u64,
-        partition: usize,
-    },
-    CtrVictim {
-        cycle: u64,
-        uses: u64,
-    },
-    BmtWalk {
-        cycle: u64,
-        depth: u64,
-    },
+    /// One completed DRAM request and its latency.
+    DramRequest { cycle: u64, latency: u64 },
+    /// How long an MSHR entry stayed allocated.
+    MshrResidency { cycles: u64 },
+    /// The secure-engine pipeline depth for one request.
+    EngineDepth { depth: u64 },
+    /// Retired instructions, toward the current epoch's IPC proxy.
+    Instructions { cycle: u64, n: u64 },
+    /// One warp-level memory access.
+    Access { cycle: u64 },
+    /// An L2 hit in `partition`.
+    L2Hit { cycle: u64, partition: usize },
+    /// An L2 miss in `partition`.
+    L2Miss { cycle: u64, partition: usize },
+    /// A counter-cache victim eviction: `uses` is how many lookup hits the
+    /// evicted line had served (its hotness).
+    CtrVictim { cycle: u64, uses: u64 },
+    /// One BMT authentication walk that climbed `depth` levels before
+    /// terminating (at a cached node or the root).
+    BmtWalk { cycle: u64, depth: u64 },
+    /// One data access served by the CPU-side pool: `bytes` crossed the
+    /// coherent link (toward the CPU for writes, the GPU for reads).
     PoolRemoteAccess {
         cycle: u64,
         bytes: u64,
         is_write: bool,
     },
+    /// One secure page migration: `to_gpu_bytes` promoted across the link,
+    /// `to_cpu_bytes` spilled the other way to make room (0 = no eviction
+    /// was needed).
     PoolMigration {
         cycle: u64,
         to_gpu_bytes: u64,
         to_cpu_bytes: u64,
     },
+}
+
+impl Hook {
+    /// The cycle the hook happened at; hooks without one do not advance
+    /// epoch time.
+    fn cycle(&self) -> Option<u64> {
+        match *self {
+            Hook::MshrResidency { .. } | Hook::EngineDepth { .. } => None,
+            Hook::Event { cycle, .. }
+            | Hook::Traffic { cycle, .. }
+            | Hook::DramRequest { cycle, .. }
+            | Hook::Instructions { cycle, .. }
+            | Hook::Access { cycle }
+            | Hook::L2Hit { cycle, .. }
+            | Hook::L2Miss { cycle, .. }
+            | Hook::CtrVictim { cycle, .. }
+            | Hook::BmtWalk { cycle, .. }
+            | Hook::PoolRemoteAccess { cycle, .. }
+            | Hook::PoolMigration { cycle, .. } => Some(cycle),
+        }
+    }
 }
 
 /// Cheap cloneable telemetry handle threaded through the simulator.
@@ -532,7 +508,7 @@ enum HookRecord {
 #[derive(Clone, Default)]
 pub struct Probe {
     inner: Option<Arc<Mutex<Telemetry>>>,
-    buf: Option<Arc<Mutex<Vec<HookRecord>>>>,
+    buf: Option<Arc<Mutex<Vec<Hook>>>>,
 }
 
 impl std::fmt::Debug for Probe {
@@ -583,55 +559,36 @@ impl Probe {
         }
     }
 
-    /// Applies one record to `t`.
-    fn replay_one(t: &mut Telemetry, rec: HookRecord) {
-        match rec {
-            HookRecord::Emit { cycle, event } => t.emit(cycle, event),
-            HookRecord::Traffic {
-                cycle,
-                partition,
-                class,
-                bytes,
-                is_write,
-            } => t.on_traffic(cycle, partition, class, bytes, is_write),
-            HookRecord::DramRequest { cycle, latency } => t.on_dram_request(cycle, latency),
-            HookRecord::MshrResidency { cycles } => t.on_mshr_residency(cycles),
-            HookRecord::EngineDepth { depth } => t.on_engine_depth(depth),
-            HookRecord::Instructions { cycle, n } => t.on_instructions(cycle, n),
-            HookRecord::Access { cycle } => t.on_access(cycle),
-            HookRecord::L2Hit { cycle, partition } => t.on_l2_hit(cycle, partition),
-            HookRecord::L2Miss { cycle, partition } => t.on_l2_miss(cycle, partition),
-            HookRecord::CtrVictim { cycle, uses } => t.on_ctr_victim(cycle, uses),
-            HookRecord::BmtWalk { cycle, depth } => t.on_bmt_walk(cycle, depth),
-            HookRecord::PoolRemoteAccess {
-                cycle,
-                bytes,
-                is_write,
-            } => t.on_pool_remote_access(cycle, bytes, is_write),
-            HookRecord::PoolMigration {
-                cycle,
-                to_gpu_bytes,
-                to_cpu_bytes,
-            } => t.on_pool_migration(cycle, to_gpu_bytes, to_cpu_bytes),
+    /// Applies queued hooks to `t` in order, keeping the buffer's capacity
+    /// for reuse.
+    fn replay(t: &mut Telemetry, buf: &mut Vec<Hook>) {
+        for hook in buf.drain(..) {
+            t.apply(hook);
         }
     }
 
-    /// Replays queued records into `t` in order, keeping the buffer's
-    /// capacity for reuse.
-    fn replay(t: &mut Telemetry, buf: &mut Vec<HookRecord>) {
-        for rec in buf.drain(..) {
-            Self::replay_one(t, rec);
-        }
-    }
-
-    /// Queues `rec` (buffered mode) or applies it immediately.  Callers
-    /// have already checked that the probe is enabled.  Lock order is
-    /// always buffer → telemetry.
+    /// Reports one hook; a disabled probe drops it after one branch.
     #[inline]
-    fn record(&self, rec: HookRecord) {
+    pub fn record(&self, hook: Hook) {
+        if self.inner.is_some() {
+            self.push(hook);
+        }
+    }
+
+    /// Shorthand for recording a [`Hook::Event`].
+    #[inline]
+    pub fn emit(&self, cycle: u64, event: Event) {
+        self.record(Hook::Event { cycle, event });
+    }
+
+    /// Queues `hook` (buffered mode) or applies it immediately.  Lock order
+    /// is always buffer → telemetry.  Kept out of line so the disabled
+    /// check in [`Probe::record`] inlines into every hook site.
+    #[inline(never)]
+    fn push(&self, hook: Hook) {
         if let Some(buf) = &self.buf {
             let mut b = Self::lock_any(buf);
-            b.push(rec);
+            b.push(hook);
             if b.len() >= HOOK_BLOCK {
                 if let Some(inner) = &self.inner {
                     let mut t = Self::lock_any(inner);
@@ -639,8 +596,7 @@ impl Probe {
                 }
             }
         } else if let Some(inner) = &self.inner {
-            let mut t = Self::lock_any(inner);
-            Self::replay_one(&mut t, rec);
+            Self::lock_any(inner).apply(hook);
         }
     }
 
@@ -687,131 +643,6 @@ impl Probe {
         }
         let mut guard = Self::lock_any(inner);
         Some(f(&mut guard))
-    }
-
-    /// See [`Telemetry::emit`].
-    #[inline]
-    pub fn emit(&self, cycle: u64, event: Event) {
-        if self.inner.is_some() {
-            self.record(HookRecord::Emit { cycle, event });
-        }
-    }
-
-    /// See [`Telemetry::on_traffic`].
-    #[inline]
-    pub fn on_traffic(
-        &self,
-        cycle: u64,
-        partition: usize,
-        class: TrafficClass,
-        bytes: u64,
-        is_write: bool,
-    ) {
-        if self.inner.is_some() {
-            self.record(HookRecord::Traffic {
-                cycle,
-                partition,
-                class,
-                bytes,
-                is_write,
-            });
-        }
-    }
-
-    /// See [`Telemetry::on_dram_request`].
-    #[inline]
-    pub fn on_dram_request(&self, cycle: u64, latency: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::DramRequest { cycle, latency });
-        }
-    }
-
-    /// See [`Telemetry::on_mshr_residency`].
-    #[inline]
-    pub fn on_mshr_residency(&self, cycles: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::MshrResidency { cycles });
-        }
-    }
-
-    /// See [`Telemetry::on_engine_depth`].
-    #[inline]
-    pub fn on_engine_depth(&self, depth: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::EngineDepth { depth });
-        }
-    }
-
-    /// See [`Telemetry::on_instructions`].
-    #[inline]
-    pub fn on_instructions(&self, cycle: u64, n: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::Instructions { cycle, n });
-        }
-    }
-
-    /// See [`Telemetry::on_access`].
-    #[inline]
-    pub fn on_access(&self, cycle: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::Access { cycle });
-        }
-    }
-
-    /// See [`Telemetry::on_l2_hit`].
-    #[inline]
-    pub fn on_l2_hit(&self, cycle: u64, partition: usize) {
-        if self.inner.is_some() {
-            self.record(HookRecord::L2Hit { cycle, partition });
-        }
-    }
-
-    /// See [`Telemetry::on_l2_miss`].
-    #[inline]
-    pub fn on_l2_miss(&self, cycle: u64, partition: usize) {
-        if self.inner.is_some() {
-            self.record(HookRecord::L2Miss { cycle, partition });
-        }
-    }
-
-    /// See [`Telemetry::on_ctr_victim`].
-    #[inline]
-    pub fn on_ctr_victim(&self, cycle: u64, uses: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::CtrVictim { cycle, uses });
-        }
-    }
-
-    /// See [`Telemetry::on_bmt_walk`].
-    #[inline]
-    pub fn on_bmt_walk(&self, cycle: u64, depth: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::BmtWalk { cycle, depth });
-        }
-    }
-
-    /// See [`Telemetry::on_pool_remote_access`].
-    #[inline]
-    pub fn on_pool_remote_access(&self, cycle: u64, bytes: u64, is_write: bool) {
-        if self.inner.is_some() {
-            self.record(HookRecord::PoolRemoteAccess {
-                cycle,
-                bytes,
-                is_write,
-            });
-        }
-    }
-
-    /// See [`Telemetry::on_pool_migration`].
-    #[inline]
-    pub fn on_pool_migration(&self, cycle: u64, to_gpu_bytes: u64, to_cpu_bytes: u64) {
-        if self.inner.is_some() {
-            self.record(HookRecord::PoolMigration {
-                cycle,
-                to_gpu_bytes,
-                to_cpu_bytes,
-            });
-        }
     }
 
     /// See [`Telemetry::emit_span`].
@@ -912,7 +743,13 @@ mod tests {
     fn disabled_probe_is_inert() {
         let p = Probe::disabled();
         p.emit(0, Event::MshrStall { bank: 0 });
-        p.on_traffic(0, 0, TrafficClass::Data, 128, false);
+        p.record(Hook::Traffic {
+            cycle: 0,
+            partition: 0,
+            class: TrafficClass::Data,
+            bytes: 128,
+            is_write: false,
+        });
         p.finalize(10);
         assert!(!p.is_enabled());
         assert!(p.summary().is_none());
@@ -978,7 +815,10 @@ mod tests {
     fn dram_requests_match_histogram_count() {
         let p = Probe::enabled(TelemetryConfig::default());
         for i in 0..50u64 {
-            p.on_dram_request(i * 7, 100 + i);
+            p.record(Hook::DramRequest {
+                cycle: i * 7,
+                latency: 100 + i,
+            });
         }
         p.finalize(50 * 7);
         p.with(|t| {
@@ -995,9 +835,9 @@ mod tests {
             epoch_cycles: 100,
             ..Default::default()
         });
-        p.on_ctr_victim(10, 3);
-        p.on_ctr_victim(20, 5);
-        p.on_ctr_victim(150, 1);
+        for (cycle, uses) in [(10, 3), (20, 5), (150, 1)] {
+            p.record(Hook::CtrVictim { cycle, uses });
+        }
         p.finalize(150);
         p.with(|t| {
             let snaps = t.snapshots();
@@ -1014,9 +854,9 @@ mod tests {
             epoch_cycles: 100,
             ..Default::default()
         });
-        p.on_bmt_walk(10, 2);
-        p.on_bmt_walk(20, 5);
-        p.on_bmt_walk(150, 3);
+        for (cycle, depth) in [(10, 2), (20, 5), (150, 3)] {
+            p.record(Hook::BmtWalk { cycle, depth });
+        }
         p.finalize(150);
         p.with(|t| {
             let snaps = t.snapshots();
@@ -1039,10 +879,22 @@ mod tests {
         for p in [&direct, &buffered] {
             for i in 0..3000u64 {
                 // Enough volume to cross several HOOK_BLOCK boundaries.
-                p.on_access(i * 5);
-                p.on_l2_hit(i * 5, (i % 4) as usize);
-                p.on_traffic(i * 5, 1, TrafficClass::Data, 32, i % 3 == 0);
-                p.on_dram_request(i * 5, 100 + i % 50);
+                p.record(Hook::Access { cycle: i * 5 });
+                p.record(Hook::L2Hit {
+                    cycle: i * 5,
+                    partition: (i % 4) as usize,
+                });
+                p.record(Hook::Traffic {
+                    cycle: i * 5,
+                    partition: 1,
+                    class: TrafficClass::Data,
+                    bytes: 32,
+                    is_write: i % 3 == 0,
+                });
+                p.record(Hook::DramRequest {
+                    cycle: i * 5,
+                    latency: 100 + i % 50,
+                });
                 if i % 7 == 0 {
                     p.emit(i * 5, Event::L2Miss { bank: 0, addr: i });
                 }
@@ -1102,8 +954,20 @@ mod tests {
     fn probe_clones_share_state() {
         let p = Probe::enabled(TelemetryConfig::default());
         let q = p.clone();
-        p.on_traffic(5, 2, TrafficClass::Mac, 32, true);
-        q.on_traffic(9, 2, TrafficClass::Mac, 32, false);
+        p.record(Hook::Traffic {
+            cycle: 5,
+            partition: 2,
+            class: TrafficClass::Mac,
+            bytes: 32,
+            is_write: true,
+        });
+        q.record(Hook::Traffic {
+            cycle: 9,
+            partition: 2,
+            class: TrafficClass::Mac,
+            bytes: 32,
+            is_write: false,
+        });
         p.with(|t| assert_eq!(t.total_traffic().class_total(TrafficClass::Mac), 64));
     }
 
@@ -1113,10 +977,28 @@ mod tests {
             epoch_cycles: 100,
             ..Default::default()
         });
-        p.on_traffic(10, 3, TrafficClass::Data, 128, false);
-        p.on_traffic(20, 3, TrafficClass::Mac, 32, true);
-        p.on_l2_hit(30, 1);
-        p.on_l2_miss(40, 3);
+        p.record(Hook::Traffic {
+            cycle: 10,
+            partition: 3,
+            class: TrafficClass::Data,
+            bytes: 128,
+            is_write: false,
+        });
+        p.record(Hook::Traffic {
+            cycle: 20,
+            partition: 3,
+            class: TrafficClass::Mac,
+            bytes: 32,
+            is_write: true,
+        });
+        p.record(Hook::L2Hit {
+            cycle: 30,
+            partition: 1,
+        });
+        p.record(Hook::L2Miss {
+            cycle: 40,
+            partition: 3,
+        });
         p.finalize(50);
         p.with(|t| {
             let snap = &t.snapshots()[0];

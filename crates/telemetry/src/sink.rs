@@ -3,7 +3,7 @@
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use crate::{Telemetry, TelemetryConfig};
+use crate::{EpochSnapshot, PartitionEpoch, Telemetry, TelemetryConfig};
 use gpu_types::TrafficClass;
 use std::fmt::Write as _;
 
@@ -100,71 +100,26 @@ pub fn write_jsonl_to<W: std::io::Write>(t: &Telemetry, w: &mut W) -> std::io::R
 /// every partition any epoch touched — rows are zero-padded to that width
 /// so the table is always rectangular.
 pub fn epoch_csv(t: &Telemetry) -> String {
-    let mut out = String::new();
-    out.push_str("index,start_cycle,end_cycle");
-    for dir in ["read", "write"] {
-        for class in TrafficClass::ALL {
-            let _ = write!(out, ",{dir}_{}", class.label());
-        }
-    }
-    out.push_str(
-        ",instructions,accesses,l2_hits,l2_misses,dram_requests,ctr_victims,ctr_victim_uses,bmt_walks,bmt_depth_sum,bmt_depth_max",
-    );
-    out.push_str(
-        ",pool_migrations,pool_spills,pool_cpu_accesses,link_to_gpu_bytes,link_to_cpu_bytes",
-    );
     let num_partitions = t
         .snapshots()
         .iter()
         .map(|s| s.partitions.len())
         .max()
         .unwrap_or(0);
+    let mut out = String::new();
+    EpochSnapshot::write_csv_header("", &mut out);
     for p in 0..num_partitions {
-        let _ = write!(
-            out,
-            ",p{p}_read_bytes,p{p}_write_bytes,p{p}_l2_hits,p{p}_l2_misses"
-        );
+        PartitionEpoch::write_csv_header(&format!("p{p}_"), &mut out);
     }
+    out.pop();
     out.push('\n');
-    let zero = crate::PartitionEpoch::default();
+    let zero = PartitionEpoch::default();
     for s in t.snapshots() {
-        let _ = write!(out, "{},{},{}", s.index, s.start_cycle, s.end_cycle);
-        for bytes in [&s.traffic.read, &s.traffic.write] {
-            for v in bytes.iter().take(TrafficClass::ALL.len()) {
-                let _ = write!(out, ",{v}");
-            }
-        }
-        let _ = write!(
-            out,
-            ",{},{},{},{},{},{},{},{},{},{}",
-            s.instructions,
-            s.accesses,
-            s.l2_hits,
-            s.l2_misses,
-            s.dram_requests,
-            s.ctr_victims,
-            s.ctr_victim_uses,
-            s.bmt_walks,
-            s.bmt_depth_sum,
-            s.bmt_depth_max
-        );
-        let _ = write!(
-            out,
-            ",{},{},{},{},{}",
-            s.pool_migrations,
-            s.pool_spills,
-            s.pool_cpu_accesses,
-            s.link_to_gpu_bytes,
-            s.link_to_cpu_bytes
-        );
+        s.write_csv_row(&mut out);
         for p in 0..num_partitions {
-            let part = s.partitions.get(p).unwrap_or(&zero);
-            let _ = write!(
-                out,
-                ",{},{},{},{}",
-                part.read_bytes, part.write_bytes, part.l2_hits, part.l2_misses
-            );
+            s.partitions.get(p).unwrap_or(&zero).write_csv_row(&mut out);
         }
+        out.pop();
         out.push('\n');
     }
     out
@@ -260,7 +215,7 @@ pub fn flight_dump(t: &Telemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Probe, TelemetryConfig};
+    use crate::{Hook, Probe, TelemetryConfig};
 
     fn cfg() -> TelemetryConfig {
         TelemetryConfig {
@@ -284,8 +239,17 @@ mod tests {
                 addr: 4096,
             },
         );
-        p.on_traffic(5, 1, TrafficClass::Data, 128, false);
-        p.on_dram_request(40, 35);
+        p.record(Hook::Traffic {
+            cycle: 5,
+            partition: 1,
+            class: TrafficClass::Data,
+            bytes: 128,
+            is_write: false,
+        });
+        p.record(Hook::DramRequest {
+            cycle: 40,
+            latency: 35,
+        });
         p.emit(
             250,
             Event::KernelEnd {
@@ -483,5 +447,87 @@ mod tests {
         assert!(rows[0].contains(",128"), "first epoch row: {}", rows[0]);
         assert!(rows[0].starts_with("0,0,99"));
         assert!(rows[2].starts_with("2,200,250"));
+    }
+
+    /// Top-level keys of one JSON object line, in order (the epoch line's
+    /// strings hold no escaped quotes).
+    fn top_level_keys(line: &str) -> Vec<&str> {
+        let mut keys = Vec::new();
+        let mut depth = 0;
+        let mut i = 0;
+        while i < line.len() {
+            match line.as_bytes()[i] {
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' => depth -= 1,
+                b'"' => {
+                    let end = i + 1 + line[i + 1..].find('"').expect("closed string");
+                    if depth == 1 && line[end + 1..].starts_with(':') {
+                        keys.push(&line[i + 1..end]);
+                    }
+                    i = end;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        keys
+    }
+
+    /// The declared columns with `traffic` replaced by its cells.
+    fn expand_traffic(traffic: &[String]) -> Vec<String> {
+        EpochSnapshot::COLUMNS
+            .iter()
+            .flat_map(|&c| match c {
+                "traffic" => traffic.to_vec(),
+                c => vec![c.to_string()],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn epoch_jsonl_keys_and_csv_columns_follow_the_declaration() {
+        let p = populated();
+        let doc = p.with(|t| to_jsonl(t)).unwrap();
+        let line = doc
+            .lines()
+            .find(|l| l.contains("\"type\":\"epoch\""))
+            .unwrap();
+        let mut json_keys = vec!["type".to_string()];
+        json_keys.extend(expand_traffic(&[
+            "read_bytes".to_string(),
+            "write_bytes".to_string(),
+        ]));
+        json_keys.push("partitions".to_string());
+        assert_eq!(top_level_keys(line), json_keys);
+
+        let csv = p.with(|t| epoch_csv(t)).unwrap();
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        let cells: Vec<String> = ["read", "write"]
+            .iter()
+            .flat_map(|dir| TrafficClass::ALL.map(|c| format!("{dir}_{}", c.label())))
+            .collect();
+        let mut columns = expand_traffic(&cells);
+        for part in ["p0_", "p1_"] {
+            columns.extend(PartitionEpoch::COLUMNS.iter().map(|c| format!("{part}{c}")));
+        }
+        assert_eq!(header, columns);
+    }
+
+    #[test]
+    fn documented_csv_header_matches_the_fixed_columns() {
+        let doc = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../docs/TELEMETRY.md"),
+        )
+        .expect("docs/TELEMETRY.md readable");
+        let section = &doc[doc.find("### Epoch CSV export").expect("CSV section")..];
+        let block = &section[section.find("```text\n").expect("header block") + 8..];
+        let documented: String = block[..block.find("```").expect("closed block")]
+            .lines()
+            .map(str::trim)
+            .collect();
+        // No snapshots, so no per-partition columns: the header is exactly
+        // the fixed columns.
+        let csv = epoch_csv(&Telemetry::new(cfg()));
+        assert_eq!(documented, csv.trim_end());
     }
 }

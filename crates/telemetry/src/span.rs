@@ -8,6 +8,7 @@
 //! and reconstructed by `shm trace-report`.
 
 use crate::event::json_escape;
+use gpu_types::json::{str_field, u64_field};
 use std::fmt::Write as _;
 
 /// Span id of the root span of every trace.
@@ -74,20 +75,20 @@ impl SpanEvent {
     /// Parses one `{"type":"span",...}` JSONL line; `None` when the line is
     /// not a span record or is malformed.
     pub fn parse_json(line: &str) -> Option<SpanEvent> {
-        if field_str(line, "type")? != "span" {
+        if str_field(line, "type")? != "span" {
             return None;
         }
         Some(SpanEvent {
-            trace_id: field_u64(line, "trace")?,
-            span_id: field_u64(line, "span")?,
-            parent: field_u64(line, "parent"),
-            label: field_str(line, "label")?,
-            worker: field_str(line, "worker")?,
-            start_ms: field_u64(line, "start_ms")?,
-            end_ms: field_u64(line, "end_ms")?,
-            queue_ms: field_u64(line, "queue_ms")?,
-            run_ms: field_u64(line, "run_ms")?,
-            cycles: field_u64(line, "cycles")?,
+            trace_id: u64_field(line, "trace")?,
+            span_id: u64_field(line, "span")?,
+            parent: u64_field(line, "parent"),
+            label: str_field(line, "label")?,
+            worker: str_field(line, "worker")?,
+            start_ms: u64_field(line, "start_ms")?,
+            end_ms: u64_field(line, "end_ms")?,
+            queue_ms: u64_field(line, "queue_ms")?,
+            run_ms: u64_field(line, "run_ms")?,
+            cycles: u64_field(line, "cycles")?,
         })
     }
 
@@ -95,62 +96,6 @@ impl SpanEvent {
     pub fn duration_ms(&self) -> u64 {
         self.end_ms.saturating_sub(self.start_ms)
     }
-}
-
-/// Scans `line` for `"key":<u64>`; also used for nullable fields (`null`
-/// simply fails to parse and yields `None`).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let raw = field_raw(line, key)?;
-    raw.parse().ok()
-}
-
-/// Scans `line` for `"key":"<string>"` and unescapes it.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let raw = field_raw(line, key)?;
-    let inner = raw.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let code: String = chars.by_ref().take(4).collect();
-                let v = u32::from_str_radix(&code, 16).ok()?;
-                out.push(char::from_u32(v)?);
-            }
-            Some(other) => out.push(other),
-            None => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Returns the raw token after `"key":` up to the next unquoted `,` or `}`.
-fn field_raw<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut end = rest.len();
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '\\' if in_quotes => escaped = !escaped,
-            '"' if !escaped => in_quotes = !in_quotes,
-            ',' | '}' if !in_quotes => {
-                end = i;
-                break;
-            }
-            _ => escaped = false,
-        }
-    }
-    Some(&rest[..end])
 }
 
 /// Input for [`build_job_spans`]: one job's observed timing.

@@ -28,23 +28,10 @@ repro scale="0.5":
 telemetry out="run.jsonl":
     cargo run --release -p shm-cli -- run -b fdtd2d -d SHM --telemetry --trace-out {{out}}
 
-# Timed multi-point repro throughput trajectory (see docs/PERFORMANCE.md).
-# Covers scales {0.05, 0.25, scale} × jobs {1, N}, verifies every parallel
-# point is byte-identical to its serial reference, and records the whole
-# trajectory in BENCH_throughput.json.
-bench-repro scale="0.25":
-    cargo run --release -p shm-bench --bin repro -- bench --scale {{scale}}
-
 # Hot-path microbenches: single-block AES (per-byte reference vs T-tables vs
 # AES-NI) and the batched-vs-unbatched issue loop (see docs/PERFORMANCE.md).
 bench-micro:
     cargo bench -p shm-bench --bench micro_hotpath
-
-# Perf smoke: the default throughput trajectory plus an explicit check that
-# no point diverged (repro bench also exits non-zero on divergence).
-perf-smoke:
-    cargo run --release -p shm-bench --bin repro -- bench --bench-out BENCH_throughput.json
-    ! grep -q '"identical": false' BENCH_throughput.json
 
 # Adversary-campaign smoke: every tamper class must surface as the expected
 # VerifyError with zero false alarms (exit 3 otherwise — docs/ROBUSTNESS.md).

@@ -8,7 +8,7 @@
 use gpu_mem_sim::{DesignPoint, Simulator};
 use gpu_types::{GpuConfig, TrafficClass};
 use proptest::prelude::*;
-use shm_telemetry::{Probe, Telemetry, TelemetryConfig};
+use shm_telemetry::{Hook, Probe, Telemetry, TelemetryConfig};
 use shm_workloads::BenchmarkProfile;
 
 fn probed_run(design: DesignPoint, events: u64) -> (gpu_types::SimStats, Probe) {
@@ -121,7 +121,13 @@ proptest! {
             let bytes = 32 + (x >> 32) % 4096;
             let is_write = i % 3 == 0;
             let partition = ((x >> 48) % 12) as usize;
-            t.on_traffic(cycle, partition, class, bytes, is_write);
+            t.apply(Hook::Traffic {
+                cycle,
+                partition,
+                class,
+                bytes,
+                is_write,
+            });
             expected.record(class, bytes, is_write);
         }
         t.finalize(cycle + 1);
