@@ -75,7 +75,8 @@ pub fn cmd_serve(args: Args) -> Result<(), CliError> {
     metrics.finish();
     eprintln!(
         "serve: drained (clean={}): {} accepted, {} rejected, {} completed ({} partial), \
-         {} deadline cancel(s), {} quarantine(s); jobs {} ok / {} failed / {} skipped",
+         {} deadline cancel(s), {} quarantine(s); jobs {} ok / {} failed / {} skipped; \
+         {} journal error(s)",
         report.drained_clean,
         report.accepted,
         report.rejected,
@@ -86,6 +87,7 @@ pub fn cmd_serve(args: Args) -> Result<(), CliError> {
         report.jobs_ok,
         report.jobs_failed,
         report.jobs_skipped,
+        report.journal_errors,
     );
     Ok(())
 }

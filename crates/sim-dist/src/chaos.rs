@@ -21,6 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::conn;
 use crate::protocol::frame_wire_len;
 use crate::splitmix64;
 
@@ -98,17 +99,29 @@ pub struct ChaosProxy {
 impl ChaosProxy {
     /// Binds a loopback listener and starts proxying to `upstream`.
     pub fn start(upstream: SocketAddr, cfg: ChaosConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let listener: TcpListener = conn::listen("127.0.0.1:0")?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(ChaosStats::default()));
         let started = Instant::now();
         let accept_handle = {
             let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
+            let proxy = Proxy {
+                upstream,
+                cfg,
+                stop: Arc::clone(&stop),
+                stats: Arc::clone(&stats),
+                started,
+            };
             std::thread::spawn(move || {
-                accept_loop(listener, upstream, cfg, stop, stats, started);
+                let pipes = conn::accept_loop(
+                    &listener,
+                    || stop.load(Ordering::SeqCst),
+                    move |conn_id, client| proxy.pipe(conn_id, client),
+                );
+                for h in pipes {
+                    let _ = h.join();
+                }
             })
         };
         Ok(Self {
@@ -145,67 +158,55 @@ impl Drop for ChaosProxy {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
+/// Everything a proxied connection needs, shared by all of them.
+struct Proxy {
     upstream: SocketAddr,
     cfg: ChaosConfig,
     stop: Arc<AtomicBool>,
     stats: Arc<Mutex<ChaosStats>>,
     started: Instant,
-) {
-    let mut conn_id: u64 = 0;
-    let mut pumps: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client, _)) => {
-                conn_id += 1;
-                stats.lock().unwrap_or_else(|e| e.into_inner()).connections += 1;
-                let Ok(server) = TcpStream::connect_timeout(&upstream, Duration::from_secs(5))
-                else {
-                    let _ = client.shutdown(Shutdown::Both);
+}
+
+impl Proxy {
+    /// Serves the `conn_id`-th accepted connection: dials the upstream and
+    /// pumps both directions through the fault schedule until they end.
+    fn pipe(&self, conn_id: u64, client: TcpStream) {
+        self.stats
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .connections += 1;
+        let Ok(server) = TcpStream::connect_timeout(&self.upstream, Duration::from_secs(5)) else {
+            let _ = client.shutdown(Shutdown::Both);
+            return;
+        };
+        let _ = client.set_nodelay(true);
+        let _ = server.set_nodelay(true);
+        // Both directions share the forwarded-frame counter that triggers
+        // `reset_after_frames`.
+        let forwarded = Arc::new(AtomicU64::new(0));
+        std::thread::scope(|scope| {
+            for (dir_salt, src, dst) in [
+                (0x5550_u64, &client, &server), // worker → coordinator
+                (0xD035_u64, &server, &client), // coordinator → worker
+            ] {
+                let (Ok(src), Ok(dst)) = (src.try_clone(), dst.try_clone()) else {
+                    sever(&client, &server);
                     continue;
                 };
-                let _ = client.set_nodelay(true);
-                let _ = server.set_nodelay(true);
-                // Both directions share the forwarded-frame counter that
-                // triggers `reset_after_frames`.
-                let forwarded = Arc::new(AtomicU64::new(0));
-                for (dir_salt, src, dst) in [
-                    (0x5550_u64, &client, &server), // worker → coordinator
-                    (0xD035_u64, &server, &client), // coordinator → worker
-                ] {
-                    let (Ok(src), Ok(dst)) = (src.try_clone(), dst.try_clone()) else {
-                        let _ = client.shutdown(Shutdown::Both);
-                        let _ = server.shutdown(Shutdown::Both);
-                        continue;
-                    };
-                    let cfg = cfg.clone();
-                    let stop = Arc::clone(&stop);
-                    let stats = Arc::clone(&stats);
-                    let forwarded = Arc::clone(&forwarded);
-                    pumps.push(std::thread::spawn(move || {
-                        pump(PumpCtx {
-                            src,
-                            dst,
-                            cfg,
-                            stop,
-                            stats,
-                            started,
-                            conn_id,
-                            dir_salt,
-                            forwarded,
-                        });
-                    }));
-                }
+                let ctx = PumpCtx {
+                    src,
+                    dst,
+                    cfg: self.cfg.clone(),
+                    stop: Arc::clone(&self.stop),
+                    stats: Arc::clone(&self.stats),
+                    started: self.started,
+                    conn_id,
+                    dir_salt,
+                    forwarded: Arc::clone(&forwarded),
+                };
+                scope.spawn(move || pump(ctx));
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
-    }
-    for h in pumps {
-        let _ = h.join();
+        });
     }
 }
 

@@ -46,9 +46,8 @@ use std::time::{Duration, Instant};
 
 use sim_exec::{CancelToken, JobPanic, JobResult};
 
-use crate::protocol::{
-    payload_digest, write_frame, Frame, FrameError, FrameReader, PROTOCOL_VERSION,
-};
+use crate::conn::{self, Peer};
+use crate::protocol::{payload_digest, write_frame, Frame, FrameError};
 use crate::{splitmix64, DistError, WorkerStats};
 
 /// One unit of work shipped to a worker: a human-readable label (the
@@ -269,7 +268,7 @@ impl Coordinator {
     /// and `SHM_DIST_WORKERS` self-spawned clusters read it back via
     /// [`Coordinator::local_addr`]).
     pub fn bind(addr: &str, config_hash: u64, opts: DistOptions) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = conn::listen(addr)?;
         let local_addr = listener.local_addr()?;
         Ok(Self {
             listener,
@@ -385,8 +384,13 @@ impl Coordinator {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop_accept);
             let listener = self.listener;
-            listener.set_nonblocking(true).map_err(DistError::Io)?;
-            std::thread::spawn(move || accept_loop(listener, shared, stop))
+            std::thread::spawn(move || {
+                conn::accept_loop(
+                    &listener,
+                    || stop.load(Ordering::SeqCst),
+                    move |_, stream| serve_connection(stream, &shared),
+                )
+            })
         };
 
         let mut results: Vec<Option<JobResult<String>>> = (0..n).map(|_| None).collect();
@@ -515,6 +519,34 @@ fn live_nonquarantined(inner: &Inner) -> usize {
         .count()
 }
 
+/// Spends one slot of the sweep-wide retry budget, when any is left and
+/// the sweep is not cancelled.  Every re-dispatch that costs budget (job
+/// panic, worker loss, audit re-ask, quarantine invalidation) asks here.
+fn spend_retry(inner: &mut Inner) -> bool {
+    if inner.retry_left == 0 || inner.cancelled {
+        return false;
+    }
+    inner.retry_left -= 1;
+    inner.retries_used += 1;
+    shm_metrics::counter!(
+        "shm_dist_retries_total",
+        "Retry budget spent on panicked or lost jobs"
+    )
+    .inc();
+    true
+}
+
+/// Counts `n` observed disagreements between redundant copies of audited
+/// jobs.
+fn count_audit_mismatches(inner: &mut Inner, n: u64) {
+    inner.audit_mismatches += n;
+    shm_metrics::counter!(
+        "shm_audit_mismatches_total",
+        "Disagreements between redundant copies of audited jobs"
+    )
+    .add(n);
+}
+
 /// Resolve `index` as a labelled [`JobPanic`] — the detected-failure
 /// terminal state; never silent.
 fn resolve_panic(inner: &mut Inner, shared: &Shared, index: usize, worker: &str, message: String) {
@@ -636,12 +668,7 @@ fn settle_audit(inner: &mut Inner, shared: &Shared, index: usize) {
         outcome: Ok(payload),
     });
     if !losers.is_empty() {
-        inner.audit_mismatches += losers.len() as u64;
-        shm_metrics::counter!(
-            "shm_audit_mismatches_total",
-            "Disagreements between redundant copies of audited jobs"
-        )
-        .add(losers.len() as u64);
+        count_audit_mismatches(inner, losers.len() as u64);
         for w in losers {
             // Audited result out-voted by agreeing copies.
             quarantine_worker(inner, shared, w);
@@ -686,12 +713,7 @@ fn arbitrate(inner: &mut Inner, shared: &Shared, index: usize) {
     if !mismatch {
         return;
     }
-    inner.audit_mismatches += 1;
-    shm_metrics::counter!(
-        "shm_audit_mismatches_total",
-        "Disagreements between redundant copies of audited jobs"
-    )
-    .inc();
+    count_audit_mismatches(inner, 1);
     if rounds >= MAX_AUDIT_ROUNDS {
         resolve_panic(
             inner,
@@ -706,7 +728,7 @@ fn arbitrate(inner: &mut Inner, shared: &Shared, index: usize) {
         if !inner.live.get(w).copied().unwrap_or(false) || inner.workers[w].quarantined {
             continue;
         }
-        if inner.retry_left == 0 || inner.cancelled {
+        if !spend_retry(inner) {
             resolve_panic(
                 inner,
                 shared,
@@ -716,13 +738,6 @@ fn arbitrate(inner: &mut Inner, shared: &Shared, index: usize) {
             );
             return;
         }
-        inner.retry_left -= 1;
-        inner.retries_used += 1;
-        shm_metrics::counter!(
-            "shm_dist_retries_total",
-            "Retry budget spent on panicked or lost jobs"
-        )
-        .inc();
         inner.pending.push_back(PendingJob {
             index,
             attempt: 2,
@@ -781,14 +796,7 @@ fn quarantine_worker(inner: &mut Inner, shared: &Shared, wslot: usize) {
         inner.resolved[index] = false;
         inner.resolved_count -= 1;
         inner.timings.remove(&index);
-        if inner.retry_left > 0 && !inner.cancelled {
-            inner.retry_left -= 1;
-            inner.retries_used += 1;
-            shm_metrics::counter!(
-                "shm_dist_retries_total",
-                "Retry budget spent on panicked or lost jobs"
-            )
-            .inc();
+        if spend_retry(inner) {
             inner.pending.push_back(PendingJob {
                 index,
                 attempt: 2,
@@ -842,6 +850,23 @@ fn eligible(inner: &Inner, p: &PendingJob, wslot: usize) -> bool {
     }
 }
 
+/// Takes one of a connection's outstanding copies of job `index` off its
+/// books and returns the copy's attempt number; `None` for a duplicate or
+/// stale answer, which is ignored.
+fn take_copy(
+    in_flight: &mut HashMap<usize, Vec<u32>>,
+    dispatched_at: &mut HashMap<usize, Instant>,
+    index: usize,
+) -> Option<u32> {
+    let copies = in_flight.get_mut(&index)?;
+    let attempt = copies.pop();
+    if copies.is_empty() {
+        in_flight.remove(&index);
+        dispatched_at.remove(&index);
+    }
+    attempt
+}
+
 fn dec_dispatched(inner: &mut Inner, index: usize) {
     if let Some(c) = inner.dispatched_out.get_mut(&index) {
         *c = c.saturating_sub(1);
@@ -851,125 +876,43 @@ fn dec_dispatched(inner: &mut Inner, index: usize) {
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    stop: Arc<AtomicBool>,
-) -> Vec<std::thread::JoinHandle<()>> {
-    let mut handles = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                handles.push(std::thread::spawn(move || serve_connection(stream, shared)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => break,
-        }
-    }
-    handles
-}
-
 /// Per-connection worker driver; see module docs.
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(
-        shared.opts.read_timeout_ms.max(10),
-    )));
-    let Ok(write_half) = stream.try_clone() else {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
+    let tick = Duration::from_millis(shared.opts.read_timeout_ms.max(10));
+    let Ok((mut reader, mut writer)) = conn::split(stream, tick) else {
         return;
     };
-    let mut writer = write_half;
-    let mut reader = FrameReader::new(stream);
-
-    // --- Hello, within a bounded window ---
-    let hello_deadline = Instant::now() + Duration::from_millis(shared.opts.heartbeat_timeout_ms);
-    let hello = loop {
-        match reader.read_frame() {
-            Ok(Frame::Hello {
-                version,
-                config_hash,
-                worker_id,
-                window,
-                // The coordinator↔worker link is config-hash gated, not
-                // token gated; tenant tokens guard the serve daemon's
-                // client handshake instead.
-                token: _,
-            }) => break (version, config_hash, worker_id, window),
-            Ok(_) => {
-                let _ = write_frame(
-                    &mut writer,
-                    &Frame::HelloAck {
-                        accepted: false,
-                        reason: "expected hello".into(),
-                    },
-                );
-                return;
-            }
-            Err(FrameError::Timeout) if Instant::now() < hello_deadline => continue,
-            Err(_) => return,
-        }
-    };
-    let (version, config_hash, worker_id, window) = hello;
-    if version != PROTOCOL_VERSION {
-        let _ = write_frame(
-            &mut writer,
-            &Frame::HelloAck {
-                accepted: false,
-                reason: format!(
-                    "protocol version mismatch: coordinator {PROTOCOL_VERSION}, worker {version}"
-                ),
-            },
-        );
-        return;
-    }
-    if config_hash != shared.config_hash {
-        let _ = write_frame(
-            &mut writer,
-            &Frame::HelloAck {
-                accepted: false,
-                reason: format!(
-                    "config hash mismatch: coordinator {:016x}, worker {:016x}",
-                    shared.config_hash, config_hash
-                ),
-            },
-        );
-        return;
-    }
     // A quarantined worker reconnecting (e.g. its Shutdown got lost in
     // transit) is refused permanently — byzantine peers don't get a
-    // second identity under the same name.
-    {
-        let inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let refused = inner
-            .workers
-            .iter()
-            .any(|w| w.id == worker_id && w.quarantined);
-        drop(inner);
-        if refused {
-            let _ = write_frame(
-                &mut writer,
-                &Frame::HelloAck {
-                    accepted: false,
-                    reason: format!("worker '{worker_id}' is quarantined"),
-                },
-            );
-            return;
-        }
-    }
-    if write_frame(
+    // second identity under the same name.  The coordinator↔worker link
+    // is config-hash gated, not token gated; tenant tokens guard the
+    // serve daemon's client handshake instead.
+    let hello = conn::accept_hello(
+        &mut reader,
         &mut writer,
-        &Frame::HelloAck {
-            accepted: true,
-            reason: String::new(),
+        Duration::from_millis(shared.opts.heartbeat_timeout_ms),
+        shared.config_hash,
+        |peer| {
+            let inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if inner
+                .workers
+                .iter()
+                .any(|w| w.id == peer.id && w.quarantined)
+            {
+                Err(format!("worker '{}' is quarantined", peer.id))
+            } else {
+                Ok(())
+            }
         },
-    )
-    .is_err()
-    {
+    );
+    let Some(Peer {
+        id: worker_id,
+        window,
+        ..
+    }) = hello
+    else {
         return;
-    }
+    };
 
     // --- Register ---
     let window = window.max(1) as usize;
@@ -1149,7 +1092,23 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
         shm_metrics::enabled().then(|| g_heartbeat_age.set(last_seen.elapsed().as_millis() as i64));
 
         // Collect one frame (bounded timeout doubles as the liveness tick).
-        match reader.read_frame() {
+        let frame = reader.read_frame();
+        if let Ok(Frame::JobResult { index, .. } | Frame::JobError { index, .. }) = &frame {
+            if *index as usize >= shared.jobs.len() {
+                // An answer for a job that cannot exist is byzantine, not
+                // line noise: quarantine the sender and sever.  (In-range
+                // duplicates stay ignored below — the chaos proxy
+                // duplicates frames from honest workers.)
+                let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+                quarantine_worker(&mut inner, shared, wslot);
+                shared.cond.notify_all();
+                drop(inner);
+                let _ = write_frame(&mut writer, &Frame::Shutdown);
+                lost = true;
+                break 'conn;
+            }
+        }
+        match frame {
             Ok(Frame::Heartbeat { .. }) => {
                 last_seen = Instant::now();
                 shm_metrics::counter!(
@@ -1176,31 +1135,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             }) => {
                 last_seen = Instant::now();
                 let index = index as usize;
-                if index >= shared.jobs.len() {
-                    // A result for a job that cannot exist is byzantine,
-                    // not line noise: quarantine the sender and sever.
-                    // (In-range duplicates stay ignored below — the chaos
-                    // proxy duplicates frames from honest workers.)
-                    let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                    quarantine_worker(&mut inner, &shared, wslot);
-                    shared.cond.notify_all();
-                    drop(inner);
-                    let _ = write_frame(&mut writer, &Frame::Shutdown);
-                    lost = true;
-                    break 'conn;
-                }
-                let popped = match in_flight.get_mut(&index) {
-                    Some(copies) => {
-                        let a = copies.pop();
-                        if copies.is_empty() {
-                            in_flight.remove(&index);
-                            dispatched_at.remove(&index);
-                        }
-                        a
-                    }
-                    None => None, // duplicate or stale frame — ignore
-                };
-                if popped.is_some() {
+                if take_copy(&mut in_flight, &mut dispatched_at, index).is_some() {
                     in_flight_count -= 1;
                     // End-to-end digest check, independent of the frame
                     // CRC: a mismatch is byzantine, not line noise.
@@ -1214,7 +1149,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         inner.digest_mismatches += 1;
                         inner.in_flight_total -= 1;
                         dec_dispatched(&mut inner, index);
-                        quarantine_worker(&mut inner, &shared, wslot);
+                        quarantine_worker(&mut inner, shared, wslot);
                         ensure_copy(&mut inner, index);
                         shared.cond.notify_all();
                         drop(inner);
@@ -1267,21 +1202,16 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                         if action == 1 || action == 2 {
                             // A contradiction is an observed audit
                             // mismatch even when it never reaches a vote.
-                            inner.audit_mismatches += 1;
-                            shm_metrics::counter!(
-                                "shm_audit_mismatches_total",
-                                "Disagreements between redundant copies of audited jobs"
-                            )
-                            .inc();
+                            count_audit_mismatches(&mut inner, 1);
                         }
                         match action {
                             // Result contradicts settled audit winner.
-                            1 => quarantine_worker(&mut inner, &shared, wslot),
+                            1 => quarantine_worker(&mut inner, shared, wslot),
                             // Self-contradiction on audited job.
-                            2 => quarantine_worker(&mut inner, &shared, wslot),
+                            2 => quarantine_worker(&mut inner, shared, wslot),
                             3 => {
-                                settle_audit(&mut inner, &shared, index);
-                                arbitrate(&mut inner, &shared, index);
+                                settle_audit(&mut inner, shared, index);
+                                arbitrate(&mut inner, shared, index);
                                 // Same-worker copies can't settle while a
                                 // second worker is live (independence
                                 // rule): keep one copy outstanding so it
@@ -1289,7 +1219,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                                 ensure_copy(&mut inner, index);
                             }
                             // Result for an unknown audit state.
-                            4 => quarantine_worker(&mut inner, &shared, wslot),
+                            4 => quarantine_worker(&mut inner, shared, wslot),
                             _ => {}
                         }
                     } else if !inner.resolved[index] {
@@ -1322,49 +1252,21 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             Ok(Frame::JobError { index, message }) => {
                 last_seen = Instant::now();
                 let index = index as usize;
-                if index >= shared.jobs.len() {
-                    let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                    // Error report for an unknown job index.
-                    quarantine_worker(&mut inner, &shared, wslot);
-                    shared.cond.notify_all();
-                    drop(inner);
-                    let _ = write_frame(&mut writer, &Frame::Shutdown);
-                    lost = true;
-                    break 'conn;
-                }
-                let popped = match in_flight.get_mut(&index) {
-                    Some(copies) => {
-                        let a = copies.pop();
-                        if copies.is_empty() {
-                            in_flight.remove(&index);
-                            dispatched_at.remove(&index);
-                        }
-                        a
-                    }
-                    None => None,
-                };
-                if let Some(attempt) = popped {
+                if let Some(attempt) = take_copy(&mut in_flight, &mut dispatched_at, index) {
                     in_flight_count -= 1;
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                     inner.in_flight_total -= 1;
                     dec_dispatched(&mut inner, index);
                     // `run_robust` semantics: retry a panicked job exactly
                     // once while the sweep-wide budget lasts.
-                    if attempt == 1 && inner.retry_left > 0 && !inner.cancelled {
-                        inner.retry_left -= 1;
-                        inner.retries_used += 1;
-                        shm_metrics::counter!(
-                            "shm_dist_retries_total",
-                            "Retry budget spent on panicked or lost jobs"
-                        )
-                        .inc();
+                    if attempt == 1 && spend_retry(&mut inner) {
                         inner.pending.push_back(PendingJob {
                             index,
                             attempt: attempt + 1,
                             target: None,
                         });
                     } else {
-                        resolve_panic(&mut inner, &shared, index, &worker_id, message);
+                        resolve_panic(&mut inner, shared, index, &worker_id, message);
                     }
                     shared.cond.notify_all();
                 }
@@ -1451,14 +1353,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                     "Jobs re-queued because their worker died mid-flight"
                 )
                 .inc();
-                if inner.retry_left > 0 && !inner.cancelled {
-                    inner.retry_left -= 1;
-                    inner.retries_used += 1;
-                    shm_metrics::counter!(
-                        "shm_dist_retries_total",
-                        "Retry budget spent on panicked or lost jobs"
-                    )
-                    .inc();
+                if spend_retry(&mut inner) {
                     inner.pending.push_front(PendingJob {
                         index,
                         attempt,
@@ -1468,7 +1363,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
                     let msg = format!(
                         "worker '{worker_id}' lost with job in flight and retry budget exhausted"
                     );
-                    resolve_panic(&mut inner, &shared, index, &worker_id, msg);
+                    resolve_panic(&mut inner, shared, index, &worker_id, msg);
                 }
             }
         }

@@ -20,10 +20,13 @@
 //! Layering: this crate moves opaque `(label, payload)` strings; the
 //! job encodings (which benchmark, how many events, which design) belong
 //! to the submitting layer (`shm-bench`), keeping the cluster machinery
-//! generic.  See `docs/DISTRIBUTED.md` for the wire format and failure
-//! semantics.
+//! generic.  [`conn`] is the connection core (accept loop and both halves
+//! of the hello) that the coordinator, the worker, the chaos proxy and the
+//! `sim-serve` daemon share.  See `docs/DISTRIBUTED.md` for the wire
+//! format and failure semantics.
 
 pub mod chaos;
+pub mod conn;
 mod coordinator;
 pub mod protocol;
 mod worker;

@@ -1,5 +1,6 @@
 //! Sweep worker: connects to a coordinator, pulls jobs, runs them on a
-//! local pool, and streams results back.
+//! local pool (`sim-exec`'s job loop, `Executor::pull`, over the queue of
+//! dispatched jobs), and streams results back.
 //!
 //! The worker reconnects with exponential backoff when the coordinator is
 //! unreachable or the connection drops mid-sweep; a rejected hello
@@ -10,16 +11,14 @@
 
 use std::collections::VecDeque;
 use std::net::{Shutdown, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use sim_exec::effective_jobs;
+use sim_exec::{effective_jobs, Executor};
 
-use crate::protocol::{
-    payload_digest, write_frame, Frame, FrameError, FrameReader, PROTOCOL_VERSION,
-};
+use crate::conn::{self, Peer};
+use crate::protocol::{payload_digest, write_frame, Frame, FrameError};
 use crate::{splitmix64, DistError};
 
 /// Tunables for [`run_worker`].
@@ -107,17 +106,14 @@ pub struct WorkerSummary {
 }
 
 enum ServeEnd {
-    /// Coordinator said [`Frame::Shutdown`]: sweep complete.
+    /// Coordinator said [`Frame::Shutdown`] (sweep complete), or
+    /// `disconnect_after_jobs` fired (a simulated kill).
     Done,
-    /// Connection dropped after a completed handshake; reconnect with a
-    /// fresh attempt budget (the link was demonstrably healthy).
+    /// Connection dropped after a completed handshake.
     Lost,
     /// Connection failed *before* the hello/ack completed (I/O error,
-    /// corrupt ack, ack timeout).  Reconnect, but keep counting attempts —
-    /// a link that never handshakes must exhaust the budget, not spin.
+    /// corrupt ack, ack timeout).
     HandshakeLost,
-    /// `disconnect_after_jobs` fired: simulate a killed worker.
-    SelfKilled,
 }
 
 /// Connects to `addr` and serves jobs until the coordinator shuts the
@@ -136,52 +132,32 @@ where
     let mut summary = WorkerSummary::default();
     let mut attempt: u32 = 0;
     loop {
-        let stream = match TcpStream::connect(addr) {
-            Ok(s) => s,
-            Err(e) => {
-                attempt += 1;
-                if attempt > opts.max_reconnect_attempts {
-                    return Err(DistError::Unreachable {
-                        addr: addr.to_string(),
-                        attempts: attempt - 1,
-                        last_error: e.to_string(),
-                    });
-                }
-                std::thread::sleep(backoff(&opts, attempt));
-                continue;
+        // A loss after a completed handshake restarts the attempt budget
+        // at 1 (the link was demonstrably healthy); a failed connect or
+        // handshake keeps counting, so a link that never handshakes
+        // exhausts the budget instead of spinning.
+        let (fresh, last_error) = match TcpStream::connect(addr) {
+            Err(e) => (false, e.to_string()),
+            Ok(stream) => {
+                let end = serve(stream, config_hash, &opts, &handler, &mut summary)?;
+                let (fresh, why) = match end {
+                    ServeEnd::Done => return Ok(summary),
+                    ServeEnd::Lost => (true, "connection lost"),
+                    ServeEnd::HandshakeLost => (false, "handshake kept failing"),
+                };
+                summary.reconnects += 1;
+                (fresh, format!("{why} and retries exhausted"))
             }
         };
-
-        match serve(stream, config_hash, &opts, &handler, &mut summary) {
-            Ok(ServeEnd::Done) | Ok(ServeEnd::SelfKilled) => return Ok(summary),
-            Ok(ServeEnd::Lost) => {
-                // The handshake had completed, so the outage is fresh:
-                // restart the attempt budget at 1.
-                summary.reconnects += 1;
-                attempt = 1;
-                if attempt > opts.max_reconnect_attempts {
-                    return Err(DistError::Unreachable {
-                        addr: addr.to_string(),
-                        attempts: attempt - 1,
-                        last_error: "connection lost and retries exhausted".into(),
-                    });
-                }
-                std::thread::sleep(backoff(&opts, attempt));
-            }
-            Ok(ServeEnd::HandshakeLost) => {
-                summary.reconnects += 1;
-                attempt += 1;
-                if attempt > opts.max_reconnect_attempts {
-                    return Err(DistError::Unreachable {
-                        addr: addr.to_string(),
-                        attempts: attempt - 1,
-                        last_error: "handshake kept failing and retries exhausted".into(),
-                    });
-                }
-                std::thread::sleep(backoff(&opts, attempt));
-            }
-            Err(e) => return Err(e),
+        attempt = if fresh { 1 } else { attempt + 1 };
+        if attempt > opts.max_reconnect_attempts {
+            return Err(DistError::Unreachable {
+                addr: addr.to_string(),
+                attempts: attempt - 1,
+                last_error,
+            });
         }
+        std::thread::sleep(backoff(&opts, attempt));
     }
 }
 
@@ -207,10 +183,8 @@ pub(crate) fn backoff_ms(opts: &WorkerOptions, attempt: u32) -> u64 {
     exp.saturating_add(jitter).min(opts.reconnect_max_ms)
 }
 
-struct LocalQueue {
-    jobs: VecDeque<(u64, String, String)>,
-    closed: bool,
-}
+/// One dispatched job: submission index, label, payload.
+type Job = (u64, String, String);
 
 fn serve<H>(
     stream: TcpStream,
@@ -222,74 +196,131 @@ fn serve<H>(
 where
     H: Fn(&str, &str) -> String + Send + Sync,
 {
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(Duration::from_millis(opts.read_timeout_ms.max(10))))
-        .map_err(DistError::Io)?;
     shm_metrics::gauge!(
         "shm_heartbeat_interval_ms",
         "Worker liveness beacon period in milliseconds"
     )
     .set(opts.heartbeat_interval_ms as i64);
     let pool_width = effective_jobs(opts.jobs).max(1);
-    let writer = Arc::new(Mutex::new(stream.try_clone().map_err(DistError::Io)?));
-    let mut reader = FrameReader::new(stream.try_clone().map_err(DistError::Io)?);
+    let tick = Duration::from_millis(opts.read_timeout_ms.max(10));
+    let (mut reader, mut writer) = conn::split(stream, tick)?;
 
     // --- Handshake ---
     // Connection-scoped failures here (I/O, corrupt ack, timeout) come
     // back as [`ServeEnd::HandshakeLost`] so the caller retries on a
     // *fresh* stream; only a policy rejection from the coordinator is
     // fatal.  A poisoned/corrupt stream is never read again (fail-closed).
-    {
-        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-        let sent = match write_frame(
-            &mut *w,
-            &Frame::Hello {
-                version: PROTOCOL_VERSION,
-                config_hash,
-                worker_id: opts.worker_id.clone(),
-                window: pool_width as u32,
-                token: String::new(),
-            },
-        ) {
-            Ok(n) => n,
-            Err(_) => return Ok(ServeEnd::HandshakeLost),
-        };
-        summary.bytes_sent += sent as u64;
-    }
-    let ack_deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match reader.read_frame() {
-            Ok(Frame::HelloAck { accepted: true, .. }) => break,
-            Ok(Frame::HelloAck {
-                accepted: false,
-                reason,
-            }) => return Err(DistError::Rejected { reason }),
-            Ok(other) => {
-                return Err(DistError::Protocol(format!(
-                    "expected hello ack, got {other:?}"
-                )))
-            }
-            Err(FrameError::Timeout) if Instant::now() < ack_deadline => continue,
-            Err(FrameError::Timeout) => return Ok(ServeEnd::HandshakeLost),
-            Err(_) => return Ok(ServeEnd::HandshakeLost),
-        }
+    let me = Peer {
+        id: opts.worker_id.clone(),
+        window: pool_width as u32,
+        token: String::new(),
+    };
+    match conn::send_hello(&mut reader, &mut writer, config_hash, &me) {
+        Ok(sent) => summary.bytes_sent += sent as u64,
+        Err(rejected @ DistError::Rejected { .. }) => return Err(rejected),
+        Err(_) => return Ok(ServeEnd::HandshakeLost),
     }
 
     // --- Serve ---
+    let writer = Mutex::new(writer);
     let jobs_done = AtomicU64::new(summary.jobs_done);
     let bytes_sent = AtomicU64::new(0);
+    // Set once this connection is over: the heartbeat stops and the pool
+    // finishes what is queued, then stops pulling.
     let stop = AtomicBool::new(false);
     let killed = AtomicBool::new(false);
-    let queue = Mutex::new(LocalQueue {
-        jobs: VecDeque::new(),
-        closed: false,
-    });
+    let queue: Mutex<VecDeque<Job>> = Mutex::new(VecDeque::new());
     let queue_cond = Condvar::new();
+    // Dispatched and not yet answered: queued plus running.
     let in_flight = AtomicU64::new(0);
     // Counts results built on this connection — drives the byzantine
     // "every Nth result" test knobs.
     let result_seq = AtomicU64::new(0);
+
+    let send = |frame: &Frame| {
+        let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+        let sent = write_frame(&mut *w, frame);
+        if let Ok(n) = sent {
+            bytes_sent.fetch_add(n as u64, Ordering::SeqCst);
+        }
+        sent.is_ok()
+    };
+    // Ends the pool: `drop_queued` also discards jobs not yet started.
+    let close = |drop_queued: bool| {
+        stop.store(true, Ordering::SeqCst);
+        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+        if drop_queued {
+            q.clear();
+        }
+        queue_cond.notify_all();
+    };
+    let idle = || {
+        in_flight.load(Ordering::SeqCst) == 0
+            && queue.lock().unwrap_or_else(|e| e.into_inner()).is_empty()
+    };
+
+    // The local pool's job source: blocks until a job is queued, and ends
+    // once the connection is over and the queue is empty.
+    let next = || {
+        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(job) = q.pop_front() {
+                return Some(job);
+            }
+            if stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            q = queue_cond.wait(q).unwrap_or_else(|e| e.into_inner());
+        }
+    };
+    let work = |(_, label, payload): &Job| {
+        let run_started = Instant::now();
+        let result = handler(label, payload);
+        (result, run_started.elapsed().as_nanos() as u64)
+    };
+    let done = |(index, _, _): Job, outcome: Result<(String, u64), String>| {
+        let frame = match outcome {
+            Ok((mut result, run_ns)) => {
+                let seq = result_seq.fetch_add(1, Ordering::SeqCst) + 1;
+                if let Some(n) = opts.byzantine_lie_every {
+                    if n > 0 && seq.is_multiple_of(n) {
+                        // Consistent liar: tamper *before* digesting, and
+                        // salt by seq so repeated lies differ — two
+                        // identical lies must never out-vote the truth in
+                        // a majority audit.
+                        result = tamper_first_digit(&result, seq);
+                    }
+                }
+                let mut digest = payload_digest(result.as_bytes());
+                if let Some(n) = opts.byzantine_bad_digest_every {
+                    if n > 0 && seq.is_multiple_of(n) {
+                        digest ^= 0xDEAD_BEEF_DEAD_BEEF;
+                    }
+                }
+                Frame::JobResult {
+                    index,
+                    payload: result,
+                    run_ns,
+                    digest,
+                }
+            }
+            Err(message) => Frame::JobError { index, message },
+        };
+        let done_now = send(&frame).then(|| jobs_done.fetch_add(1, Ordering::SeqCst) + 1);
+        in_flight.fetch_sub(1, Ordering::SeqCst);
+        let kill_due = opts
+            .disconnect_after_jobs
+            .is_some_and(|k| done_now.is_some_and(|n| n >= k));
+        if kill_due && !killed.swap(true, Ordering::SeqCst) {
+            // Simulate a kill: sever the socket abruptly and stop
+            // everything; dispatched-but-unfinished jobs are left for the
+            // coordinator to reassign.
+            let w = writer.lock().unwrap_or_else(|e| e.into_inner());
+            let _ = w.shutdown(Shutdown::Both);
+            drop(w);
+            close(true);
+        }
+    };
 
     let end = std::thread::scope(|scope| {
         // Heartbeat beacon, independent of job execution.
@@ -306,239 +337,113 @@ where
                         break 'beat;
                     }
                 }
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
                 let beat = Frame::Heartbeat {
                     jobs_done: jobs_done.load(Ordering::SeqCst),
                 };
-                match write_frame(&mut *w, &beat) {
-                    Ok(n) => {
-                        bytes_sent.fetch_add(n as u64, Ordering::SeqCst);
-                    }
-                    Err(_) => break,
+                if !send(&beat) {
+                    break;
                 }
             }
         });
 
-        // Local pool.
-        for _ in 0..pool_width {
-            scope.spawn(|| loop {
-                let job = {
-                    let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                    loop {
-                        if let Some(job) = q.jobs.pop_front() {
-                            break Some(job);
-                        }
-                        if q.closed {
-                            break None;
-                        }
-                        q = queue_cond.wait(q).unwrap_or_else(|e| e.into_inner());
-                    }
-                };
-                let Some((index, label, payload)) = job else {
-                    break;
-                };
-                let run_started = Instant::now();
-                let outcome = catch_unwind(AssertUnwindSafe(|| handler(&label, &payload)));
-                let run_ns = run_started.elapsed().as_nanos() as u64;
-                let frame = match outcome {
-                    Ok(mut result) => {
-                        let seq = result_seq.fetch_add(1, Ordering::SeqCst) + 1;
-                        if let Some(n) = opts.byzantine_lie_every {
-                            if n > 0 && seq.is_multiple_of(n) {
-                                // Consistent liar: tamper *before* digesting,
-                                // and salt by seq so repeated lies differ —
-                                // two identical lies must never out-vote the
-                                // truth in a majority audit.
-                                result = tamper_first_digit(&result, seq);
-                            }
-                        }
-                        let mut digest = payload_digest(result.as_bytes());
-                        if let Some(n) = opts.byzantine_bad_digest_every {
-                            if n > 0 && seq.is_multiple_of(n) {
-                                digest ^= 0xDEAD_BEEF_DEAD_BEEF;
-                            }
-                        }
-                        Frame::JobResult {
-                            index,
-                            payload: result,
-                            run_ns,
-                            digest,
-                        }
-                    }
-                    Err(panic) => Frame::JobError {
-                        index,
-                        message: panic_text(panic),
-                    },
-                };
-                let done_now = {
-                    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                    match write_frame(&mut *w, &frame) {
-                        Ok(n) => {
-                            bytes_sent.fetch_add(n as u64, Ordering::SeqCst);
-                            jobs_done.fetch_add(1, Ordering::SeqCst) + 1
-                        }
-                        Err(_) => {
-                            in_flight.fetch_sub(1, Ordering::SeqCst);
-                            break;
-                        }
-                    }
-                };
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                if let Some(k) = opts.disconnect_after_jobs {
-                    if done_now >= k && !killed.swap(true, Ordering::SeqCst) {
-                        // Simulate a kill: sever the socket abruptly and
-                        // stop everything; dispatched-but-unfinished jobs
-                        // are left for the coordinator to reassign.
-                        let w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                        let _ = w.shutdown(Shutdown::Both);
-                        drop(w);
-                        stop.store(true, Ordering::SeqCst);
-                        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                        q.closed = true;
-                        q.jobs.clear();
-                        queue_cond.notify_all();
-                        break;
-                    }
+        // Reader / dispatcher.
+        let dispatcher = scope.spawn(|| {
+            let mut draining = false;
+            // Graceful SIGTERM/rolling-restart drain: announced once, then
+            // the worker finishes everything it already accepted and
+            // leaves with a final heartbeat instead of dropping the socket
+            // (which would cost the coordinator a reassignment + retry-budget
+            // slot).
+            let mut sig_drain = false;
+            let end = loop {
+                if killed.load(Ordering::SeqCst) {
+                    break ServeEnd::Done;
                 }
-            });
-        }
-
-        // Reader / dispatcher (this thread).
-        let mut draining = false;
-        // Graceful SIGTERM/rolling-restart drain: announced once, then the
-        // worker finishes everything it already accepted and leaves with a
-        // final heartbeat instead of dropping the socket (which would cost
-        // the coordinator a reassignment + retry-budget slot).
-        let mut sig_drain = false;
-        let end = loop {
-            if killed.load(Ordering::SeqCst) {
-                break ServeEnd::SelfKilled;
-            }
-            let drain_wanted = sim_exec::cancel_requested()
-                || opts
-                    .drain_after_jobs
-                    .is_some_and(|k| jobs_done.load(Ordering::SeqCst) >= k);
-            if drain_wanted && !sig_drain {
-                sig_drain = true;
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                match write_frame(
-                    &mut *w,
-                    &Frame::Drain {
+                let drain_wanted = sim_exec::cancel_requested()
+                    || opts
+                        .drain_after_jobs
+                        .is_some_and(|k| jobs_done.load(Ordering::SeqCst) >= k);
+                if drain_wanted && !sig_drain {
+                    sig_drain = true;
+                    let announce = Frame::Drain {
                         reason: "worker draining (rolling restart)".into(),
-                    },
-                ) {
-                    Ok(n) => {
-                        bytes_sent.fetch_add(n as u64, Ordering::SeqCst);
+                    };
+                    if !send(&announce) {
+                        break ServeEnd::Lost;
                     }
-                    Err(_) => break ServeEnd::Lost,
                 }
-            }
-            if sig_drain
-                && in_flight.load(Ordering::SeqCst) == 0
-                && queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .jobs
-                    .is_empty()
-            {
-                // Everything accepted has been finished and flushed: one
-                // last liveness beacon, then a clean exit-0 departure.
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                if let Ok(n) = write_frame(
-                    &mut *w,
-                    &Frame::Heartbeat {
+                if sig_drain && idle() {
+                    // Everything accepted has been finished and flushed:
+                    // one last liveness beacon, then a clean exit-0
+                    // departure.
+                    send(&Frame::Heartbeat {
                         jobs_done: jobs_done.load(Ordering::SeqCst),
-                    },
-                ) {
-                    bytes_sent.fetch_add(n as u64, Ordering::SeqCst);
+                    });
+                    break ServeEnd::Done;
                 }
-                break ServeEnd::Done;
-            }
-            if draining
-                && in_flight.load(Ordering::SeqCst) == 0
-                && queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .jobs
-                    .is_empty()
-            {
-                break ServeEnd::Done;
-            }
-            match reader.read_frame() {
-                Ok(Frame::JobDispatch {
-                    index,
-                    label,
-                    payload,
-                    trace_id: _,
-                    span_id: _,
-                }) => {
-                    in_flight.fetch_add(1, Ordering::SeqCst);
-                    let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                    q.jobs.push_back((index, label, payload));
-                    queue_cond.notify_one();
+                if draining && idle() {
+                    break ServeEnd::Done;
                 }
-                Ok(Frame::StatsRequest) => {
-                    let queued = {
-                        let q = queue.lock().unwrap_or_else(|e| e.into_inner());
-                        q.jobs.len() as u32
-                    };
-                    let reply = Frame::StatsReply {
-                        in_flight: in_flight.load(Ordering::SeqCst) as u32,
-                        queued,
-                        completed: jobs_done.load(Ordering::SeqCst),
-                    };
-                    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Ok(n) = write_frame(&mut *w, &reply) {
-                        bytes_sent.fetch_add(n as u64, Ordering::SeqCst);
+                match reader.read_frame() {
+                    Ok(Frame::JobDispatch {
+                        index,
+                        label,
+                        payload,
+                        trace_id: _,
+                        span_id: _,
+                    }) => {
+                        in_flight.fetch_add(1, Ordering::SeqCst);
+                        let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
+                        q.push_back((index, label, payload));
+                        queue_cond.notify_one();
                     }
-                }
-                Ok(Frame::Cancel) => {
-                    // Stop expecting new work; in-flight jobs drain and the
-                    // coordinator follows up with Shutdown.
-                }
-                Ok(Frame::Shutdown) => draining = true,
-                Ok(_) => {} // ignore unexpected chatter
-                Err(FrameError::Timeout) => {}
-                Err(_) => {
-                    if killed.load(Ordering::SeqCst) {
-                        break ServeEnd::SelfKilled;
+                    Ok(Frame::StatsRequest) => {
+                        let queued = queue.lock().unwrap_or_else(|e| e.into_inner()).len();
+                        send(&Frame::StatsReply {
+                            in_flight: in_flight.load(Ordering::SeqCst) as u32,
+                            queued: queued as u32,
+                            completed: jobs_done.load(Ordering::SeqCst),
+                        });
                     }
-                    if draining {
-                        // The coordinator already said Shutdown; finish
-                        // local work, then exit cleanly.
-                        while in_flight.load(Ordering::SeqCst) != 0 {
-                            std::thread::sleep(Duration::from_millis(10));
+                    Ok(Frame::Cancel) => {
+                        // Stop expecting new work; in-flight jobs drain and
+                        // the coordinator follows up with Shutdown.
+                    }
+                    Ok(Frame::Shutdown) => draining = true,
+                    Ok(_) => {} // ignore unexpected chatter
+                    Err(FrameError::Timeout) => {}
+                    Err(_) => {
+                        if killed.load(Ordering::SeqCst) {
+                            break ServeEnd::Done;
                         }
-                        break ServeEnd::Done;
+                        if draining {
+                            // The coordinator already said Shutdown; finish
+                            // local work, then exit cleanly.
+                            while in_flight.load(Ordering::SeqCst) != 0 {
+                                std::thread::sleep(Duration::from_millis(10));
+                            }
+                            break ServeEnd::Done;
+                        }
+                        break ServeEnd::Lost;
                     }
-                    break ServeEnd::Lost;
                 }
-            }
-        };
+            };
+            close(false);
+            end
+        });
 
-        stop.store(true, Ordering::SeqCst);
-        {
-            let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.closed = true;
-            queue_cond.notify_all();
-        }
-        end
+        // Local pool, on this thread: `pool_width` lanes pulling from the
+        // queue until the dispatcher closes it.
+        Executor::new(pool_width).pull(next, work, done);
+        dispatcher
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     });
 
     summary.jobs_done = jobs_done.load(Ordering::SeqCst);
     summary.bytes_sent += bytes_sent.load(Ordering::SeqCst);
     summary.bytes_received += reader.bytes_read;
     Ok(end)
-}
-
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Byzantine lie: bump the first ASCII digit of the payload by a

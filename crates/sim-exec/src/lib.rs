@@ -16,18 +16,20 @@
 //! * **Deterministic results** — each worker writes a job's result into
 //!   the job's dedicated slot, so the order in which jobs *finish* never
 //!   affects the order results are returned.
-//! * **Panic isolation** — each job body runs under
-//!   [`std::panic::catch_unwind`]; a panicking job yields a [`JobPanic`]
-//!   carrying its index and payload instead of poisoning the whole sweep.
+//! * **Panic isolation** — each job body runs under [`catch`]; a
+//!   panicking job yields a [`JobPanic`] carrying its index and payload
+//!   instead of poisoning the whole sweep.
 //! * **Opt-out** — the pool width comes from (in priority order) an
 //!   explicit `--jobs N` style request, the `SHM_JOBS` environment
 //!   variable, then [`std::thread::available_parallelism`].  `SHM_JOBS=1`
 //!   forces fully serial execution on the calling thread.
 //!
 //! [`Executor::map`], [`Executor::map_cancellable`] and
-//! [`Executor::run_robust`] are each one call to the same job loop:
-//! cancellation is its stop check, and `run_robust` adds its deadline and
-//! retry inside each job.
+//! [`Executor::run_robust`] are each one call to the same job loop,
+//! [`Executor::pull`], fed from a shared cursor: cancellation is the
+//! cursor's stop check, and `run_robust` adds its deadline and retry
+//! inside each job.  The sim-dist worker and the `shm serve` daemon run
+//! the same loop over their own job sources.
 //!
 //! The [`arena`] module complements the executor: keyed scratch pools let
 //! repeated jobs reuse their per-job working state (bank matrices, event
@@ -125,15 +127,21 @@ impl std::error::Error for JobPanic {}
 /// Per-job outcome: the job's return value, or its captured panic.
 pub type JobResult<T> = Result<T, JobPanic>;
 
-/// Renders a panic payload as text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Runs `f`, turning a panic into its payload rendered as text
+/// (`&str`/`String` payloads verbatim, otherwise a placeholder).
+///
+/// The workspace's one panic capture: the job loop ([`Executor::pull`])
+/// and `run_robust`'s in-place retry both go through it.
+pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        }
+    })
 }
 
 /// Interprets a jobs specification (`SHM_JOBS`, `--jobs N`): `Some(n)`
@@ -180,15 +188,14 @@ pub fn effective_jobs(requested: Option<usize>) -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The job loop behind every sweep.
+/// Runs `job(index)` for every index below `n` on up to `workers`
+/// threads and returns each outcome in its index's slot.
 ///
-/// Up to `workers` scoped threads (or the calling thread alone, when one
-/// suffices) each check `stop`, take the next index from one shared
-/// cursor, run `job(index)` under `catch_unwind`, and store the outcome in
-/// that index's slot.  Jobs never add jobs, so an exhausted cursor means
-/// the sweep is done; jobs are coarse (milliseconds to seconds), so one
-/// cursor balances load as well as per-worker queues would.  Slots of
-/// jobs that `stop` kept from starting come back as `None`.
+/// The job source is one shared cursor: jobs are coarse (milliseconds to
+/// seconds), so one atomic increment per job balances load as well as
+/// per-worker queues would, and jobs never add jobs, so an exhausted
+/// cursor means the sweep is done.  `stop` is checked before each take;
+/// slots of jobs it kept from starting come back as `None`.
 fn run_jobs<T, J, S>(workers: usize, n: usize, stop: S, job: J) -> Vec<Option<JobResult<T>>>
 where
     T: Send,
@@ -199,31 +206,25 @@ where
     // Relaxed suffices: the cursor only hands out distinct indices; results
     // travel through the slot mutexes and the scope's join.
     let cursor = AtomicUsize::new(0);
-    let worker = || {
-        while !stop() {
-            let index = cursor.fetch_add(1, Ordering::Relaxed);
-            if index >= n {
-                break;
-            }
-            let outcome =
-                catch_unwind(AssertUnwindSafe(|| job(index))).map_err(|payload| JobPanic {
-                    index,
-                    label: None,
-                    message: panic_message(payload),
-                });
-            *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+    let next = || {
+        if stop() {
+            return None;
         }
+        let index = cursor.fetch_add(1, Ordering::Relaxed);
+        (index < n).then_some(index)
     };
-    let workers = workers.min(n);
-    if workers <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(worker);
-            }
-        });
-    }
+    Executor::new(workers.min(n)).pull(
+        next,
+        |&index| job(index),
+        |index, outcome| {
+            let outcome = outcome.map_err(|message| JobPanic {
+                index,
+                label: None,
+                message,
+            });
+            *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
+        },
+    );
     slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
@@ -268,6 +269,39 @@ impl Executor {
     /// Number of workers this executor uses.
     pub fn jobs(&self) -> usize {
         self.jobs
+    }
+
+    /// The job loop behind every sweep, the sim-dist worker and the
+    /// `shm serve` daemon.
+    ///
+    /// Up to [`jobs`](Executor::jobs) threads (the calling thread alone,
+    /// for one) each call `next()` until it returns `None`, run
+    /// `work(&job)` under [`catch`] and hand the job and its outcome to
+    /// `done`, so a panicking job never stops its thread.  `next` may
+    /// block: a source that waits for work ends the loop by returning
+    /// `None` once it is closed.  Returns when every thread has seen
+    /// `None`.
+    pub fn pull<J, T>(
+        &self,
+        next: impl Fn() -> Option<J> + Sync,
+        work: impl Fn(&J) -> T + Sync,
+        done: impl Fn(J, Result<T, String>) + Sync,
+    ) {
+        let worker = || {
+            while let Some(job) = next() {
+                let outcome = catch(|| work(&job));
+                done(job, outcome);
+            }
+        };
+        if self.jobs <= 1 {
+            worker();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..self.jobs {
+                    scope.spawn(worker);
+                }
+            });
+        }
     }
 
     /// Runs `work(index, &items[index])` for every item and returns the
@@ -392,8 +426,8 @@ impl Executor {
                     index,
                     deadline: timeout.map(|t| Instant::now() + t),
                 };
-                let result = catch_unwind(AssertUnwindSafe(|| work(&ctx, &items[index])));
-                (result.map_err(panic_message), ctx.cancelled())
+                let result = catch(|| work(&ctx, &items[index]));
+                (result, ctx.cancelled())
             };
             let (mut result, mut late) = attempt();
             if result.is_err() && !late && take_retry() {
@@ -722,6 +756,65 @@ mod tests {
             assert_eq!(out.len(), 333);
             assert_eq!(counter.load(Ordering::Relaxed), 333);
         });
+    }
+
+    #[test]
+    fn pull_drains_its_source_on_at_most_n_threads_and_captures_panics() {
+        within(DEADLINE, || {
+            for width in [1, 3] {
+                let source = Mutex::new((0..60u32).collect::<std::collections::VecDeque<_>>());
+                let threads = Mutex::new(std::collections::HashSet::new());
+                let ok = AtomicUsize::new(0);
+                let failed = Mutex::new(Vec::new());
+                Executor::new(width).pull(
+                    || source.lock().unwrap().pop_front(),
+                    |&x| {
+                        threads.lock().unwrap().insert(std::thread::current().id());
+                        // Hold each job briefly so every thread gets some.
+                        std::thread::sleep(Duration::from_millis(1));
+                        if x % 20 == 7 {
+                            panic!("job {x} failed");
+                        }
+                        x * 2
+                    },
+                    |x, outcome| match outcome {
+                        Ok(v) => {
+                            assert_eq!(v, x * 2);
+                            ok.fetch_add(1, Ordering::SeqCst);
+                        }
+                        Err(message) => failed.lock().unwrap().push(message),
+                    },
+                );
+                assert!(source.lock().unwrap().is_empty(), "source not drained");
+                assert_eq!(ok.load(Ordering::SeqCst), 57);
+                let mut failed = failed.into_inner().unwrap();
+                failed.sort();
+                assert_eq!(failed, ["job 27 failed", "job 47 failed", "job 7 failed"]);
+                let threads = threads.into_inner().unwrap();
+                assert!(
+                    (1..=width).contains(&threads.len()),
+                    "{} threads ran jobs at width {width}",
+                    threads.len()
+                );
+                if width == 1 {
+                    assert!(threads.contains(&std::thread::current().id()));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn catch_renders_every_payload_kind() {
+        assert_eq!(catch(|| 5), Ok(5));
+        assert_eq!(catch(|| -> u8 { panic!("static") }), Err("static".into()));
+        assert_eq!(
+            catch(|| -> u8 { panic!("formatted {}", 1) }),
+            Err("formatted 1".into())
+        );
+        assert_eq!(
+            catch(|| -> u8 { std::panic::panic_any(7u32) }),
+            Err("non-string panic payload".into())
+        );
     }
 
     #[test]

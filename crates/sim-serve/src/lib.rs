@@ -5,10 +5,12 @@
 //! [`Frame::Hello`] handshake workers use (version + config-hash checked,
 //! quarantined identities refused), then pipeline
 //! [`Frame::SubmitSweep`] requests.  The daemon multiplexes every
-//! tenant's jobs onto one local execution pool with **deficit
-//! round-robin** fair scheduling, streams one seq/ts_ms-tagged
-//! [`Frame::JobProgress`] per finished job, and terminates each request
-//! with a digest-protected [`Frame::SweepResult`].
+//! tenant's jobs onto one local execution pool — `sim-exec`'s job loop,
+//! [`Executor::pull`], fed by **deficit round-robin** fair scheduling —
+//! streams one seq/ts_ms-tagged [`Frame::JobProgress`] per finished job,
+//! and terminates each request with a digest-protected
+//! [`Frame::SweepResult`].  Accepting, the handshake and the pool are the
+//! ones the sim-dist cluster runs on ([`sim_dist::conn`]).
 //!
 //! The robustness surface:
 //!
@@ -32,6 +34,10 @@
 //!   [`Frame::Drain`], finishes or deadline-cancels in-flight requests
 //!   within [`DRAIN_ENV`], flushes per-tenant journals, and returns so
 //!   the process can exit 0.
+//! * **Loud journal failures** — a tenant journal that cannot be opened
+//!   or appended is reported once on stderr (path and error), counted in
+//!   [`ServeReport::journal_errors`], and no longer written; the daemon
+//!   keeps serving.
 //! * **Idle reaping** — connections with no live requests and no
 //!   traffic for [`IDLE_ENV`] are closed.
 //!
@@ -41,18 +47,18 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::net::{TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use shm_recovery::JobJournal;
+use sim_dist::conn::{self, Peer};
 use sim_dist::protocol::{
     sweep_result_digest, write_frame, Frame, FrameError, FrameReader, JOB_FAILED, JOB_OK,
-    JOB_SKIPPED, PROTOCOL_VERSION,
+    JOB_SKIPPED,
 };
 use sim_dist::{env_u64, DistError};
-use sim_exec::{effective_jobs, CancelToken};
+use sim_exec::{CancelToken, Executor};
 
 /// Environment variable: per-tenant bounded queue depth in jobs; a
 /// submission that would exceed it is shed with [`Frame::Reject`].
@@ -88,6 +94,10 @@ pub const TOKENS_ENV: &str = "SHM_SERVE_TOKENS";
 /// Environment variable (client side): the auth token `shm loadgen` and
 /// other [`ServeClient`] users present in their hello.
 pub const TOKEN_ENV: &str = "SHM_SERVE_TOKEN";
+
+/// Bounded per-read socket wait on daemon and client connections; also
+/// the daemon's poll tick for drain, idle and deadline checks.
+const TICK: Duration = Duration::from_millis(50);
 
 /// Every `SHM_SERVE_*` knob: (name, default, meaning).  The `shm env`
 /// table extends itself from this list and a test asserts the list covers
@@ -153,9 +163,6 @@ pub struct ServeOptions {
     pub quantum: u32,
     /// Execution pool width; `None` resolves like `Executor::from_env`.
     pub pool: Option<usize>,
-    /// Bounded per-read socket timeout (ms) — doubles as the poll tick
-    /// for drain/idle/deadline checks.
-    pub read_timeout_ms: u64,
     /// When set, every completed job is appended to
     /// `<dir>/<tenant>.jsonl` (one [`JobJournal`] per tenant).
     pub journal_dir: Option<PathBuf>,
@@ -177,7 +184,6 @@ impl ServeOptions {
             max_tenants: 16,
             quantum: 4,
             pool: None,
-            read_timeout_ms: 50,
             journal_dir: None,
             config_hash,
             tokens: None,
@@ -295,6 +301,9 @@ pub struct ServeReport {
     /// True when every in-flight request terminated within the drain
     /// grace period (no forced cancellation was needed).
     pub drained_clean: bool,
+    /// Tenant journals that failed to open or to take an append; each
+    /// was reported on stderr and is no longer written.
+    pub journal_errors: u64,
 }
 
 type Handler = Arc<dyn Fn(&str, &str) -> String + Send + Sync>;
@@ -347,6 +356,7 @@ struct Shared {
     started: Instant,
     inner: Mutex<ServeState>,
     work: Condvar,
+    /// Per-tenant journals; `None` once a tenant's journal has failed.
     journals: Mutex<HashMap<String, Option<JobJournal>>>,
 }
 
@@ -472,29 +482,54 @@ fn apply_finalize(shared: &Shared, f: Finalize) {
     if let Some(w) = &f.writer {
         send(w, &f.frame);
     }
-    if let Some(dir) = &shared.opts.journal_dir {
-        if !f.journal.is_empty() {
-            let mut journals = shared.journals.lock().unwrap_or_else(|e| e.into_inner());
-            let entry = journals.entry(f.tenant.clone()).or_insert_with(|| {
-                let safe: String = f
-                    .tenant
-                    .chars()
-                    .map(|c| {
-                        if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                            c
-                        } else {
-                            '_'
-                        }
-                    })
-                    .collect();
-                JobJournal::open(dir.join(format!("{safe}.jsonl")), shared.opts.config_hash).ok()
-            });
-            if let Some(j) = entry {
-                for (label, payload) in &f.journal {
-                    let _ = j.record(label, payload);
-                }
+    let Some(dir) = &shared.opts.journal_dir else {
+        return;
+    };
+    if f.journal.is_empty() {
+        return;
+    }
+    let safe: String = f
+        .tenant
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
             }
+        })
+        .collect();
+    let path = dir.join(format!("{safe}.jsonl"));
+    // A tenant's first journal failure, on open or on append, is its
+    // last: it is reported and counted once and the journal is dropped.
+    let mut journals = shared.journals.lock().unwrap_or_else(|e| e.into_inner());
+    let mut failure = None;
+    let entry = journals.entry(f.tenant.clone()).or_insert_with(|| {
+        JobJournal::open(&path, shared.opts.config_hash)
+            .map_err(|e| failure = Some(e.to_string()))
+            .ok()
+    });
+    if let Some(j) = entry {
+        failure = f
+            .journal
+            .iter()
+            .find_map(|(label, payload)| j.record(label, payload).err())
+            .map(|e| e.to_string());
+        if failure.is_some() {
+            // A failed append may leave a torn line; writing past it
+            // would make the whole file unreadable on the next open.
+            *entry = None;
         }
+    }
+    drop(journals);
+    if let Some(why) = failure {
+        eprintln!(
+            "serve: journaling for tenant '{}' stopped: {}: {why}",
+            f.tenant,
+            path.display()
+        );
+        let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+        state.report.journal_errors += 1;
     }
 }
 
@@ -552,7 +587,7 @@ impl Daemon {
     where
         H: Fn(&str, &str) -> String + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind(addr).map_err(DistError::Io)?;
+        let listener = conn::listen(addr).map_err(DistError::Io)?;
         Ok(Self {
             listener,
             shared: Arc::new(Shared {
@@ -577,38 +612,30 @@ impl Daemon {
     /// requests [`ServeOptions::drain_ms`] to terminate, cancel the rest
     /// to deterministic partial results, flush journals, and return.
     pub fn run(self, token: &CancelToken) -> Result<ServeReport, DistError> {
-        self.listener.set_nonblocking(true).map_err(DistError::Io)?;
-        let pool_width = effective_jobs(self.shared.opts.pool).max(1);
-
-        let mut pool = Vec::new();
-        for _ in 0..pool_width {
+        let pool = {
             let shared = Arc::clone(&self.shared);
-            pool.push(std::thread::spawn(move || pool_thread(&shared)));
-        }
+            let lanes = Executor::from_request(shared.opts.pool);
+            std::thread::spawn(move || {
+                lanes.pull(
+                    || next_queued(&shared),
+                    |(_, _, label, payload)| (shared.handler)(label, payload),
+                    |job, outcome| finish_job(&shared, job, outcome),
+                )
+            })
+        };
         let reaper = {
             let shared = Arc::clone(&self.shared);
             std::thread::spawn(move || reaper_thread(&shared))
         };
 
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut next_conn = 0u64;
-        while !token.is_cancelled() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let shared = Arc::clone(&self.shared);
-                    let conn_id = next_conn;
-                    next_conn += 1;
-                    conns.push(std::thread::spawn(move || {
-                        serve_connection(&shared, conn_id, stream);
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(_) => std::thread::sleep(Duration::from_millis(20)),
-            }
-            conns.retain(|h| !h.is_finished());
-        }
+        let conns = {
+            let shared = Arc::clone(&self.shared);
+            conn::accept_loop(
+                &self.listener,
+                || token.is_cancelled(),
+                move |conn_id, stream| serve_connection(&shared, conn_id, stream),
+            )
+        };
 
         // --- Graceful drain ---
         {
@@ -616,22 +643,7 @@ impl Daemon {
             state.draining = true;
         }
         let grace = Duration::from_millis(self.shared.opts.drain_ms.max(1));
-        let t0 = Instant::now();
-        let mut drained_clean = true;
-        loop {
-            let outstanding = {
-                let state = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                state.requests.len()
-            };
-            if outstanding == 0 {
-                break;
-            }
-            if t0.elapsed() >= grace {
-                drained_clean = false;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let drained_clean = requests_end_within(&self.shared, grace);
         if !drained_clean {
             // Force-cancel what the grace period did not finish: queued
             // jobs resolve as skipped, running jobs finish cooperatively.
@@ -646,17 +658,7 @@ impl Daemon {
                 apply_finalize(&self.shared, f);
             }
             // One more bounded wait for running jobs to land.
-            let t1 = Instant::now();
-            while t1.elapsed() < grace {
-                let outstanding = {
-                    let state = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                    state.requests.len()
-                };
-                if outstanding == 0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            requests_end_within(&self.shared, grace);
         }
 
         {
@@ -664,9 +666,7 @@ impl Daemon {
             state.shutdown = true;
         }
         self.shared.work.notify_all();
-        for h in pool {
-            let _ = h.join();
-        }
+        let _ = pool.join();
         let _ = reaper.join();
         for h in conns {
             let _ = h.join();
@@ -685,116 +685,132 @@ impl Daemon {
     }
 }
 
-fn pool_thread(shared: &Shared) {
+/// Waits up to `grace` for every request to terminate; true when they
+/// all did.
+fn requests_end_within(shared: &Shared, grace: Duration) -> bool {
+    let t0 = Instant::now();
     loop {
-        let job = {
-            let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = next_job(&mut state, shared.opts.quantum) {
-                    let (req, index) = job;
-                    let Some(tenant) = state.requests.get(&req).map(|r| r.tenant.clone()) else {
-                        continue;
-                    };
-                    let depth = state.tenants.get(&tenant).map_or(0, |t| t.queue.len());
-                    shared.queue_gauge(&tenant, depth);
-                    let r = state.requests.get_mut(&req).expect("checked above");
-                    if r.cancelled || r.dead {
-                        // Deadline fired or the client vanished while this
-                        // job sat queued: resolve as skipped, never run it.
-                        if r.results[index].is_none() {
-                            r.results[index] = Some((JOB_SKIPPED, String::new()));
-                            r.remaining -= 1;
-                            state.report.jobs_skipped += 1;
-                        }
-                        let done = state
-                            .requests
-                            .get(&req)
-                            .is_some_and(|r| r.remaining == 0 && r.running == 0);
-                        if done {
-                            if let Some(f) = finalize_locked(shared, &mut state, req) {
-                                drop(state);
-                                apply_finalize(shared, f);
-                                state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                            }
-                        }
-                        continue;
+        let state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if state.requests.is_empty() {
+            return true;
+        }
+        drop(state);
+        if t0.elapsed() >= grace {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A job picked for a pool lane: internal request id, job index, label,
+/// payload.
+type Picked = (u64, usize, String, String);
+
+/// The pool's job source: the next job in deficit round-robin order,
+/// waiting while every tenant queue is empty, and `None` once the daemon
+/// shuts down.  A job whose request was cancelled (deadline) or lost its
+/// client while it sat queued resolves as skipped here and never runs.
+fn next_queued(shared: &Shared) -> Option<Picked> {
+    let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        if let Some((req, index)) = next_job(&mut state, shared.opts.quantum) {
+            let Some(tenant) = state.requests.get(&req).map(|r| r.tenant.clone()) else {
+                continue;
+            };
+            let depth = state.tenants.get(&tenant).map_or(0, |t| t.queue.len());
+            shared.queue_gauge(&tenant, depth);
+            let r = state.requests.get_mut(&req).expect("checked above");
+            if r.cancelled || r.dead {
+                if r.results[index].is_none() {
+                    r.results[index] = Some((JOB_SKIPPED, String::new()));
+                    r.remaining -= 1;
+                    state.report.jobs_skipped += 1;
+                }
+                let done = state
+                    .requests
+                    .get(&req)
+                    .is_some_and(|r| r.remaining == 0 && r.running == 0);
+                if done {
+                    if let Some(f) = finalize_locked(shared, &mut state, req) {
+                        drop(state);
+                        apply_finalize(shared, f);
+                        state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                     }
-                    r.running += 1;
-                    break Some((
-                        req,
-                        index,
-                        r.labels[index].clone(),
-                        r.payloads[index].clone(),
-                    ));
                 }
-                if state.shutdown {
-                    break None;
-                }
-                state = shared
-                    .work
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
+                continue;
             }
-        };
-        let Some((req, index, label, payload)) = job else {
+            r.running += 1;
+            return Some((
+                req,
+                index,
+                r.labels[index].clone(),
+                r.payloads[index].clone(),
+            ));
+        }
+        if state.shutdown {
+            return None;
+        }
+        state = shared
+            .work
+            .wait_timeout(state, Duration::from_millis(100))
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
+    }
+}
+
+/// Records a finished job: its result, its progress frame and, when it
+/// was the request's last, the terminal result.  The job stays `running`
+/// until its progress frame is written, so no other thread can finalize
+/// the request and send its SweepResult ahead of this frame.
+fn finish_job(shared: &Shared, (req, index, label, _): Picked, outcome: Result<String, String>) {
+    let (status, body) = match outcome {
+        Ok(result) => (JOB_OK, result),
+        Err(panic) => (JOB_FAILED, panic),
+    };
+    let progress = {
+        let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+        match status {
+            JOB_OK => state.report.jobs_ok += 1,
+            _ => state.report.jobs_failed += 1,
+        }
+        let Some(r) = state.requests.get_mut(&req) else {
             return;
         };
-
-        let outcome = catch_unwind(AssertUnwindSafe(|| (shared.handler)(&label, &payload)));
-        let (status, body) = match outcome {
-            Ok(result) => (JOB_OK, result),
-            Err(panic) => (JOB_FAILED, panic_text(panic)),
-        };
-
-        // The job stays `running` until its progress frame is written, so
-        // no other thread can finalize the request and send its
-        // SweepResult ahead of this frame.
-        let progress = {
-            let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            match status {
-                JOB_OK => state.report.jobs_ok += 1,
-                _ => state.report.jobs_failed += 1,
-            }
-            let Some(r) = state.requests.get_mut(&req) else {
-                continue;
-            };
-            if r.results[index].is_none() {
-                r.results[index] = Some((status, body));
-                r.remaining -= 1;
-            }
-            (!r.dead).then(|| {
-                let seq = r.seq;
-                r.seq += 1;
-                (
-                    Arc::clone(&r.writer),
-                    Frame::JobProgress {
-                        req_id: r.client_req_id,
-                        seq,
-                        ts_ms: r.accepted.elapsed().as_millis() as u64,
-                        index: index as u32,
-                        label,
-                        status,
-                    },
-                )
-            })
-        };
-        if let Some((w, frame)) = progress {
-            send(&w, &frame);
+        if r.results[index].is_none() {
+            r.results[index] = Some((status, body));
+            r.remaining -= 1;
         }
-        let finalize = {
-            let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let Some(r) = state.requests.get_mut(&req) else {
-                continue;
-            };
-            r.running -= 1;
-            (r.remaining == 0 && r.running == 0)
-                .then(|| finalize_locked(shared, &mut state, req))
-                .flatten()
+        (!r.dead).then(|| {
+            let seq = r.seq;
+            r.seq += 1;
+            (
+                Arc::clone(&r.writer),
+                Frame::JobProgress {
+                    req_id: r.client_req_id,
+                    seq,
+                    ts_ms: r.accepted.elapsed().as_millis() as u64,
+                    index: index as u32,
+                    label,
+                    status,
+                },
+            )
+        })
+    };
+    if let Some((w, frame)) = progress {
+        send(&w, &frame);
+    }
+    let finalize = {
+        let mut state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let Some(r) = state.requests.get_mut(&req) else {
+            return;
         };
-        if let Some(f) = finalize {
-            apply_finalize(shared, f);
-        }
+        r.running -= 1;
+        (r.remaining == 0 && r.running == 0)
+            .then(|| finalize_locked(shared, &mut state, req))
+            .flatten()
+    };
+    if let Some(f) = finalize {
+        apply_finalize(shared, f);
     }
 }
 
@@ -835,16 +851,6 @@ fn reaper_thread(shared: &Shared) {
     }
 }
 
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 fn reject(writer: &Arc<Mutex<TcpStream>>, req_id: u64, retry_after_ms: u64, reason: &str) {
     shm_metrics::counter!(
         "shm_serve_rejects",
@@ -875,79 +881,37 @@ fn quarantine_tenant(shared: &Shared, tenant: &str, reason: &str) {
 }
 
 fn serve_connection(shared: &Shared, conn_id: u64, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let tick = Duration::from_millis(shared.opts.read_timeout_ms.clamp(10, 100));
-    if stream.set_read_timeout(Some(tick)).is_err() {
-        return;
-    }
-    let Ok(writer_stream) = stream.try_clone() else {
+    let Ok((mut reader, mut writer)) = conn::split(stream, TICK) else {
         return;
     };
-    let writer = Arc::new(Mutex::new(writer_stream));
-    let mut reader = FrameReader::new(stream);
-
     // --- Handshake: same versioned hello as the dist cluster ---
-    let hello_deadline = Instant::now() + Duration::from_secs(10);
-    let tenant = loop {
-        match reader.read_frame() {
-            Ok(Frame::Hello {
-                version,
-                config_hash,
-                worker_id,
-                token,
-                ..
-            }) => {
-                let refusal = {
-                    let state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-                    if version != PROTOCOL_VERSION {
-                        Some(format!(
-                            "protocol version mismatch: daemon {PROTOCOL_VERSION}, client {version}"
-                        ))
-                    } else if config_hash != shared.opts.config_hash {
-                        Some("config hash mismatch".to_string())
-                    } else if state.quarantined.contains(&worker_id) {
-                        Some(format!("tenant '{worker_id}' is quarantined"))
-                    } else if !token_ok(shared.opts.tokens.as_ref(), &worker_id, &token) {
-                        shm_metrics::counter!(
-                            "shm_serve_auth_rejects",
-                            "Hellos refused for a missing or wrong tenant token"
-                        )
-                        .inc();
-                        Some(format!("tenant '{worker_id}': bad auth token"))
-                    } else if state.draining {
-                        Some("daemon is draining".to_string())
-                    } else {
-                        None
-                    }
-                };
-                match refusal {
-                    Some(reason) => {
-                        send(
-                            &writer,
-                            &Frame::HelloAck {
-                                accepted: false,
-                                reason,
-                            },
-                        );
-                        return;
-                    }
-                    None => {
-                        send(
-                            &writer,
-                            &Frame::HelloAck {
-                                accepted: true,
-                                reason: String::new(),
-                            },
-                        );
-                        break worker_id;
-                    }
-                }
+    let hello = conn::accept_hello(
+        &mut reader,
+        &mut writer,
+        conn::HELLO_WAIT,
+        shared.opts.config_hash,
+        |peer| {
+            let state = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
+            if state.quarantined.contains(&peer.id) {
+                Err(format!("tenant '{}' is quarantined", peer.id))
+            } else if !token_ok(shared.opts.tokens.as_ref(), &peer.id, &peer.token) {
+                shm_metrics::counter!(
+                    "shm_serve_auth_rejects",
+                    "Hellos refused for a missing or wrong tenant token"
+                )
+                .inc();
+                Err(format!("tenant '{}': bad auth token", peer.id))
+            } else if state.draining {
+                Err("daemon is draining".to_string())
+            } else {
+                Ok(())
             }
-            Ok(_) => return, // not a hello: drop pre-handshake
-            Err(FrameError::Timeout) if Instant::now() < hello_deadline => continue,
-            Err(_) => return,
-        }
+        },
+    );
+    let Some(Peer { id: tenant, .. }) = hello else {
+        return;
     };
+    let writer = Arc::new(Mutex::new(writer));
 
     let mut drain_sent = false;
     let mut client_leaving = false;
@@ -1204,51 +1168,19 @@ impl ServeClient {
         config_hash: u64,
         token: &str,
     ) -> Result<Self, DistError> {
-        let stream = TcpStream::connect(addr).map_err(DistError::Io)?;
-        let _ = stream.set_nodelay(true);
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .map_err(DistError::Io)?;
-        let mut writer = stream.try_clone().map_err(DistError::Io)?;
-        let mut reader = FrameReader::new(stream);
-        write_frame(
-            &mut writer,
-            &Frame::Hello {
-                version: PROTOCOL_VERSION,
-                config_hash,
-                worker_id: tenant.to_string(),
-                window: 0,
-                token: token.to_string(),
-            },
-        )
-        .map_err(DistError::Io)?;
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            match reader.read_frame() {
-                Ok(Frame::HelloAck { accepted: true, .. }) => {
-                    return Ok(Self {
-                        tenant: tenant.to_string(),
-                        writer,
-                        reader,
-                        next_req: 1,
-                    })
-                }
-                Ok(Frame::HelloAck {
-                    accepted: false,
-                    reason,
-                }) => return Err(DistError::Rejected { reason }),
-                Ok(other) => {
-                    return Err(DistError::Protocol(format!(
-                        "expected hello ack, got {other:?}"
-                    )))
-                }
-                Err(FrameError::Timeout) if Instant::now() < deadline => continue,
-                Err(FrameError::Timeout) => {
-                    return Err(DistError::Protocol("hello ack timed out".into()))
-                }
-                Err(e) => return Err(DistError::Protocol(e.to_string())),
-            }
-        }
+        let (mut reader, mut writer) = conn::split(TcpStream::connect(addr)?, TICK)?;
+        let me = Peer {
+            id: tenant.to_string(),
+            window: 0,
+            token: token.to_string(),
+        };
+        conn::send_hello(&mut reader, &mut writer, config_hash, &me)?;
+        Ok(Self {
+            tenant: tenant.to_string(),
+            writer,
+            reader,
+            next_req: 1,
+        })
     }
 
     /// Submit one sweep; returns the client-chosen request id to match
@@ -1525,6 +1457,119 @@ mod tests {
         token.cancel();
         let report = daemon.join().unwrap();
         assert_eq!(report.rejected, 1);
+        assert_eq!(report.accepted, 0);
+    }
+
+    /// Awaits the terminal result of `req`, skipping progress frames.
+    fn await_done(c: &mut ServeClient, req: u64) -> SweepOutcome {
+        loop {
+            match c.next_event(Duration::from_secs(10)).unwrap() {
+                Some(ServeEvent::Progress { .. }) => continue,
+                Some(ServeEvent::Done(o)) if o.req_id == req => return o,
+                other => panic!("unexpected event: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn corrupt_tenant_journal_is_counted_and_serving_continues() {
+        let dir = std::env::temp_dir().join(format!("shm-serve-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let corrupt = "not a journal line\nnor is this\n";
+        std::fs::write(dir.join("t0.jsonl"), corrupt).unwrap();
+        let mut opts = quick_opts(0x10E);
+        opts.journal_dir = Some(dir.clone());
+        let (addr, token, daemon) = start(opts);
+
+        for tenant in ["t0", "t1"] {
+            let mut c = ServeClient::connect(&addr, tenant, 0x10E, "").unwrap();
+            let req = c.submit(0, &echo_jobs(4)).unwrap();
+            let outcome = await_done(&mut c, req);
+            assert!(outcome.digest_ok, "{tenant}: digest must verify");
+            assert!(!outcome.partial, "{tenant}: the sweep must be complete");
+            assert_eq!(outcome.results.len(), 4);
+            for (i, (status, payload)) in outcome.results.iter().enumerate() {
+                assert_eq!(*status, JOB_OK);
+                assert_eq!(payload, &format!("job-{i}:payload-{i}:ok"));
+            }
+        }
+        token.cancel();
+        let report = daemon.join().unwrap();
+        assert_eq!(report.journal_errors, 1, "{report:?}");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("t0.jsonl")).unwrap(),
+            corrupt,
+            "the corrupt journal is left as it was"
+        );
+        let healthy = JobJournal::open(dir.join("t1.jsonl"), 0x10E).unwrap();
+        assert_eq!(healthy.len(), 4, "the healthy tenant's journal is written");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Opens a raw connection, sends `first`, and returns the refusal
+    /// reason the server answers with.
+    fn refusal(addr: &str, first: &Frame) -> String {
+        let (mut reader, mut writer) =
+            conn::split(TcpStream::connect(addr).unwrap(), TICK).unwrap();
+        write_frame(&mut writer, first).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            match reader.read_frame() {
+                Ok(Frame::HelloAck {
+                    accepted: false,
+                    reason,
+                }) => return reason,
+                Ok(other) => panic!("expected a refusal, got {other:?}"),
+                Err(FrameError::Timeout) if Instant::now() < deadline => {}
+                Err(e) => panic!("no refusal from {addr}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn coordinator_and_daemon_refuse_a_bad_opening_alike() {
+        const HASH: u64 = 0xC0DE;
+        let opts = sim_dist::DistOptions {
+            connect_wait_ms: 30_000,
+            ..sim_dist::DistOptions::default()
+        };
+        let coord = sim_dist::Coordinator::bind("127.0.0.1:0", HASH, opts).unwrap();
+        let coord_addr = coord.local_addr().to_string();
+        let stop_coord = CancelToken::new();
+        let job = sim_dist::DistJob {
+            label: "job-0".into(),
+            payload: "payload-0".into(),
+        };
+        let coord_run = {
+            let t = stop_coord.clone();
+            std::thread::spawn(move || coord.run(vec![job], &t))
+        };
+        let (daemon_addr, token, daemon) = start(quick_opts(HASH));
+
+        let stale = Frame::Hello {
+            version: sim_dist::protocol::PROTOCOL_VERSION + 1,
+            config_hash: HASH,
+            worker_id: "stale".into(),
+            window: 1,
+            token: String::new(),
+        };
+        let not_hello = Frame::Heartbeat { jobs_done: 0 };
+        let [coord_stale, coord_first] = [&stale, &not_hello].map(|f| refusal(&coord_addr, f));
+        let [daemon_stale, daemon_first] = [&stale, &not_hello].map(|f| refusal(&daemon_addr, f));
+        assert!(
+            coord_stale.contains("protocol version mismatch"),
+            "{coord_stale}"
+        );
+        assert_eq!(coord_stale, daemon_stale);
+        assert_eq!(coord_first, "expected hello");
+        assert_eq!(daemon_first, "expected hello");
+
+        stop_coord.cancel();
+        let report = coord_run.join().unwrap().unwrap();
+        assert!(report.workers.is_empty(), "refused peers never register");
+        token.cancel();
+        let report = daemon.join().unwrap();
         assert_eq!(report.accepted, 0);
     }
 

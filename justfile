@@ -89,6 +89,12 @@ serve-smoke:
 hetero-smoke:
     bash scripts/hetero_smoke.sh
 
+# Network stress: the sim-exec, sim-dist and sim-serve tests plus the
+# cluster/daemon integration tests, 10 rounds in a row; fails on the first
+# failing round (thread races show up only across repeats).
+net-stress:
+    bash scripts/net_stress.sh
+
 # Distributed-sweep smoke: a loopback coordinator + 2 worker cluster must
 # render fig16 byte-identical to the serial run (see docs/DISTRIBUTED.md).
 dist-smoke scale="0.25":
