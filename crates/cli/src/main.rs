@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use gpu_mem_sim::{read_trace, write_trace, ContextTrace, DesignPoint, EnergyModel, Simulator};
-use gpu_types::{GpuConfig, SimStats, TrafficClass};
+use gpu_types::{GpuConfig, SimStats};
 use shm_bench::dist::DistSweepConfig;
 use shm_bench::{Backend, Journal, Sweep};
 use shm_recovery::{config_hash, crash_sweep, run_crash, CrashConfig};
@@ -36,7 +36,6 @@ use sim_exec::Executor;
 mod args;
 mod obs;
 mod report;
-mod serve_cmd;
 
 use args::{ArgError, Args};
 
@@ -177,8 +176,6 @@ fn dispatch(argv: &[String]) -> Result<(), CliError> {
         "crash" => cmd_crash(Args::parse(rest).map_err(stringify)?),
         "sweep" => cmd_sweep(Args::parse(rest).map_err(stringify)?),
         "worker" => cmd_worker(Args::parse(rest).map_err(stringify)?),
-        "serve" => serve_cmd::cmd_serve(Args::parse(rest).map_err(stringify)?),
-        "loadgen" => serve_cmd::cmd_loadgen(Args::parse(rest).map_err(stringify)?),
         "chaos" => cmd_chaos(Args::parse(rest).map_err(stringify)?),
         "trace-report" => obs::cmd_trace_report(rest),
         "top" => obs::cmd_top(&Args::parse(rest).map_err(stringify)?),
@@ -251,15 +248,6 @@ fn print_help() {
          \x20        endpoint (Prometheus text); --dist adds [--heartbeat-timeout-ms N]\n\
          \x20 worker --connect HOST:PORT [--jobs N] [--id NAME] [--heartbeat-ms N]\n\
          \x20        [--reconnect-attempts N] [--metrics-addr HOST:PORT]   serve sweep jobs\n\
-         \x20 serve --listen HOST:PORT [--queue-depth N] [--deadline-ms N] [--drain-ms N]\n\
-         \x20        [--idle-ms N] [--max-tenants N] [--jobs N] [--journal-dir D]\n\
-         \x20        [--tokens FILE] [--metrics-addr HOST:PORT]   multi-tenant sweep\n\
-         \x20        daemon; --tokens gates hellos on a tenant:token table; SIGTERM\n\
-         \x20        drains gracefully (finish or cancel in-flight, flush journals, exit 0)\n\
-         \x20 loadgen --connect HOST:PORT [--tenants N] [--rps R] [--duration S]\n\
-         \x20        [--chaos-seed K] [-b BENCH] [--events N] [--deadline-ms N]\n\
-         \x20        [--token T] [--table-out FILE]  drive a serve daemon and verify no\n\
-         \x20        silent divergence from the serial reference; exit 4 on wrong bytes\n\
          \x20 chaos [--schedule smoke|full] [--seed S] [--scale X] [--dir D]   fault-\n\
          \x20        injection campaign on the cluster; exit 4 on silent divergence\n\
          \x20 trace-report <file.jsonl> [--top N]  span timeline from a telemetry trace\n\
@@ -844,7 +832,7 @@ fn cmd_sweep_inner(args: &Args) -> Result<(), CliError> {
     if dist.is_some() {
         finish_sweep_telemetry(args, &probe)?;
     }
-    print_sweep_table(&stats, args.flag("csv"));
+    print!("{}", format_sweep_table(&stats, args.flag("csv")));
     if dist.is_none() {
         finish_sweep_telemetry(args, &probe)?;
     }
@@ -948,15 +936,9 @@ fn finish_sweep_telemetry(args: &Args, probe: &Probe) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Prints the design table for one sweep; both the local and the
-/// distributed path end here so their stdout is byte-identical.
-fn print_sweep_table(stats: &[SimStats], csv: bool) {
-    print!("{}", format_sweep_table(stats, csv));
-}
-
 /// Renders the design table for one sweep.  Every consumer — local sweep,
-/// `--dist` sweep, and `shm loadgen --table-out` — goes through this one
-/// formatter so their tables are byte-identical by construction.
+/// `--dist` sweep, and each policy of a `--pools` sweep — goes through this
+/// one formatter so their tables are byte-identical by construction.
 fn format_sweep_table(stats: &[SimStats], csv: bool) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -1005,10 +987,6 @@ fn format_sweep_table(stats: &[SimStats], csv: bool) -> String {
     out
 }
 
-/// `shm worker --connect HOST:PORT`: serve sweep jobs to a coordinator.
-/// Each dispatched job regenerates its trace locally and runs on this
-/// host's executor pool; the process keeps reconnecting (with backoff)
-/// until the coordinator shuts the cluster down.
 /// `shm chaos`: run the distributed sweep through the deterministic fault
 /// gauntlet (chaos proxy, byzantine workers, coordinator crash-resume) and
 /// verify every scenario ends in byte-identical merged tables or a clean
@@ -1060,6 +1038,10 @@ fn cmd_chaos(args: Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// `shm worker --connect HOST:PORT`: serve sweep jobs to a coordinator.
+/// Each dispatched job regenerates its trace locally and runs on this
+/// host's executor pool; the process keeps reconnecting (with backoff)
+/// until the coordinator shuts the cluster down.
 fn cmd_worker(args: Args) -> Result<(), CliError> {
     let addr = args
         .get("connect")
@@ -1143,6 +1125,5 @@ fn cmd_trace_info(rest: &[String]) -> Result<(), String> {
         oracle.streaming_fraction(&events, map) * 100.0,
         oracle.read_only_fraction(&events, map) * 100.0
     );
-    let _ = TrafficClass::ALL;
     Ok(())
 }

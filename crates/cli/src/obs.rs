@@ -230,9 +230,9 @@ pub fn cmd_top(args: &Args) -> Result<(), CliError> {
 }
 
 /// `shm env`: every `SHM_*` environment knob the toolchain reads, with its
-/// current value.  The same table lives in README.md — keep them in sync.
-/// The `SHM_SERVE_*` rows come straight from `sim_serve::ENV_KNOBS`, so
-/// the daemon cannot grow a knob this table misses.
+/// current value.  The same table lives in README.md; a test checks that
+/// the two list the same knobs and that every knob the sources name has a
+/// row.
 pub fn cmd_env() {
     println!("{:<26} {:<12} meaning", "variable", "value");
     for (name, default, meaning) in env_knob_table() {
@@ -289,7 +289,6 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
             "AES backend: auto|aesni|ttable (auto = AES-NI when the CPU has it)",
         ),
     ];
-    knobs.extend(sim_serve::ENV_KNOBS.iter().copied());
     knobs.extend(shm_pool::ENV_KNOBS.iter().copied());
     knobs
 }
@@ -313,76 +312,115 @@ mod tests {
         assert!(frame.contains("41"), "frame:\n{frame}");
     }
 
-    /// Collects every `<pat>SUFFIX` environment-knob literal from the `.rs`
-    /// files under `dirs` (paths relative to this crate's manifest dir).
-    fn scan_knob_literals(pat: &str, dirs: &[&str]) -> std::collections::BTreeSet<String> {
-        fn scan_literals(src: &str, pat: &[u8], found: &mut std::collections::BTreeSet<String>) {
-            let bytes = src.as_bytes();
-            for i in 0..bytes.len().saturating_sub(pat.len()) {
-                if &bytes[i..i + pat.len()] == pat {
-                    let mut end = i + pat.len();
-                    while end < bytes.len()
-                        && (bytes[end].is_ascii_uppercase() || bytes[end] == b'_')
-                    {
-                        end += 1;
-                    }
-                    // A bare prefix (doc prose like "SHM_SERVE_*", or this
-                    // test's own pattern) is not a knob name.
-                    if end > i + pat.len() {
-                        found.insert(src[i..end].to_string());
-                    }
-                }
-            }
-        }
+    /// Every `"SHM_[A-Z_]+"` string literal in the `.rs` files under the
+    /// `src` dir of each crate named in `crates` (of every crate when
+    /// `crates` is empty), except prefixes (names ending in `_`).
+    fn knob_literals(crates: &[&str]) -> std::collections::BTreeSet<String> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+        let mut dirs: Vec<std::path::PathBuf> = if crates.is_empty() {
+            std::fs::read_dir(&root)
+                .expect("crates dir readable")
+                .map(|e| e.expect("dir entry").path().join("src"))
+                .collect()
+        } else {
+            crates.iter().map(|c| root.join(c).join("src")).collect()
+        };
         let mut found = std::collections::BTreeSet::new();
-        for dir in dirs {
-            let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
-            for entry in std::fs::read_dir(&dir).expect("source dir readable") {
+        while let Some(dir) = dirs.pop() {
+            let Ok(entries) = std::fs::read_dir(&dir) else {
+                continue;
+            };
+            for entry in entries {
                 let path = entry.expect("dir entry").path();
-                if path.extension().is_some_and(|e| e == "rs") {
-                    scan_literals(
-                        &std::fs::read_to_string(&path).expect("source readable"),
-                        pat.as_bytes(),
-                        &mut found,
-                    );
+                if path.is_dir() {
+                    dirs.push(path);
+                } else if path.extension().is_some_and(|e| e == "rs") {
+                    let src = std::fs::read_to_string(&path).expect("source readable");
+                    for (i, _) in src.match_indices("\"SHM_") {
+                        let name: String = src[i + 1..]
+                            .chars()
+                            .take_while(|c| c.is_ascii_uppercase() || *c == '_')
+                            .collect();
+                        if src[i + 1 + name.len()..].starts_with('"') && !name.ends_with('_') {
+                            found.insert(name);
+                        }
+                    }
                 }
             }
         }
         found
     }
 
-    fn assert_knobs_in_table(found: &std::collections::BTreeSet<String>, pat: &str) {
-        assert!(
-            !found.is_empty(),
-            "scanner found no {pat}* knobs at all — is it broken?"
-        );
+    /// Asserts that `found` holds each of `expected` (else the scanner is
+    /// broken) and that every name in `found` has an `shm env` row.
+    fn assert_knobs_in_table(found: &std::collections::BTreeSet<String>, expected: &[&str]) {
+        for knob in expected {
+            assert!(
+                found.contains(*knob),
+                "scanner missed {knob} — is it broken? found {found:?}"
+            );
+        }
         let table: Vec<&str> = env_knob_table().iter().map(|(n, _, _)| *n).collect();
         for knob in found {
             assert!(
                 table.contains(&knob.as_str()),
-                "knob {knob} is parsed in the sources but missing from the `shm env` table"
+                "knob {knob} is named in the sources but missing from the `shm env` table"
             );
         }
     }
 
-    /// Every `SHM_SERVE_*` literal anywhere in the cli or sim-serve
-    /// sources must have a row in the `shm env` table — a daemon knob the
-    /// operator cannot discover is a support incident waiting to happen.
-    #[test]
-    fn every_serve_knob_is_in_the_env_table() {
-        let found = scan_knob_literals("SHM_SERVE_", &["src", "../sim-serve/src"]);
-        assert_knobs_in_table(&found, "SHM_SERVE_");
-    }
-
-    /// Same contract for the heterogeneous-pool knobs: every `SHM_POOL_*` /
-    /// `SHM_LINK_*` literal in the cli or shm-pool sources needs an `shm
-    /// env` row.
+    /// Every pool and link knob the shm-pool sources name has an `shm env`
+    /// row.
     #[test]
     fn every_pool_knob_is_in_the_env_table() {
-        for pat in ["SHM_POOL_", "SHM_LINK_"] {
-            let found = scan_knob_literals(pat, &["src", "../pool/src"]);
-            assert_knobs_in_table(&found, pat);
-        }
+        let expected: Vec<&str> = shm_pool::ENV_KNOBS.iter().map(|(n, _, _)| *n).collect();
+        assert_knobs_in_table(&knob_literals(&["pool"]), &expected);
+    }
+
+    /// Every knob of the remote-sweep path has an `shm env` row: the
+    /// `--dist` coordinator and `shm worker` (sim-dist) and the executor
+    /// they run jobs on (sim-exec).
+    #[test]
+    fn every_serve_knob_is_in_the_env_table() {
+        assert_knobs_in_table(
+            &knob_literals(&["sim-dist", "sim-exec"]),
+            &[
+                sim_dist::DIST_WORKERS_ENV,
+                sim_dist::HEARTBEAT_INTERVAL_ENV,
+                sim_dist::HEARTBEAT_TIMEOUT_ENV,
+                sim_dist::RECONNECT_ATTEMPTS_ENV,
+                sim_exec::JOBS_ENV,
+            ],
+        );
+    }
+
+    /// Every knob literal in any crate's sources has an `shm env` row, and
+    /// README's "Environment knobs" table lists exactly the `shm env` rows,
+    /// in the same order.
+    #[test]
+    fn env_table_covers_every_knob_and_matches_the_readme() {
+        assert_knobs_in_table(&knob_literals(&[]), &[sim_exec::JOBS_ENV, METRICS_ADDR_ENV]);
+        let table: Vec<&str> = env_knob_table().iter().map(|(n, _, _)| *n).collect();
+
+        let readme = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md"),
+        )
+        .expect("README.md readable");
+        let section = readme
+            .split("## Environment knobs")
+            .nth(1)
+            .expect("README has an Environment knobs section");
+        let listed: Vec<&str> = section
+            .split("\n## ")
+            .next()
+            .unwrap_or_default()
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `")?.split('`').next())
+            .collect();
+        assert_eq!(
+            listed, table,
+            "README's Environment knobs table must list exactly the `shm env` knobs"
+        );
     }
 
     #[test]

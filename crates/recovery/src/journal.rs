@@ -97,18 +97,6 @@ impl JournalCodec for SimStats {
     }
 }
 
-impl JournalCodec for String {
-    fn encode_journal(&self, out: &mut String) {
-        out.push('"');
-        json::escape_into(self, out);
-        out.push('"');
-    }
-
-    fn decode_journal(payload: &str) -> Option<Self> {
-        json::unescape(payload.strip_prefix('"')?.strip_suffix('"')?)
-    }
-}
-
 /// Anything the crash-consistency layer can fail with.
 #[derive(Debug)]
 pub enum RecoveryError {
@@ -482,7 +470,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = JobJournal::open(&path, 9).expect("create");
-            j.record("done", &"ok".to_string()).expect("append");
+            j.record("done", &stats(1)).expect("append");
         }
         // Simulate a crash mid-append: a torn, newline-less final record.
         let mut doc = std::fs::read_to_string(&path).expect("read");

@@ -395,9 +395,14 @@ fn fault_metric(kind: &'static str) {
 mod tests {
     use super::*;
     use crate::protocol::{write_frame, Frame, FrameReader};
-    fn heartbeat_bytes(n: u64) -> Vec<u8> {
+    /// The wire bytes of a frame numbered `n`.
+    fn numbered_frame(n: u64) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, &Frame::Heartbeat { jobs_done: n }).unwrap();
+        let frame = Frame::JobError {
+            index: n,
+            message: String::new(),
+        };
+        write_frame(&mut out, &frame).unwrap();
         out
     }
 
@@ -431,14 +436,14 @@ mod tests {
         conn.set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
         for i in 0..8u64 {
-            conn.write_all(&heartbeat_bytes(i)).unwrap();
+            conn.write_all(&numbered_frame(i)).unwrap();
         }
         let mut reader = FrameReader::new(conn.try_clone().unwrap());
         for i in 0..8u64 {
             loop {
                 match reader.read_frame() {
-                    Ok(Frame::Heartbeat { jobs_done }) => {
-                        assert_eq!(jobs_done, i);
+                    Ok(Frame::JobError { index, .. }) => {
+                        assert_eq!(index, i);
                         break;
                     }
                     Ok(other) => panic!("unexpected frame {other:?}"),
@@ -474,11 +479,11 @@ mod tests {
         let mut conn = TcpStream::connect(proxy.local_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_millis(100)))
             .unwrap();
-        conn.write_all(&heartbeat_bytes(1)).unwrap();
+        conn.write_all(&numbered_frame(1)).unwrap();
         let mut reader = FrameReader::new(conn.try_clone().unwrap());
         // The echoed frame crossed the proxy twice; whichever direction
         // corrupted it, the reader must end Corrupt or severed — never a
-        // clean heartbeat.
+        // clean frame.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             match reader.read_frame() {
@@ -509,7 +514,7 @@ mod tests {
             conn.set_read_timeout(Some(Duration::from_millis(50)))
                 .unwrap();
             for i in 0..32u64 {
-                conn.write_all(&heartbeat_bytes(i)).unwrap();
+                conn.write_all(&numbered_frame(i)).unwrap();
             }
             // Read echoes until quiet so downstream rolls happen too.
             let mut reader = FrameReader::new(conn.try_clone().unwrap());

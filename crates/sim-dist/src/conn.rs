@@ -1,5 +1,5 @@
-//! The connection core shared by the sweep coordinator and its workers,
-//! the `shm serve` daemon and its clients, and the chaos proxy.
+//! The connection core shared by the sweep coordinator, its workers and
+//! the chaos proxy.
 //!
 //! * [`listen`] and [`accept_loop`] — one accept loop, one thread per
 //!   connection, one error policy: a failed accept is retried, never
@@ -24,9 +24,8 @@ use crate::DistError;
 /// its stop condition and polls again.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
 
-/// How long a worker or serve client waits for the [`Frame::HelloAck`],
-/// and the serve daemon for a client's [`Frame::Hello`].
-pub const HELLO_WAIT: Duration = Duration::from_secs(10);
+/// How long a worker waits for the [`Frame::HelloAck`].
+const HELLO_WAIT: Duration = Duration::from_secs(10);
 
 /// Binds a listener for [`accept_loop`].  It is non-blocking, so the loop
 /// can poll its stop condition between connections.
@@ -79,17 +78,14 @@ pub fn split(stream: TcpStream, tick: Duration) -> io::Result<(FrameReader<TcpSt
     Ok((FrameReader::new(stream), writer))
 }
 
-/// Who is on the other end of a handshake: what a client presents in its
-/// [`Frame::Hello`] and what a server's admission check sees.
+/// Who is on the other end of a handshake: what a worker presents in its
+/// [`Frame::Hello`] and what the coordinator's admission check sees.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Peer {
-    /// Worker id, or the tenant name of a serve client.
+    /// Worker id.
     pub id: String,
-    /// Jobs the peer holds in flight at once (a worker's pool width; 0
-    /// from serve clients).
+    /// Jobs the worker holds in flight at once (its pool width).
     pub window: u32,
-    /// Tenant auth token (serve clients; empty from workers).
-    pub token: String,
 }
 
 /// The server half of the handshake.  Reads one [`Frame::Hello`] within
@@ -113,12 +109,10 @@ pub fn accept_hello(
                 config_hash: theirs,
                 worker_id,
                 window,
-                token,
             }) => {
                 let peer = Peer {
                     id: worker_id,
                     window,
-                    token,
                 };
                 break if version != PROTOCOL_VERSION {
                     Err(format!(
@@ -146,7 +140,7 @@ pub fn accept_hello(
 }
 
 /// The client half of the handshake: presents `peer` in a
-/// [`Frame::Hello`] and waits up to [`HELLO_WAIT`] for the server's
+/// [`Frame::Hello`] and waits up to `HELLO_WAIT` (10 s) for the server's
 /// [`Frame::HelloAck`].  Returns the bytes written when accepted,
 /// [`DistError::Rejected`] with the server's reason when refused, and any
 /// other error when the link failed before an answer arrived.
@@ -161,7 +155,6 @@ pub fn send_hello(
         config_hash,
         worker_id: peer.id.clone(),
         window: peer.window,
-        token: peer.token.clone(),
     };
     let sent = write_frame(writer, &hello)?;
     let deadline = Instant::now() + HELLO_WAIT;

@@ -244,8 +244,6 @@ struct Shared {
     config_hash: u64,
     /// Sweep start; all job timings are relative to this.
     started: Instant,
-    /// Trace id minted for this sweep, carried in every dispatch.
-    trace_id: u64,
 }
 
 /// TCP sweep coordinator; see the module docs for the protocol.
@@ -376,7 +374,6 @@ impl Coordinator {
             opts: self.opts.clone(),
             config_hash: self.config_hash,
             started: Instant::now(),
-            trace_id,
         });
 
         let stop_accept = Arc::new(AtomicBool::new(false));
@@ -884,9 +881,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     };
     // A quarantined worker reconnecting (e.g. its Shutdown got lost in
     // transit) is refused permanently — byzantine peers don't get a
-    // second identity under the same name.  The coordinator↔worker link
-    // is config-hash gated, not token gated; tenant tokens guard the
-    // serve daemon's client handshake instead.
+    // second identity under the same name.
     let hello = conn::accept_hello(
         &mut reader,
         &mut writer,
@@ -908,7 +903,6 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let Some(Peer {
         id: worker_id,
         window,
-        ..
     }) = hello
     else {
         return;
@@ -1027,10 +1021,6 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                         index: p.index as u64,
                         label: job.label.clone(),
                         payload: job.payload.clone(),
-                        trace_id: shared.trace_id,
-                        // Span ids are deterministic: root = 1, job i = i+2
-                        // (matching telemetry's span-tree convention).
-                        span_id: p.index as u64 + 2,
                     };
                     match write_frame(&mut writer, &frame) {
                         Ok(bytes) => {
@@ -1109,7 +1099,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             }
         }
         match frame {
-            Ok(Frame::Heartbeat { .. }) => {
+            Ok(Frame::Heartbeat) => {
                 last_seen = Instant::now();
                 shm_metrics::counter!(
                     "shm_dist_heartbeats_total",
@@ -1271,7 +1261,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                     shared.cond.notify_all();
                 }
             }
-            Ok(Frame::Drain { .. }) => {
+            Ok(Frame::Drain) => {
                 // Graceful goodbye (rolling restart): stop dispatching to
                 // this worker but keep reading — it is still flushing
                 // results for everything it already accepted.  When it

@@ -21,9 +21,9 @@
 //! job encodings (which benchmark, how many events, which design) belong
 //! to the submitting layer (`shm-bench`), keeping the cluster machinery
 //! generic.  [`conn`] is the connection core (accept loop and both halves
-//! of the hello) that the coordinator, the worker, the chaos proxy and the
-//! `sim-serve` daemon share.  See `docs/DISTRIBUTED.md` for the wire
-//! format and failure semantics.
+//! of the hello) that the coordinator, the worker and the chaos proxy
+//! share.  See `docs/DISTRIBUTED.md` for the wire format and failure
+//! semantics.
 
 pub mod chaos;
 pub mod conn;
@@ -67,7 +67,7 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
 /// Parse a positive integer from the environment, ignoring unset,
 /// empty, or malformed values (observability knobs must never turn a
 /// typo into a sweep failure).
-pub fn env_u64(name: &str) -> Option<u64> {
+pub(crate) fn env_u64(name: &str) -> Option<u64> {
     let raw = std::env::var(name).ok()?;
     let trimmed = raw.trim();
     if trimmed.is_empty() {
@@ -322,6 +322,60 @@ mod tests {
         assert!(good.join().unwrap().is_ok());
     }
 
+    /// Opens a raw connection to `addr`, sends `first`, and returns the
+    /// refusal reason the server answers with.
+    fn refusal(addr: &str, first: &protocol::Frame) -> String {
+        use protocol::{write_frame, Frame, FrameError};
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        let (mut reader, mut writer) = conn::split(stream, Duration::from_millis(50)).unwrap();
+        write_frame(&mut writer, first).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            match reader.read_frame() {
+                Ok(Frame::HelloAck {
+                    accepted: false,
+                    reason,
+                }) => return reason,
+                Ok(other) => panic!("expected a refusal, got {other:?}"),
+                Err(FrameError::Timeout) if std::time::Instant::now() < deadline => {}
+                Err(e) => panic!("no refusal from {addr}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn coordinator_refuses_a_bad_opening() {
+        use protocol::Frame;
+        const HASH: u64 = 0xC0DE;
+        let opts = DistOptions {
+            connect_wait_ms: 30_000,
+            ..quick_opts()
+        };
+        let coord = Coordinator::bind("127.0.0.1:0", HASH, opts).unwrap();
+        let addr = coord.local_addr().to_string();
+        let stop = CancelToken::new();
+        let run = {
+            let t = stop.clone();
+            std::thread::spawn(move || coord.run(echo_jobs(1), &t))
+        };
+
+        let stale = Frame::Hello {
+            version: 6,
+            config_hash: HASH,
+            worker_id: "stale".into(),
+            window: 1,
+        };
+        assert_eq!(
+            refusal(&addr, &stale),
+            "protocol version mismatch: expected 5, got 6"
+        );
+        assert_eq!(refusal(&addr, &Frame::Heartbeat), "expected hello");
+
+        stop.cancel();
+        let report = run.join().unwrap().unwrap();
+        assert!(report.workers.is_empty(), "refused peers never register");
+    }
+
     #[test]
     fn job_panic_carries_label_and_retries_once() {
         let coord = Coordinator::bind("127.0.0.1:0", 7, quick_opts()).unwrap();
@@ -536,7 +590,6 @@ mod tests {
                 config_hash: 0x57A1,
                 worker_id: "stray".into(),
                 window: 1,
-                token: String::new(),
             },
         )
         .unwrap();

@@ -38,40 +38,17 @@ use std::io::{self, Read, Write};
 /// job handler all the way into the merged table, so a worker shipping
 /// corrupt or forged bytes is caught even when every frame checksums clean.
 ///
-/// v4: the service plane.  [`Frame::SubmitSweep`] / [`Frame::JobProgress`] /
-/// [`Frame::SweepResult`] / [`Frame::Reject`] / [`Frame::Drain`] carry
-/// multi-tenant sweep requests to a long-running `shm serve` daemon, with
-/// streamed seq/ts_ms-tagged progress, structured admission-control
-/// rejects, and a drain notice for rolling restarts.  `Drain` doubles as
-/// the worker→coordinator graceful-goodbye frame: a departing worker that
-/// announces itself no longer burns a reassignment or retry-budget slot.
-pub const PROTOCOL_VERSION: u32 = 4;
-
-/// `SweepResult` per-job status: the job ran and its payload is valid.
-pub const JOB_OK: u8 = 0;
-/// `SweepResult` per-job status: the job handler panicked; the payload
-/// carries the captured panic message instead of a result.
-pub const JOB_FAILED: u8 = 1;
-/// `SweepResult` per-job status: the job never ran (deadline cancel or
-/// drain); the payload is empty.  Presence of any skipped entry implies
-/// `partial == true`.
-pub const JOB_SKIPPED: u8 = 2;
-
-/// End-to-end digest over a `SweepResult` body (status bytes + payloads),
-/// the v4 analogue of the per-job [`payload_digest`]: computed by the
-/// daemon before framing, re-checked by the client after deframing, so a
-/// response that was corrupted anywhere past the frame CRC's single hop is
-/// still caught.
-pub fn sweep_result_digest(partial: bool, results: &[(u8, String)]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(&[u8::from(partial)]);
-    for (status, payload) in results {
-        h.write(&[*status]);
-        h.write(payload.as_bytes());
-        h.write(&[0xFF]); // entry separator so ("a","") != ("","a")
-    }
-    h.finish()
-}
+/// v4: frame types 11–15 for a multi-tenant sweep daemon, and a token in
+/// the hello.  Type 15, [`Frame::Drain`], doubles as the worker's graceful
+/// goodbye: a departing worker that announces itself no longer burns a
+/// reassignment or retry-budget slot.
+///
+/// v5: the daemon is gone, and with it types 11–14 (a frame of one of
+/// those types now fails to decode) and the fields no receiver read: the
+/// hello token, the dispatch's trace and span ids (the coordinator builds
+/// spans from its own report), the heartbeat's jobs-done count and the
+/// drain reason.  `Drain` keeps type 15.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Frame magic: `"SHMD"`.
 pub const FRAME_MAGIC: u32 = 0x4448_4D53; // b"SHMD" little-endian
@@ -114,37 +91,17 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// End-to-end FNV-1a digest of a job-result payload (the v3
-/// [`Frame::JobResult`] `digest` field).  Intentionally a different
+/// End-to-end FNV-1a 64 digest of a job-result payload (the v3
+/// [`Frame::JobResult`] `digest` field), and the crate's one FNV-1a (the
+/// benchmark trace seeds use it too).  Intentionally a different
 /// algorithm with a different scope than the per-frame [`crc32`]: the CRC
 /// protects one transport hop, this digest travels with the result from
 /// the worker's job handler to the coordinator's merge, so byzantine or
 /// corrupt workers cannot hide behind clean framing.
 pub fn payload_digest(data: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write(data);
-    h.finish()
-}
-
-/// Streaming FNV-1a 64: the one copy behind [`payload_digest`] (and so
-/// the benchmark trace seeds) and [`sweep_result_digest`].
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
+    data.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Total wire length of the frame starting at `buf[0]`, once enough header
@@ -181,10 +138,6 @@ pub enum Frame {
         worker_id: String,
         /// How many jobs the worker wants in flight (its local pool width).
         window: u32,
-        /// Per-tenant auth token presented at the hello.  Empty when the
-        /// receiving end has no token table configured; compared in
-        /// constant time against the table when it does.
-        token: String,
     },
     /// Coordinator → worker: handshake verdict.  `reason` is empty on
     /// acceptance.
@@ -197,10 +150,6 @@ pub enum Frame {
         index: u64,
         label: String,
         payload: String,
-        /// Distributed-trace id of the sweep this job belongs to.
-        trace_id: u64,
-        /// Span id minted for this job at submission.
-        span_id: u64,
     },
     /// Worker → coordinator: a job finished cleanly.  `run_ns` is the pure
     /// execution time measured around the job body on the worker;
@@ -218,7 +167,7 @@ pub enum Frame {
     JobError { index: u64, message: String },
     /// Worker → coordinator: liveness beacon, sent on a timer even while
     /// long jobs run.  Missing heartbeats mark the worker dead.
-    Heartbeat { jobs_done: u64 },
+    Heartbeat,
     /// Coordinator → worker: stop pulling new jobs (cooperative
     /// cancellation); in-flight jobs drain normally.
     Cancel,
@@ -235,58 +184,11 @@ pub enum Frame {
         /// Jobs completed since the worker connected.
         completed: u64,
     },
-    /// Client → daemon (v4): one sweep request.  `req_id` is chosen by the
-    /// client and echoed on every response frame so a tenant can pipeline
-    /// requests on one connection; `deadline_ms` of 0 defers to the
-    /// daemon-side default.  Each job is an opaque `(label, payload)` pair
-    /// owned by the submitting layer, exactly like [`Frame::JobDispatch`].
-    SubmitSweep {
-        tenant: String,
-        req_id: u64,
-        deadline_ms: u64,
-        jobs: Vec<(String, String)>,
-    },
-    /// Daemon → client (v4): streamed telemetry, one frame per finished
-    /// job.  `seq` increases by one per frame within a request and `ts_ms`
-    /// is milliseconds since the daemon accepted the request, so a client
-    /// can both order and gap-check the stream.
-    JobProgress {
-        req_id: u64,
-        seq: u64,
-        ts_ms: u64,
-        index: u32,
-        label: String,
-        status: u8,
-    },
-    /// Daemon → client (v4): terminal response for a request.  `results`
-    /// is indexed by submission order; each entry is a
-    /// ([`JOB_OK`]/[`JOB_FAILED`]/[`JOB_SKIPPED`], payload) pair and
-    /// `partial` is set when any job was skipped (deadline cancel or
-    /// drain).  `digest` is [`sweep_result_digest`] over the body,
-    /// re-checked end-to-end by the client.
-    SweepResult {
-        req_id: u64,
-        seq: u64,
-        ts_ms: u64,
-        partial: bool,
-        results: Vec<(u8, String)>,
-        digest: u64,
-    },
-    /// Daemon → client (v4): admission control shed this request without
-    /// queueing it.  `retry_after_ms` is the daemon's backoff hint; zero
-    /// means "never" (quarantined tenant or a draining daemon that is
-    /// about to exit).
-    Reject {
-        req_id: u64,
-        retry_after_ms: u64,
-        reason: String,
-    },
-    /// Bidirectional (v4) drain notice.  Daemon → client: a rolling
-    /// restart is in progress — stop submitting, already-accepted requests
-    /// will still terminate.  Worker → coordinator: graceful goodbye — the
-    /// worker drained its local queue and is exiting on purpose, so the
-    /// coordinator must not charge its retry budget for the departure.
-    Drain { reason: String },
+    /// Worker → coordinator: graceful goodbye.  The worker finishes the
+    /// jobs it already holds and then leaves on purpose, so the coordinator
+    /// stops dispatching to it and does not charge its retry budget for
+    /// the departure.
+    Drain,
 }
 
 impl Frame {
@@ -297,16 +199,12 @@ impl Frame {
             Frame::JobDispatch { .. } => 3,
             Frame::JobResult { .. } => 4,
             Frame::JobError { .. } => 5,
-            Frame::Heartbeat { .. } => 6,
+            Frame::Heartbeat => 6,
             Frame::Cancel => 7,
             Frame::Shutdown => 8,
             Frame::StatsRequest => 9,
             Frame::StatsReply { .. } => 10,
-            Frame::SubmitSweep { .. } => 11,
-            Frame::JobProgress { .. } => 12,
-            Frame::SweepResult { .. } => 13,
-            Frame::Reject { .. } => 14,
-            Frame::Drain { .. } => 15,
+            Frame::Drain => 15,
         }
     }
 }
@@ -414,13 +312,11 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             config_hash,
             worker_id,
             window,
-            token,
         } => {
             put_u32(&mut payload, *version);
             put_u64(&mut payload, *config_hash);
             put_str(&mut payload, worker_id);
             put_u32(&mut payload, *window);
-            put_str(&mut payload, token);
         }
         Frame::HelloAck { accepted, reason } => {
             payload.push(u8::from(*accepted));
@@ -430,14 +326,10 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             index,
             label,
             payload: job,
-            trace_id,
-            span_id,
         } => {
             put_u64(&mut payload, *index);
             put_str(&mut payload, label);
             put_str(&mut payload, job);
-            put_u64(&mut payload, *trace_id);
-            put_u64(&mut payload, *span_id);
         }
         Frame::JobResult {
             index,
@@ -454,7 +346,6 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u64(&mut payload, *index);
             put_str(&mut payload, message);
         }
-        Frame::Heartbeat { jobs_done } => put_u64(&mut payload, *jobs_done),
         Frame::StatsReply {
             in_flight,
             queued,
@@ -464,66 +355,8 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
             put_u32(&mut payload, *queued);
             put_u64(&mut payload, *completed);
         }
-        Frame::SubmitSweep {
-            tenant,
-            req_id,
-            deadline_ms,
-            jobs,
-        } => {
-            put_str(&mut payload, tenant);
-            put_u64(&mut payload, *req_id);
-            put_u64(&mut payload, *deadline_ms);
-            put_u32(&mut payload, jobs.len() as u32);
-            for (label, job) in jobs {
-                put_str(&mut payload, label);
-                put_str(&mut payload, job);
-            }
+        Frame::Heartbeat | Frame::Cancel | Frame::Shutdown | Frame::StatsRequest | Frame::Drain => {
         }
-        Frame::JobProgress {
-            req_id,
-            seq,
-            ts_ms,
-            index,
-            label,
-            status,
-        } => {
-            put_u64(&mut payload, *req_id);
-            put_u64(&mut payload, *seq);
-            put_u64(&mut payload, *ts_ms);
-            put_u32(&mut payload, *index);
-            put_str(&mut payload, label);
-            payload.push(*status);
-        }
-        Frame::SweepResult {
-            req_id,
-            seq,
-            ts_ms,
-            partial,
-            results,
-            digest,
-        } => {
-            put_u64(&mut payload, *req_id);
-            put_u64(&mut payload, *seq);
-            put_u64(&mut payload, *ts_ms);
-            payload.push(u8::from(*partial));
-            put_u32(&mut payload, results.len() as u32);
-            for (status, body) in results {
-                payload.push(*status);
-                put_str(&mut payload, body);
-            }
-            put_u64(&mut payload, *digest);
-        }
-        Frame::Reject {
-            req_id,
-            retry_after_ms,
-            reason,
-        } => {
-            put_u64(&mut payload, *req_id);
-            put_u64(&mut payload, *retry_after_ms);
-            put_str(&mut payload, reason);
-        }
-        Frame::Drain { reason } => put_str(&mut payload, reason),
-        Frame::Cancel | Frame::Shutdown | Frame::StatsRequest => {}
     }
 
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
@@ -558,7 +391,6 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             config_hash: c.u64()?,
             worker_id: c.str()?,
             window: c.u32()?,
-            token: c.str()?,
         },
         2 => Frame::HelloAck {
             accepted: c.take(1)?[0] != 0,
@@ -568,8 +400,6 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             index: c.u64()?,
             label: c.str()?,
             payload: c.str()?,
-            trace_id: c.u64()?,
-            span_id: c.u64()?,
         },
         4 => Frame::JobResult {
             index: c.u64()?,
@@ -581,9 +411,7 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             index: c.u64()?,
             message: c.str()?,
         },
-        6 => Frame::Heartbeat {
-            jobs_done: c.u64()?,
-        },
+        6 => Frame::Heartbeat,
         7 => Frame::Cancel,
         8 => Frame::Shutdown,
         9 => Frame::StatsRequest,
@@ -592,58 +420,7 @@ fn decode_payload(type_byte: u8, payload: &[u8]) -> Result<Frame, FrameError> {
             queued: c.u32()?,
             completed: c.u64()?,
         },
-        11 => {
-            let tenant = c.str()?;
-            let req_id = c.u64()?;
-            let deadline_ms = c.u64()?;
-            let count = c.u32()? as usize;
-            // No `with_capacity(count)`: a forged count must not reserve
-            // memory before `take` proves the bytes exist.
-            let mut jobs = Vec::new();
-            for _ in 0..count {
-                jobs.push((c.str()?, c.str()?));
-            }
-            Frame::SubmitSweep {
-                tenant,
-                req_id,
-                deadline_ms,
-                jobs,
-            }
-        }
-        12 => Frame::JobProgress {
-            req_id: c.u64()?,
-            seq: c.u64()?,
-            ts_ms: c.u64()?,
-            index: c.u32()?,
-            label: c.str()?,
-            status: c.take(1)?[0],
-        },
-        13 => {
-            let req_id = c.u64()?;
-            let seq = c.u64()?;
-            let ts_ms = c.u64()?;
-            let partial = c.take(1)?[0] != 0;
-            let count = c.u32()? as usize;
-            let mut results = Vec::new();
-            for _ in 0..count {
-                results.push((c.take(1)?[0], c.str()?));
-            }
-            let digest = c.u64()?;
-            Frame::SweepResult {
-                req_id,
-                seq,
-                ts_ms,
-                partial,
-                results,
-                digest,
-            }
-        }
-        14 => Frame::Reject {
-            req_id: c.u64()?,
-            retry_after_ms: c.u64()?,
-            reason: c.str()?,
-        },
-        15 => Frame::Drain { reason: c.str()? },
+        15 => Frame::Drain,
         other => return Err(FrameError::Corrupt(format!("unknown frame type {other}"))),
     };
     c.finish()?;
@@ -779,7 +556,6 @@ mod tests {
                 config_hash: 0xDEAD_BEEF_CAFE_F00D,
                 worker_id: "worker-1".into(),
                 window: 4,
-                token: "s3cret".into(),
             },
             Frame::HelloAck {
                 accepted: false,
@@ -789,8 +565,6 @@ mod tests {
                 index: 7,
                 label: "kmeans under SHM".into(),
                 payload: "{\"bench\":\"kmeans\"}".into(),
-                trace_id: 0x1234_5678_9ABC_DEF0,
-                span_id: 9,
             },
             Frame::JobResult {
                 index: 7,
@@ -802,7 +576,7 @@ mod tests {
                 index: 3,
                 message: "index out of bounds".into(),
             },
-            Frame::Heartbeat { jobs_done: 42 },
+            Frame::Heartbeat,
             Frame::Cancel,
             Frame::Shutdown,
             Frame::StatsRequest,
@@ -811,48 +585,7 @@ mod tests {
                 queued: 5,
                 completed: 77,
             },
-            Frame::SubmitSweep {
-                tenant: "tenant-a".into(),
-                req_id: 17,
-                deadline_ms: 2_500,
-                jobs: vec![
-                    ("kmeans/base".into(), "{\"bench\":\"kmeans\"}".into()),
-                    ("kmeans/shm".into(), "{\"bench\":\"kmeans\",\"d\":1}".into()),
-                ],
-            },
-            Frame::JobProgress {
-                req_id: 17,
-                seq: 0,
-                ts_ms: 41,
-                index: 1,
-                label: "kmeans/shm".into(),
-                status: JOB_OK,
-            },
-            Frame::SweepResult {
-                req_id: 17,
-                seq: 2,
-                ts_ms: 99,
-                partial: true,
-                results: vec![
-                    (JOB_OK, "{\"cycles\":123}".into()),
-                    (JOB_SKIPPED, String::new()),
-                ],
-                digest: sweep_result_digest(
-                    true,
-                    &[
-                        (JOB_OK, "{\"cycles\":123}".into()),
-                        (JOB_SKIPPED, String::new()),
-                    ],
-                ),
-            },
-            Frame::Reject {
-                req_id: 18,
-                retry_after_ms: 250,
-                reason: "tenant queue full".into(),
-            },
-            Frame::Drain {
-                reason: "rolling restart".into(),
-            },
+            Frame::Drain,
         ]
     }
 
@@ -863,18 +596,27 @@ mod tests {
         seen.dedup();
         assert_eq!(
             seen,
-            (1..=15).collect::<Vec<u8>>(),
+            (1..=10).chain([15]).collect::<Vec<u8>>(),
             "every frame type must appear in sample_frames()"
         );
     }
 
     #[test]
-    fn sweep_result_digest_separates_entries() {
-        let a = sweep_result_digest(false, &[(JOB_OK, "ab".into()), (JOB_OK, String::new())]);
-        let b = sweep_result_digest(false, &[(JOB_OK, "a".into()), (JOB_OK, "b".into())]);
-        assert_ne!(a, b, "entry boundaries must be part of the digest");
-        let c = sweep_result_digest(true, &[(JOB_OK, "ab".into()), (JOB_OK, String::new())]);
-        assert_ne!(a, c, "the partial flag must be part of the digest");
+    fn retired_frame_types_fail_to_decode() {
+        for retired in 11..=14u8 {
+            let mut wire = encode_frame(&Frame::Cancel);
+            wire[4] = retired;
+            let crc_at = wire.len() - TRAILER_LEN;
+            let crc = crc32(&wire[4..crc_at]);
+            wire[crc_at..].copy_from_slice(&crc.to_le_bytes());
+            let mut r = FrameReader::new(&wire[..]);
+            match r.read_frame() {
+                Err(FrameError::Corrupt(why)) => {
+                    assert_eq!(why, format!("unknown frame type {retired}"))
+                }
+                other => panic!("type {retired} must not decode: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -906,8 +648,6 @@ mod tests {
             index: 9,
             label: "bfs under PSSM".into(),
             payload: "payload".into(),
-            trace_id: 11,
-            span_id: 12,
         };
         let clean = encode_frame(&frame);
         for bit in 0..clean.len() * 8 {
@@ -936,7 +676,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut wire = encode_frame(&Frame::Heartbeat { jobs_done: 1 });
+        let mut wire = encode_frame(&Frame::Heartbeat);
         wire[0] ^= 0xFF;
         let mut r = FrameReader::new(&wire[..]);
         assert!(matches!(r.read_frame(), Err(FrameError::Corrupt(_))));
@@ -1029,7 +769,7 @@ mod tests {
         let flip_at = HEADER_LEN + 2; // inside the payload: CRC-detected
         dirty[flip_at] ^= 0x10;
         // A clean frame right behind the corrupt one must NOT be served.
-        dirty.extend_from_slice(&encode_frame(&Frame::Heartbeat { jobs_done: 3 }));
+        dirty.extend_from_slice(&encode_frame(&Frame::Heartbeat));
 
         let mut r = FrameReader::new(&dirty[..]);
         let first = r.read_frame();
@@ -1052,7 +792,7 @@ mod tests {
 
     #[test]
     fn frame_wire_len_scans_boundaries() {
-        let wire = encode_frame(&Frame::Heartbeat { jobs_done: 5 });
+        let wire = encode_frame(&Frame::Heartbeat);
         assert_eq!(frame_wire_len(&wire).unwrap(), Some(wire.len()));
         assert_eq!(frame_wire_len(&wire[..HEADER_LEN - 1]).unwrap(), None);
         let mut bad = wire.clone();

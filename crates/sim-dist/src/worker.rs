@@ -213,7 +213,6 @@ where
     let me = Peer {
         id: opts.worker_id.clone(),
         window: pool_width as u32,
-        token: String::new(),
     };
     match conn::send_hello(&mut reader, &mut writer, config_hash, &me) {
         Ok(sent) => summary.bytes_sent += sent as u64,
@@ -337,10 +336,7 @@ where
                         break 'beat;
                     }
                 }
-                let beat = Frame::Heartbeat {
-                    jobs_done: jobs_done.load(Ordering::SeqCst),
-                };
-                if !send(&beat) {
+                if !send(&Frame::Heartbeat) {
                     break;
                 }
             }
@@ -365,10 +361,7 @@ where
                         .is_some_and(|k| jobs_done.load(Ordering::SeqCst) >= k);
                 if drain_wanted && !sig_drain {
                     sig_drain = true;
-                    let announce = Frame::Drain {
-                        reason: "worker draining (rolling restart)".into(),
-                    };
-                    if !send(&announce) {
+                    if !send(&Frame::Drain) {
                         break ServeEnd::Lost;
                     }
                 }
@@ -376,9 +369,7 @@ where
                     // Everything accepted has been finished and flushed:
                     // one last liveness beacon, then a clean exit-0
                     // departure.
-                    send(&Frame::Heartbeat {
-                        jobs_done: jobs_done.load(Ordering::SeqCst),
-                    });
+                    send(&Frame::Heartbeat);
                     break ServeEnd::Done;
                 }
                 if draining && idle() {
@@ -389,8 +380,6 @@ where
                         index,
                         label,
                         payload,
-                        trace_id: _,
-                        span_id: _,
                     }) => {
                         in_flight.fetch_add(1, Ordering::SeqCst);
                         let mut q = queue.lock().unwrap_or_else(|e| e.into_inner());

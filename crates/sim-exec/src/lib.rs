@@ -28,8 +28,8 @@
 //! [`Executor::run_robust`] are each one call to the same job loop,
 //! [`Executor::pull`], fed from a shared cursor: cancellation is the
 //! cursor's stop check, and `run_robust` adds its deadline and retry
-//! inside each job.  The sim-dist worker and the `shm serve` daemon run
-//! the same loop over their own job sources.
+//! inside each job.  The sim-dist worker runs the same loop over the jobs
+//! its coordinator dispatches.
 //!
 //! The [`arena`] module complements the executor: keyed scratch pools let
 //! repeated jobs reuse their per-job working state (bank matrices, event
@@ -271,8 +271,7 @@ impl Executor {
         self.jobs
     }
 
-    /// The job loop behind every sweep, the sim-dist worker and the
-    /// `shm serve` daemon.
+    /// The job loop behind every sweep and the sim-dist worker.
     ///
     /// Up to [`jobs`](Executor::jobs) threads (the calling thread alone,
     /// for one) each call `next()` until it returns `None`, run

@@ -73,13 +73,6 @@ chaos-smoke seed="7" scale="0.02":
     ! grep -q 'silent:true' /tmp/shm_chaos_smoke.txt
     rm -f /tmp/shm_chaos_smoke.txt
 
-# Service smoke: `shm serve` must survive a chaos-seeded multi-tenant loadgen
-# run with zero silent divergence, reproduce the one-shot sweep table
-# byte-for-byte through the service path, and drain cleanly on SIGTERM
-# (exit 0 — docs/SERVICE.md).
-serve-smoke:
-    bash scripts/serve_smoke.sh
-
 # Heterogeneous-pool smoke: a capacity-pressured sweep across all three
 # placement policies must show the policy signatures (pressure under
 # gpu-only, real migrations with non-zero inter-pool byte counters under
@@ -89,9 +82,9 @@ serve-smoke:
 hetero-smoke:
     bash scripts/hetero_smoke.sh
 
-# Network stress: the sim-exec, sim-dist and sim-serve tests plus the
-# cluster/daemon integration tests, 10 rounds in a row; fails on the first
-# failing round (thread races show up only across repeats).
+# Network stress: the sim-exec and sim-dist tests plus the cluster
+# integration tests, 10 rounds in a row; fails on the first failing round
+# (thread races show up only across repeats).
 net-stress:
     bash scripts/net_stress.sh
 
