@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the SHM evaluation.
 //!
-//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--journal DIR [--resume] [--crash-after-jobs N]]`
+//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]`
 //!
 //! The `hetero` target renders the heterogeneous-pool placement sweep; it
 //! is deliberately *not* part of `all`, which stays byte-identical to a
@@ -33,296 +33,72 @@ use std::env;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
-use gpu_types::{GpuConfig, ShmConfig};
+use gpu_mem_sim::DesignPoint::{
+    CommonCtr, Naive, Pssm, PssmCctr, Shm, ShmCctr, ShmReadOnly, ShmUpperBound, ShmVL2, Unprotected,
+};
+use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
+use gpu_types::{GpuConfig, MdcConfig, ShmConfig, TrafficClass};
 use shm::{required_mechanisms, DataProperty, OracleProfile};
-use shm_bench::dist::{DistSummary, DistSweepConfig};
+use shm_bench::cli::{Args, Failure, SweepArgs};
 use shm_bench::{
-    format_table, mean, scaled_suite, traffic_breakdown, Backend, BenchRow, Executor, Journal,
+    format_table, mean, scaled_suite, trace_seed, traffic_breakdown, BenchRow, Executor, Journal,
     Sweep,
 };
 use shm_telemetry::{Probe, TelemetryConfig};
+use shm_workloads::micro::{
+    pure_random_read, pure_random_write, pure_stream_read, pure_stream_write,
+};
+use shm_workloads::BenchmarkProfile;
+
+/// Printed after a usage error.
+const USAGE: &str = "usage: repro [TARGET] [--scale X] [--jobs N] [--telemetry-dir DIR] \
+                     [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]";
+
+/// The options `repro` reads.
+const OPTIONS: &[&str] = &[
+    "scale",
+    "jobs",
+    "dist",
+    "telemetry-dir",
+    "journal",
+    "resume",
+    "crash-after-jobs",
+];
+
+/// The targets `all` renders, in order.
+const ALL: &[&str] = &[
+    "table1", "table9", "table3_4", "fig5", "table7", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "fig15", "fig16",
+];
 
 /// Every figure target, in `all` order (tables have no telemetry series).
 const FIGURES: &[&str] = &[
     "fig5", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
 
-/// A repro failure carrying the process exit code and, when a telemetry
-/// capture was in flight, the probe whose flight recorder gets dumped.
-struct ReproError {
-    message: String,
-    code: u8,
-    probe: Probe,
-}
-
-impl ReproError {
-    fn usage(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-            code: 2,
-            probe: Probe::disabled(),
-        }
-    }
-
-    fn runtime(message: impl Into<String>, probe: &Probe) -> Self {
-        Self {
-            message: message.into(),
-            code: 1,
-            probe: probe.clone(),
-        }
-    }
-
-    /// Cooperative cancellation stopped a journaled sweep early; exit code
-    /// 130 so scripts can tell resumable interruption from failure.
-    fn interrupted(message: impl Into<String>) -> Self {
-        Self {
-            message: message.into(),
-            code: 130,
-            probe: Probe::disabled(),
-        }
-    }
-
-    fn report(self) -> ExitCode {
-        eprintln!("error: {}", self.message);
-        if let Some(dump) = self.probe.flight_dump().filter(|d| !d.is_empty()) {
-            eprintln!("--- flight recorder (last events before failure) ---");
-            eprint!("{dump}");
-        }
-        ExitCode::from(self.code)
-    }
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = env::args().skip(1).collect();
-    match run(&args) {
+    let argv: Vec<String> = env::args().skip(1).collect();
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => e.report(),
+        Err(e) => e.report(USAGE),
     }
 }
 
-/// Checkpoint/resume options for the suite-based figures.
-#[derive(Clone)]
-struct JournalCtx {
-    dir: String,
-    resume: bool,
-    crash_after_jobs: Option<usize>,
-}
+fn run(argv: &[String]) -> Result<(), Failure> {
+    let args = Args::parse_with_target(argv)?;
+    if let Some(key) = args.unknown_option(OPTIONS) {
+        return Err(Failure::usage(format!("unknown option --{key}")));
+    }
+    let what = args.target().unwrap_or("all");
+    let scale = args.get_f64("scale")?.unwrap_or(0.5);
+    let opts = SweepArgs::from_args(&args)?;
+    print!("{}", render(what, scale, &opts)?);
 
-/// How the suite-based figures execute their sweeps: optionally through a
-/// journal (`--journal`), optionally on a worker cluster (`--dist`); the
-/// two compose (dist results land in the same journals local runs use).
-#[derive(Default)]
-struct SweepCtx {
-    jctx: Option<JournalCtx>,
-    dist: Option<DistSweepConfig>,
-}
-
-/// Prints the cluster accounting of a distributed sweep to stderr (stdout
-/// must stay byte-identical to a local run).
-fn report_dist(figure: &str, summary: &DistSummary) {
-    if summary.degraded {
-        return; // the fallback path already warned
-    }
-    for w in &summary.workers {
-        eprintln!(
-            "{figure}: worker {}: {} job(s), {} B out, {} B in, {} reassigned",
-            w.id, w.jobs_done, w.bytes_sent, w.bytes_received, w.reassigned
-        );
-    }
-    if summary.reassignments > 0 {
-        eprintln!(
-            "{figure}: {} job(s) reassigned after worker loss",
-            summary.reassignments
-        );
-    }
-}
-
-/// How a figure rendering failed: a resumable interruption of a journaled
-/// sweep, or an ordinary failure.
-enum FigError {
-    Interrupted { journal: String, done: Vec<String> },
-    Failed(String),
-}
-
-impl From<String> for FigError {
-    fn from(message: String) -> Self {
-        FigError::Failed(message)
-    }
-}
-
-/// Runs one figure's suite sweep, through the journal when `--journal` was
-/// given.  `Err(Interrupted)` means everything completed so far is safely
-/// journaled and a `--resume` re-run will skip it.
-fn suite_rows(
-    figure: &str,
-    designs: &[DesignPoint],
-    scale: f64,
-    jobs: Option<usize>,
-    sctx: &SweepCtx,
-) -> Result<Vec<BenchRow>, FigError> {
-    let mut sweep = Sweep::suite(designs, scale);
-    sweep.backend = match &sctx.dist {
-        Some(cfg) => Backend::Dist(cfg.clone()),
-        None => Backend::Local(Executor::from_request(jobs)),
-    };
-    if let Some(ctx) = &sctx.jctx {
-        let journal = Journal::figure(
-            std::path::Path::new(&ctx.dir),
-            figure,
-            &sweep.jobs,
-            ctx.crash_after_jobs,
-        );
-        if !ctx.resume && journal.path.exists() {
-            return Err(FigError::Failed(format!(
-                "journal {}/{figure}.jsonl already exists; pass --resume to continue it or remove it",
-                ctx.dir
-            )));
-        }
-        sweep.journal = Some(journal);
-    }
-    let run = sweep
-        .run(|_, job| job.run())
-        .map_err(|e| FigError::Failed(format!("{figure} sweep failed: {e}")))?;
-    if let Some(summary) = &run.cluster {
-        report_dist(figure, summary);
-    }
-    let journal = sweep.journal.as_ref().map(|j| j.path.display().to_string());
-    if let Some(path) = journal.as_ref().filter(|_| run.reused > 0) {
-        eprintln!(
-            "{figure}: resumed from {path}: {} job(s) reused, {} executed",
-            run.reused, run.executed
-        );
-    }
-    match (run.complete(), journal) {
-        (Some(stats), _) => Ok(sweep.rows(stats)),
-        (None, Some(journal)) => Err(FigError::Interrupted {
-            journal,
-            done: run.completed_labels,
-        }),
-        (None, None) => Err(FigError::Failed(format!("{figure} sweep interrupted"))),
-    }
-}
-
-fn run(args: &[String]) -> Result<(), ReproError> {
-    let mut what = "all".to_string();
-    let mut scale = 0.5f64;
-    let mut jobs: Option<usize> = None;
-    let mut telemetry_dir: Option<String> = None;
-    let mut journal_dir: Option<String> = None;
-    let mut resume = false;
-    let mut crash_after_jobs: Option<usize> = None;
-    let mut dist_bind: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--journal" => {
-                journal_dir = Some(
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or_else(|| ReproError::usage("--journal needs a directory"))?,
-                );
-                i += 2;
-                continue;
-            }
-            "--resume" => {
-                resume = true;
-                i += 1;
-                continue;
-            }
-            "--crash-after-jobs" => {
-                crash_after_jobs = Some(
-                    args.get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| ReproError::usage("--crash-after-jobs needs a count"))?,
-                );
-                i += 2;
-                continue;
-            }
-            _ => {}
-        }
-        match args[i].as_str() {
-            "--scale" => {
-                scale = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| ReproError::usage("--scale needs a number"))?;
-                i += 2;
-            }
-            "--jobs" => {
-                let raw = args
-                    .get(i + 1)
-                    .ok_or_else(|| ReproError::usage("--jobs needs a value"))?;
-                jobs = sim_exec::parse_jobs_spec(raw);
-                if jobs.is_none() {
-                    eprintln!(
-                        "warning: ignoring --jobs {raw:?} (expected a positive integer); \
-                         using auto parallelism"
-                    );
-                }
-                i += 2;
-            }
-            "--dist" => {
-                dist_bind = Some(
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or_else(|| ReproError::usage("--dist needs a bind address"))?,
-                );
-                i += 2;
-            }
-            "--telemetry-dir" => {
-                telemetry_dir = Some(
-                    args.get(i + 1)
-                        .cloned()
-                        .ok_or_else(|| ReproError::usage("--telemetry-dir needs a path"))?,
-                );
-                i += 2;
-            }
-            other => {
-                what = other.to_string();
-                i += 1;
-            }
-        }
-    }
-
-    if (resume || crash_after_jobs.is_some()) && journal_dir.is_none() {
-        return Err(ReproError::usage(
-            "--resume/--crash-after-jobs require --journal DIR",
-        ));
-    }
-    let sctx = SweepCtx {
-        jctx: journal_dir.map(|dir| JournalCtx {
-            dir,
-            resume,
-            crash_after_jobs,
-        }),
-        dist: dist_bind.map(|bind| DistSweepConfig::from_env(&bind)),
-    };
-
-    match render_target(&what, scale, jobs, &sctx) {
-        Ok(Some(text)) => print!("{text}"),
-        Ok(None) => return Err(ReproError::usage(format!("unknown target: {what}"))),
-        Err(FigError::Interrupted { journal, done }) => {
-            eprintln!(
-                "interrupted: {} job(s) completed and journaled in {journal}",
-                done.len()
-            );
-            for label in &done {
-                eprintln!("  done {label}");
-            }
-            eprintln!("re-run with --resume to pick up where this left off");
-            return Err(ReproError::interrupted("figure sweep interrupted"));
-        }
-        Err(FigError::Failed(e)) => {
-            return Err(ReproError::runtime(e, &Probe::disabled()));
-        }
-    }
-
-    if let Some(dir) = &telemetry_dir {
+    if let Some(dir) = args.get("telemetry-dir") {
         let figures: Vec<&str> = if what == "all" {
             FIGURES.to_vec()
-        } else if FIGURES.contains(&what.as_str()) {
-            vec![what.as_str()]
+        } else if FIGURES.contains(&what) {
+            vec![what]
         } else {
             println!("(no telemetry series for target {what})");
             Vec::new()
@@ -334,16 +110,11 @@ fn run(args: &[String]) -> Result<(), ReproError> {
     Ok(())
 }
 
-/// Renders one named target (or `all`) to a string; `Ok(None)` for unknown
-/// targets, `Err` when a simulation job failed or a journaled sweep was
-/// interrupted.
-fn render_target(
-    what: &str,
-    scale: f64,
-    jobs: Option<usize>,
-    sctx: &SweepCtx,
-) -> Result<Option<String>, FigError> {
-    Ok(Some(match what {
+/// Renders one named target (or `all`).
+fn render(what: &str, scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+    let jobs = opts.jobs;
+    Ok(match what {
+        "all" => return ALL.iter().map(|t| render(t, scale, opts)).collect(),
         "table1" => table1(),
         "table3_4" => table3_4(),
         "table7" => table7(scale, jobs)?,
@@ -351,53 +122,37 @@ fn render_target(
         "fig5" => fig5(scale, jobs)?,
         "fig10" => fig10(scale, jobs)?,
         "fig11" => fig11(scale, jobs)?,
-        "fig12" => fig12(scale, jobs, sctx)?,
-        "fig13" => fig13(scale, jobs, sctx)?,
-        "fig14" => fig14(scale, jobs, sctx)?,
-        "fig15" => fig15(scale, jobs, sctx)?,
-        "fig16" => fig16(scale, jobs, sctx)?,
+        "fig12" => fig12(scale, opts)?,
+        "fig13" => fig13(scale, opts)?,
+        "fig14" => fig14(scale, opts)?,
+        "fig15" => fig15(scale, opts)?,
+        "fig16" => fig16(scale, opts)?,
         "micro" => micro_diag(),
         "sensitivity" => sensitivity(scale),
         "hetero" => hetero(scale, jobs)?,
-        "all" => {
-            let mut out = String::new();
-            out.push_str(&table1());
-            out.push_str(&table9());
-            out.push_str(&table3_4());
-            out.push_str(&fig5(scale, jobs)?);
-            out.push_str(&table7(scale, jobs)?);
-            out.push_str(&fig10(scale, jobs)?);
-            out.push_str(&fig11(scale, jobs)?);
-            out.push_str(&fig12(scale, jobs, sctx)?);
-            out.push_str(&fig13(scale, jobs, sctx)?);
-            out.push_str(&fig14(scale, jobs, sctx)?);
-            out.push_str(&fig15(scale, jobs, sctx)?);
-            out.push_str(&fig16(scale, jobs, sctx)?);
-            out
-        }
-        _ => return Ok(None),
-    }))
+        _ => return Err(Failure::usage(format!("unknown target: {what}"))),
+    })
 }
 
 /// Captures one representative telemetry trace for `figure` — the first
 /// suite benchmark under the SHM design — into `dir/<figure>.jsonl`.
-fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), ReproError> {
-    std::fs::create_dir_all(dir).map_err(|e| ReproError::usage(format!("create {dir}: {e}")))?;
+fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), Failure> {
+    std::fs::create_dir_all(dir).map_err(|e| Failure::usage(format!("create {dir}: {e}")))?;
     let profile = scaled_suite(scale)
         .into_iter()
         .next()
-        .ok_or_else(|| ReproError::usage("benchmark suite is empty"))?;
-    let trace = profile.generate(shm_bench::trace_seed(profile.name));
+        .ok_or_else(|| Failure::usage("benchmark suite is empty"))?;
+    let trace = profile.generate(trace_seed(profile.name));
     let path = std::path::Path::new(dir).join(format!("{figure}.jsonl"));
     // Stream the JSONL document to disk as the run produces it rather than
     // buffering the whole trace in memory.
     let probe = Probe::enabled_streaming(TelemetryConfig::default(), &path)
-        .map_err(|e| ReproError::usage(format!("create {}: {e}", path.display())))?;
-    Simulator::new(&GpuConfig::default(), DesignPoint::Shm)
+        .map_err(|e| Failure::usage(format!("create {}: {e}", path.display())))?;
+    Simulator::new(&GpuConfig::default(), Shm)
         .with_probe(probe.clone())
         .run(&trace);
     if let Some(e) = probe.stream_error() {
-        return Err(ReproError::runtime(
+        return Err(Failure::runtime(
             format!("write {}: {e}", path.display()),
             &probe,
         ));
@@ -409,92 +164,67 @@ fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), Repr
 /// Sensitivity analysis for the design choices DESIGN.md calls out:
 /// metadata-cache capacity, chunk size and read-only region size.
 fn sensitivity(scale: f64) -> String {
-    use gpu_types::MdcConfig;
     let mut out = String::new();
     let profiles: Vec<_> = scaled_suite(scale)
         .into_iter()
         .filter(|p| ["fdtd2d", "kmeans", "bfs", "lbm"].contains(&p.name))
         .collect();
-
-    let _ = writeln!(
-        out,
-        "\n== Sensitivity: metadata-cache capacity (SHM normalized IPC) =="
-    );
-    let _ = write!(out, "{:<12}", "benchmark");
-    for kb in [1u64, 2, 4, 8] {
-        let _ = write!(out, "{:>10}", format!("{kb} KB"));
-    }
-    let _ = writeln!(out);
-    for p in &profiles {
-        let trace = p.generate(shm_bench::trace_seed(p.name));
-        let _ = write!(out, "{:<12}", p.name);
-        for kb in [1u64, 2, 4, 8] {
-            let cfg = GpuConfig {
-                mdc: MdcConfig {
-                    cache_bytes: kb * 1024,
-                    ..MdcConfig::default()
-                },
-                ..GpuConfig::default()
+    let default = GpuConfig::default();
+    // (parameter, sizes in KB, the configuration one size gives)
+    type Point = fn(u64) -> (GpuConfig, ShmConfig);
+    let sections: [(&str, &[u64], Point); 3] = [
+        ("metadata-cache capacity", &[1, 2, 4, 8], |kb| {
+            let mdc = MdcConfig {
+                cache_bytes: kb * 1024,
+                ..MdcConfig::default()
             };
-            let base = Simulator::new(&cfg, DesignPoint::Unprotected).run(&trace);
-            let s = Simulator::new(&cfg, DesignPoint::Shm).run(&trace);
-            let _ = write!(out, "{:>10.4}", base.cycles as f64 / s.cycles as f64);
-        }
-        let _ = writeln!(out);
-    }
-
-    let _ = writeln!(
-        out,
-        "\n== Sensitivity: streaming chunk size (SHM normalized IPC) =="
-    );
-    let _ = write!(out, "{:<12}", "benchmark");
-    for kb in [2u64, 4, 8] {
-        let _ = write!(out, "{:>10}", format!("{kb} KB"));
-    }
-    let _ = writeln!(out);
-    let base_cfg = GpuConfig::default();
-    for p in &profiles {
-        let trace = p.generate(shm_bench::trace_seed(p.name));
-        let base = Simulator::new(&base_cfg, DesignPoint::Unprotected).run(&trace);
-        let _ = write!(out, "{:<12}", p.name);
-        for kb in [2u64, 4, 8] {
-            let shm_cfg = ShmConfig {
+            (
+                GpuConfig {
+                    mdc,
+                    ..GpuConfig::default()
+                },
+                ShmConfig::default(),
+            )
+        }),
+        ("streaming chunk size", &[2, 4, 8], |kb| {
+            let shm = ShmConfig {
                 chunk_bytes: kb * 1024,
                 tracker_phase_accesses: (kb * 1024 / 128) as u32,
                 ..ShmConfig::default()
             };
-            let s = Simulator::new(&base_cfg, DesignPoint::Shm)
-                .with_shm_config(shm_cfg)
-                .run(&trace);
-            let _ = write!(out, "{:>10.4}", base.cycles as f64 / s.cycles as f64);
-        }
-        let _ = writeln!(out);
-    }
-
-    let _ = writeln!(
-        out,
-        "\n== Sensitivity: read-only region size (SHM normalized IPC) =="
-    );
-    let _ = write!(out, "{:<12}", "benchmark");
-    for kb in [4u64, 16, 64] {
-        let _ = write!(out, "{:>10}", format!("{kb} KB"));
-    }
-    let _ = writeln!(out);
-    for p in &profiles {
-        let trace = p.generate(shm_bench::trace_seed(p.name));
-        let base = Simulator::new(&base_cfg, DesignPoint::Unprotected).run(&trace);
-        let _ = write!(out, "{:<12}", p.name);
-        for kb in [4u64, 16, 64] {
-            let shm_cfg = ShmConfig {
+            (GpuConfig::default(), shm)
+        }),
+        ("read-only region size", &[4, 16, 64], |kb| {
+            let shm = ShmConfig {
                 readonly_region_bytes: kb * 1024,
                 ..ShmConfig::default()
             };
-            let s = Simulator::new(&base_cfg, DesignPoint::Shm)
-                .with_shm_config(shm_cfg)
-                .run(&trace);
-            let _ = write!(out, "{:>10.4}", base.cycles as f64 / s.cycles as f64);
+            (GpuConfig::default(), shm)
+        }),
+    ];
+    for (parameter, sizes, point) in sections {
+        let _ = writeln!(out, "\n== Sensitivity: {parameter} (SHM normalized IPC) ==");
+        let _ = write!(out, "{:<12}", "benchmark");
+        for kb in sizes {
+            let _ = write!(out, "{:>10}", format!("{kb} KB"));
         }
         let _ = writeln!(out);
+        for p in &profiles {
+            let trace = p.generate(trace_seed(p.name));
+            let default_base = Simulator::new(&default, Unprotected).run(&trace);
+            let _ = write!(out, "{:<12}", p.name);
+            for &kb in sizes {
+                let (cfg, shm) = point(kb);
+                let base = if cfg == default {
+                    default_base.cycles
+                } else {
+                    Simulator::new(&cfg, Unprotected).run(&trace).cycles
+                };
+                let s = Simulator::new(&cfg, Shm).with_shm_config(shm).run(&trace);
+                let _ = write!(out, "{:>10.4}", base as f64 / s.cycles as f64);
+            }
+            let _ = writeln!(out);
+        }
     }
     out
 }
@@ -502,9 +232,9 @@ fn sensitivity(scale: f64) -> String {
 /// Heterogeneous-pool placement sweep: the confidential-AI profiles under
 /// every placement policy.  `SHM_POOL_*` / `SHM_LINK_*` knobs shape the
 /// pool geometry; not part of `all` (the paper tables stay single-pool).
-fn hetero(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+fn hetero(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
     let rows = shm_bench::pool::try_run_pool_sweep(&shm_pool::PlacementPolicy::ALL, scale, jobs)
-        .map_err(|e| format!("hetero sweep failed: {e}"))?;
+        .map_err(|e| Failure::runtime(format!("hetero sweep failed: {e}"), &Probe::disabled()))?;
     Ok(shm_bench::pool::format_pool_table(&rows))
 }
 
@@ -512,11 +242,11 @@ fn hetero(scale: f64, jobs: Option<usize>) -> Result<String, String> {
 fn micro_diag() -> String {
     let mut out = String::new();
     let cfg = GpuConfig::default();
-    let stream = shm_workloads::micro::pure_stream_read(12 * 64 * 4096);
-    let swrite = shm_workloads::micro::pure_stream_write(12 * 64 * 4096);
-    let random = shm_workloads::micro::pure_random_read(8 << 20, 60_000, 9);
+    let stream = pure_stream_read(12 * 64 * 4096);
+    let swrite = pure_stream_write(12 * 64 * 4096);
+    let random = pure_random_read(8 << 20, 60_000, 9);
     {
-        let (s, parts) = Simulator::new(&cfg, DesignPoint::Naive).run_inspect(&stream);
+        let (s, parts) = Simulator::new(&cfg, Naive).run_inspect(&stream);
         let _ = writeln!(out, "naive stream-read: cycles={}", s.cycles);
         for (i, (r, w, free)) in parts.iter().enumerate() {
             let _ = writeln!(out, "  P{i:<3} read={r:<9} write={w:<9} bus_free={free}");
@@ -528,14 +258,7 @@ fn micro_diag() -> String {
         ("random-read", &random),
     ] {
         let _ = writeln!(out, "\n-- {label} --");
-        for d in [
-            DesignPoint::Unprotected,
-            DesignPoint::Naive,
-            DesignPoint::CommonCtr,
-            DesignPoint::Pssm,
-            DesignPoint::ShmReadOnly,
-            DesignPoint::Shm,
-        ] {
+        for d in [Unprotected, Naive, CommonCtr, Pssm, ShmReadOnly, Shm] {
             let s = Simulator::new(&cfg, d).run(trace);
             let _ = write!(
                 out,
@@ -654,51 +377,73 @@ fn table3_4() -> String {
         "\n== Tables III/IV: misprediction handling (fix-up traffic measured) =="
     );
     let cfg = GpuConfig::default();
-
-    // Stream-predicted chunk that is actually random (reads): the failed
-    // second-chance check falls back to the per-block MAC and corrects the
-    // predictor (Table III, read rows).
-    let trace = shm_workloads::micro::pure_random_read(8 << 20, 40_000, 7);
-    let stats = Simulator::new(&cfg, DesignPoint::Shm).run(&trace);
-    let _ = writeln!(
-        out,
-        "random-read trace (predicted streaming at init): fixup bytes = {}  stream mispredictions = {}",
-        stats
-            .traffic
-            .class_total(gpu_types::TrafficClass::MispredictFixup),
-        stats.stream_mispredictions
-    );
-
-    // Stream-predicted chunks written randomly: the costliest case — block
-    // MACs went stale under chunk-MAC mode, so detection re-fetches the
-    // chunk's data blocks to reproduce them (Table IV, stream→random row).
-    let trace = shm_workloads::micro::pure_random_write(16 << 20, 200_000, 7);
-    let stats = Simulator::new(&cfg, DesignPoint::Shm).run(&trace);
-    let _ = writeln!(
-        out,
-        "random-write trace (predicted streaming at init): fixup bytes = {}  stream mispredictions = {}",
-        stats
-            .traffic
-            .class_total(gpu_types::TrafficClass::MispredictFixup),
-        stats.stream_mispredictions
-    );
-
-    // Fully streaming read over read-only data: zero fix-up expected.
-    let trace = shm_workloads::micro::pure_stream_read(12 * 8 * 4096);
-    let stats = Simulator::new(&cfg, DesignPoint::Shm).run(&trace);
-    let _ = writeln!(
-        out,
-        "read-only streaming trace (correct prediction): fixup bytes = {}  stream mispredictions = {}",
-        stats
-            .traffic
-            .class_total(gpu_types::TrafficClass::MispredictFixup),
-        stats.stream_mispredictions
-    );
+    // (what the trace is, how to build it) — built one at a time.
+    type Case = (&'static str, fn() -> ContextTrace);
+    let cases: [Case; 3] = [
+        // Stream-predicted chunk that is actually random (reads): the failed
+        // second-chance check falls back to the per-block MAC and corrects
+        // the predictor (Table III, read rows).
+        ("random-read trace (predicted streaming at init)", || {
+            pure_random_read(8 << 20, 40_000, 7)
+        }),
+        // Stream-predicted chunks written randomly: the costliest case —
+        // block MACs went stale under chunk-MAC mode, so detection
+        // re-fetches the chunk's data blocks to reproduce them (Table IV,
+        // stream→random row).
+        ("random-write trace (predicted streaming at init)", || {
+            pure_random_write(16 << 20, 200_000, 7)
+        }),
+        // Fully streaming read over read-only data: zero fix-up expected.
+        ("read-only streaming trace (correct prediction)", || {
+            pure_stream_read(12 * 8 * 4096)
+        }),
+    ];
+    for (label, trace) in cases {
+        let stats = Simulator::new(&cfg, Shm).run(&trace());
+        let _ = writeln!(
+            out,
+            "{label}: fixup bytes = {}  stream mispredictions = {}",
+            stats.traffic.class_total(TrafficClass::MispredictFixup),
+            stats.stream_mispredictions
+        );
+    }
     out
 }
 
+/// One result per suite benchmark, in suite order: `row(profile, trace)`
+/// runs on the `sim-exec` pool, each job generating its own trace.
+fn per_benchmark<T: Send>(
+    figure: &str,
+    scale: f64,
+    jobs: Option<usize>,
+    row: impl Fn(&BenchmarkProfile, &ContextTrace) -> T + Sync,
+) -> Result<Vec<T>, Failure> {
+    Executor::from_request(jobs)
+        .try_map(
+            &scaled_suite(scale),
+            |_, p| format!("{figure} {}", p.name),
+            |_, p| row(p, &p.generate(trace_seed(p.name))),
+        )
+        .map_err(|e| Failure::runtime(format!("{figure} sweep failed: {e}"), &Probe::disabled()))
+}
+
+/// A figure with one row of `values(trace)` per suite benchmark.
+fn per_benchmark_table(
+    figure: &str,
+    title: &str,
+    header: &[&str],
+    scale: f64,
+    jobs: Option<usize>,
+    values: impl Fn(&ContextTrace) -> Vec<f64> + Sync,
+) -> Result<String, Failure> {
+    let rows = per_benchmark(figure, scale, jobs, |p, trace| {
+        (p.name.to_string(), values(trace))
+    })?;
+    Ok(format_table(title, header, &rows))
+}
+
 /// Table VII: measured bandwidth utilisation and memory-space usage.
-fn table7(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+fn table7(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -710,226 +455,160 @@ fn table7(scale: f64, jobs: Option<usize>) -> Result<String, String> {
         "benchmark", "bw util", "l2 miss", "memory space"
     );
     let cfg = GpuConfig::default();
-    let profiles = scaled_suite(scale);
-    let lines = Executor::from_request(jobs)
-        .try_map(
-            &profiles,
-            |_, p| format!("table7 {}", p.name),
-            |_, p| {
-                let trace = p.generate(shm_bench::trace_seed(p.name));
-                let stats = Simulator::new(&cfg, DesignPoint::Unprotected).run(&trace);
-                let util = stats.bandwidth_utilization(
-                    cfg.partition_bytes_per_cycle() * cfg.num_partitions as f64,
-                );
-                let spaces = if p.uses_texture {
-                    "constant/texture"
-                } else {
-                    "constant"
-                };
-                format!(
-                    "{:<16}{:>11.1}%{:>11.1}%{:>18}\n",
-                    p.name,
-                    util * 100.0,
-                    stats.l2_miss_rate() * 100.0,
-                    spaces
-                )
-            },
+    let lines = per_benchmark("table7", scale, jobs, |p, trace| {
+        let stats = Simulator::new(&cfg, Unprotected).run(trace);
+        let util = stats
+            .bandwidth_utilization(cfg.partition_bytes_per_cycle() * cfg.num_partitions as f64);
+        let spaces = if p.uses_texture {
+            "constant/texture"
+        } else {
+            "constant"
+        };
+        format!(
+            "{:<16}{:>11.1}%{:>11.1}%{:>18}\n",
+            p.name,
+            util * 100.0,
+            stats.l2_miss_rate() * 100.0,
+            spaces
         )
-        .map_err(|e| format!("table7 sweep failed: {e}"))?;
-    for line in lines {
-        out.push_str(&line);
-    }
+    })?;
+    out.extend(lines);
     Ok(out)
 }
 
 /// Fig. 5: fraction of accesses touching streaming and read-only data.
-fn fig5(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+fn fig5(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
     let map = GpuConfig::default().partition_map();
-    let profiles = scaled_suite(scale);
-    let rows: Vec<(String, Vec<f64>)> = Executor::from_request(jobs)
-        .try_map(
-            &profiles,
-            |_, p| format!("fig5 {}", p.name),
-            |_, p| {
-                let trace = p.generate(shm_bench::trace_seed(p.name));
-                let events: Vec<_> = trace.all_events().cloned().collect();
-                let oracle = OracleProfile::from_trace(&events, map);
-                (
-                    p.name.to_string(),
-                    vec![
-                        oracle.streaming_fraction(&events, map),
-                        oracle.read_only_fraction(&events, map),
-                    ],
-                )
-            },
-        )
-        .map_err(|e| format!("fig5 sweep failed: {e}"))?;
-    Ok(format_table(
+    per_benchmark_table(
+        "fig5",
         "Fig. 5: streaming / read-only access fractions",
         &["streaming", "read-only"],
-        &rows,
-    ))
+        scale,
+        jobs,
+        |trace| {
+            let events: Vec<_> = trace.all_events().cloned().collect();
+            let oracle = OracleProfile::from_trace(&events, map);
+            vec![
+                oracle.streaming_fraction(&events, map),
+                oracle.read_only_fraction(&events, map),
+            ]
+        },
+    )
 }
 
 /// Fig. 10: read-only prediction breakdown.
-fn fig10(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+fn fig10(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
     let cfg = GpuConfig::default();
-    let profiles = scaled_suite(scale);
-    let rows: Vec<(String, Vec<f64>)> = Executor::from_request(jobs)
-        .try_map(
-            &profiles,
-            |_, p| format!("fig10 {}", p.name),
-            |_, p| {
-                let trace = p.generate(shm_bench::trace_seed(p.name));
-                let (_, ro, _) = Simulator::new(&cfg, DesignPoint::Shm).run_detailed(&trace);
-                let t = ro.total().max(1) as f64;
-                (
-                    p.name.to_string(),
-                    vec![
-                        ro.correct as f64 / t,
-                        ro.mp_init as f64 / t,
-                        ro.mp_aliasing as f64 / t,
-                    ],
-                )
-            },
-        )
-        .map_err(|e| format!("fig10 sweep failed: {e}"))?;
-    Ok(format_table(
+    per_benchmark_table(
+        "fig10",
         "Fig. 10: read-only prediction breakdown",
         &["correct", "mp_init", "mp_aliasing"],
-        &rows,
-    ))
+        scale,
+        jobs,
+        |trace| {
+            let (_, ro, _) = Simulator::new(&cfg, Shm).run_detailed(trace);
+            let t = ro.total().max(1) as f64;
+            vec![
+                ro.correct as f64 / t,
+                ro.mp_init as f64 / t,
+                ro.mp_aliasing as f64 / t,
+            ]
+        },
+    )
 }
 
 /// Fig. 11: streaming prediction breakdown.
-fn fig11(scale: f64, jobs: Option<usize>) -> Result<String, String> {
+fn fig11(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
     let cfg = GpuConfig::default();
-    let profiles = scaled_suite(scale);
-    let rows: Vec<(String, Vec<f64>)> = Executor::from_request(jobs)
-        .try_map(
-            &profiles,
-            |_, p| format!("fig11 {}", p.name),
-            |_, p| {
-                let trace = p.generate(shm_bench::trace_seed(p.name));
-                let (_, _, st) = Simulator::new(&cfg, DesignPoint::Shm).run_detailed(&trace);
-                let t = st.total().max(1) as f64;
-                (
-                    p.name.to_string(),
-                    vec![
-                        st.correct as f64 / t,
-                        st.mp_init as f64 / t,
-                        st.mp_runtime_read_only as f64 / t,
-                        st.mp_runtime_non_read_only as f64 / t,
-                        st.mp_aliasing as f64 / t,
-                    ],
-                )
-            },
-        )
-        .map_err(|e| format!("fig11 sweep failed: {e}"))?;
-    Ok(format_table(
+    per_benchmark_table(
+        "fig11",
         "Fig. 11: streaming prediction breakdown",
         &["correct", "mp_init", "mp_rt_ro", "mp_rt_nro", "mp_alias"],
-        &rows,
-    ))
+        scale,
+        jobs,
+        |trace| {
+            let (_, _, st) = Simulator::new(&cfg, Shm).run_detailed(trace);
+            let t = st.total().max(1) as f64;
+            vec![
+                st.correct as f64 / t,
+                st.mp_init as f64 / t,
+                st.mp_runtime_read_only as f64 / t,
+                st.mp_runtime_non_read_only as f64 / t,
+                st.mp_aliasing as f64 / t,
+            ]
+        },
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn norm_ipc_table(
-    title: &str,
+/// One suite figure (Figs. 12–16): the figure's sweep through the shared
+/// reporting run — journaled to `DIR/<figure>.jsonl` under `--journal
+/// DIR` — rendered as `metric(row, design)` per benchmark and design.
+/// Returns the table and the rows it came from.
+fn suite_table(
     figure: &str,
+    title: &str,
     designs: &[DesignPoint],
+    metric: impl Fn(&BenchRow, DesignPoint) -> f64,
     scale: f64,
-    jobs: Option<usize>,
-    sctx: &SweepCtx,
-) -> Result<String, FigError> {
+    opts: &SweepArgs,
+) -> Result<(String, Vec<BenchRow>), Failure> {
+    let mut sweep = Sweep::suite(designs, scale);
+    let stats = opts.run(
+        &mut sweep,
+        figure,
+        |dir, jobs| Journal::figure(dir, figure, jobs, None),
+        &Probe::disabled(),
+        |_, job| job.run(),
+    )?;
+    let rows = sweep.rows(stats);
     let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    let rows: Vec<(String, Vec<f64>)> = suite_rows(figure, designs, scale, jobs, sctx)?
+    let table: Vec<(String, Vec<f64>)> = rows
         .iter()
         .map(|row| {
-            (
-                row.name.clone(),
-                designs.iter().map(|d| row.norm_ipc(*d)).collect(),
-            )
+            let values = designs.iter().map(|&d| metric(row, d)).collect();
+            (row.name.clone(), values)
         })
         .collect();
-    Ok(format_table(title, &header, &rows))
+    Ok((format_table(title, &header, &table), rows))
 }
 
 /// Fig. 12: normalized IPC of the main designs.
-fn fig12(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    norm_ipc_table(
-        "Fig. 12: normalized IPC",
-        "fig12",
-        &[
-            DesignPoint::Naive,
-            DesignPoint::CommonCtr,
-            DesignPoint::Pssm,
-            DesignPoint::Shm,
-            DesignPoint::ShmUpperBound,
-        ],
-        scale,
-        jobs,
-        sctx,
-    )
+fn fig12(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+    let designs = [Naive, CommonCtr, Pssm, Shm, ShmUpperBound];
+    let title = "Fig. 12: normalized IPC";
+    Ok(suite_table("fig12", title, &designs, BenchRow::norm_ipc, scale, opts)?.0)
 }
 
 /// Fig. 13: optimisation breakdown.
-fn fig13(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    norm_ipc_table(
-        "Fig. 13: performance impact of each optimisation",
-        "fig13",
-        &[
-            DesignPoint::Pssm,
-            DesignPoint::PssmCctr,
-            DesignPoint::ShmReadOnly,
-            DesignPoint::Shm,
-            DesignPoint::ShmCctr,
-        ],
-        scale,
-        jobs,
-        sctx,
-    )
+fn fig13(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+    let designs = [Pssm, PssmCctr, ShmReadOnly, Shm, ShmCctr];
+    let title = "Fig. 13: performance impact of each optimisation";
+    Ok(suite_table("fig13", title, &designs, BenchRow::norm_ipc, scale, opts)?.0)
 }
 
-/// Fig. 14: bandwidth overheads of security metadata.
-fn fig14(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    let designs = [
-        DesignPoint::Naive,
-        DesignPoint::CommonCtr,
-        DesignPoint::Pssm,
-        DesignPoint::ShmReadOnly,
-        DesignPoint::Shm,
-    ];
-    let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    let mut breakdown_acc: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    let suite_rows = suite_rows("fig14", &designs, scale, jobs, sctx)?;
-    let rows: Vec<(String, Vec<f64>)> = suite_rows
-        .iter()
-        .map(|row| {
-            for (di, d) in designs.iter().enumerate() {
-                for (label, v) in traffic_breakdown(&row.stats[d.name()]) {
-                    breakdown_acc
-                        .entry(label)
-                        .or_insert_with(|| vec![0.0; designs.len()])[di] += v;
-                }
+/// Fig. 14: bandwidth overheads of security metadata, then the mean
+/// per-class breakdown.
+fn fig14(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+    let designs = [Naive, CommonCtr, Pssm, ShmReadOnly, Shm];
+    let title = "Fig. 14: bandwidth overhead (metadata bytes / data bytes)";
+    let metric = BenchRow::bandwidth_overhead;
+    let (mut out, rows) = suite_table("fig14", title, &designs, metric, scale, opts)?;
+    let mut breakdown: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    for row in &rows {
+        for (di, d) in designs.iter().enumerate() {
+            for (label, v) in traffic_breakdown(&row.stats[d.name()]) {
+                breakdown
+                    .entry(label)
+                    .or_insert_with(|| vec![0.0; designs.len()])[di] += v;
             }
-            (
-                row.name.clone(),
-                designs.iter().map(|d| row.bandwidth_overhead(*d)).collect(),
-            )
-        })
-        .collect();
-    let mut out = format_table(
-        "Fig. 14: bandwidth overhead (metadata bytes / data bytes)",
-        &header,
-        &rows,
-    );
+        }
+    }
     let _ = writeln!(
         out,
         "\nmean per-class breakdown (normalized to data bytes):"
     );
     let n = rows.len() as f64;
-    for (label, sums) in &breakdown_acc {
+    for (label, sums) in &breakdown {
         let _ = write!(out, "  {label:<8}");
         for s in sums {
             let _ = write!(out, "{:>12.4}", s / n);
@@ -940,58 +619,22 @@ fn fig14(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, Fig
 }
 
 /// Fig. 15: normalized energy per instruction.
-fn fig15(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    let designs = [
-        DesignPoint::Naive,
-        DesignPoint::CommonCtr,
-        DesignPoint::Pssm,
-        DesignPoint::Shm,
-    ];
+fn fig15(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+    let designs = [Naive, CommonCtr, Pssm, Shm];
+    let title = "Fig. 15: normalized energy per instruction";
     let model = EnergyModel::default();
-    let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    let rows: Vec<(String, Vec<f64>)> = suite_rows("fig15", &designs, scale, jobs, sctx)?
-        .iter()
-        .map(|row| {
-            (
-                row.name.clone(),
-                designs
-                    .iter()
-                    .map(|d| row.normalized_energy(*d, &model))
-                    .collect(),
-            )
-        })
-        .collect();
-    Ok(format_table(
-        "Fig. 15: normalized energy per instruction",
-        &header,
-        &rows,
-    ))
+    let metric = |row: &BenchRow, d| row.normalized_energy(d, &model);
+    Ok(suite_table("fig15", title, &designs, metric, scale, opts)?.0)
 }
 
-/// Fig. 16: SHM vs SHM with the L2 victim cache.
-fn fig16(scale: f64, jobs: Option<usize>, sctx: &SweepCtx) -> Result<String, FigError> {
-    let designs = [DesignPoint::Shm, DesignPoint::ShmVL2];
-    let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
-    // One sweep feeds both the table and the mean-gain headline (the old
-    // implementation re-ran the whole suite for the second number).
-    let suite_rows = suite_rows("fig16", &designs, scale, jobs, sctx)?;
-    let rows: Vec<(String, Vec<f64>)> = suite_rows
+/// Fig. 16: SHM vs SHM with the L2 victim cache, then the mean gain.
+fn fig16(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+    let designs = [Shm, ShmVL2];
+    let title = "Fig. 16: L2 as victim cache for security metadata";
+    let (mut out, rows) = suite_table("fig16", title, &designs, BenchRow::norm_ipc, scale, opts)?;
+    let gain: Vec<f64> = rows
         .iter()
-        .map(|row| {
-            (
-                row.name.clone(),
-                designs.iter().map(|d| row.norm_ipc(*d)).collect(),
-            )
-        })
-        .collect();
-    let mut out = format_table(
-        "Fig. 16: L2 as victim cache for security metadata",
-        &header,
-        &rows,
-    );
-    let gain: Vec<f64> = suite_rows
-        .iter()
-        .map(|row| row.norm_ipc(DesignPoint::ShmVL2) - row.norm_ipc(DesignPoint::Shm))
+        .map(|row| row.norm_ipc(ShmVL2) - row.norm_ipc(Shm))
         .collect();
     let _ = writeln!(out, "mean vL2 gain: {:+.4} normalized IPC", mean(&gain));
     Ok(out)

@@ -1,10 +1,10 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! Each figure/table of the evaluation has a function here that runs the
-//! necessary (benchmark × design) simulations and returns the series the
-//! paper plots; the `repro` binary prints them, the Criterion benches time
-//! representative slices of them, and the integration tests assert the
-//! *shape* of the results (who wins, by roughly what factor).
+//! [`Sweep`] runs the (benchmark × design) simulations of a figure, the
+//! helpers here turn its stats into the series the paper plots, and
+//! [`cli`] is the command-line front end of the `repro` and `shm`
+//! binaries.  The integration tests assert the *shape* of the results
+//! (who wins, by roughly what factor).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -16,6 +16,7 @@ use shm_workloads::BenchmarkProfile;
 pub use sim_exec::{CancelToken, Executor, SweepError};
 
 pub mod chaos;
+pub mod cli;
 pub mod dist;
 pub mod pool;
 pub mod sweep;
@@ -105,16 +106,7 @@ pub fn run_benchmark(profile: &BenchmarkProfile, designs: &[DesignPoint]) -> Ben
     }
 }
 
-/// Geometric mean (the paper averages normalized IPC arithmetically; both
-/// are provided).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
-}
-
-/// Arithmetic mean.
+/// Arithmetic mean (the paper averages normalized IPC arithmetically).
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -123,7 +115,7 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Renders a figure as aligned columns (the format `print_table` emits).
+/// Renders a figure as aligned columns.
 ///
 /// Returning a `String` lets the repro harness render the same figure for
 /// serial and parallel sweeps and compare the two byte-for-byte.
@@ -152,11 +144,6 @@ pub fn format_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) -
     out
 }
 
-/// Pretty-prints a figure as aligned columns.
-pub fn print_table(title: &str, header: &[&str], rows: &[(String, Vec<f64>)]) {
-    print!("{}", format_table(title, header, rows));
-}
-
 /// Traffic-class byte breakdown of one run, normalized to data bytes.
 pub fn traffic_breakdown(stats: &SimStats) -> Vec<(&'static str, f64)> {
     let data = stats.traffic.data_bytes().max(1) as f64;
@@ -173,9 +160,8 @@ mod tests {
 
     #[test]
     fn geomean_and_mean() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-9);
         assert!((mean(&[1.0, 3.0]) - 2.0).abs() < 1e-9);
-        assert_eq!(geomean(&[]), 0.0);
+        assert_eq!(mean(&[]), 0.0);
     }
 
     #[test]

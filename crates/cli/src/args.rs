@@ -1,110 +1,120 @@
-//! Tiny dependency-free argument parser: `--key value`, `-k value` and
-//! boolean `--flag` forms.
+//! The options several `shm` subcommands share, read through
+//! [`shm_bench::cli::Args`]: the trace to simulate (`-b`, `--trace`,
+//! `--custom`, `--events`, `--seed`), the design (`-d`) and the placement
+//! policies (`--pools`).
 
-use std::collections::HashMap;
+use std::fs::File;
+use std::io::BufReader;
 
-/// Parsed command-line options.
-#[derive(Debug, Default)]
-pub struct Args {
-    values: HashMap<String, String>,
-    flags: Vec<String>,
-}
+use gpu_mem_sim::{read_trace, ContextTrace, DesignPoint};
+use shm_bench::cli::Args;
+use shm_pool::PlacementPolicy;
+use shm_workloads::BenchmarkProfile;
 
-/// Argument-parsing failures.
-#[derive(Debug)]
-pub enum ArgError {
-    /// An option that requires a value was given none.
-    MissingValue(String),
-    /// A positional token appeared where an option was expected.
-    Unexpected(String),
-    /// A numeric option failed to parse.
-    BadNumber {
-        /// Option name.
-        key: String,
-        /// Raw value.
-        value: String,
-    },
-}
-
-impl core::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
-            ArgError::Unexpected(t) => write!(f, "unexpected argument {t:?}"),
-            ArgError::BadNumber { key, value } => {
-                write!(f, "option --{key} expects a number, got {value:?}")
+/// Builds a one-off profile from `--custom ro=0.8,stream=0.9,write=0.1,...`.
+fn custom_profile(spec: &str) -> Result<BenchmarkProfile, String> {
+    let mut p = BenchmarkProfile {
+        name: "custom",
+        bandwidth_util: 0.5,
+        readonly_frac: 0.5,
+        streaming_frac: 0.5,
+        write_frac: 0.2,
+        l2_locality: 0.3,
+        uses_texture: false,
+        kernels: 1,
+        reuses_input: false,
+        unmarked_readonly_frac: 0.0,
+        ..BenchmarkProfile::suite().remove(0)
+    };
+    for kv in spec.split(',').filter(|s| !s.is_empty()) {
+        let (k, v) = kv
+            .split_once('=')
+            .ok_or_else(|| format!("bad --custom entry {kv:?}, want key=value"))?;
+        let fval = || -> Result<f64, String> {
+            v.parse().map_err(|_| format!("bad number {v:?} for {k}"))
+        };
+        match k {
+            "ro" | "readonly" => p.readonly_frac = fval()?,
+            "stream" | "streaming" => p.streaming_frac = fval()?,
+            "write" | "writes" => p.write_frac = fval()?,
+            "util" | "bandwidth" => p.bandwidth_util = fval()?,
+            "locality" => p.l2_locality = fval()?,
+            "kernels" => p.kernels = v.parse().map_err(|_| format!("bad count {v:?}"))?,
+            "texture" => p.uses_texture = v == "1" || v == "true",
+            "reuse" => p.reuses_input = v == "1" || v == "true",
+            "footprint_mb" => {
+                p.footprint_bytes = v.parse::<u64>().map_err(|_| format!("bad size {v:?}"))? << 20
             }
+            other => return Err(format!("unknown --custom key {other:?}")),
         }
     }
+    if p.readonly_frac + p.write_frac > 1.0 {
+        return Err(format!(
+            "ro ({}) + write ({}) exceeds 1.0: writes never target read-only data",
+            p.readonly_frac, p.write_frac
+        ));
+    }
+    Ok(p)
 }
 
-impl std::error::Error for ArgError {}
-
-/// Options that never take a value.
-const FLAGS: &[&str] = &[
-    "csv",
-    "verbose",
-    "telemetry",
-    "resume",
-    "sweep",
-    "profile",
-    "once",
-];
-
-impl Args {
-    /// Parses `argv` (without the command name).
-    pub fn parse(argv: &[String]) -> Result<Self, ArgError> {
-        let mut args = Args::default();
-        let mut it = argv.iter().peekable();
-        while let Some(tok) = it.next() {
-            let key = tok
-                .strip_prefix("--")
-                .or_else(|| tok.strip_prefix('-'))
-                .ok_or_else(|| ArgError::Unexpected(tok.clone()))?;
-            if FLAGS.contains(&key) {
-                args.flags.push(key.to_string());
-                continue;
-            }
-            let value = it
-                .next()
-                .ok_or_else(|| ArgError::MissingValue(key.to_string()))?;
-            args.values.insert(key.to_string(), value.clone());
+/// The trace `--trace FILE`, `--custom SPEC` or `-b BENCH` names, with
+/// `--events N` and `--seed S` applied to a generated one.
+pub fn load_trace(args: &Args) -> Result<ContextTrace, String> {
+    if let Some(path) = args.get("trace") {
+        let f = File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+        return read_trace(BufReader::new(f)).map_err(|e| format!("parse {path}: {e}"));
+    }
+    let mut profile = match args.get("custom") {
+        Some(spec) => custom_profile(spec)?,
+        None => {
+            let bench = args
+                .get("b")
+                .or_else(|| args.get("benchmark"))
+                .ok_or("need --benchmark/-b or --trace")?;
+            BenchmarkProfile::by_name(bench)
+                .ok_or_else(|| format!("unknown benchmark {bench:?}"))?
         }
-        Ok(args)
+    };
+    if let Some(n) = args.get_u64("events")? {
+        profile.events_per_kernel = n;
     }
-
-    /// Looks up a string option.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    /// Looks up a numeric option.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value is present but not a number.
-    pub fn get_u64(&self, key: &str) -> Result<Option<u64>, String> {
-        match self.values.get(key) {
-            None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| {
-                ArgError::BadNumber {
-                    key: key.to_string(),
-                    value: v.clone(),
-                }
-                .to_string()
-            }),
-        }
-    }
-
-    /// Whether a boolean flag was given.
-    pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
-    }
+    Ok(profile.generate(seed(args)?))
 }
 
+/// `--seed S` for a generated trace.
+pub fn seed(args: &Args) -> Result<u64, String> {
+    Ok(args.get_u64("seed")?.unwrap_or(0xBEEF))
+}
+
+/// `-d`/`--design NAME`.
+pub fn design(args: &Args) -> Result<DesignPoint, String> {
+    let name = args
+        .get("d")
+        .or_else(|| args.get("design"))
+        .ok_or("need --design/-d")?;
+    DesignPoint::from_name(name).ok_or_else(|| format!("unknown design {name:?}"))
+}
+
+/// `--pools <policy|all>` → the placement policies to run under; `None`
+/// when the flag is absent (single-pool default).
+pub fn pools(args: &Args) -> Result<Option<Vec<PlacementPolicy>>, String> {
+    let Some(raw) = args.get("pools") else {
+        return Ok(None);
+    };
+    if raw == "all" {
+        return Ok(Some(PlacementPolicy::ALL.to_vec()));
+    }
+    PlacementPolicy::parse(raw)
+        .map(|p| Some(vec![p]))
+        .ok_or_else(|| {
+            format!("unknown --pools {raw:?} (want gpu-only|static-split|hot-page-migrate|all)")
+        })
+}
+
+/// How `shm` reads its command line through the shared parser.
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use shm_bench::cli::{ArgError, Args};
 
     fn argv(s: &[&str]) -> Vec<String> {
         s.iter().map(|x| x.to_string()).collect()

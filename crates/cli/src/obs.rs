@@ -9,12 +9,7 @@ use shm_metrics::{fetch_metrics, parse_exposition, MetricsServer, Sample};
 use shm_telemetry::span::{SpanEvent, TraceReport};
 use shm_telemetry::Probe;
 
-use crate::args::Args;
-use crate::CliError;
-
-/// Environment variable: address the `/metrics` endpoint binds when the
-/// `--metrics-addr` flag is absent (`HOST:PORT`, port 0 = OS-assigned).
-pub const METRICS_ADDR_ENV: &str = "SHM_METRICS_ADDR";
+use shm_bench::cli::{Args, Failure};
 
 /// Live `/metrics` endpoint for the duration of one command.  Starting it
 /// flips the process-global metrics registry on; without it every counter
@@ -25,24 +20,19 @@ pub struct MetricsGuard {
 }
 
 impl MetricsGuard {
-    /// Starts the exposition server when `--metrics-addr` (or
-    /// `SHM_METRICS_ADDR`) asks for one.
-    pub fn from_args(args: &Args) -> Result<Self, CliError> {
-        let addr = args.get("metrics-addr").map(str::to_string).or_else(|| {
-            std::env::var(METRICS_ADDR_ENV)
-                .ok()
-                .filter(|s| !s.trim().is_empty())
-        });
+    /// Starts the exposition server when `--metrics-addr HOST:PORT` (port
+    /// 0 = OS-assigned) asks for one.
+    pub fn from_args(args: &Args) -> Result<Self, Failure> {
         let hold_ms = args.get_u64("metrics-hold-ms")?.unwrap_or(0);
-        let Some(addr) = addr else {
+        let Some(addr) = args.get("metrics-addr") else {
             return Ok(Self {
                 server: None,
                 hold_ms,
             });
         };
         shm_metrics::set_enabled(true);
-        let server = MetricsServer::bind(&addr).map_err(|e| {
-            CliError::runtime(
+        let server = MetricsServer::bind(addr).map_err(|e| {
+            Failure::runtime(
                 format!("bind metrics endpoint {addr}: {e}"),
                 &Probe::disabled(),
             )
@@ -70,19 +60,16 @@ impl MetricsGuard {
 /// of each distributed trace in a telemetry JSONL document and prints its
 /// timeline — wall time, queue-wait vs run-time, critical path, and the
 /// top-N slowest jobs.
-pub fn cmd_trace_report(rest: &[String]) -> Result<(), CliError> {
-    let path = rest
-        .first()
-        .filter(|p| !p.starts_with('-'))
-        .ok_or_else(|| CliError::usage("need a telemetry JSONL file"))?
-        .clone();
-    let args = Args::parse(&rest[1..]).map_err(|e| CliError::usage(e.to_string()))?;
+pub fn cmd_trace_report(args: &Args) -> Result<(), Failure> {
+    let path = args
+        .target()
+        .ok_or_else(|| Failure::usage("need a telemetry JSONL file"))?;
     let top = args.get_u64("top")?.unwrap_or(10).max(1) as usize;
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| CliError::runtime(format!("read {path}: {e}"), &Probe::disabled()))?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Failure::runtime(format!("read {path}: {e}"), &Probe::disabled()))?;
     let spans: Vec<SpanEvent> = text.lines().filter_map(SpanEvent::parse_json).collect();
     if spans.is_empty() {
-        return Err(CliError::runtime(
+        return Err(Failure::runtime(
             format!(
                 "{path} contains no span records; produce them with \
                  `shm sweep ... --telemetry --trace-out {path}`"
@@ -99,7 +86,7 @@ pub fn cmd_trace_report(rest: &[String]) -> Result<(), CliError> {
         print!("{}", report.render(top));
     }
     if broken {
-        return Err(CliError::runtime(
+        return Err(Failure::runtime(
             "span tree violated trace invariants (see warnings above)",
             &Probe::disabled(),
         ));
@@ -189,10 +176,10 @@ fn render_top(samples: &[Sample], throughput: Option<f64>) -> String {
 /// `shm top --connect HOST:PORT`: a plain-text polling monitor over the
 /// coordinator's `/metrics` endpoint — job progress, wire traffic, job
 /// throughput and per-worker queue depth, redrawn every `--interval-ms`.
-pub fn cmd_top(args: &Args) -> Result<(), CliError> {
+pub fn cmd_top(args: &Args) -> Result<(), Failure> {
     let addr = args
         .get("connect")
-        .ok_or_else(|| CliError::usage("need --connect HOST:PORT"))?;
+        .ok_or_else(|| Failure::usage("need --connect HOST:PORT"))?;
     let interval = Duration::from_millis(args.get_u64("interval-ms")?.unwrap_or(1000).max(50));
     let once = args.flag("once");
     let iterations = args.get_u64("iterations")?;
@@ -200,7 +187,7 @@ pub fn cmd_top(args: &Args) -> Result<(), CliError> {
     let mut shown = 0u64;
     loop {
         let body = fetch_metrics(addr)
-            .map_err(|e| CliError::runtime(format!("fetch {addr}: {e}"), &Probe::disabled()))?;
+            .map_err(|e| Failure::runtime(format!("fetch {addr}: {e}"), &Probe::disabled()))?;
         let samples = parse_exposition(&body);
         let now = Instant::now();
         let completed = scalar(&samples, "shm_jobs_completed_total").unwrap_or(0.0);
@@ -276,17 +263,7 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
         (
             sim_dist::RECONNECT_ATTEMPTS_ENV,
             "5",
-            "worker reconnect attempts before giving up (same as --reconnect-attempts)",
-        ),
-        (
-            METRICS_ADDR_ENV,
-            "unset",
-            "HOST:PORT for the /metrics endpoint (same as --metrics-addr)",
-        ),
-        (
-            shm_crypto::AES_BACKEND_ENV,
-            "auto",
-            "AES backend: auto|aesni|ttable (auto = AES-NI when the CPU has it)",
+            "worker reconnect attempts before giving up",
         ),
     ];
     knobs.extend(shm_pool::ENV_KNOBS.iter().copied());
@@ -399,7 +376,10 @@ mod tests {
     /// in the same order.
     #[test]
     fn env_table_covers_every_knob_and_matches_the_readme() {
-        assert_knobs_in_table(&knob_literals(&[]), &[sim_exec::JOBS_ENV, METRICS_ADDR_ENV]);
+        assert_knobs_in_table(
+            &knob_literals(&[]),
+            &[sim_exec::JOBS_ENV, sim_dist::DIST_WORKERS_ENV],
+        );
         let table: Vec<&str> = env_knob_table().iter().map(|(n, _, _)| *n).collect();
 
         let readme = std::fs::read_to_string(
@@ -426,7 +406,6 @@ mod tests {
     #[test]
     fn metrics_guard_without_request_is_inert() {
         let args = Args::parse(&[]).expect("parse");
-        std::env::remove_var(METRICS_ADDR_ENV);
         let Ok(guard) = MetricsGuard::from_args(&args) else {
             panic!("no server requested must not fail");
         };

@@ -13,9 +13,8 @@
 //!   rows — as the portable fallback.  Table lookups are not constant time;
 //!   simulation-grade only.
 //!
-//! The environment knob `SHM_AES=auto|aesni|ttable` overrides the choice
-//! (requesting `aesni` on a CPU without it falls back to T-tables).  Both
-//! backends are cross-checked against the per-byte [`reference`] cipher.
+//! Both backends are cross-checked against the per-byte [`reference`]
+//! cipher.
 
 use std::sync::OnceLock;
 
@@ -105,10 +104,6 @@ fn sub_word(w: u32) -> u32 {
     ])
 }
 
-/// Environment variable selecting the AES backend
-/// (`auto`/`aesni`/`ttable`; `soft` is an alias for `ttable`).
-pub const AES_BACKEND_ENV: &str = "SHM_AES";
-
 /// Which block-encrypt implementation a process uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AesBackend {
@@ -141,22 +136,14 @@ pub fn aesni_available() -> bool {
 }
 
 /// The backend every `Aes128` built in this process will use: AES-NI when
-/// the CPU has it, unless `SHM_AES=ttable` (or an unsupported `aesni`
-/// request forces the fallback).  Decided once and cached.
+/// the CPU has it, T-tables otherwise.  Decided once and cached.
 pub fn selected_backend() -> AesBackend {
     static CHOICE: OnceLock<AesBackend> = OnceLock::new();
     *CHOICE.get_or_init(|| {
-        let want = std::env::var(AES_BACKEND_ENV).unwrap_or_default();
-        match want.as_str() {
-            "ttable" | "soft" => AesBackend::TTable,
-            // "aesni", "auto", unset, or anything else: hardware when present.
-            _ => {
-                if aesni_available() {
-                    AesBackend::AesNi
-                } else {
-                    AesBackend::TTable
-                }
-            }
+        if aesni_available() {
+            AesBackend::AesNi
+        } else {
+            AesBackend::TTable
         }
     })
 }

@@ -31,7 +31,7 @@ pub mod aes;
 pub mod mac;
 pub mod otp;
 
-pub use aes::{aesni_available, selected_backend, Aes128, AesBackend, AES_BACKEND_ENV};
+pub use aes::{aesni_available, selected_backend, Aes128, AesBackend};
 pub use mac::{chunk_mac, stateful_mac, MacKey};
 
 /// A 128-bit key tuple produced by the GPU command processor's key generator:

@@ -1,13 +1,15 @@
-//! Deterministic in-process TCP chaos proxy.
+//! Seeded in-process TCP chaos proxy.
 //!
 //! Sits between workers and a coordinator, parses the frame stream at
 //! frame boundaries ([`crate::protocol::frame_wire_len`]), and executes a
-//! seeded, reproducible fault schedule per frame: drop, delay,
-//! duplication, truncation, bit corruption, abrupt connection reset, and
-//! timed partition windows.  Every roll comes from a pure SplitMix64
-//! stream keyed on `(seed, connection, direction, frame index)`, so the
-//! same seed and schedule replay the same faults — the foundation of the
-//! `shm chaos` campaign's determinism contract (`docs/ROBUSTNESS.md`).
+//! seeded fault schedule per frame: drop, delay, duplication, truncation,
+//! bit corruption, abrupt connection reset, and timed partition windows.
+//! Every roll comes from a pure SplitMix64 stream keyed on `(seed,
+//! connection, direction, frame index)`.  How many heartbeat and stats
+//! frames reach the proxy before a given job frame depends on thread
+//! timing, so one seed does not replay the same faults; the `shm chaos`
+//! campaign's determinism contract (`docs/ROBUSTNESS.md`) is that its
+//! verdicts and tables repeat.
 //!
 //! The proxy is intentionally *hostile but honest about framing*: faults
 //! that desynchronise the byte stream (truncation, corruption that the

@@ -6,10 +6,11 @@
 //! full from a shared pending queue (work-pulling — fast workers simply
 //! pull more), collects result/error frames, and watches heartbeats.  A
 //! worker that stops heartbeating (or drops its connection) is declared
-//! dead and its in-flight jobs are pushed back onto the pending queue,
-//! consuming the sweep-wide retry budget exactly like
-//! `Executor::run_robust`: a job is retried while budget lasts, after
-//! which it resolves as a [`JobPanic`] naming its label.  Completed
+//! dead and its in-flight jobs are pushed back onto the pending queue.
+//! Every re-dispatch (a job taken back from a lost worker, a panicked
+//! job's one retry, a quarantined worker's invalidated result) spends one
+//! slot of the sweep-wide retry budget; with the budget spent, the job
+//! resolves as a [`JobPanic`] naming its label.  Completed
 //! results are merged back into **submission order**, so a distributed
 //! sweep is byte-identical to `--jobs 1`.
 //!
@@ -76,7 +77,8 @@ pub struct DistOptions {
     /// tick.
     pub read_timeout_ms: u64,
     /// Sweep-wide budget of job re-dispatches (worker loss, job panic, or
-    /// quarantine invalidation), mirroring `run_robust`'s retry budget.
+    /// quarantine invalidation): each spends one slot, and a job that needs
+    /// one after the budget is spent resolves as a labelled failure.
     pub retry_budget: u32,
     /// Per-mille of jobs redundantly dispatched to two workers for the
     /// byzantine audit (0 = off, 1000 = every job).
@@ -1247,8 +1249,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                     inner.in_flight_total -= 1;
                     dec_dispatched(&mut inner, index);
-                    // `run_robust` semantics: retry a panicked job exactly
-                    // once while the sweep-wide budget lasts.
+                    // Retry a panicked job exactly once while the
+                    // sweep-wide budget lasts.
                     if attempt == 1 && spend_retry(&mut inner) {
                         inner.pending.push_back(PendingJob {
                             index,

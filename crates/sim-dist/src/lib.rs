@@ -14,8 +14,9 @@
 //!   stops dispatch, drains in-flight jobs, and reports partial results,
 //!   so `--journal --resume` composes with `--dist`.
 //! * **Fault tolerance** — dead workers (missed heartbeats or dropped
-//!   connections) have their in-flight jobs reassigned under a bounded
-//!   retry budget mirroring `Executor::run_robust`.
+//!   connections) have their in-flight jobs reassigned, and a panicked job
+//!   is retried once; each re-dispatch spends one slot of a bounded
+//!   sweep-wide retry budget.
 //!
 //! Layering: this crate moves opaque `(label, payload)` strings; the
 //! job encodings (which benchmark, how many events, which design) belong
@@ -400,7 +401,7 @@ mod tests {
         assert_eq!(
             attempts.load(Ordering::SeqCst),
             2,
-            "run_robust semantics: one retry within budget"
+            "a panicked job is retried once within budget"
         );
         assert!(w.join().unwrap().is_ok());
     }

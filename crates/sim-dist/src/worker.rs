@@ -40,7 +40,7 @@ pub struct WorkerOptions {
     /// Backoff ceiling.
     pub reconnect_max_ms: u64,
     /// Consecutive failed connect attempts tolerated before giving up
-    /// (`SHM_RECONNECT_ATTEMPTS` / `shm worker --reconnect-attempts`).
+    /// (`SHM_RECONNECT_ATTEMPTS`).
     pub max_reconnect_attempts: u32,
     /// Test knob: abruptly drop the connection (no reconnect, no goodbye)
     /// after this many results have been sent — the deterministic

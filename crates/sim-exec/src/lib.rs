@@ -24,12 +24,10 @@
 //!   variable, then [`std::thread::available_parallelism`].  `SHM_JOBS=1`
 //!   forces fully serial execution on the calling thread.
 //!
-//! [`Executor::map`], [`Executor::map_cancellable`] and
-//! [`Executor::run_robust`] are each one call to the same job loop,
-//! [`Executor::pull`], fed from a shared cursor: cancellation is the
-//! cursor's stop check, and `run_robust` adds its deadline and retry
-//! inside each job.  The sim-dist worker runs the same loop over the jobs
-//! its coordinator dispatches.
+//! [`Executor::map`] and [`Executor::map_cancellable`] are each one call
+//! to the same job loop, [`Executor::pull`], fed from a shared cursor:
+//! cancellation is the cursor's stop check.  The sim-dist worker runs the
+//! same loop over the jobs its coordinator dispatches.
 //!
 //! The [`arena`] module complements the executor: keyed scratch pools let
 //! repeated jobs reuse their per-job working state (bank matrices, event
@@ -38,9 +36,8 @@
 pub mod arena;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Environment variable overriding the worker-pool width (`1` = serial).
 pub const JOBS_ENV: &str = "SHM_JOBS";
@@ -131,7 +128,7 @@ pub type JobResult<T> = Result<T, JobPanic>;
 /// (`&str`/`String` payloads verbatim, otherwise a placeholder).
 ///
 /// The workspace's one panic capture: the job loop ([`Executor::pull`])
-/// and `run_robust`'s in-place retry both go through it.
+/// goes through it.
 pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
@@ -384,202 +381,6 @@ impl Executor {
             Err(SweepError { failed })
         }
     }
-
-    /// Runs every job under a per-attempt wall-clock budget and a bounded
-    /// retry budget, and always completes the sweep: the report holds one
-    /// [`JobOutcome`] per job, in submission order.
-    ///
-    /// * **Cooperative watchdog.** With `timeout_ms > 0`, each attempt's
-    ///   [`JobCtx`] carries a deadline and [`JobCtx::cancelled`] turns true
-    ///   once it passes; long jobs poll it and return early.  An attempt
-    ///   that ends past its deadline is a [`JobOutcome::TimedOut`],
-    ///   whatever it returned.  A job that never polls cannot be stopped,
-    ///   so the sweep waits for it.
-    /// * **In-place retry.** A job whose attempt panics before its deadline
-    ///   is re-run once, on the same worker, while the sweep-wide
-    ///   `retry_budget` lasts; its second panic is final.  Timed-out jobs
-    ///   are never retried — a wedge is assumed to reproduce.
-    pub fn run_robust<I, T, F, L>(
-        &self,
-        items: &[I],
-        cfg: RobustConfig,
-        label: L,
-        work: F,
-    ) -> RobustReport<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&JobCtx, &I) -> T + Sync,
-        L: Fn(usize, &I) -> String,
-    {
-        let timeout = (cfg.timeout_ms > 0).then(|| Duration::from_millis(cfg.timeout_ms));
-        let budget = AtomicU32::new(cfg.retry_budget);
-        let take_retry = || {
-            budget
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |b| b.checked_sub(1))
-                .is_ok()
-        };
-        let job = |index: usize| {
-            let attempt = || {
-                let ctx = JobCtx {
-                    index,
-                    deadline: timeout.map(|t| Instant::now() + t),
-                };
-                let result = catch(|| work(&ctx, &items[index]));
-                (result, ctx.cancelled())
-            };
-            let (mut result, mut late) = attempt();
-            if result.is_err() && !late && take_retry() {
-                (result, late) = attempt();
-            }
-            (result, late)
-        };
-        let outcomes = run_jobs(self.jobs, items.len(), || false, job)
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| {
-                let label = || label(index, &items[index]);
-                match slot.expect("nothing stops a robust sweep") {
-                    Ok((_, true)) => JobOutcome::TimedOut(JobTimeout {
-                        index,
-                        label: label(),
-                        timeout_ms: cfg.timeout_ms,
-                    }),
-                    Ok((Ok(v), false)) => JobOutcome::Ok(v),
-                    Ok((Err(message), false)) | Err(JobPanic { message, .. }) => {
-                        JobOutcome::Panicked(JobPanic {
-                            index,
-                            label: Some(label()),
-                            message,
-                        })
-                    }
-                }
-            })
-            .collect();
-        RobustReport {
-            outcomes,
-            retries_used: cfg.retry_budget - budget.into_inner(),
-        }
-    }
-}
-
-/// Watchdog and retry policy for [`Executor::run_robust`].  The default is
-/// "no watchdog, no retries".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RobustConfig {
-    /// Wall-clock budget per job attempt in milliseconds; 0 disables the
-    /// watchdog entirely.
-    pub timeout_ms: u64,
-    /// Total re-runs the whole sweep may spend on panicked jobs.  Each job
-    /// is retried at most once, and only while budget remains.
-    pub retry_budget: u32,
-}
-
-/// Handle passed to [`Executor::run_robust`] jobs: the job's submission
-/// index and the current attempt's deadline, for cooperative cancellation.
-#[derive(Clone, Debug)]
-pub struct JobCtx {
-    index: usize,
-    deadline: Option<Instant>,
-}
-
-impl JobCtx {
-    /// Submission index of the job this context belongs to.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// True once this attempt has run past its wall-clock budget.
-    /// Long-running jobs should poll this and return early; the value they
-    /// return is discarded.
-    pub fn cancelled(&self) -> bool {
-        self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-}
-
-/// A job that ran past its wall-clock budget.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobTimeout {
-    /// Submission index of the timed-out job.
-    pub index: usize,
-    /// Human-readable job description (e.g. `"kmeans under SHM"`).
-    pub label: String,
-    /// The budget that was exceeded, in milliseconds.
-    pub timeout_ms: u64,
-}
-
-impl core::fmt::Display for JobTimeout {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "job {} ({}) timed out after {} ms",
-            self.index, self.label, self.timeout_ms
-        )
-    }
-}
-
-impl std::error::Error for JobTimeout {}
-
-/// Per-job verdict from [`Executor::run_robust`].
-#[derive(Clone, Debug)]
-pub enum JobOutcome<T> {
-    /// The job completed, possibly after a retry.
-    Ok(T),
-    /// The job panicked on its final attempt.
-    Panicked(JobPanic),
-    /// The job ran past its wall-clock budget.
-    TimedOut(JobTimeout),
-}
-
-impl<T> JobOutcome<T> {
-    /// The completed value, if any.
-    pub fn ok(&self) -> Option<&T> {
-        match self {
-            JobOutcome::Ok(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// A rendered failure line for panicked / timed-out jobs.
-    pub fn failure(&self) -> Option<String> {
-        match self {
-            JobOutcome::Ok(_) => None,
-            JobOutcome::Panicked(p) => Some(p.to_string()),
-            JobOutcome::TimedOut(t) => Some(t.to_string()),
-        }
-    }
-}
-
-/// Everything [`Executor::run_robust`] learned about a sweep: one outcome
-/// per job in submission order, plus the retries consumed.
-#[derive(Clone, Debug)]
-pub struct RobustReport<T> {
-    /// One outcome per submitted job, in submission order.
-    pub outcomes: Vec<JobOutcome<T>>,
-    /// Retries consumed from the budget.
-    pub retries_used: u32,
-}
-
-impl<T> RobustReport<T> {
-    /// Number of jobs that completed.
-    pub fn ok_count(&self) -> usize {
-        self.outcomes.iter().filter(|o| o.ok().is_some()).count()
-    }
-
-    /// Number of jobs that panicked or timed out.
-    pub fn failed_count(&self) -> usize {
-        self.outcomes.len() - self.ok_count()
-    }
-
-    /// True when every job completed.
-    pub fn is_clean(&self) -> bool {
-        self.failed_count() == 0
-    }
-
-    /// Rendered failure lines, in submission order.
-    pub fn failure_lines(&self) -> Vec<String> {
-        self.outcomes.iter().filter_map(|o| o.failure()).collect()
-    }
 }
 
 /// A captured panic together with the caller's human-readable job label.
@@ -614,6 +415,7 @@ impl std::error::Error for SweepError {}
 mod tests {
     use super::*;
     use std::sync::{mpsc, Barrier};
+    use std::time::{Duration, Instant};
 
     /// Wall-clock limit for any threaded test below: a hung executor fails
     /// the test in seconds instead of stalling the whole `cargo test` run.
@@ -862,96 +664,6 @@ mod tests {
                 "{}",
                 err.failed[0].panic
             );
-        });
-    }
-
-    #[test]
-    fn run_robust_times_out_wedged_jobs_and_returns_partial_results() {
-        within(DEADLINE, || {
-            let report = Executor::new(2).run_robust(
-                &[1u32, 2, 3, 4],
-                RobustConfig {
-                    timeout_ms: 150,
-                    retry_budget: 0,
-                },
-                |i, _| format!("job-{i}"),
-                |ctx, &x| {
-                    if x == 3 {
-                        // Wedge cooperatively: hold until the watchdog
-                        // cancels this attempt.
-                        while !ctx.cancelled() {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        return 0;
-                    }
-                    x * 10
-                },
-            );
-            assert_eq!(report.outcomes.len(), 4);
-            assert!(matches!(report.outcomes[0], JobOutcome::Ok(10)));
-            assert!(matches!(report.outcomes[1], JobOutcome::Ok(20)));
-            match &report.outcomes[2] {
-                JobOutcome::TimedOut(t) => {
-                    assert_eq!(t.label, "job-2");
-                    assert_eq!(t.timeout_ms, 150);
-                    assert!(t.to_string().contains("job-2"), "{t}");
-                }
-                other => panic!("expected timeout, got {other:?}"),
-            }
-            assert!(matches!(report.outcomes[3], JobOutcome::Ok(40)));
-            assert_eq!(report.ok_count(), 3);
-            assert_eq!(report.failed_count(), 1);
-            assert!(!report.is_clean());
-            assert_eq!(report.failure_lines().len(), 1);
-        });
-    }
-
-    #[test]
-    fn run_robust_retries_transient_panics_within_budget() {
-        within(DEADLINE, || {
-            let tries = AtomicUsize::new(0);
-            let report = Executor::new(2).run_robust(
-                &[0u32, 1],
-                RobustConfig {
-                    timeout_ms: 0,
-                    retry_budget: 2,
-                },
-                |i, _| format!("job-{i}"),
-                |ctx, _| {
-                    if ctx.index() == 1 && tries.fetch_add(1, Ordering::SeqCst) == 0 {
-                        panic!("transient");
-                    }
-                    7u32
-                },
-            );
-            assert!(report.is_clean(), "{:?}", report.failure_lines());
-            assert_eq!(report.retries_used, 1);
-            assert_eq!(tries.load(Ordering::SeqCst), 2);
-        });
-    }
-
-    #[test]
-    fn run_robust_reports_final_panics_with_labels() {
-        within(DEADLINE, || {
-            let report = Executor::new(2).run_robust(
-                &[0u32, 1],
-                RobustConfig::default(),
-                |i, _| format!("job-{i}"),
-                |ctx, _| {
-                    if ctx.index() == 1 {
-                        panic!("always");
-                    }
-                    3u32
-                },
-            );
-            assert_eq!(report.ok_count(), 1);
-            match &report.outcomes[1] {
-                JobOutcome::Panicked(p) => {
-                    assert_eq!(p.label.as_deref(), Some("job-1"));
-                    assert!(p.to_string().contains("(job-1)"), "{p}");
-                }
-                other => panic!("expected panic, got {other:?}"),
-            }
         });
     }
 

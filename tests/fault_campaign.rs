@@ -1,15 +1,12 @@
 //! End-to-end adversary campaign: the `full` campaign under a fixed seed
 //! must reproduce a golden detection matrix — every injected tamper caught
 //! as exactly the expected `VerifyError` variant, zero silent corruptions,
-//! zero false alarms — plus the sim-exec robustness contract (a wedged job
-//! times out with a labelled `JobTimeout` and deterministic partial
-//! results) and single-bit-flip detection properties.
+//! zero false alarms — plus single-bit-flip detection properties.
 
 use proptest::prelude::*;
 use shm_crypto::KeyTuple;
 use shm_fault::{run_campaign, TamperKind, ALL_KINDS};
 use shm_metadata::{SecureMemory, VerifyError};
-use sim_exec::{Executor, JobOutcome, RobustConfig};
 
 /// The golden per-class injection counts for `full` (rounds of burst sizes
 /// 1, 3, 2): burst classes get 1+3+2 tampers, single-target classes one per
@@ -65,43 +62,6 @@ fn smoke_campaign_is_a_clean_pass_and_covers_every_class() {
     let report = run_campaign("smoke", 7).expect("smoke is a known campaign");
     assert!(report.is_clean_pass());
     assert_eq!(report.matrix.len(), ALL_KINDS.len());
-}
-
-/// A wedged job must surface as `JobTimeout` (carrying its label) while
-/// every healthy job still lands its deterministic result.
-#[test]
-fn wedged_job_times_out_with_partial_results() {
-    let items: Vec<u64> = (0..6).collect();
-    let report = Executor::from_request(Some(3)).run_robust(
-        &items,
-        RobustConfig {
-            timeout_ms: 200,
-            retry_budget: 0,
-        },
-        |i, _| format!("campaign-job-{i}"),
-        |ctx, &x| {
-            if x == 2 {
-                // Wedge until the watchdog cancels us.
-                while !ctx.cancelled() {
-                    std::thread::yield_now();
-                }
-            }
-            x * x
-        },
-    );
-    assert_eq!(report.ok_count(), 5);
-    assert_eq!(report.failed_count(), 1);
-    for (i, outcome) in report.outcomes.iter().enumerate() {
-        match outcome {
-            JobOutcome::Ok(v) => assert_eq!(*v, (i as u64) * (i as u64)),
-            JobOutcome::TimedOut(t) => {
-                assert_eq!(i, 2);
-                assert_eq!(t.label, "campaign-job-2");
-                assert!(t.to_string().contains("campaign-job-2"));
-            }
-            JobOutcome::Panicked(p) => panic!("unexpected panic outcome: {p}"),
-        }
-    }
 }
 
 const SPAN: u64 = 64 * 1024;
