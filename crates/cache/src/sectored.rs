@@ -172,12 +172,6 @@ impl SectoredCache {
         self.misses
     }
 
-    /// Resets hit/miss counters (e.g. between kernels).
-    pub fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     fn set_of(&self, line: u64) -> usize {
         ((line / self.line_bytes) % self.num_sets) as usize
     }

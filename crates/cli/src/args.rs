@@ -131,7 +131,7 @@ mod tests {
     fn parses_flags() {
         let a = Args::parse(&argv(&["--csv", "-b", "atax"])).expect("parse");
         assert!(a.flag("csv"));
-        assert!(!a.flag("verbose"));
+        assert!(!a.flag("resume"));
         assert_eq!(a.get("b"), Some("atax"));
     }
 

@@ -36,7 +36,7 @@ pub fn cmd_attack(args: &Args) -> Result<(), Failure> {
                     cycle as u64,
                     Event::IntegrityViolation {
                         addr: inc.addr,
-                        kind: observed.label(),
+                        violation: observed.label(),
                         action: if inc.recovered {
                             "retry_recovered"
                         } else {

@@ -194,16 +194,6 @@ impl L2Bank {
         }
     }
 
-    /// Completion time of the outstanding fill covering `addr`, if any.
-    pub fn pending_ready(&self, addr: u64) -> Option<u64> {
-        self.pending.get(&(addr & !(SECTOR_BYTES - 1))).copied()
-    }
-
-    /// Drains dirty evictions caused by data fills/writes.
-    pub fn take_data_evictions(&mut self) -> Vec<Eviction> {
-        std::mem::take(&mut self.data_evictions)
-    }
-
     /// True when a data fill/write queued a dirty eviction.
     #[inline]
     pub fn has_data_evictions(&self) -> bool {
@@ -265,11 +255,6 @@ impl L2Bank {
     pub fn reset_sampler(&mut self) {
         self.sampler.reset();
     }
-
-    /// Lifetime (hits, misses) of the bank.
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.cache.hits(), self.cache.misses())
-    }
 }
 
 impl VictimStore for L2Bank {
@@ -302,11 +287,6 @@ impl VictimStore for L2Bank {
         }
         true
     }
-}
-
-/// Bytes written back for an eviction.
-pub fn eviction_bytes(ev: &Eviction) -> u64 {
-    ev.dirty_sectors.count_ones() as u64 * SECTOR_BYTES
 }
 
 #[cfg(test)]

@@ -23,14 +23,12 @@
 
 pub mod bmt;
 pub mod counters;
-pub mod ctr_tree;
 pub mod layout;
 pub mod shared;
 pub mod store;
 
 pub use bmt::BmtGeometry;
 pub use counters::{CounterSector, Increment};
-pub use ctr_tree::CtrTree;
 pub use layout::{MetadataKind, MetadataLayout};
 pub use shared::SharedCounter;
 pub use store::{IntegrityViolation, SecureMemory, VerifyError};

@@ -2,7 +2,7 @@
 //!
 //! Three pieces, all dependency-free:
 //!
-//! * a lock-free **registry** of named counters / gauges / histograms
+//! * a lock-free **registry** of named counters and gauges
 //!   ([`register_counter`], [`counter!`], …) that is zero-cost while
 //!   [`enabled`] is false — every hot-path hook is one relaxed atomic load;
 //! * a **Prometheus text-format** renderer ([`render_prometheus`]) plus a
@@ -21,6 +21,6 @@ mod registry;
 pub use http::{fetch_metrics, MetricsServer};
 pub use registry::{
     enable, enabled, is_valid_label_name, is_valid_metric_name, labeled_counter, labeled_gauge,
-    parse_exposition, register_counter, register_gauge, register_histogram, render_prometheus,
-    set_enabled, Counter, Gauge, Histogram, Sample, HISTOGRAM_BUCKETS,
+    parse_exposition, register_counter, register_gauge, render_prometheus, set_enabled, Counter,
+    Gauge, Sample,
 };

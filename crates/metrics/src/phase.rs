@@ -83,11 +83,6 @@ pub fn set_profiling(on: bool) {
     PROFILING.store(on, Relaxed);
 }
 
-/// True when phase guards are measuring.
-pub fn profiling_enabled() -> bool {
-    PROFILING.load(Relaxed)
-}
-
 /// Zeroes all accumulated phase data.
 pub fn reset_phases() {
     for i in 0..NUM_PHASES {

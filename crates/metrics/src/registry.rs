@@ -75,67 +75,10 @@ impl Gauge {
     }
 }
 
-/// Number of finite histogram buckets; bucket `i` covers values `<= 2^i`,
-/// with one implicit `+Inf` bucket after them.
-pub const HISTOGRAM_BUCKETS: usize = 22;
-
-/// Power-of-two histogram: bucket upper bounds 1, 2, 4, …, 2^21, +Inf.
-#[derive(Debug)]
-pub struct Histogram {
-    counts: [AtomicU64; HISTOGRAM_BUCKETS + 1],
-    sum: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            counts: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// Records one observation (no-op while the registry is disabled).
-    pub fn observe(&self, v: u64) {
-        if !enabled() {
-            return;
-        }
-        let idx = if v <= 1 {
-            0
-        } else {
-            let bits = 64 - (v - 1).leading_zeros() as usize;
-            bits.min(HISTOGRAM_BUCKETS)
-        };
-        self.counts[idx].fetch_add(1, Relaxed);
-        self.sum.fetch_add(v, Relaxed);
-    }
-
-    /// Total number of observations.
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Relaxed)).sum()
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Relaxed)
-    }
-
-    /// Per-bucket (non-cumulative) counts, `+Inf` last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.counts.iter().map(|c| c.load(Relaxed)).collect()
-    }
-
-    /// Upper bound of finite bucket `i`.
-    pub fn bucket_bound(i: usize) -> u64 {
-        1u64 << i
-    }
-}
-
+#[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
 }
 
 impl Metric {
@@ -143,7 +86,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
         }
     }
 }
@@ -223,19 +165,11 @@ fn register(
         }
     };
     if let Some(existing) = family.series.iter().find(|s| s.labels == labels) {
-        return match &existing.metric {
-            Metric::Counter(c) => Metric::Counter(c.clone()),
-            Metric::Gauge(g) => Metric::Gauge(g.clone()),
-            Metric::Histogram(h) => Metric::Histogram(h.clone()),
-        };
+        return existing.metric.clone();
     }
     family.series.push(Series {
         labels,
-        metric: match &metric {
-            Metric::Counter(c) => Metric::Counter(c.clone()),
-            Metric::Gauge(g) => Metric::Gauge(g.clone()),
-            Metric::Histogram(h) => Metric::Histogram(h.clone()),
-        },
+        metric: metric.clone(),
     });
     metric
 }
@@ -252,14 +186,6 @@ pub fn register_counter(name: &'static str, help: &'static str) -> Arc<Counter> 
 pub fn register_gauge(name: &'static str, help: &'static str) -> Arc<Gauge> {
     match register(name, help, &[], || Metric::Gauge(Arc::default())) {
         Metric::Gauge(g) => g,
-        _ => unreachable!(),
-    }
-}
-
-/// Registers (or fetches) the unlabeled histogram `name`.
-pub fn register_histogram(name: &'static str, help: &'static str) -> Arc<Histogram> {
-    match register(name, help, &[], || Metric::Histogram(Arc::default())) {
-        Metric::Histogram(h) => h,
         _ => unreachable!(),
     }
 }
@@ -308,16 +234,6 @@ macro_rules! gauge {
     }};
 }
 
-/// Caches an unlabeled histogram per call site.
-#[macro_export]
-macro_rules! histogram {
-    ($name:literal, $help:literal) => {{
-        static CELL: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
-            ::std::sync::OnceLock::new();
-        &**CELL.get_or_init(|| $crate::register_histogram($name, $help))
-    }};
-}
-
 fn escape_help(help: &str) -> String {
     help.replace('\\', "\\\\").replace('\n', "\\n")
 }
@@ -339,15 +255,6 @@ fn label_block(labels: &[(String, String)]) -> String {
     format!("{{{}}}", body.join(","))
 }
 
-fn label_block_with_le(labels: &[(String, String)], le: &str) -> String {
-    let mut body: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
-        .collect();
-    body.push(format!("le=\"{le}\""));
-    format!("{{{}}}", body.join(","))
-}
-
 /// Renders every registered family (plus any recorded profiler phases) in
 /// the Prometheus text exposition format 0.0.4.
 pub fn render_prometheus() -> String {
@@ -357,59 +264,16 @@ pub fn render_prometheus() -> String {
         let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(family.help));
         let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
         for series in &family.series {
-            match &series.metric {
-                Metric::Counter(c) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        c.get()
-                    );
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(
-                        out,
-                        "{}{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        g.get()
-                    );
-                }
-                Metric::Histogram(h) => {
-                    let counts = h.bucket_counts();
-                    let mut cumulative = 0u64;
-                    for (i, c) in counts.iter().enumerate() {
-                        cumulative += c;
-                        let le = if i < HISTOGRAM_BUCKETS {
-                            Histogram::bucket_bound(i).to_string()
-                        } else {
-                            "+Inf".to_string()
-                        };
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            family.name,
-                            label_block_with_le(&series.labels, &le),
-                            cumulative
-                        );
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{}_sum{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        h.sum()
-                    );
-                    let _ = writeln!(
-                        out,
-                        "{}_count{} {}",
-                        family.name,
-                        label_block(&series.labels),
-                        cumulative
-                    );
-                }
-            }
+            let value = match &series.metric {
+                Metric::Counter(c) => c.get().to_string(),
+                Metric::Gauge(g) => g.get().to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "{}{} {value}",
+                family.name,
+                label_block(&series.labels)
+            );
         }
     }
     drop(reg);
@@ -522,10 +386,9 @@ mod tests {
         c.inc();
         c.add(10);
         assert_eq!(c.get(), 0);
-        let h = register_histogram("shm_test_disabled_hist", "test");
-        h.observe(5);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0);
+        let g = register_gauge("shm_test_disabled_gauge", "test");
+        g.set(5);
+        assert_eq!(g.get(), 0);
     }
 
     #[test]
@@ -540,30 +403,6 @@ mod tests {
         g.set(7);
         g.add(-2);
         assert_eq!(g.get(), 5);
-        let h = register_histogram("shm_test_basic_hist", "test");
-        for v in [1, 2, 3, 100, 1 << 30] {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1 + 2 + 3 + 100 + (1 << 30));
-        set_enabled(false);
-    }
-
-    #[test]
-    fn histogram_bucket_indexing_is_tight() {
-        let _g = test_lock();
-        set_enabled(true);
-        let h = register_histogram("shm_test_bucket_hist", "test");
-        h.observe(1); // bucket le=1
-        h.observe(2); // le=2
-        h.observe(3); // le=4
-        h.observe(4); // le=4
-        h.observe(5); // le=8
-        let counts = h.bucket_counts();
-        assert_eq!(counts[0], 1);
-        assert_eq!(counts[1], 1);
-        assert_eq!(counts[2], 2);
-        assert_eq!(counts[3], 1);
         set_enabled(false);
     }
 
@@ -600,51 +439,24 @@ mod tests {
     fn exposition_has_help_type_and_monotone_buckets() {
         let _g = test_lock();
         set_enabled(true);
-        let h = register_histogram("shm_test_expo_hist", "exposition test");
-        for v in [1, 7, 300, 5000] {
-            h.observe(v);
-        }
+        let c = register_counter("shm_test_expo_total", "exposition test");
+        c.add(3);
         let text = render_prometheus();
         let lines: Vec<&str> = text.lines().collect();
         let help = lines
             .iter()
-            .position(|l| *l == "# HELP shm_test_expo_hist exposition test")
+            .position(|l| *l == "# HELP shm_test_expo_total exposition test")
             .expect("HELP line");
-        let typ = lines
-            .iter()
-            .position(|l| *l == "# TYPE shm_test_expo_hist histogram")
-            .expect("TYPE line");
-        assert_eq!(typ, help + 1, "TYPE follows HELP");
-        // Every sample of the family appears after its header, with
-        // cumulative buckets nondecreasing and +Inf equal to _count.
-        let mut last = 0u64;
-        let mut inf = None;
-        for l in &lines[typ + 1..] {
-            if !l.starts_with("shm_test_expo_hist") {
-                break;
-            }
-            if l.starts_with("shm_test_expo_hist_bucket") {
-                let v: u64 = l.rsplit(' ').next().unwrap().parse().unwrap();
-                assert!(v >= last, "buckets must be cumulative: {l}");
-                last = v;
-                if l.contains("le=\"+Inf\"") {
-                    inf = Some(v);
-                }
-            }
-        }
-        let count: u64 = lines
-            .iter()
-            .find(|l| l.starts_with("shm_test_expo_hist_count"))
-            .and_then(|l| l.rsplit(' ').next())
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert_eq!(inf, Some(count));
-        // Every exposed family name passes the charset rule.
+        assert_eq!(lines[help + 1], "# TYPE shm_test_expo_total counter");
+        let sample = lines[help + 2];
+        assert!(sample.starts_with("shm_test_expo_total "), "{sample}");
+        // Every exposed family is a counter or a gauge, and its name passes
+        // the charset rule.
         for l in text.lines() {
             if let Some(rest) = l.strip_prefix("# TYPE ") {
-                let name = rest.split(' ').next().unwrap();
+                let (name, kind) = rest.split_once(' ').unwrap();
                 assert!(is_valid_metric_name(name), "bad exposed name {name}");
+                assert!(kind == "counter" || kind == "gauge", "{l}");
             }
         }
         set_enabled(false);

@@ -3,8 +3,6 @@
 
 use shm_dram::DramConfig;
 
-/// `SHM_POOL_POLICY` — placement policy when pools are enabled.
-pub const POLICY_ENV: &str = "SHM_POOL_POLICY";
 /// `SHM_POOL_GPU_MB` — GPU-pool capacity in MiB.
 pub const GPU_MB_ENV: &str = "SHM_POOL_GPU_MB";
 /// `SHM_POOL_CPU_MB` — CPU-pool capacity in MiB.
@@ -20,11 +18,6 @@ pub const LINK_BPC_ENV: &str = "SHM_LINK_BYTES_PER_CYCLE";
 
 /// Every pool/link knob, in `shm env` table form: `(name, default, what)`.
 pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
-    (
-        POLICY_ENV,
-        "gpu-only",
-        "pools: placement policy (gpu-only | static-split | hot-page-migrate)",
-    ),
     (GPU_MB_ENV, "8", "pools: GPU-pool capacity in MiB"),
     (CPU_MB_ENV, "64", "pools: CPU-pool capacity in MiB"),
     (PAGE_KB_ENV, "16", "pools: migration page size in KiB"),
@@ -157,11 +150,6 @@ impl PoolsConfig {
         cfg
     }
 
-    /// Policy from `SHM_POOL_POLICY`, when set to a valid label.
-    pub fn policy_from_env() -> Option<PlacementPolicy> {
-        PlacementPolicy::parse(&std::env::var(POLICY_ENV).ok()?)
-    }
-
     /// Timing model for the CPU-side pool: one LPDDR-like channel — lower
     /// bandwidth, slower row timing, longer controller path than the GPU
     /// partitions (`DramConfig::default`).
@@ -232,7 +220,6 @@ mod tests {
     #[test]
     fn every_knob_constant_appears_in_the_table() {
         for name in [
-            POLICY_ENV,
             GPU_MB_ENV,
             CPU_MB_ENV,
             PAGE_KB_ENV,

@@ -94,11 +94,6 @@ impl PoolSim {
         (self.link.bytes_to_gpu(), self.link.bytes_to_cpu())
     }
 
-    /// Distinct pages currently GPU-resident.
-    pub fn gpu_resident_bytes(&self) -> u64 {
-        self.gpu_bytes
-    }
-
     /// Offers one DRAM-bound data access to the pool model. `now` is the
     /// cycle the access reaches DRAM; the returned outcome carries the
     /// remote completion when the CPU pool was involved.

@@ -201,7 +201,7 @@ fn fetch_block(
                         clock,
                         Event::IntegrityViolation {
                             addr: base,
-                            kind: first.error.label(),
+                            violation: first.error.label(),
                             action: "retry_recovered",
                         },
                     );
@@ -222,7 +222,7 @@ fn fetch_block(
             clock,
             Event::IntegrityViolation {
                 addr: base,
-                kind: verdict.error.label(),
+                violation: verdict.error.label(),
                 action: violation_action(policy),
             },
         );
@@ -291,16 +291,6 @@ impl Context {
     pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Changes the recovery policy mid-context.
-    pub fn set_recovery_policy(&mut self, policy: RecoveryPolicy) {
-        self.policy = policy;
-    }
-
-    /// The recovery policy in force.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.policy
     }
 
     /// Every integrity violation observed so far, in detection order —

@@ -130,16 +130,6 @@ impl MeeCore {
         self.cfg.hash_latency as u64
     }
 
-    /// Hit/miss counters of one MDC.
-    pub fn cache_stats(&self, kind: MdcKind) -> (u64, u64) {
-        let c = match kind {
-            MdcKind::Counter => &self.ctr_cache,
-            MdcKind::Mac => &self.mac_cache,
-            MdcKind::Bmt => &self.bmt_cache,
-        };
-        (c.hits(), c.misses())
-    }
-
     /// The metadata address of the data at `local`/`phys` for this MEE's
     /// addressing mode, routed through `f`.
     fn data_offset(&self, local: LocalAddr, phys: PhysAddr) -> u64 {

@@ -1154,8 +1154,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                         "Sweep jobs resolved by the coordinator"
                     )
                     .inc();
-                    shm_metrics::histogram!("shm_job_run_ms", "Worker-measured job run time (ms)")
-                        .observe(run_ns / 1_000_000);
+                    shm_metrics::counter!(
+                        "shm_job_run_ms_total",
+                        "Worker-measured job run time summed over resolved jobs (ms)"
+                    )
+                    .add(run_ns / 1_000_000);
                     let mut inner = shared.inner.lock().unwrap_or_else(|e| e.into_inner());
                     inner.in_flight_total -= 1;
                     dec_dispatched(&mut inner, index);

@@ -180,16 +180,6 @@ impl EpochSnapshot {
             .sum()
     }
 
-    /// L2 hit rate inside the epoch, or 0.0 with no lookups.
-    pub fn l2_hit_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_hits as f64 / total as f64
-        }
-    }
-
     /// Appends this snapshot as one JSON object line (no trailing newline):
     /// the declared columns, then the per-partition objects.
     pub fn write_json(&self, out: &mut String) {

@@ -1,18 +1,22 @@
-//! Output sinks: JSONL document (in-memory or incremental), epoch CSV,
+//! Output sinks: the lines of the streamed JSONL document, epoch CSV,
 //! human-readable summary, flight-recorder dump.
+//!
+//! The JSONL document is one `meta` line, then `event` and `epoch` lines
+//! interleaved in production order, then the `span` lines, one `hist` line
+//! per histogram and a trailing `drops` line making any sampling loss
+//! explicit.  [`crate::Telemetry::attach_stream`] writes it.
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use crate::{EpochSnapshot, PartitionEpoch, Telemetry, TelemetryConfig};
+use crate::{EpochSnapshot, PartitionEpoch, Telemetry, RING_CAPACITY, SAMPLE_STRIDE};
 use gpu_types::TrafficClass;
 use std::fmt::Write as _;
 
 /// Appends the leading `meta` JSONL object (no trailing newline).
-pub fn meta_json(cfg: &TelemetryConfig, out: &mut String) {
+pub fn meta_json(epoch_cycles: u64, out: &mut String) {
     let _ = write!(
         out,
-        "{{\"type\":\"meta\",\"epoch_cycles\":{},\"sample_stride\":{},\"ring_capacity\":{}}}",
-        cfg.epoch_cycles, cfg.sample_stride, cfg.ring_capacity
+        "{{\"type\":\"meta\",\"epoch_cycles\":{epoch_cycles},\"sample_stride\":{SAMPLE_STRIDE},\"ring_capacity\":{RING_CAPACITY}}}"
     );
 }
 
@@ -41,57 +45,6 @@ pub fn event_json_tagged(event: &Event, cycle: u64, seq: u64, ts_ms: u64, out: &
     event.write_json(cycle, out);
     out.pop(); // reopen the object to append the tags
     let _ = write!(out, ",\"seq\":{seq},\"ts_ms\":{ts_ms}}}");
-}
-
-/// Serializes the whole collection as a JSONL document:
-/// one `meta` line, sampled `event` lines, `epoch` snapshot lines, `span`
-/// lines, `hist` lines for each histogram, and a trailing `drops` line
-/// making any sampling loss explicit.
-pub fn to_jsonl(t: &Telemetry) -> String {
-    let mut out = Vec::new();
-    write_jsonl_to(t, &mut out).expect("writing to a Vec cannot fail");
-    String::from_utf8(out).expect("JSONL output is UTF-8")
-}
-
-/// Streams the JSONL document to `w` one line at a time, reusing a single
-/// line buffer — the whole-document string never exists in memory.
-///
-/// # Errors
-///
-/// Propagates the first I/O error from `w`.
-pub fn write_jsonl_to<W: std::io::Write>(t: &Telemetry, w: &mut W) -> std::io::Result<()> {
-    let mut line = String::new();
-    meta_json(t.config(), &mut line);
-    line.push('\n');
-    w.write_all(line.as_bytes())?;
-    for ((cycle, event), (seq, ts_ms)) in t.events().iter().zip(t.events_meta()) {
-        line.clear();
-        event_json_tagged(event, *cycle, *seq, *ts_ms, &mut line);
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-    }
-    for snap in t.snapshots() {
-        line.clear();
-        snap.write_json(&mut line);
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-    }
-    for (span, (seq, ts_ms)) in t.spans().iter().zip(t.spans_meta()) {
-        line.clear();
-        span.write_json(*seq, *ts_ms, &mut line);
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-    }
-    for (name, hist) in named_histograms(t) {
-        line.clear();
-        hist_json(name, hist, &mut line);
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-    }
-    line.clear();
-    drops_json(t, &mut line);
-    line.push('\n');
-    w.write_all(line.as_bytes())
 }
 
 /// Renders completed epoch snapshots as CSV, mirroring the JSONL `epoch`
@@ -218,11 +171,7 @@ mod tests {
     use crate::{Hook, Probe, TelemetryConfig};
 
     fn cfg() -> TelemetryConfig {
-        TelemetryConfig {
-            epoch_cycles: 100,
-            sample_stride: 1,
-            ring_capacity: 16,
-        }
+        TelemetryConfig { epoch_cycles: 100 }
     }
 
     fn populate(p: &Probe) {
@@ -266,26 +215,16 @@ mod tests {
         p
     }
 
-    /// Replaces the wall-clock `"ts_ms":<n>` tag with a fixed value so
-    /// documents produced at different instants compare equal.
-    fn normalize_ts(line: &str) -> String {
-        let pat = "\"ts_ms\":";
-        match line.find(pat) {
-            None => line.to_string(),
-            Some(at) => {
-                let digits_start = at + pat.len();
-                let digits_end = line[digits_start..]
-                    .find(|c: char| !c.is_ascii_digit())
-                    .map(|i| digits_start + i)
-                    .unwrap_or(line.len());
-                format!("{}{pat}0{}", &line[..at], &line[digits_end..])
-            }
-        }
+    /// The JSONL document a populated probe streams.
+    fn populated_doc() -> String {
+        let (p, doc) = crate::tests::streaming(cfg());
+        populate(&p);
+        doc()
     }
 
     #[test]
     fn jsonl_contains_all_record_types() {
-        let doc = populated().with(|t| to_jsonl(t)).unwrap();
+        let doc = populated_doc();
         for ty in [
             "\"type\":\"meta\"",
             "\"type\":\"event\"",
@@ -298,6 +237,15 @@ mod tests {
         // Three epochs: cycles 0..100, 100..200, 200..250 (final partial).
         assert_eq!(doc.matches("\"type\":\"epoch\"").count(), 3);
         assert!(doc.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
+        // Meta comes first and drops last.
+        assert!(doc.starts_with(
+            "{\"type\":\"meta\",\"epoch_cycles\":100,\"sample_stride\":64,\"ring_capacity\":256}\n"
+        ));
+        assert!(doc
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with("{\"type\":\"drops\""));
     }
 
     #[test]
@@ -317,52 +265,8 @@ mod tests {
     }
 
     #[test]
-    fn write_jsonl_to_matches_to_jsonl() {
-        let p = populated();
-        let doc = p.with(|t| to_jsonl(t)).unwrap();
-        let mut streamed = Vec::new();
-        p.with(|t| write_jsonl_to(t, &mut streamed))
-            .unwrap()
-            .unwrap();
-        assert_eq!(doc.into_bytes(), streamed);
-    }
-
-    #[test]
-    fn streaming_sink_emits_same_lines_as_in_memory_document() {
-        let path =
-            std::env::temp_dir().join(format!("shm-telemetry-stream-{}.jsonl", std::process::id()));
-        let streaming = Probe::enabled_streaming(cfg(), &path).expect("create stream file");
-        populate(&streaming);
-        assert_eq!(streaming.stream_error(), None);
-        drop(streaming);
-        let streamed = std::fs::read_to_string(&path).expect("read streamed doc");
-        let _ = std::fs::remove_file(&path);
-
-        let in_memory = populated().with(|t| to_jsonl(t)).unwrap();
-
-        // Streaming writes events and epoch snapshots in production order,
-        // so line ORDER differs from the grouped in-memory document — but
-        // the set of lines must match exactly.  The two probes were
-        // populated at different wall-clock instants, so the `ts_ms` tag is
-        // normalised before comparing.
-        let mut a: Vec<String> = streamed.lines().map(normalize_ts).collect();
-        let mut b: Vec<String> = in_memory.lines().map(normalize_ts).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b, "streamed:\n{streamed}\nin-memory:\n{in_memory}");
-        // Meta comes first and drops last in both documents.
-        assert!(streamed.starts_with("{\"type\":\"meta\""));
-        assert!(streamed
-            .trim_end()
-            .lines()
-            .last()
-            .unwrap()
-            .starts_with("{\"type\":\"drops\""));
-    }
-
-    #[test]
     fn events_carry_monotonic_seq_and_ts_tags() {
-        let doc = populated().with(|t| to_jsonl(t)).unwrap();
+        let doc = populated_doc();
         let mut last_seq: Option<u64> = None;
         let mut tagged = 0;
         for line in doc.lines() {
@@ -399,20 +303,20 @@ mod tests {
             cycles: 123,
         };
 
-        // In-memory document.
-        let p = Probe::enabled(cfg());
-        populate(&p);
+        // A sink attached to any writer.
+        let (p, doc) = crate::tests::streaming(cfg());
         p.emit_job_spans(0xabc, "fig16", std::slice::from_ref(&job));
-        let doc = p.with(|t| to_jsonl(t)).unwrap();
+        populate(&p); // populate() finalizes, flushing the spans
+        let doc = doc();
         let mem_spans: Vec<SpanEvent> = doc.lines().filter_map(SpanEvent::parse_json).collect();
         assert_eq!(mem_spans.len(), 2, "root + one job span in {doc}");
 
-        // Streaming document.
+        // The file `--trace-out` streams to.
         let path =
             std::env::temp_dir().join(format!("shm-telemetry-span-{}.jsonl", std::process::id()));
         let p = Probe::enabled_streaming(cfg(), &path).unwrap();
         p.emit_job_spans(0xabc, "fig16", std::slice::from_ref(&job));
-        populate(&p); // populate() finalizes, flushing the spans
+        populate(&p);
         drop(p);
         let streamed = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -486,8 +390,7 @@ mod tests {
 
     #[test]
     fn epoch_jsonl_keys_and_csv_columns_follow_the_declaration() {
-        let p = populated();
-        let doc = p.with(|t| to_jsonl(t)).unwrap();
+        let doc = populated_doc();
         let line = doc
             .lines()
             .find(|l| l.contains("\"type\":\"epoch\""))
@@ -500,7 +403,7 @@ mod tests {
         json_keys.push("partitions".to_string());
         assert_eq!(top_level_keys(line), json_keys);
 
-        let csv = p.with(|t| epoch_csv(t)).unwrap();
+        let csv = populated().with(|t| epoch_csv(t)).unwrap();
         let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
         let cells: Vec<String> = ["read", "write"]
             .iter()

@@ -17,7 +17,6 @@ fn probed_run(design: DesignPoint, events: u64) -> (gpu_types::SimStats, Probe) 
     let trace = profile.generate(0xBEEF);
     let probe = Probe::enabled(TelemetryConfig {
         epoch_cycles: 5_000,
-        ..TelemetryConfig::default()
     });
     let stats = Simulator::new(&GpuConfig::default(), design)
         .with_probe(probe.clone())
@@ -65,15 +64,33 @@ fn latency_histogram_counts_every_dram_request() {
 
 #[test]
 fn event_totals_are_exact_despite_sampling() {
-    let (_, probe) = probed_run(DesignPoint::Shm, 20_000);
-    let (logged, totals, sampled_out) = probe
-        .with(|t| {
-            (
-                t.events().len() as u64,
-                t.kind_totals().iter().sum::<u64>(),
-                t.sampled_out(),
-            )
-        })
+    let mut profile = BenchmarkProfile::by_name("fdtd2d").expect("fdtd2d exists");
+    profile.events_per_kernel = 20_000;
+    let trace = profile.generate(0xBEEF);
+    let path = std::env::temp_dir().join(format!(
+        "shm-telemetry-sampling-{}.jsonl",
+        std::process::id()
+    ));
+    let probe = Probe::enabled_streaming(
+        TelemetryConfig {
+            epoch_cycles: 5_000,
+        },
+        &path,
+    )
+    .expect("create trace file");
+    Simulator::new(&GpuConfig::default(), DesignPoint::Shm)
+        .with_probe(probe.clone())
+        .run(&trace);
+    probe.finalize(0);
+    assert_eq!(probe.stream_error(), None);
+    let doc = std::fs::read_to_string(&path).expect("read trace file");
+    let _ = std::fs::remove_file(&path);
+    let logged = doc
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"event\""))
+        .count() as u64;
+    let (totals, sampled_out) = probe
+        .with(|t| (t.kind_totals().iter().sum::<u64>(), t.sampled_out()))
         .expect("enabled");
     assert_eq!(logged + sampled_out, totals, "sampling lost events");
     let kinds = probe
@@ -106,10 +123,7 @@ proptest! {
         n in 1usize..200,
         seed in 0u64..u64::MAX,
     ) {
-        let mut t = Telemetry::new(TelemetryConfig {
-            epoch_cycles,
-            ..TelemetryConfig::default()
-        });
+        let mut t = Telemetry::new(TelemetryConfig { epoch_cycles });
         let mut expected = gpu_types::TrafficBytes::default();
         let mut x = seed | 1;
         let mut cycle = 0u64;
