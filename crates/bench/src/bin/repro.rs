@@ -10,8 +10,9 @@
 //! every completed (benchmark, design) job to `DIR/<figure>.jsonl` as it
 //! lands.  An interrupted run (SIGINT/SIGTERM, exit code 130) leaves those
 //! journals valid; re-running with `--resume` skips the completed jobs and
-//! produces byte-identical tables.  `--crash-after-jobs N` deterministically
-//! cancels the sweep after N fresh completions (CI crash-recovery smoke).
+//! produces byte-identical tables.  A second signal exits 130 at once.
+//! `--crash-after-jobs N` deterministically stops the sweep after exactly
+//! N fresh completions (CI crash-recovery smoke).
 //!
 //! Figures run their (benchmark × design) simulations on the `sim-exec`
 //! worker pool; `--jobs N` bounds the pool (1 = serial) and the
@@ -39,7 +40,7 @@ use gpu_mem_sim::DesignPoint::{
 use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, MdcConfig, ShmConfig, TrafficClass};
 use shm::{required_mechanisms, DataProperty, OracleProfile};
-use shm_bench::cli::{Args, Failure, SweepArgs};
+use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
 use shm_bench::{
     format_table, mean, scaled_suite, trace_seed, traffic_breakdown, BenchRow, Executor, Journal,
     Sweep,
@@ -54,16 +55,8 @@ use shm_workloads::BenchmarkProfile;
 const USAGE: &str = "usage: repro [TARGET] [--scale X] [--jobs N] [--telemetry-dir DIR] \
                      [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]";
 
-/// The options `repro` reads.
-const OPTIONS: &[&str] = &[
-    "scale",
-    "jobs",
-    "dist",
-    "telemetry-dir",
-    "journal",
-    "resume",
-    "crash-after-jobs",
-];
+/// The options `repro` reads besides [`SweepArgs::OPTIONS`].
+const OPTIONS: &[&str] = &["scale", "telemetry-dir"];
 
 /// The targets `all` renders, in order.
 const ALL: &[&str] = &[
@@ -77,6 +70,7 @@ const FIGURES: &[&str] = &[
 ];
 
 fn main() -> ExitCode {
+    install_signal_handlers();
     let argv: Vec<String> = env::args().skip(1).collect();
     match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
@@ -86,7 +80,7 @@ fn main() -> ExitCode {
 
 fn run(argv: &[String]) -> Result<(), Failure> {
     let args = Args::parse_with_target(argv)?;
-    if let Some(key) = args.unknown_option(OPTIONS) {
+    if let Some(key) = args.unknown_option(&[OPTIONS, SweepArgs::OPTIONS].concat()) {
         return Err(Failure::usage(format!("unknown option --{key}")));
     }
     let what = args.target().unwrap_or("all");
@@ -144,8 +138,7 @@ fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), Fail
         .ok_or_else(|| Failure::usage("benchmark suite is empty"))?;
     let trace = profile.generate(trace_seed(profile.name));
     let path = std::path::Path::new(dir).join(format!("{figure}.jsonl"));
-    // Stream the JSONL document to disk as the run produces it rather than
-    // buffering the whole trace in memory.
+    // Stream the JSONL document to disk as the run produces it.
     let probe = Probe::enabled_streaming(TelemetryConfig::default(), &path)
         .map_err(|e| Failure::usage(format!("create {}: {e}", path.display())))?;
     Simulator::new(&GpuConfig::default(), Shm)

@@ -517,7 +517,7 @@ fn run_crash_resume_scenario(
         opts: scenario_dist_opts(s, seed),
     });
     // The coordinator "dies" after a few journal appends: the cancel
-    // fires, in-flight jobs drain into the journal, rows are withheld.
+    // fires, results still in flight are dropped, rows are withheld.
     let journal = Journal::figure(
         dir,
         &format!("chaos-journal-{seed}"),

@@ -16,13 +16,15 @@
 
 use gpu_mem_sim::{DesignPoint, Simulator};
 use gpu_types::{json, GpuConfig, SimStats};
-use shm_recovery::{config_hash, JournalCodec};
+use shm_recovery::JournalCodec;
 use shm_workloads::BenchmarkProfile;
 use sim_dist::protocol::PROTOCOL_VERSION;
 use sim_dist::{
     run_worker, DistError, DistJob, DistOptions, WorkerOptions, WorkerStats, WorkerSummary,
     DIST_WORKERS_ENV,
 };
+
+use crate::config_hash;
 
 /// One simulation job in transportable form.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -44,6 +44,15 @@ pub fn trace_seed(name: &str) -> u64 {
     sim_dist::protocol::payload_digest(name.as_bytes())
 }
 
+/// FNV-1a over an ordered list of config parts (benchmark names, design
+/// labels, scale, …), each followed by a 0x1f unit separator so
+/// `["ab", "c"]` and `["a", "bc"]` differ: the guard a [`Journal`] stores so
+/// `--resume` refuses to mix results from different sweep configurations.
+pub fn config_hash(parts: &[&str]) -> u64 {
+    let joined: Vec<u8> = parts.iter().flat_map(|p| p.bytes().chain([0x1f])).collect();
+    sim_dist::protocol::payload_digest(&joined)
+}
+
 /// Runs one benchmark under one design; seeds are fixed for determinism.
 pub fn run_one(profile: &BenchmarkProfile, design: DesignPoint) -> SimStats {
     let cfg = GpuConfig::default();
@@ -157,6 +166,18 @@ pub fn traffic_breakdown(stats: &SimStats) -> Vec<(&'static str, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn config_hash_separates_parts() {
+        assert_ne!(config_hash(&["ab", "c"]), config_hash(&["a", "bc"]));
+        assert_ne!(config_hash(&["a"]), config_hash(&["a", ""]));
+        assert_eq!(config_hash(&["x", "y"]), config_hash(&["x", "y"]));
+        // The values every journal on disk was written with.
+        assert_eq!(config_hash(&["toy"]), 0x3021_81ef_38d6_f748);
+        assert_eq!(config_hash(&["suite", "0.25"]), 0x8309_82b6_cdc1_db18);
+        assert_eq!(config_hash(&["ab", "c"]), 0x0ab1_1b2f_87ef_04a1);
+        assert_eq!(config_hash(&[]), 0xcbf2_9ce4_8422_2325);
+    }
 
     #[test]
     fn geomean_and_mean() {

@@ -4,10 +4,10 @@
 //! an optional [`Journal`] that makes the sweep resumable.  The `repro`
 //! figures, `shm sweep` and the chaos campaign all go through
 //! [`Sweep::run`], so the journal bookkeeping — skip journaled jobs,
-//! append each completion as it lands, stop after `crash_after_jobs`
-//! appends or on the first I/O error — the fallback from an empty cluster
-//! to the local executor, and the submission-order reassembly exist once
-//! and serve both backends.
+//! append each completion as it lands, stop after exactly
+//! `crash_after_jobs` appends or on the first I/O error — the fallback from
+//! an empty cluster to the local executor, and the submission-order
+//! reassembly exist once and serve both backends.
 //!
 //! Results come back in submission order, and a journaled result decodes
 //! to the exact stats it recorded, so every backend and every resume
@@ -20,14 +20,14 @@ use std::time::Instant;
 
 use gpu_mem_sim::DesignPoint;
 use gpu_types::SimStats;
-use shm_recovery::{config_hash, JobJournal, JournalCodec, RecoveryError};
+use shm_recovery::{JobJournal, JournalCodec, RecoveryError};
 use sim_dist::{run_worker, Coordinator, DistError, DistJob, JobTiming, WorkerOptions};
 use sim_exec::{
     effective_jobs, CancelToken, Executor, JobPanic, JobResult, LabelledPanic, SweepError,
 };
 
 use crate::dist::{dist_config_hash, dist_worker_handler, DistSummary, DistSweepConfig, SimJob};
-use crate::{scaled_suite, trace_seed, BenchRow};
+use crate::{config_hash, scaled_suite, trace_seed, BenchRow};
 
 /// Where a sweep's jobs run.
 #[derive(Clone, Debug)]
@@ -49,7 +49,9 @@ pub struct Journal {
     /// Guard binding the file to one sweep configuration.
     pub config_hash: u64,
     /// Deterministic kill switch for tests and CI: stop the sweep after
-    /// this many appends in this run, as if the process died there.
+    /// exactly this many appends in this run, as if the process died
+    /// there.  Jobs still in flight when it trips are neither journaled
+    /// nor returned, whatever the worker count.
     pub crash_after_jobs: Option<usize>,
 }
 
@@ -161,25 +163,37 @@ struct Log {
 impl Log {
     /// Appends one completion (attributed to `worker` when it came from a
     /// cluster) and trips `token` at the crash switch or on an I/O error.
-    fn record(&mut self, label: &str, worker: Option<&str>, stats: &SimStats, token: &CancelToken) {
-        if self.io_error.is_some() {
-            return;
-        }
+    /// Returns whether the result stands: once the switch has tripped or an
+    /// append failed, nothing more is journaled and late results are
+    /// dropped, as if the process had died there.
+    fn record(
+        &mut self,
+        label: &str,
+        worker: Option<&str>,
+        stats: &SimStats,
+        token: &CancelToken,
+    ) -> bool {
         let Some(journal) = self.journal.as_mut() else {
-            return;
+            return true;
         };
+        if self.io_error.is_some() || self.crash_after_jobs.is_some_and(|n| self.appended >= n) {
+            token.cancel();
+            return false;
+        }
         match journal.record_with_worker(label, worker, stats) {
             Ok(()) => {
                 self.appended += 1;
                 if self.crash_after_jobs == Some(self.appended) {
                     token.cancel();
                 }
+                true
             }
             Err(e) => {
                 // The journal is gone; finishing more jobs would lose their
                 // results anyway, so drain and stop.
                 self.io_error = Some(e);
                 token.cancel();
+                false
             }
         }
     }
@@ -267,7 +281,8 @@ impl Sweep {
     /// backend, and on a cluster nobody joined.  Cluster workers run
     /// [`SimJob::run`] on the job's payload instead.  A cancelled sweep
     /// (SIGINT/SIGTERM, or the journal's crash switch) is not an error: the
-    /// jobs it never ran come back `None`.
+    /// jobs it never ran, and those the crash switch dropped, come back
+    /// `None`.
     ///
     /// # Errors
     ///
@@ -342,7 +357,9 @@ impl Sweep {
                 let s = local(i, &self.jobs[i]);
                 let run_ns = begun.elapsed().as_nanos() as u64;
                 let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-                log.record(&labels[i], None, &s, &token);
+                if !log.record(&labels[i], None, &s, &token) {
+                    return None;
+                }
                 log.timings.push(JobTiming {
                     index: i,
                     worker: "local".to_string(),
@@ -350,8 +367,11 @@ impl Sweep {
                     end_ms: since_ms(started),
                     run_ns,
                 });
-                s
+                Some(s)
             })
+            .into_iter()
+            .map(|outcome| outcome.and_then(Result::transpose))
+            .collect()
         });
 
         let log = log.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -433,8 +453,10 @@ impl Sweep {
 
         let jobs: Vec<DistJob> = missing.iter().map(|&i| self.jobs[i].dist_job()).collect();
         // A job can resolve twice (a quarantine re-runs what the liar
-        // delivered); the journal and `decoded` both keep the last result.
+        // delivered); the journal and `decoded` both keep the last result
+        // that stands.  `dropped` marks results the crash switch refused.
         let mut decoded: Vec<Option<SimStats>> = vec![None; missing.len()];
+        let mut dropped = vec![false; missing.len()];
         let report = coord.run_with(jobs, token, |j, worker, outcome| {
             let Some(s) = outcome
                 .as_ref()
@@ -444,8 +466,11 @@ impl Sweep {
                 return;
             };
             let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-            log.record(&labels[missing[j]], Some(worker), &s, token);
-            decoded[j] = Some(s);
+            if log.record(&labels[missing[j]], Some(worker), &s, token) {
+                decoded[j] = Some(s);
+            } else {
+                dropped[j] = true;
+            }
         });
         for h in self_workers {
             let _ = h.join();
@@ -464,6 +489,9 @@ impl Sweep {
             .zip(decoded)
             .enumerate()
             .map(|(j, (outcome, stats))| {
+                if dropped[j] && stats.is_none() {
+                    return None;
+                }
                 outcome.map(|r| {
                     r.and_then(|_| {
                         stats.ok_or_else(|| JobPanic {
@@ -493,7 +521,8 @@ mod tests {
         std::env::temp_dir().join(format!("shm-sweep-{}-{name}.jsonl", std::process::id()))
     }
 
-    /// Six cheap jobs whose "simulation" is a pure function of the index.
+    /// One cheap job per design point (ten) whose "simulation" is a pure
+    /// function of the index.
     fn toy(path: &Path, crash_after_jobs: Option<usize>) -> Sweep {
         Sweep {
             backend: Backend::Local(Executor::new(1)),
@@ -539,6 +568,36 @@ mod tests {
         assert_eq!(runs.load(Ordering::SeqCst), n);
         let expected: Vec<SimStats> = (0..n).map(fake).collect();
         assert_eq!(resumed.complete(), Some(expected));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn crash_switch_stops_at_exactly_n_whatever_is_in_flight() {
+        let path = tmp("exact");
+        let _ = std::fs::remove_file(&path);
+        let sweep = Sweep {
+            backend: Backend::Local(Executor::new(10)),
+            ..toy(&path, Some(9))
+        };
+        assert_eq!(sweep.jobs.len(), 10);
+        // Every job is in flight before any completes, so the switch trips
+        // with the tenth still running.
+        let all_started = std::sync::Barrier::new(10);
+        let run = sweep
+            .run(|i, _| {
+                all_started.wait();
+                fake(i)
+            })
+            .expect("no failures");
+        assert!(run.complete().is_none(), "the tenth result must be dropped");
+        assert_eq!(run.executed, 9);
+        assert_eq!(run.completed_labels.len(), 9);
+        let doc = std::fs::read_to_string(&path).expect("journal written");
+        let job_lines = doc
+            .lines()
+            .filter(|l| l.starts_with("{\"type\":\"job\""))
+            .count();
+        assert_eq!(job_lines, 9);
         let _ = std::fs::remove_file(&path);
     }
 

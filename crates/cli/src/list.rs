@@ -1,9 +1,10 @@
 //! `shm list`: the benchmark and design names the other commands take.
 
 use gpu_mem_sim::DesignPoint;
+use shm_bench::cli::{Args, Failure};
 use shm_workloads::BenchmarkProfile;
 
-pub fn cmd_list() {
+pub fn cmd_list(_: &Args) -> Result<(), Failure> {
     println!("benchmarks (Table VII):");
     for p in BenchmarkProfile::suite() {
         println!(
@@ -20,4 +21,5 @@ pub fn cmd_list() {
     for d in DesignPoint::ALL {
         println!("  {}", d.name());
     }
+    Ok(())
 }

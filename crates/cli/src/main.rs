@@ -12,15 +12,15 @@
 //! shm trace info lbm.trace
 //! ```
 //!
-//! Each subcommand lives in its own module; this file dispatches, prints
-//! the help and installs the signal handlers.  Exit codes (see
+//! Each subcommand lives in its own module; this file installs the
+//! signal handlers, dispatches and prints the help.  Exit codes (see
 //! [`shm_bench::cli::Failure`]): 0 success, 1 runtime failure, 2 usage, 3
 //! broken integrity claim, 4 silent divergence in a chaos campaign, 130
 //! interrupted (SIGINT/SIGTERM; journaled sweeps stay resumable).
 
 use std::process::ExitCode;
 
-use shm_bench::cli::{Args, Failure};
+use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
 
 mod args;
 mod attack;
@@ -42,57 +42,73 @@ fn main() -> ExitCode {
     }
 }
 
-/// Routes SIGINT/SIGTERM into sim-exec's cooperative cancellation: workers
-/// finish their in-flight jobs (journaling each one) and stop pulling new
-/// work, so journals and sinks stay valid.  Uses the C runtime's `signal`
-/// directly — the handler only stores to an atomic, which is async-signal
-/// safe.
-#[cfg(unix)]
-fn install_signal_handlers() {
-    extern "C" fn on_signal(_signum: std::ffi::c_int) {
-        sim_exec::request_cancel();
-    }
-    extern "C" {
-        fn signal(signum: std::ffi::c_int, handler: extern "C" fn(std::ffi::c_int)) -> usize;
-    }
-    const SIGINT: std::ffi::c_int = 2;
-    const SIGTERM: std::ffi::c_int = 15;
-    unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
-    }
-}
-
-#[cfg(not(unix))]
-fn install_signal_handlers() {}
+/// Options of the trace a command simulates or stores (`args::load_trace`).
+const TRACE: &[&str] = &["b", "benchmark", "trace", "custom", "events", "seed"];
+/// `--telemetry` and the outputs it enables (`telemetry_probe`).
+const TELEMETRY: &[&str] = &["telemetry", "epoch-cycles", "trace-out", "epoch-csv"];
+/// The live `/metrics` endpoint (`obs::MetricsGuard`).
+const METRICS: &[&str] = &["metrics-addr", "metrics-hold-ms"];
+/// The design and pools of `shm run`.
+const RUN: &[&str] = &["d", "design", "pools", "jobs", "profile"];
 
 fn dispatch(argv: &[String]) -> Result<(), Failure> {
     type Command = fn(&Args) -> Result<(), Failure>;
     let words: Vec<&str> = argv.iter().take(2).map(String::as_str).collect();
-    // (subcommand, words it spans, whether it takes one file argument)
-    let (command, skip, takes_file): (Command, usize, bool) = match words[..] {
+    // (subcommand, words it spans, whether it takes one file argument, the
+    // options it reads)
+    let (command, skip, takes_file, options): (Command, usize, bool, &[&[&str]]) = match words[..] {
         [] | ["help" | "--help" | "-h", ..] => {
             print_help();
             return Ok(());
         }
-        ["list", ..] => {
-            list::cmd_list();
-            return Ok(());
-        }
-        ["env", ..] => {
-            obs::cmd_env();
-            return Ok(());
-        }
-        ["run", ..] => (run::cmd_run, 1, false),
-        ["attack", ..] => (attack::cmd_attack, 1, false),
-        ["crash", ..] => (crash::cmd_crash, 1, false),
-        ["sweep", ..] => (sweep::cmd_sweep, 1, false),
-        ["worker", ..] => (worker::cmd_worker, 1, false),
-        ["chaos", ..] => (chaos::cmd_chaos, 1, false),
-        ["top", ..] => (obs::cmd_top, 1, false),
-        ["trace-report", ..] => (obs::cmd_trace_report, 1, true),
-        ["trace", "gen"] => (trace::cmd_gen, 2, false),
-        ["trace", "info"] => (trace::cmd_info, 2, true),
+        ["list", ..] => (list::cmd_list, 1, false, &[]),
+        ["env", ..] => (obs::cmd_env, 1, false, &[]),
+        ["run", ..] => (run::cmd_run, 1, false, &[TRACE, TELEMETRY, RUN]),
+        ["attack", ..] => (
+            attack::cmd_attack,
+            1,
+            false,
+            &[TELEMETRY, &["campaign", "seed", "policy"]],
+        ),
+        ["crash", ..] => (
+            crash::cmd_crash,
+            1,
+            false,
+            &[&["seed", "ops", "flush", "at-cycle", "sweep"]],
+        ),
+        ["sweep", ..] => (
+            sweep::cmd_sweep,
+            1,
+            false,
+            &[
+                TRACE,
+                TELEMETRY,
+                METRICS,
+                SweepArgs::OPTIONS,
+                &["pools", "csv"],
+            ],
+        ),
+        ["worker", ..] => (
+            worker::cmd_worker,
+            1,
+            false,
+            &[METRICS, &["connect", "id", "jobs"]],
+        ),
+        ["chaos", ..] => (
+            chaos::cmd_chaos,
+            1,
+            false,
+            &[TELEMETRY, METRICS, &["schedule", "seed", "scale", "dir"]],
+        ),
+        ["top", ..] => (
+            obs::cmd_top,
+            1,
+            false,
+            &[&["connect", "interval-ms", "iterations", "once"]],
+        ),
+        ["trace-report", ..] => (obs::cmd_trace_report, 1, true, &[&["top"]]),
+        ["trace", "gen"] => (trace::cmd_gen, 2, false, &[TRACE, &["o", "out"]]),
+        ["trace", "info"] => (trace::cmd_info, 2, true, &[]),
         ["trace", ..] => {
             return Err(Failure::usage(format!(
                 "unknown trace subcommand {:?}",
@@ -107,6 +123,9 @@ fn dispatch(argv: &[String]) -> Result<(), Failure> {
     } else {
         Args::parse(rest)?
     };
+    if let Some(key) = args.unknown_option(&options.concat()) {
+        return Err(Failure::usage(format!("unknown option --{key}")));
+    }
     command(&args)
 }
 

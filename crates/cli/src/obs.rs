@@ -175,7 +175,8 @@ fn render_top(samples: &[Sample], throughput: Option<f64>) -> String {
 
 /// `shm top --connect HOST:PORT`: a plain-text polling monitor over the
 /// coordinator's `/metrics` endpoint — job progress, wire traffic, job
-/// throughput and per-worker queue depth, redrawn every `--interval-ms`.
+/// throughput and per-worker queue depth, redrawn every `--interval-ms`
+/// until `--iterations`, `--once` or SIGINT/SIGTERM stops it.
 pub fn cmd_top(args: &Args) -> Result<(), Failure> {
     let addr = args
         .get("connect")
@@ -213,6 +214,9 @@ pub fn cmd_top(args: &Args) -> Result<(), Failure> {
             return Ok(());
         }
         std::thread::sleep(interval);
+        if sim_exec::cancel_requested() {
+            return Err(Failure::interrupted("top interrupted"));
+        }
     }
 }
 
@@ -220,7 +224,7 @@ pub fn cmd_top(args: &Args) -> Result<(), Failure> {
 /// current value.  The same table lives in README.md; a test checks that
 /// the two list the same knobs and that every knob the sources name has a
 /// row.
-pub fn cmd_env() {
+pub fn cmd_env(_: &Args) -> Result<(), Failure> {
     println!("{:<26} {:<12} meaning", "variable", "value");
     for (name, default, meaning) in env_knob_table() {
         let value = std::env::var(name).unwrap_or_else(|_| format!("(default {default})"));
@@ -235,6 +239,7 @@ pub fn cmd_env() {
          are process-global); any --jobs or SHM_JOBS setting is overridden",
         sim_exec::JOBS_ENV
     );
+    Ok(())
 }
 
 /// The full knob table (name, default, meaning), header row included.

@@ -6,9 +6,8 @@ use std::fmt::Write as _;
 use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats};
 use shm_bench::cli::{finish_telemetry, telemetry_probe, Args, Failure, SweepArgs};
-use shm_bench::{Journal, Sweep};
+use shm_bench::{config_hash, Journal, Sweep};
 use shm_pool::{PlacementPolicy, PoolsConfig};
-use shm_recovery::config_hash;
 use shm_workloads::BenchmarkProfile;
 
 use crate::args;

@@ -24,28 +24,6 @@ use std::path::{Path, PathBuf};
 /// Journal format version; bump on any schema change.
 pub const JOURNAL_VERSION: u32 = 1;
 
-/// FNV-1a hash of an ordered list of config parts (benchmark names, design
-/// labels, scale, …) — the guard a journal stores so `--resume` refuses to
-/// mix results from different sweep configurations.
-///
-/// It repeats the FNV-1a loop behind `sim_dist::protocol::payload_digest`
-/// because this crate cannot depend on `sim-dist` without adding a
-/// dependency edge to the benchmark package's lockfile.
-pub fn config_hash(parts: &[&str]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for p in parts {
-        for b in p.bytes() {
-            eat(b);
-        }
-        eat(0x1f); // unit separator: ["ab","c"] != ["a","bc"]
-    }
-    h
-}
-
 /// How a job result crosses the journal boundary.  Implementations must
 /// round-trip exactly: `decode(encode(x)) == x`, or resumed tables would
 /// not be byte-identical.
@@ -432,7 +410,7 @@ mod tests {
     fn journal_roundtrips_across_reopen() {
         let path = tmp("roundtrip");
         let _ = std::fs::remove_file(&path);
-        let hash = config_hash(&["suite", "0.25"]);
+        let hash = 0x8309_82b6_cdc1_db18;
         {
             let mut j = JobJournal::open(&path, hash).expect("create");
             j.record("a under SHM", &stats(1)).expect("append");
@@ -537,12 +515,5 @@ mod tests {
         assert_eq!(j.worker_of("local job"), None);
         assert_eq!(j.worker_of("remote \"job\""), Some("node-a:2"));
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn config_hash_separates_parts() {
-        assert_ne!(config_hash(&["ab", "c"]), config_hash(&["a", "bc"]));
-        assert_ne!(config_hash(&["a"]), config_hash(&["a", ""]));
-        assert_eq!(config_hash(&["x", "y"]), config_hash(&["x", "y"]));
     }
 }

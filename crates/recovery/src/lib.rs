@@ -32,5 +32,5 @@ pub use crash::{
     crash_sweep, run_crash, CrashConfig, CrashOutcome, CrashReport, CrashSweepReport,
     RegionOutcome, MICRO_OPS_PER_WRITE,
 };
-pub use journal::{config_hash, JobJournal, JournalCodec, RecoveryError};
+pub use journal::{JobJournal, JournalCodec, RecoveryError};
 pub use wal::{WalRecord, WriteAheadLog};

@@ -1,8 +1,9 @@
 //! The `repro` front end, driven through the binary: a journaled figure
-//! killed by the crash switch exits 130, and `--resume` then prints exactly
-//! what an uninterrupted run prints.
+//! stopped by the crash switch or by SIGTERM exits 130, and `--resume` then
+//! prints exactly what an uninterrupted run prints.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -27,10 +28,68 @@ fn crashed_figure_resumes_to_the_plain_run() {
     );
     assert!(!plain.stdout.is_empty());
 
-    // Two lanes: jobs already in flight when the switch trips still land.
+    // Two lanes: the switch stops at exactly five whatever is in flight.
     let crash = ["--journal", d, "--crash-after-jobs", "5", "--jobs", "2"];
     let crashed = repro(&[&fig16[..], &crash].concat());
     assert_eq!(crashed.status.code(), Some(130), "crash switch exits 130");
+
+    let resumed = repro(&[&fig16[..], &["--journal", d, "--resume"]].concat());
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        String::from_utf8_lossy(&plain.stdout),
+        "resume must print the plain run's tables"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigterm_drains_a_journaled_figure_that_resumes_to_the_plain_run() {
+    let dir = std::env::temp_dir().join(format!("repro_front_end_term_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().expect("UTF-8 temp path");
+    let fig16 = ["fig16", "--scale", "0.02"];
+    let plain = repro(&fig16);
+    assert!(
+        plain.status.success(),
+        "{}",
+        String::from_utf8_lossy(&plain.stderr)
+    );
+
+    let child = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args([&fig16[..], &["--jobs", "1", "--journal", d]].concat())
+        .env_remove("SHM_JOBS")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("repro starts");
+    // Signal once the journal holds a job line: the sweep is under way.
+    let journal = dir.join("fig16.jsonl");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !std::fs::read_to_string(&journal).is_ok_and(|j| j.contains("{\"type\":\"job\"")) {
+        assert!(
+            Instant::now() < deadline,
+            "no job journaled within a minute"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let kill = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(kill.success());
+    let killed = child.wait_with_output().expect("repro exits");
+    let stderr = String::from_utf8_lossy(&killed.stderr);
+    assert_eq!(
+        killed.status.code(),
+        Some(130),
+        "SIGTERM exits 130: {stderr}"
+    );
+    assert!(stderr.contains("interrupted:"), "{stderr}");
 
     let resumed = repro(&[&fig16[..], &["--journal", d, "--resume"]].concat());
     assert!(

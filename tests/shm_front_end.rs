@@ -1,8 +1,9 @@
-//! The `shm sweep` front end, driven through the binary: a journaled sweep
+//! The `shm` front end, driven through the binary: a journaled sweep
 //! killed by the crash switch exits 130 and resumes to the serial table,
 //! the journal flags refuse to run without `--journal` or over an existing
-//! journal (exit 2), and a `--pools` sweep of a stored trace prints the
-//! same at any job count.
+//! journal (exit 2), a `--pools` sweep of a stored trace prints the same at
+//! any job count, and an option the command does not read is refused
+//! (exit 2) before it does anything.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -39,8 +40,7 @@ fn crashed_journaled_sweep_resumes_to_the_serial_table() {
     let serial = stdout(&with(&["--jobs", "1"]));
     assert!(serial.contains("SHM_upper_bound"), "{serial}");
 
-    // Two lanes: jobs already in flight when the switch trips still land,
-    // so a pool as wide as the sweep would finish it instead.
+    // Two lanes: the switch stops at exactly three whatever is in flight.
     let crashed = with(&["--journal", j, "--crash-after-jobs", "3", "--jobs", "2"]);
     assert_eq!(crashed.status.code(), Some(130), "crash switch exits 130");
     assert!(
@@ -84,4 +84,25 @@ fn pools_sweep_of_a_stored_trace_is_identical_at_any_job_count() {
     }
     assert_eq!(pools("2"), serial);
     let _ = std::fs::remove_file(&trace);
+}
+
+#[test]
+fn a_misspelled_option_is_refused_before_the_command_runs() {
+    let trace = temp_path("misspelled.trace");
+    let _ = std::fs::remove_file(&trace);
+    let t = trace.to_str().expect("UTF-8 temp path");
+    let out = shm(&[
+        "trace", "gen", "-b", "lbm", "--events", "4096", "--sed", "7", "-o", t,
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "an unknown option is a usage error"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown option --sed"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!trace.exists(), "nothing is written");
 }
