@@ -20,6 +20,13 @@
 //! are reassembled in submission order, so the printed tables are
 //! byte-identical at any worker count.
 //!
+//! The figures of one invocation share one simulation per (benchmark,
+//! design): Table VII and Figs. 10–16 read one [`Memo`], so `all` runs each
+//! of the ten designs once per benchmark, and only Fig. 5 generates a trace
+//! of its own, for its oracle.  Results reused from a journal or computed
+//! by a `--dist` cluster do not enter the memo (they carry no predictor
+//! breakdown); a later figure that needs such a job simulates it locally.
+//!
 //! With `--telemetry-dir DIR`, every figure target additionally captures a
 //! representative telemetry trace (first suite benchmark under SHM) as
 //! `DIR/<figure>.jsonl` — epoch bandwidth series for Fig. 14-style plots.
@@ -41,9 +48,10 @@ use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, MdcConfig, ShmConfig, TrafficClass};
 use shm::{required_mechanisms, DataProperty, OracleProfile};
 use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
+use shm_bench::dist::SimJob;
 use shm_bench::{
     format_table, mean, scaled_suite, trace_seed, traffic_breakdown, BenchRow, Executor, Journal,
-    Sweep,
+    Memo, Sweep,
 };
 use shm_telemetry::{Probe, TelemetryConfig};
 use shm_workloads::micro::{
@@ -86,7 +94,7 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     let what = args.target().unwrap_or("all");
     let scale = args.get_f64("scale")?.unwrap_or(0.5);
     let opts = SweepArgs::from_args(&args)?;
-    print!("{}", render(what, scale, &opts)?);
+    print!("{}", render(what, scale, &opts, &Memo::default())?);
 
     if let Some(dir) = args.get("telemetry-dir") {
         let figures: Vec<&str> = if what == "all" {
@@ -104,23 +112,24 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Renders one named target (or `all`).
-fn render(what: &str, scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+/// Renders one named target (or `all`); the figures take their
+/// simulations from `memo`.
+fn render(what: &str, scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<String, Failure> {
     let jobs = opts.jobs;
     Ok(match what {
-        "all" => return ALL.iter().map(|t| render(t, scale, opts)).collect(),
+        "all" => return ALL.iter().map(|t| render(t, scale, opts, memo)).collect(),
         "table1" => table1(),
         "table3_4" => table3_4(),
-        "table7" => table7(scale, jobs)?,
+        "table7" => table7(scale, jobs, memo)?,
         "table9" => table9(),
         "fig5" => fig5(scale, jobs)?,
-        "fig10" => fig10(scale, jobs)?,
-        "fig11" => fig11(scale, jobs)?,
-        "fig12" => fig12(scale, opts)?,
-        "fig13" => fig13(scale, opts)?,
-        "fig14" => fig14(scale, opts)?,
-        "fig15" => fig15(scale, opts)?,
-        "fig16" => fig16(scale, opts)?,
+        "fig10" => fig10(scale, jobs, memo)?,
+        "fig11" => fig11(scale, jobs, memo)?,
+        "fig12" => fig12(scale, opts, memo)?,
+        "fig13" => fig13(scale, opts, memo)?,
+        "fig14" => fig14(scale, opts, memo)?,
+        "fig15" => fig15(scale, opts, memo)?,
+        "fig16" => fig16(scale, opts, memo)?,
         "micro" => micro_diag(),
         "sensitivity" => sensitivity(scale),
         "hetero" => hetero(scale, jobs)?,
@@ -403,40 +412,38 @@ fn table3_4() -> String {
     out
 }
 
-/// One result per suite benchmark, in suite order: `row(profile, trace)`
-/// runs on the `sim-exec` pool, each job generating its own trace.
+/// One result per suite benchmark, in suite order: `row(profile)` runs on
+/// the `sim-exec` pool.
 fn per_benchmark<T: Send>(
     figure: &str,
     scale: f64,
     jobs: Option<usize>,
-    row: impl Fn(&BenchmarkProfile, &ContextTrace) -> T + Sync,
+    row: impl Fn(&BenchmarkProfile) -> T + Sync,
 ) -> Result<Vec<T>, Failure> {
     Executor::from_request(jobs)
         .try_map(
             &scaled_suite(scale),
             |_, p| format!("{figure} {}", p.name),
-            |_, p| row(p, &p.generate(trace_seed(p.name))),
+            |_, p| row(p),
         )
         .map_err(|e| Failure::runtime(format!("{figure} sweep failed: {e}"), &Probe::disabled()))
 }
 
-/// A figure with one row of `values(trace)` per suite benchmark.
+/// A figure with one row of `values(profile)` per suite benchmark.
 fn per_benchmark_table(
     figure: &str,
     title: &str,
     header: &[&str],
     scale: f64,
     jobs: Option<usize>,
-    values: impl Fn(&ContextTrace) -> Vec<f64> + Sync,
+    values: impl Fn(&BenchmarkProfile) -> Vec<f64> + Sync,
 ) -> Result<String, Failure> {
-    let rows = per_benchmark(figure, scale, jobs, |p, trace| {
-        (p.name.to_string(), values(trace))
-    })?;
+    let rows = per_benchmark(figure, scale, jobs, |p| (p.name.to_string(), values(p)))?;
     Ok(format_table(title, header, &rows))
 }
 
 /// Table VII: measured bandwidth utilisation and memory-space usage.
-fn table7(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
+fn table7(scale: f64, jobs: Option<usize>, memo: &Memo) -> Result<String, Failure> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -448,8 +455,8 @@ fn table7(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
         "benchmark", "bw util", "l2 miss", "memory space"
     );
     let cfg = GpuConfig::default();
-    let lines = per_benchmark("table7", scale, jobs, |p, trace| {
-        let stats = Simulator::new(&cfg, Unprotected).run(trace);
+    let lines = per_benchmark("table7", scale, jobs, |p| {
+        let stats = memo.stats(&SimJob::suite(p, Unprotected));
         let util = stats
             .bandwidth_utilization(cfg.partition_bytes_per_cycle() * cfg.num_partitions as f64);
         let spaces = if p.uses_texture {
@@ -478,7 +485,8 @@ fn fig5(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
         &["streaming", "read-only"],
         scale,
         jobs,
-        |trace| {
+        |p| {
+            let trace = p.generate(trace_seed(p.name));
             let events: Vec<_> = trace.all_events().cloned().collect();
             let oracle = OracleProfile::from_trace(&events, map);
             vec![
@@ -490,16 +498,15 @@ fn fig5(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
 }
 
 /// Fig. 10: read-only prediction breakdown.
-fn fig10(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
-    let cfg = GpuConfig::default();
+fn fig10(scale: f64, jobs: Option<usize>, memo: &Memo) -> Result<String, Failure> {
     per_benchmark_table(
         "fig10",
         "Fig. 10: read-only prediction breakdown",
         &["correct", "mp_init", "mp_aliasing"],
         scale,
         jobs,
-        |trace| {
-            let (_, ro, _) = Simulator::new(&cfg, Shm).run_detailed(trace);
+        |p| {
+            let (_, ro, _) = memo.detailed(&SimJob::suite(p, Shm));
             let t = ro.total().max(1) as f64;
             vec![
                 ro.correct as f64 / t,
@@ -511,16 +518,15 @@ fn fig10(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
 }
 
 /// Fig. 11: streaming prediction breakdown.
-fn fig11(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
-    let cfg = GpuConfig::default();
+fn fig11(scale: f64, jobs: Option<usize>, memo: &Memo) -> Result<String, Failure> {
     per_benchmark_table(
         "fig11",
         "Fig. 11: streaming prediction breakdown",
         &["correct", "mp_init", "mp_rt_ro", "mp_rt_nro", "mp_alias"],
         scale,
         jobs,
-        |trace| {
-            let (_, _, st) = Simulator::new(&cfg, Shm).run_detailed(trace);
+        |p| {
+            let (_, _, st) = memo.detailed(&SimJob::suite(p, Shm));
             let t = st.total().max(1) as f64;
             vec![
                 st.correct as f64 / t,
@@ -535,8 +541,9 @@ fn fig11(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
 
 /// One suite figure (Figs. 12–16): the figure's sweep through the shared
 /// reporting run — journaled to `DIR/<figure>.jsonl` under `--journal
-/// DIR` — rendered as `metric(row, design)` per benchmark and design.
-/// Returns the table and the rows it came from.
+/// DIR`, simulated locally through `memo` — rendered as `metric(row,
+/// design)` per benchmark and design.  Returns the table and the rows it
+/// came from.
 fn suite_table(
     figure: &str,
     title: &str,
@@ -544,6 +551,7 @@ fn suite_table(
     metric: impl Fn(&BenchRow, DesignPoint) -> f64,
     scale: f64,
     opts: &SweepArgs,
+    memo: &Memo,
 ) -> Result<(String, Vec<BenchRow>), Failure> {
     let mut sweep = Sweep::suite(designs, scale);
     let stats = opts.run(
@@ -551,7 +559,7 @@ fn suite_table(
         figure,
         |dir, jobs| Journal::figure(dir, figure, jobs, None),
         &Probe::disabled(),
-        |_, job| job.run(),
+        |_, job| memo.stats(job),
     )?;
     let rows = sweep.rows(stats);
     let header: Vec<&str> = designs.iter().map(|d| d.name()).collect();
@@ -566,26 +574,28 @@ fn suite_table(
 }
 
 /// Fig. 12: normalized IPC of the main designs.
-fn fig12(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+fn fig12(scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<String, Failure> {
     let designs = [Naive, CommonCtr, Pssm, Shm, ShmUpperBound];
     let title = "Fig. 12: normalized IPC";
-    Ok(suite_table("fig12", title, &designs, BenchRow::norm_ipc, scale, opts)?.0)
+    let metric = BenchRow::norm_ipc;
+    Ok(suite_table("fig12", title, &designs, metric, scale, opts, memo)?.0)
 }
 
 /// Fig. 13: optimisation breakdown.
-fn fig13(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+fn fig13(scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<String, Failure> {
     let designs = [Pssm, PssmCctr, ShmReadOnly, Shm, ShmCctr];
     let title = "Fig. 13: performance impact of each optimisation";
-    Ok(suite_table("fig13", title, &designs, BenchRow::norm_ipc, scale, opts)?.0)
+    let metric = BenchRow::norm_ipc;
+    Ok(suite_table("fig13", title, &designs, metric, scale, opts, memo)?.0)
 }
 
 /// Fig. 14: bandwidth overheads of security metadata, then the mean
 /// per-class breakdown.
-fn fig14(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+fn fig14(scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<String, Failure> {
     let designs = [Naive, CommonCtr, Pssm, ShmReadOnly, Shm];
     let title = "Fig. 14: bandwidth overhead (metadata bytes / data bytes)";
     let metric = BenchRow::bandwidth_overhead;
-    let (mut out, rows) = suite_table("fig14", title, &designs, metric, scale, opts)?;
+    let (mut out, rows) = suite_table("fig14", title, &designs, metric, scale, opts, memo)?;
     let mut breakdown: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for row in &rows {
         for (di, d) in designs.iter().enumerate() {
@@ -612,19 +622,20 @@ fn fig14(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
 }
 
 /// Fig. 15: normalized energy per instruction.
-fn fig15(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+fn fig15(scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<String, Failure> {
     let designs = [Naive, CommonCtr, Pssm, Shm];
     let title = "Fig. 15: normalized energy per instruction";
     let model = EnergyModel::default();
     let metric = |row: &BenchRow, d| row.normalized_energy(d, &model);
-    Ok(suite_table("fig15", title, &designs, metric, scale, opts)?.0)
+    Ok(suite_table("fig15", title, &designs, metric, scale, opts, memo)?.0)
 }
 
 /// Fig. 16: SHM vs SHM with the L2 victim cache, then the mean gain.
-fn fig16(scale: f64, opts: &SweepArgs) -> Result<String, Failure> {
+fn fig16(scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<String, Failure> {
     let designs = [Shm, ShmVL2];
     let title = "Fig. 16: L2 as victim cache for security metadata";
-    let (mut out, rows) = suite_table("fig16", title, &designs, BenchRow::norm_ipc, scale, opts)?;
+    let metric = BenchRow::norm_ipc;
+    let (mut out, rows) = suite_table("fig16", title, &designs, metric, scale, opts, memo)?;
     let gain: Vec<f64> = rows
         .iter()
         .map(|row| row.norm_ipc(ShmVL2) - row.norm_ipc(Shm))

@@ -250,14 +250,19 @@ impl From<ArgError> for Failure {
 /// work and fails with exit code 130, so journals and sinks stay valid.  A
 /// second signal exits 130 at once, for a command that does not stop on the
 /// first; a journal then keeps every completed line and at most one torn
-/// final line, which `--resume` drops.  Uses the C runtime's `signal` and
+/// final line, which `--resume` drops.  SIGPIPE gets its default action
+/// back (the Rust runtime ignores it), so a command whose reader goes away
+/// (`shm list | head -1`) ends quietly, as coreutils do, instead of
+/// panicking on the failed print; socket writes are unaffected, because
+/// std sends with `MSG_NOSIGNAL`.  Uses the C runtime's `signal` and
 /// `_exit` directly: the handler only touches an atomic or ends the
 /// process, both async-signal-safe.
 #[cfg(unix)]
 pub fn install_signal_handlers() {
     use std::ffi::c_int;
     extern "C" {
-        fn signal(signum: c_int, handler: extern "C" fn(c_int)) -> usize;
+        /// `handler` is a `sighandler_t`: a handler's address or `SIG_DFL`.
+        fn signal(signum: c_int, handler: usize) -> usize;
         fn _exit(status: c_int) -> !;
     }
     extern "C" fn on_signal(_signum: c_int) {
@@ -269,14 +274,18 @@ pub fn install_signal_handlers() {
         sim_exec::request_cancel();
     }
     const SIGINT: c_int = 2;
+    const SIGPIPE: c_int = 13;
     const SIGTERM: c_int = 15;
-    // SAFETY: SIGINT and SIGTERM are valid signal numbers, and `on_signal`
-    // is an `extern "C"` function that stays valid for the process's life
-    // and does only async-signal-safe work (an atomic load and store, or
-    // `_exit`).
+    const SIG_DFL: usize = 0;
+    let handler = on_signal as extern "C" fn(c_int) as usize;
+    // SAFETY: SIGINT, SIGTERM and SIGPIPE are valid signal numbers;
+    // `on_signal` is an `extern "C"` function that stays valid for the
+    // process's life and does only async-signal-safe work (an atomic load
+    // and store, or `_exit`), and `SIG_DFL` restores the default action.
     unsafe {
-        signal(SIGINT, on_signal);
-        signal(SIGTERM, on_signal);
+        signal(SIGINT, handler);
+        signal(SIGTERM, handler);
+        signal(SIGPIPE, SIG_DFL);
     }
 }
 

@@ -16,6 +16,8 @@
 
 use gpu_mem_sim::{DesignPoint, Simulator};
 use gpu_types::{json, GpuConfig, SimStats};
+use shm::readonly::RoAccuracy;
+use shm::streaming::StreamAccuracy;
 use shm_recovery::JournalCodec;
 use shm_workloads::BenchmarkProfile;
 use sim_dist::protocol::PROTOCOL_VERSION;
@@ -24,10 +26,15 @@ use sim_dist::{
     DIST_WORKERS_ENV,
 };
 
-use crate::config_hash;
+use crate::{config_hash, trace_seed};
+
+/// What one simulation reports: its stats plus the read-only and streaming
+/// predictor breakdowns Figs. 10 and 11 plot (empty for designs without
+/// SHM predictors), as [`Simulator::run_detailed`] returns them.
+pub type Detailed = (SimStats, RoAccuracy, StreamAccuracy);
 
 /// One simulation job in transportable form.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct SimJob {
     /// Benchmark profile name (must exist in the worker's suite).
     pub bench: String,
@@ -41,6 +48,17 @@ pub struct SimJob {
 }
 
 impl SimJob {
+    /// `profile` (already scaled) under `design`, with the suite's trace
+    /// seed: the job of one cell of a `repro` figure.
+    pub fn suite(profile: &BenchmarkProfile, design: DesignPoint) -> Self {
+        SimJob {
+            bench: profile.name.to_string(),
+            events_per_kernel: profile.events_per_kernel,
+            seed: trace_seed(profile.name),
+            design: design.name().to_string(),
+        }
+    }
+
     /// Wire encoding.  Benchmark and design names are static identifiers
     /// (no quotes or backslashes), so plain JSON formatting is exact.
     pub fn encode(&self) -> String {
@@ -74,13 +92,23 @@ impl SimJob {
     }
 
     /// Runs the simulation this job describes, exactly as the local pool
-    /// would (same config, same trace generation, same seed).
+    /// would (same config, same trace generation, same seed), and returns
+    /// its stats.
     ///
     /// # Panics
     ///
     /// Panics on an unknown benchmark or design name — on a worker that
     /// panic is captured and reported back as the job's failure.
     pub fn run(&self) -> SimStats {
+        self.run_detailed().0
+    }
+
+    /// [`SimJob::run`], plus the predictor breakdowns.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimJob::run`].
+    pub fn run_detailed(&self) -> Detailed {
         let mut profile = BenchmarkProfile::by_name(&self.bench)
             .unwrap_or_else(|| panic!("unknown benchmark '{}' in dist job", self.bench));
         profile.events_per_kernel = self.events_per_kernel;
@@ -88,7 +116,7 @@ impl SimJob {
             .unwrap_or_else(|| panic!("unknown design '{}' in dist job", self.design));
         let cfg = GpuConfig::default();
         let trace = profile.generate(self.seed);
-        Simulator::new(&cfg, design).run(&trace)
+        Simulator::new(&cfg, design).run_detailed(&trace)
     }
 }
 
@@ -190,7 +218,9 @@ pub fn self_workers_from_env() -> usize {
 /// stderr after a `--dist` run.
 #[derive(Clone, Debug, Default)]
 pub struct DistSummary {
-    /// Per-worker stats in connection order (empty in degraded mode).
+    /// One entry per worker id, in first-connection order, whose
+    /// `jobs_done` counts the results the sweep kept (empty in degraded
+    /// mode).
     pub workers: Vec<WorkerStats>,
     /// Jobs re-queued from dead workers.
     pub reassignments: u64,
@@ -202,7 +232,6 @@ pub struct DistSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace_seed;
 
     #[test]
     fn sim_job_round_trips() {

@@ -1,10 +1,11 @@
 //! Shared harness for regenerating the paper's tables and figures.
 //!
-//! [`Sweep`] runs the (benchmark × design) simulations of a figure, the
-//! helpers here turn its stats into the series the paper plots, and
-//! [`cli`] is the command-line front end of the `repro` and `shm`
-//! binaries.  The integration tests assert the *shape* of the results
-//! (who wins, by roughly what factor).
+//! [`Sweep`] runs the (benchmark × design) simulations of a figure, a
+//! [`Memo`] lets the figures of one run share them, the helpers here turn
+//! their stats into the series the paper plots, and [`cli`] is the
+//! command-line front end of the `repro` and `shm` binaries.  The
+//! integration tests assert the *shape* of the results (who wins, by
+//! roughly what factor).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -18,9 +19,11 @@ pub use sim_exec::{CancelToken, Executor, SweepError};
 pub mod chaos;
 pub mod cli;
 pub mod dist;
+pub mod memo;
 pub mod pool;
 pub mod sweep;
 
+pub use memo::Memo;
 pub use sweep::{Backend, Journal, Sweep, SweepFailure, SweepRun};
 
 /// Scale factor for event counts: 1.0 = full runs (repro binary),

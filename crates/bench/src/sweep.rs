@@ -21,13 +21,15 @@ use std::time::Instant;
 use gpu_mem_sim::DesignPoint;
 use gpu_types::SimStats;
 use shm_recovery::{JobJournal, JournalCodec, RecoveryError};
-use sim_dist::{run_worker, Coordinator, DistError, DistJob, JobTiming, WorkerOptions};
+use sim_dist::{
+    run_worker, Coordinator, DistError, DistJob, JobTiming, WorkerOptions, WorkerStats,
+};
 use sim_exec::{
     effective_jobs, CancelToken, Executor, JobPanic, JobResult, LabelledPanic, SweepError,
 };
 
 use crate::dist::{dist_config_hash, dist_worker_handler, DistSummary, DistSweepConfig, SimJob};
-use crate::{config_hash, scaled_suite, trace_seed, BenchRow};
+use crate::{config_hash, scaled_suite, BenchRow};
 
 /// Where a sweep's jobs run.
 #[derive(Clone, Debug)]
@@ -227,14 +229,7 @@ impl Sweep {
         );
         let jobs = scaled_suite(scale)
             .iter()
-            .flat_map(|p| {
-                points.iter().map(move |d| SimJob {
-                    bench: p.name.to_string(),
-                    events_per_kernel: p.events_per_kernel,
-                    seed: trace_seed(p.name),
-                    design: d.name().to_string(),
-                })
-            })
+            .flat_map(|p| points.iter().map(move |&d| SimJob::suite(p, d)))
             .collect();
         Self::new(jobs)
     }
@@ -453,9 +448,11 @@ impl Sweep {
 
         let jobs: Vec<DistJob> = missing.iter().map(|&i| self.jobs[i].dist_job()).collect();
         // A job can resolve twice (a quarantine re-runs what the liar
-        // delivered); the journal and `decoded` both keep the last result
-        // that stands.  `dropped` marks results the crash switch refused.
+        // delivered); the journal, `decoded` and `kept_by` all keep the last
+        // result that stands.  `dropped` marks results the crash switch
+        // refused.
         let mut decoded: Vec<Option<SimStats>> = vec![None; missing.len()];
+        let mut kept_by: Vec<Option<String>> = vec![None; missing.len()];
         let mut dropped = vec![false; missing.len()];
         let report = coord.run_with(jobs, token, |j, worker, outcome| {
             let Some(s) = outcome
@@ -468,6 +465,7 @@ impl Sweep {
             let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
             if log.record(&labels[missing[j]], Some(worker), &s, token) {
                 decoded[j] = Some(s);
+                kept_by[j] = Some(worker.to_string());
             } else {
                 dropped[j] = true;
             }
@@ -504,12 +502,39 @@ impl Sweep {
             })
             .collect();
         let summary = DistSummary {
-            workers: report.workers,
+            workers: kept_per_worker(report.workers, &kept_by),
             reassignments: report.reassignments,
             degraded: false,
         };
         Ok((summary, report.trace_id, outcomes))
     }
+}
+
+/// One entry per worker id, in first-connection order (a worker that
+/// reconnects registers again under its id), whose `jobs_done` counts the
+/// results of that worker the sweep kept, so the counts add up to the jobs
+/// the run executed; results the crash switch dropped or a quarantine
+/// replaced count for nobody.
+fn kept_per_worker(connections: Vec<WorkerStats>, kept_by: &[Option<String>]) -> Vec<WorkerStats> {
+    let mut workers: Vec<WorkerStats> = Vec::new();
+    for c in connections {
+        match workers.iter_mut().find(|w| w.id == c.id) {
+            Some(w) => {
+                w.bytes_sent += c.bytes_sent;
+                w.bytes_received += c.bytes_received;
+                w.reassigned += c.reassigned;
+                w.quarantined |= c.quarantined;
+            }
+            None => workers.push(c),
+        }
+    }
+    for w in &mut workers {
+        w.jobs_done = kept_by
+            .iter()
+            .filter(|k| k.as_deref() == Some(w.id.as_str()))
+            .count() as u64;
+    }
+    workers
 }
 
 #[cfg(test)]

@@ -239,6 +239,15 @@ fn dist_journal_crash_resumes_locally_to_identical_rows() {
             crashed.executed >= 3,
             "{tag}: at least the crash budget completed"
         );
+        // The per-worker counts name only the results the sweep kept, not
+        // the ones the crash switch dropped.
+        if let Some(cluster) = &crashed.cluster {
+            let kept: u64 = cluster.workers.iter().map(|w| w.jobs_done).sum();
+            assert_eq!(
+                kept as usize, crashed.executed,
+                "{tag}: per-worker job counts add up to the journaled jobs"
+            );
+        }
 
         // Same hash on either backend: the resume picks the journal up and
         // finishes to byte-identical rows.

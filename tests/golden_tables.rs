@@ -5,7 +5,9 @@
 //!
 //! Scale 0.05 puts every benchmark on the 4,096-event floor of
 //! `scaled_suite`, so the file is also what scale 0.02 prints.  The run
-//! uses two workers: output must not depend on the worker count.
+//! uses one worker and then two: output must not depend on the worker
+//! count, nor on the order in which the figures' shared simulations fill
+//! `repro`'s memo.
 
 use std::process::Command;
 
@@ -14,26 +16,33 @@ const GOLDEN: &str = include_str!("golden/repro_all_scale0.05.txt");
 
 #[test]
 fn repro_all_matches_the_golden_tables() {
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["all", "--scale", "0.05", "--jobs", "2"])
-        .output()
-        .expect("repro runs");
-    assert!(
-        out.status.success(),
-        "repro failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let actual = String::from_utf8(out.stdout).expect("repro prints UTF-8");
-    for (n, (want, got)) in GOLDEN.lines().zip(actual.lines()).enumerate() {
-        assert_eq!(got, want, "line {} differs from {GOLDEN_PATH}", n + 1);
+    for jobs in ["1", "2"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["all", "--scale", "0.05", "--jobs", jobs])
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "repro --jobs {jobs} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let actual = String::from_utf8(out.stdout).expect("repro prints UTF-8");
+        for (n, (want, got)) in GOLDEN.lines().zip(actual.lines()).enumerate() {
+            assert_eq!(
+                got,
+                want,
+                "--jobs {jobs}: line {} differs from {GOLDEN_PATH}",
+                n + 1
+            );
+        }
+        assert_eq!(
+            actual.lines().count(),
+            GOLDEN.lines().count(),
+            "--jobs {jobs}: line count differs from {GOLDEN_PATH}"
+        );
+        assert_eq!(
+            actual, GOLDEN,
+            "--jobs {jobs}: trailing newline differs from {GOLDEN_PATH}"
+        );
     }
-    assert_eq!(
-        actual.lines().count(),
-        GOLDEN.lines().count(),
-        "line count differs from {GOLDEN_PATH}"
-    );
-    assert_eq!(
-        actual, GOLDEN,
-        "trailing newline differs from {GOLDEN_PATH}"
-    );
 }

@@ -1,6 +1,7 @@
 //! The `repro` front end, driven through the binary: a journaled figure
 //! stopped by the crash switch or by SIGTERM exits 130, and `--resume` then
-//! prints exactly what an uninterrupted run prints.
+//! prints exactly what an uninterrupted run prints, for one figure and for
+//! the whole evaluation.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -43,6 +44,38 @@ fn crashed_figure_resumes_to_the_plain_run() {
         String::from_utf8_lossy(&resumed.stdout),
         String::from_utf8_lossy(&plain.stdout),
         "resume must print the plain run's tables"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crashed_repro_all_resumes_to_the_golden_tables() {
+    let dir = std::env::temp_dir().join(format!("repro_front_end_all_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().expect("UTF-8 temp path");
+    // Scale 0.02 puts every benchmark on the same event floor as 0.05.
+    let all = ["all", "--scale", "0.02", "--journal", d];
+
+    // Fig. 12 is the first journaled sweep (16 benchmarks x 6 designs), so
+    // the switch trips inside it.
+    let crashed = repro(&[&all[..], &["--crash-after-jobs", "40", "--jobs", "2"]].concat());
+    let stderr = String::from_utf8_lossy(&crashed.stderr);
+    assert_eq!(crashed.status.code(), Some(130), "crash switch exits 130");
+    assert!(stderr.contains("interrupted: 40 of 96"), "{stderr}");
+    assert!(dir.join("fig12.jsonl").exists() && !dir.join("fig13.jsonl").exists());
+
+    // The 40 jobs fig12 reuses from its journal never enter the memo, so
+    // the later figures simulate them afresh.
+    let resumed = repro(&[&all[..], &["--resume"]].concat());
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&resumed.stdout),
+        include_str!("golden/repro_all_scale0.05.txt"),
+        "resume must print the golden tables"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

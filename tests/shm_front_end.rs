@@ -2,8 +2,9 @@
 //! killed by the crash switch exits 130 and resumes to the serial table,
 //! the journal flags refuse to run without `--journal` or over an existing
 //! journal (exit 2), a `--pools` sweep of a stored trace prints the same at
-//! any job count, and an option the command does not read is refused
-//! (exit 2) before it does anything.
+//! any job count, an option the command does not read is refused (exit 2)
+//! before it does anything, and a command whose stdout reader is gone ends
+//! quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -105,4 +106,22 @@ fn a_misspelled_option_is_refused_before_the_command_runs() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(!trace.exists(), "nothing is written");
+}
+
+/// `shm list | head -1`: SIGPIPE ends the command the way it ends
+/// coreutils, with no panic message on stderr.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_the_command_without_a_panic() {
+    use std::os::unix::process::ExitStatusExt;
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_shm"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("shm runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.signal(), Some(13), "killed by SIGPIPE: {stderr}");
 }
