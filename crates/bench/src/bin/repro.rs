@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the SHM evaluation.
 //!
-//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--telemetry-dir DIR] [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]`
+//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]`
 //!
 //! The `hetero` target renders the heterogeneous-pool placement sweep; it
 //! is deliberately *not* part of `all`, which stays byte-identical to a
@@ -27,10 +27,6 @@
 //! by a `--dist` cluster do not enter the memo (they carry no predictor
 //! breakdown); a later figure that needs such a job simulates it locally.
 //!
-//! With `--telemetry-dir DIR`, every figure target additionally captures a
-//! representative telemetry trace (first suite benchmark under SHM) as
-//! `DIR/<figure>.jsonl` — epoch bandwidth series for Fig. 14-style plots.
-//!
 //! Absolute numbers differ from the paper (the substrate is a trace-driven
 //! simulator, not GPGPU-Sim on the authors' machines); the *shapes* —
 //! design ordering, approximate factors, which benchmarks benefit — are the
@@ -53,28 +49,23 @@ use shm_bench::{
     format_table, mean, scaled_suite, trace_seed, traffic_breakdown, BenchRow, Executor, Journal,
     Memo, Sweep,
 };
-use shm_telemetry::{Probe, TelemetryConfig};
+use shm_telemetry::Probe;
 use shm_workloads::micro::{
     pure_random_read, pure_random_write, pure_stream_read, pure_stream_write,
 };
 use shm_workloads::BenchmarkProfile;
 
 /// Printed after a usage error.
-const USAGE: &str = "usage: repro [TARGET] [--scale X] [--jobs N] [--telemetry-dir DIR] \
+const USAGE: &str = "usage: repro [TARGET] [--scale X] [--jobs N] \
                      [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]";
 
 /// The options `repro` reads besides [`SweepArgs::OPTIONS`].
-const OPTIONS: &[&str] = &["scale", "telemetry-dir"];
+const OPTIONS: &[&str] = &["scale"];
 
 /// The targets `all` renders, in order.
 const ALL: &[&str] = &[
     "table1", "table9", "table3_4", "fig5", "table7", "fig10", "fig11", "fig12", "fig13", "fig14",
     "fig15", "fig16",
-];
-
-/// Every figure target, in `all` order (tables have no telemetry series).
-const FIGURES: &[&str] = &[
-    "fig5", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16",
 ];
 
 fn main() -> ExitCode {
@@ -95,20 +86,6 @@ fn run(argv: &[String]) -> Result<(), Failure> {
     let scale = args.get_f64("scale")?.unwrap_or(0.5);
     let opts = SweepArgs::from_args(&args)?;
     print!("{}", render(what, scale, &opts, &Memo::default())?);
-
-    if let Some(dir) = args.get("telemetry-dir") {
-        let figures: Vec<&str> = if what == "all" {
-            FIGURES.to_vec()
-        } else if FIGURES.contains(&what) {
-            vec![what]
-        } else {
-            println!("(no telemetry series for target {what})");
-            Vec::new()
-        };
-        for fig in figures {
-            dump_figure_telemetry(dir, fig, scale)?;
-        }
-    }
     Ok(())
 }
 
@@ -135,32 +112,6 @@ fn render(what: &str, scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<Strin
         "hetero" => hetero(scale, jobs)?,
         _ => return Err(Failure::usage(format!("unknown target: {what}"))),
     })
-}
-
-/// Captures one representative telemetry trace for `figure` — the first
-/// suite benchmark under the SHM design — into `dir/<figure>.jsonl`.
-fn dump_figure_telemetry(dir: &str, figure: &str, scale: f64) -> Result<(), Failure> {
-    std::fs::create_dir_all(dir).map_err(|e| Failure::usage(format!("create {dir}: {e}")))?;
-    let profile = scaled_suite(scale)
-        .into_iter()
-        .next()
-        .ok_or_else(|| Failure::usage("benchmark suite is empty"))?;
-    let trace = profile.generate(trace_seed(profile.name));
-    let path = std::path::Path::new(dir).join(format!("{figure}.jsonl"));
-    // Stream the JSONL document to disk as the run produces it.
-    let probe = Probe::enabled_streaming(TelemetryConfig::default(), &path)
-        .map_err(|e| Failure::usage(format!("create {}: {e}", path.display())))?;
-    Simulator::new(&GpuConfig::default(), Shm)
-        .with_probe(probe.clone())
-        .run(&trace);
-    if let Some(e) = probe.stream_error() {
-        return Err(Failure::runtime(
-            format!("write {}: {e}", path.display()),
-            &probe,
-        ));
-    }
-    println!("telemetry for {figure} streamed to {}", path.display());
-    Ok(())
 }
 
 /// Sensitivity analysis for the design choices DESIGN.md calls out:

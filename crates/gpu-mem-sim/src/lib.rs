@@ -26,15 +26,14 @@
 //! ```
 
 pub mod codec;
-pub mod design;
 pub mod energy;
 pub mod l2;
 pub mod sim;
 pub mod trace;
 
 pub use codec::{read_trace, write_trace, CodecError};
-pub use design::DesignPoint;
 pub use energy::EnergyModel;
 pub use l2::L2Bank;
+pub use shm::DesignPoint;
 pub use sim::{batch_issue_enabled, set_batch_issue, Simulator};
 pub use trace::{ContextTrace, HostAction, KernelTrace};

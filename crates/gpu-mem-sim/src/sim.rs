@@ -6,21 +6,14 @@ use std::collections::BinaryHeap;
 use gpu_types::{
     AccessKind, GpuConfig, MemEvent, PartitionId, ShmConfig, SimStats, TrafficClass, SECTOR_BYTES,
 };
-use secure_core::{DramFabric, MemRequest, SecureMemorySystem};
-use shm::{OracleProfile, ShmSystem};
+use secure_core::{DramFabric, MemRequest};
+use shm::{DesignPoint, OracleProfile, ShmSystem};
 use shm_cache::Eviction;
 use shm_metadata::MetadataKind;
 use shm_telemetry::{Event, Hook, Probe};
 
-use crate::design::DesignPoint;
 use crate::l2::{L2Bank, L2Outcome, L2_HIT_LATENCY};
 use crate::trace::{ContextTrace, HostAction};
-
-/// The secure-memory engine backing a design point.
-enum Engine {
-    Baseline(SecureMemorySystem),
-    Shm(ShmSystem),
-}
 
 /// Gate for the batched issue loop (on by default).  Turning it off makes
 /// [`Simulator`] process one event per scheduler pick, exactly the
@@ -132,8 +125,8 @@ impl Simulator {
         (stats, parts)
     }
 
-    /// Runs `trace` and also returns predictor accuracy from the SHM engine
-    /// (empty accuracies for baseline designs).
+    /// Runs `trace` and also returns predictor accuracy from the engine
+    /// (empty accuracies for designs without the detectors).
     pub fn run_detailed(
         &self,
         trace: &ContextTrace,
@@ -143,30 +136,29 @@ impl Simulator {
         shm::streaming::StreamAccuracy,
     ) {
         let (stats, engine, _) = self.run_with_engine(trace);
-        match engine {
-            Engine::Shm(s) => (stats, s.readonly_accuracy(), s.streaming_accuracy()),
-            Engine::Baseline(_) => (
-                stats,
-                shm::readonly::RoAccuracy::default(),
-                shm::streaming::StreamAccuracy::default(),
-            ),
-        }
+        (
+            stats,
+            engine.readonly_accuracy(),
+            engine.streaming_accuracy(),
+        )
     }
 
-    fn build_engine(&self, trace: &ContextTrace) -> Engine {
-        if let Some(scheme) = self.design.baseline_scheme() {
-            return Engine::Baseline(SecureMemorySystem::new(scheme, &self.cfg));
-        }
-        let variant = self.design.shm_variant().expect("covered by baseline arm");
-        let oracle = OracleProfile::from_trace(trace.all_events(), self.cfg.partition_map());
-        let mut sys = ShmSystem::new(variant, &self.cfg, self.shm_cfg.clone(), Some(oracle));
+    fn build_engine(&self, trace: &ContextTrace) -> ShmSystem {
+        let map = self.cfg.partition_map();
+        // The SHM designs profile the trace first: the oracle is the upper
+        // bound's predictor and every detector's accuracy reference.
+        let oracle = self
+            .design
+            .readonly_detector()
+            .then(|| OracleProfile::from_trace(trace.all_events(), map));
+        let mut sys = ShmSystem::new(self.design, &self.cfg, self.shm_cfg.clone(), oracle);
         for (start, len) in &trace.readonly_init {
-            sys.mark_readonly_range(self.cfg.partition_map(), *start, *len);
+            sys.mark_readonly_range(map, *start, *len);
         }
-        Engine::Shm(sys)
+        sys
     }
 
-    fn run_with_engine(&self, trace: &ContextTrace) -> (SimStats, Engine, DramFabric) {
+    fn run_with_engine(&self, trace: &ContextTrace) -> (SimStats, ShmSystem, DramFabric) {
         // Outermost phase: engine setup (including the SHM oracle pre-pass)
         // and warp scheduling charge here; nested L2/fabric/metadata/AES
         // guards carve their own shares out of it.
@@ -179,10 +171,7 @@ impl Simulator {
         // of locking and updating the telemetry state per event.
         let probe = self.probe.buffered();
         fabric.set_probe(probe.clone());
-        match &mut engine {
-            Engine::Baseline(sys) => sys.set_probe(&probe),
-            Engine::Shm(sys) => sys.set_probe(&probe),
-        }
+        engine.set_probe(&probe);
         let mut stats = SimStats::default();
         // Check the bank matrix out of the geometry-keyed pool; a recycled
         // matrix still holds the previous job's cache state, so reset it
@@ -209,14 +198,12 @@ impl Simulator {
         let mut clock = 0u64;
         for kernel in &trace.kernels {
             for action in &kernel.pre_actions {
-                if let Engine::Shm(sys) = &mut engine {
-                    match action {
-                        HostAction::MemcpyToDevice { start, len } => {
-                            sys.host_memcpy(map, *start, *len)
-                        }
-                        HostAction::InputReadOnlyReset { start, len } => {
-                            sys.input_readonly_reset(map, *start, *len)
-                        }
+                match action {
+                    HostAction::MemcpyToDevice { start, len } => {
+                        engine.host_memcpy(map, *start, *len)
+                    }
+                    HostAction::InputReadOnlyReset { start, len } => {
+                        engine.input_readonly_reset(map, *start, *len)
                     }
                 }
             }
@@ -278,10 +265,7 @@ impl Simulator {
         }
 
         // End of context: metadata caches drain.
-        match &mut engine {
-            Engine::Baseline(sys) => sys.flush(clock, &mut fabric, &mut stats),
-            Engine::Shm(sys) => sys.flush(clock, &mut fabric, &mut stats),
-        }
+        engine.flush(clock, &mut fabric, &mut stats);
 
         // The run is not over until the channels drain the posted work.
         let drain = (0..fabric.num_partitions())
@@ -326,7 +310,7 @@ impl Simulator {
         events: &[MemEvent],
         map: gpu_types::PartitionMap,
         probe: &Probe,
-        engine: &mut Engine,
+        engine: &mut ShmSystem,
         fabric: &mut DramFabric,
         banks: &mut [Vec<L2Bank>],
         pool: &mut Option<shm_pool::PoolSim>,
@@ -406,11 +390,9 @@ impl Simulator {
                 accesses_since_policy += 1;
                 if accesses_since_policy >= 4096 {
                     accesses_since_policy = 0;
-                    if let Engine::Shm(sys) = engine {
-                        for (p, pbanks) in banks.iter().enumerate() {
-                            let rate = pbanks[0].sampled_miss_rate();
-                            sys.update_victim_policy(PartitionId(p as u16), rate);
-                        }
+                    for (p, pbanks) in banks.iter().enumerate() {
+                        let rate = pbanks[0].sampled_miss_rate();
+                        engine.update_victim_policy(PartitionId(p as u16), rate);
                     }
                 }
 
@@ -450,7 +432,7 @@ impl Simulator {
         span: u64,
         probe: &Probe,
         scratch: &mut Vec<Eviction>,
-        engine: &mut Engine,
+        engine: &mut ShmSystem,
         fabric: &mut DramFabric,
         banks: &mut [Vec<L2Bank>],
         pool: &mut Option<shm_pool::PoolSim>,
@@ -535,14 +517,12 @@ impl Simulator {
                     space: ev.space,
                     bytes: SECTOR_BYTES,
                 };
-                let mut done = Self::process_request(
+                // The accessed bank doubles as the metadata victim store (SHM_vL2).
+                let mut done = engine.process_with_victim(
                     t + L2_HIT_LATENCY,
                     &req,
-                    p,
-                    bank_idx,
-                    engine,
                     fabric,
-                    banks,
+                    &mut banks[p.index()][bank_idx],
                     stats,
                 );
                 // Heterogeneous pools: offer the miss to the pool model.  A
@@ -609,28 +589,6 @@ impl Simulator {
         completion
     }
 
-    /// Routes one MEE request, lending the partition's bank 0 as the victim
-    /// store for SHM_vL2.
-    #[allow(clippy::too_many_arguments)]
-    fn process_request(
-        t: u64,
-        req: &MemRequest,
-        p: PartitionId,
-        bank_idx: usize,
-        engine: &mut Engine,
-        fabric: &mut DramFabric,
-        banks: &mut [Vec<L2Bank>],
-        stats: &mut SimStats,
-    ) -> u64 {
-        match engine {
-            Engine::Baseline(sys) => sys.process(t, req, fabric, stats),
-            Engine::Shm(sys) => {
-                let bank = &mut banks[p.index()][bank_idx];
-                sys.process_with_victim(t, req, fabric, bank, stats)
-            }
-        }
-    }
-
     /// Writes a dirty evicted L2 line back.  Lines whose address lies above
     /// the partition's protected data span are security-metadata victims
     /// (Section IV-D) and are persisted directly; data lines go through the
@@ -642,7 +600,7 @@ impl Simulator {
         map: gpu_types::PartitionMap,
         data_span: u64,
         t: u64,
-        engine: &mut Engine,
+        engine: &mut ShmSystem,
         fabric: &mut DramFabric,
         stats: &mut SimStats,
     ) {
@@ -665,14 +623,7 @@ impl Simulator {
                 bytes: SECTOR_BYTES,
             };
             stats.l2_writebacks += 1;
-            match engine {
-                Engine::Baseline(sys) => {
-                    sys.process(t, &req, fabric, stats);
-                }
-                Engine::Shm(sys) => {
-                    sys.process(t, &req, fabric, stats);
-                }
-            }
+            engine.process(t, &req, fabric, stats);
         }
     }
 
@@ -681,17 +632,14 @@ impl Simulator {
         evicted: &Eviction,
         p: PartitionId,
         t: u64,
-        engine: &mut Engine,
+        engine: &ShmSystem,
         fabric: &mut DramFabric,
     ) {
-        let class = match engine {
-            Engine::Shm(sys) => match sys.layout(p).classify(evicted.addr) {
-                Some(MetadataKind::Counter) => TrafficClass::Counter,
-                Some(MetadataKind::BlockMac) | Some(MetadataKind::ChunkMac) => TrafficClass::Mac,
-                Some(MetadataKind::Bmt(_)) => TrafficClass::Bmt,
-                None => TrafficClass::Data,
-            },
-            Engine::Baseline(_) => TrafficClass::Data,
+        let class = match engine.layout(p).classify(evicted.addr) {
+            Some(MetadataKind::Counter) => TrafficClass::Counter,
+            Some(MetadataKind::BlockMac) | Some(MetadataKind::ChunkMac) => TrafficClass::Mac,
+            Some(MetadataKind::Bmt(_)) => TrafficClass::Bmt,
+            None => TrafficClass::Data,
         };
         let bytes = evicted.dirty_sectors.count_ones() as u64 * SECTOR_BYTES;
         if bytes > 0 {

@@ -44,13 +44,6 @@ impl SharedCounter {
         self.value = self.value.max(max_scanned_major) + 1;
         self.value
     }
-
-    /// Advances the register at context/kernel setup when the host rewrites
-    /// read-only regions (each bulk overwrite gets a fresh pad generation).
-    pub fn advance(&mut self) -> u64 {
-        self.value += 1;
-        self.value
-    }
 }
 
 #[cfg(test)]
@@ -66,19 +59,11 @@ mod tests {
     #[test]
     fn reset_takes_max_plus_one() {
         let mut c = SharedCounter::new();
-        c.advance(); // 1
         assert_eq!(
             c.reset_for_reuse(90),
             91,
             "Fig. 9 example, +1 for pad freshness"
         );
         assert_eq!(c.reset_for_reuse(5), 92, "never lowered; always advances");
-    }
-
-    #[test]
-    fn advance_increments() {
-        let mut c = SharedCounter::new();
-        assert_eq!(c.advance(), 1);
-        assert_eq!(c.advance(), 2);
     }
 }

@@ -1,37 +1,26 @@
-//! Memory-encryption-engine (MEE) performance model and baseline schemes.
+//! Memory-encryption-engine (MEE) performance model: the building blocks
+//! every secure-memory design shares.
 //!
 //! This crate models the *timing and traffic* of secure GPU memory: each
 //! memory partition owns an MEE with three metadata caches (counter, MAC,
-//! BMT — Table VI) sitting between the L2 and the GDDR channel.  Every L2
-//! miss or write-back is pushed through [`engine::SecureMemorySystem`],
-//! which fetches/updates the security metadata through the caches, charges
-//! the DRAM fabric for every transfer, and returns the cycle at which the
-//! request completes.
+//! BMT — Table VI) sitting between the L2 and the GDDR channel.
+//! [`mdc::MeeCore`] fetches and updates the security metadata through those
+//! caches and charges the [`DramFabric`] for every transfer; it addresses
+//! metadata from physical addresses (Naive) or partition-local ones (PSSM
+//! and everything built on it), in whole lines or 32 B sectors.
+//! [`common_ctr::CommonCounterTable`] models common-value counter
+//! compression [Na et al., HPCA'21].
 //!
-//! Four baseline designs from Table VIII are provided here:
-//!
-//! * **Unprotected** — the no-security baseline all IPC numbers normalize to.
-//! * **Naive** — metadata constructed from *physical* addresses, non-sectored
-//!   metadata fetches; metadata for a partition's data frequently lives in
-//!   another partition, producing redundant cross-partition traffic.
-//! * **Common_ctr** — Naive plus common-value counter compression [Na et
-//!   al., HPCA'21]: reads of blocks whose counters match the on-chip common
-//!   value skip the counter fetch and BMT walk.
-//! * **PSSM / PSSM_cctr** — partition-local metadata with sectored fetches
-//!   [Yuan et al., ICS'21], optionally with common counters on top.
-//!
-//! The SHM designs of the paper build on these pieces in the `shm` crate.
+//! The `shm` crate's engine composes these pieces into all ten design points
+//! of Table VIII, from the unprotected baseline to SHM with oracle
+//! predictors.
 
 pub mod common_ctr;
-pub mod engine;
 pub mod fabric;
 pub mod mdc;
 pub mod request;
-pub mod scheme;
 
 pub use common_ctr::CommonCounterTable;
-pub use engine::SecureMemorySystem;
 pub use fabric::DramFabric;
-pub use mdc::{MdcKind, MeeCore, VictimStore};
+pub use mdc::{Addressing, MdcKind, MeeCore, VictimStore};
 pub use request::MemRequest;
-pub use scheme::{Addressing, CounterMode, SchemeConfig, SchemeKind};

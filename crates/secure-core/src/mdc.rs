@@ -20,7 +20,17 @@ use shm_metadata::MetadataLayout;
 use shm_telemetry::{Event, Hook, Probe};
 
 use crate::fabric::DramFabric;
-use crate::scheme::Addressing;
+
+/// How metadata addresses are constructed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Addressing {
+    /// From physical addresses over the whole protected range (Naive /
+    /// Common_ctr).  Metadata for one partition's data may live in another
+    /// partition, creating redundant cross-partition traffic.
+    Physical,
+    /// From partition-local addresses (PSSM and everything built on it).
+    Local,
+}
 
 /// Which metadata cache an address lives in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -78,9 +88,10 @@ pub struct MeeCore {
     cfg: MdcConfig,
     probe: Probe,
     /// Hoisted metric handles: owned `Arc<Counter>`s skip the per-call-site
-    /// registry lookup on the counter-miss path.
+    /// registry lookup on the per-request and counter-miss paths.
     bmt_walks: std::sync::Arc<shm_metrics::Counter>,
     bmt_levels: std::sync::Arc<shm_metrics::Counter>,
+    mac_verifies: std::sync::Arc<shm_metrics::Counter>,
 }
 
 impl MeeCore {
@@ -111,7 +122,20 @@ impl MeeCore {
                 "shm_bmt_levels_total",
                 "BMT levels visited across all walks",
             ),
+            mac_verifies: shm_metrics::register_counter(
+                "shm_mac_verifies_total",
+                "Block MACs computed or verified",
+            ),
         }
+    }
+
+    /// Starts the metadata work of one protected request: counts the MAC it
+    /// computes (write) or verifies (read) and enters the profiler's
+    /// metadata-walk phase until the returned guard drops.  Nested fabric
+    /// guards carve their own share out of that phase.
+    pub fn begin_request(&self) -> shm_metrics::phase::PhaseGuard {
+        self.mac_verifies.inc();
+        shm_metrics::phase::guard(shm_metrics::phase::Phase::MetadataWalk)
     }
 
     /// Attaches a telemetry probe; the MEE reports counter-cache misses,

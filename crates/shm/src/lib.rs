@@ -24,21 +24,24 @@
 //!    accessed chunks keep per-block MACs.  Mispredictions cost bandwidth,
 //!    never correctness (Tables III/IV).
 //!
-//! [`engine::ShmSystem`] combines both with the PSSM-style partition-local
-//! metadata engine from `secure-core`, in the variants evaluated by the
-//! paper: `SHM_readOnly`, `SHM`, `SHM_cctr`, `SHM_vL2` and
-//! `SHM_upper_bound`.
+//! [`engine::ShmSystem`] is the one secure-memory engine behind all ten
+//! design points of Table VIII ([`design::DesignPoint`]).  It composes the
+//! metadata-cache flows of `secure-core` with both mechanisms, and a
+//! design's columns switch each feature on: the baselines (Unprotected,
+//! Naive, Common_ctr, PSSM, PSSM_cctr) run with the detectors off, and
+//! `SHM_readOnly`, `SHM`, `SHM_cctr`, `SHM_vL2` and `SHM_upper_bound` add
+//! them one feature at a time.
 
+pub mod design;
 pub mod engine;
 pub mod oracle;
 pub mod policy;
 pub mod readonly;
 pub mod streaming;
-pub mod variant;
 
+pub use design::DesignPoint;
 pub use engine::ShmSystem;
 pub use oracle::OracleProfile;
 pub use policy::{required_mechanisms, DataProperty, Protection};
 pub use readonly::ReadOnlyPredictor;
 pub use streaming::{AccessTrackers, Detection, StreamingPredictor};
-pub use variant::ShmVariant;

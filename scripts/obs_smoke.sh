@@ -5,7 +5,8 @@
 #   2. the coordinator's /metrics endpoint must serve the key series,
 #      including per-worker gauges aggregated from both loopback workers
 #   3. the span JSONL a dist sweep emits must render via `shm trace-report`
-#   4. `shm run --profile` must print the phase table and coverage line
+#   4. `shm run --profile` must print the phase table and coverage line,
+#      with the SHM engine's metadata work in its own `metadata_walk` row
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -64,5 +65,6 @@ grep -q 'critical path' "$tmp/report.txt"
 "$SHM" run -b fdtd2d -d SHM --profile > "$tmp/profile.txt"
 grep -q 'profile: phases cover' "$tmp/profile.txt"
 grep -q 'access_issue' "$tmp/profile.txt"
+grep -q 'metadata_walk' "$tmp/profile.txt"
 
 echo "obs-smoke: OK"

@@ -6,8 +6,9 @@
 use std::sync::Mutex;
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::dist::DistSweepConfig;
+use shm_bench::dist::{DistSweepConfig, SimJob};
 use shm_bench::{Backend, BenchRow, Executor, Sweep, SweepRun};
+use shm_metrics::phase::Phase;
 use shm_telemetry::span::{build_job_spans, job_span_id, JobSpanInput, TraceReport, ROOT_SPAN_ID};
 use sim_dist::{DistOptions, WorkerOptions};
 
@@ -134,6 +135,41 @@ fn profiler_phases_cover_the_simulation() {
     let report = shm_metrics::phase::report();
     assert!(report.contains("access_issue"), "report:\n{report}");
     assert!(report.contains("trace_gen"), "report:\n{report}");
+}
+
+#[test]
+fn shm_job_verifies_macs_inside_the_metadata_walk_phase() {
+    let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
+    let profile = shm_bench::scaled_suite(SCALE)
+        .into_iter()
+        .next()
+        .expect("non-empty suite");
+    let job = SimJob::suite(&profile, DesignPoint::Shm);
+    // The registry is process-wide, so compare the counter around the job.
+    let verifies = || {
+        shm_metrics::parse_exposition(&shm_metrics::render_prometheus())
+            .into_iter()
+            .find(|s| s.name == "shm_mac_verifies_total")
+            .map_or(0.0, |s| s.value)
+    };
+    shm_metrics::set_enabled(true);
+    shm_metrics::phase::set_profiling(true);
+    shm_metrics::phase::reset_phases();
+    let before = verifies();
+    let _ = job.run();
+    let after = verifies();
+    let walks = shm_metrics::phase::snapshot()
+        .into_iter()
+        .find(|s| s.phase == Phase::MetadataWalk)
+        .map_or(0, |s| s.calls);
+    shm_metrics::set_enabled(false);
+    shm_metrics::phase::set_profiling(false);
+
+    assert!(
+        after > before,
+        "an SHM job must count MAC verifies ({before} -> {after})"
+    );
+    assert!(walks > 0, "an SHM job must enter the metadata-walk phase");
 }
 
 #[test]

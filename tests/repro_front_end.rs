@@ -1,7 +1,7 @@
 //! The `repro` front end, driven through the binary: a journaled figure
 //! stopped by the crash switch or by SIGTERM exits 130, and `--resume` then
 //! prints exactly what an uninterrupted run prints, for one figure and for
-//! the whole evaluation.
+//! the whole evaluation.  An option `repro` does not read is a usage error.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -12,6 +12,23 @@ fn repro(args: &[&str]) -> Output {
         .env_remove("SHM_JOBS")
         .output()
         .expect("repro runs")
+}
+
+#[test]
+fn telemetry_dir_is_an_unknown_option() {
+    // `shm run -b <bench> -d SHM --telemetry --trace-out F` writes the trace
+    // the option used to write once per figure.
+    let dir = std::env::temp_dir().join(format!("repro_front_end_telem_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let d = dir.to_str().expect("UTF-8 temp path");
+    let out = repro(&["table1", "--telemetry-dir", d]);
+    assert_eq!(out.status.code(), Some(2), "an unknown option exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option --telemetry-dir"),
+        "stderr: {stderr}"
+    );
+    assert!(!dir.exists(), "no telemetry directory is created");
 }
 
 #[test]

@@ -71,11 +71,7 @@ fn metadata_traffic_is_bounded_by_structure() {
         let data = stats.traffic.data_bytes().max(1);
         let meta = stats.traffic.metadata_bytes();
         let factor = meta as f64 / data as f64;
-        let cap = if design
-            .baseline_scheme()
-            .map(|s| !s.sectored_metadata)
-            .unwrap_or(false)
-        {
+        let cap = if !design.sectored_metadata() {
             // Naive moves whole 128 B counter+MAC lines per 32 B sector and
             // fetches + dirties a multi-level BMT path per write.
             40.0

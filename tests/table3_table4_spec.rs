@@ -6,7 +6,7 @@
 
 use gpu_types::{AccessKind, GpuConfig, MemorySpace, PhysAddr, ShmConfig, SimStats, TrafficClass};
 use secure_core::{DramFabric, MemRequest};
-use shm::{ShmSystem, ShmVariant};
+use shm::{DesignPoint, ShmSystem};
 
 const CHUNK: u64 = 4096;
 
@@ -30,7 +30,7 @@ fn scenario(
     body: impl FnOnce(&mut ShmSystem, &GpuConfig, &mut DramFabric, &mut SimStats),
 ) -> (SimStats, DramFabric) {
     let c = cfg();
-    let mut sys = ShmSystem::new(ShmVariant::Full, &c, ShmConfig::default(), None);
+    let mut sys = ShmSystem::new(DesignPoint::Shm, &c, ShmConfig::default(), None);
     if readonly_len > 0 {
         sys.mark_readonly_range(c.partition_map(), PhysAddr::new(0), readonly_len);
     }
@@ -103,7 +103,7 @@ fn read_stream_predicted_random_detected_readonly_refetches_block_macs_only() {
 #[test]
 fn read_random_predicted_random_detected_costs_nothing_extra() {
     let c = cfg();
-    let mut sys = ShmSystem::new(ShmVariant::Full, &c, ShmConfig::default(), None);
+    let mut sys = ShmSystem::new(DesignPoint::Shm, &c, ShmConfig::default(), None);
     let mut fabric = DramFabric::new(&c);
     let mut stats = SimStats::default();
     // First, force the chunk's predictor entry to random.
@@ -207,7 +207,7 @@ fn write_stream_predicted_random_detected_refetches_chunk_data() {
 #[test]
 fn write_random_predicted_random_detected_costs_nothing_extra() {
     let c = cfg();
-    let mut sys = ShmSystem::new(ShmVariant::Full, &c, ShmConfig::default(), None);
+    let mut sys = ShmSystem::new(DesignPoint::Shm, &c, ShmConfig::default(), None);
     let mut fabric = DramFabric::new(&c);
     let mut stats = SimStats::default();
     // Settle the chunk to random via reads, and let all trackers expire.
