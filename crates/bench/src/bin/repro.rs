@@ -1,6 +1,6 @@
 //! `repro` — regenerates every table and figure of the SHM evaluation.
 //!
-//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]`
+//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--journal DIR [--resume] [--crash-after-jobs N]]`
 //!
 //! The `hetero` target renders the heterogeneous-pool placement sweep; it
 //! is deliberately *not* part of `all`, which stays byte-identical to a
@@ -23,9 +23,9 @@
 //! The figures of one invocation share one simulation per (benchmark,
 //! design): Table VII and Figs. 10–16 read one [`Memo`], so `all` runs each
 //! of the ten designs once per benchmark, and only Fig. 5 generates a trace
-//! of its own, for its oracle.  Results reused from a journal or computed
-//! by a `--dist` cluster do not enter the memo (they carry no predictor
-//! breakdown); a later figure that needs such a job simulates it locally.
+//! of its own, for its oracle.  Results reused from a journal do not enter
+//! the memo (they carry no predictor breakdown); a later figure that needs
+//! such a job simulates it.
 //!
 //! Absolute numbers differ from the paper (the substrate is a trace-driven
 //! simulator, not GPGPU-Sim on the authors' machines); the *shapes* —
@@ -44,10 +44,9 @@ use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, MdcConfig, ShmConfig, TrafficClass};
 use shm::{required_mechanisms, DataProperty, OracleProfile};
 use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
-use shm_bench::dist::SimJob;
 use shm_bench::{
     format_table, mean, scaled_suite, trace_seed, traffic_breakdown, BenchRow, Executor, Journal,
-    Memo, Sweep,
+    Memo, SimJob, Sweep,
 };
 use shm_telemetry::Probe;
 use shm_workloads::micro::{
@@ -57,7 +56,7 @@ use shm_workloads::BenchmarkProfile;
 
 /// Printed after a usage error.
 const USAGE: &str = "usage: repro [TARGET] [--scale X] [--jobs N] \
-                     [--journal DIR [--resume] [--crash-after-jobs N]] [--dist HOST:PORT]";
+                     [--journal DIR [--resume] [--crash-after-jobs N]]";
 
 /// The options `repro` reads besides [`SweepArgs::OPTIONS`].
 const OPTIONS: &[&str] = &["scale"];
@@ -492,7 +491,7 @@ fn fig11(scale: f64, jobs: Option<usize>, memo: &Memo) -> Result<String, Failure
 
 /// One suite figure (Figs. 12–16): the figure's sweep through the shared
 /// reporting run — journaled to `DIR/<figure>.jsonl` under `--journal
-/// DIR`, simulated locally through `memo` — rendered as `metric(row,
+/// DIR`, simulated through `memo` — rendered as `metric(row,
 /// design)` per benchmark and design.  Returns the table and the rows it
 /// came from.
 fn suite_table(

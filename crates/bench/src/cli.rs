@@ -2,8 +2,8 @@
 //! parser ([`Args`]), one failure type carrying the process exit code
 //! ([`Failure`]), the signal handlers ([`install_signal_handlers`]), the
 //! `--telemetry` probe and its epilogue, and one reporting sweep run
-//! ([`SweepArgs::run`]) that owns the journal, `--resume`,
-//! `--crash-after-jobs`, `--dist` and interrupted-run handling.
+//! ([`SweepArgs::run`]) that owns `--jobs`, the journal, `--resume`,
+//! `--crash-after-jobs` and interrupted-run handling.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -12,10 +12,9 @@ use std::str::FromStr;
 
 use gpu_types::SimStats;
 use shm_telemetry::span::JobSpanInput;
-use shm_telemetry::{Event, Probe, TelemetryConfig};
+use shm_telemetry::{Probe, TelemetryConfig};
 
-use crate::dist::{DistSweepConfig, SimJob};
-use crate::{Backend, Executor, Journal, Sweep};
+use crate::{Executor, Journal, SimJob, Sweep};
 
 /// Parsed command-line options: `--key value`, `-k value`, boolean
 /// `--flag`s and, where the command takes one, a positional target
@@ -58,7 +57,7 @@ impl core::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Options that never take a value.
-const FLAGS: &[&str] = &["csv", "telemetry", "resume", "sweep", "profile", "once"];
+const FLAGS: &[&str] = &["csv", "telemetry", "resume", "sweep", "profile"];
 
 impl Args {
     /// Parses `argv` (without the command name); every token must be an
@@ -169,9 +168,8 @@ impl Args {
 }
 
 /// A failed command: its message, the process exit code — 1 runtime
-/// failure, 2 usage, 3 broken integrity claim, 4 silent divergence in a
-/// chaos campaign, 130 interrupted — and, when telemetry was on, the probe
-/// whose flight recorder is dumped.
+/// failure, 2 usage, 3 broken integrity claim, 130 interrupted — and, when
+/// telemetry was on, the probe whose flight recorder is dumped.
 #[derive(Debug)]
 pub struct Failure {
     message: String,
@@ -203,12 +201,6 @@ impl Failure {
     /// from a crashed run).
     pub fn integrity(message: impl Into<String>, probe: &Probe) -> Self {
         Self::new(message, 3, probe)
-    }
-
-    /// Chaos-campaign failure: a fault-injection scenario ended in silent
-    /// divergence, success with wrong bytes (exit code 4).
-    pub fn chaos(message: impl Into<String>, probe: &Probe) -> Self {
-        Self::new(message, 4, probe)
     }
 
     /// Cooperative cancellation (SIGINT/SIGTERM or the crash switch)
@@ -360,16 +352,12 @@ pub fn finish_telemetry(args: &Args, probe: &Probe) -> Result<(), Failure> {
     Ok(())
 }
 
-/// The sweep options of a command line: where the jobs run (`--jobs N`, or
-/// `--dist HOST:PORT`) and the journal (`--journal PATH [--resume]
-/// [--crash-after-jobs N]`).
+/// The sweep options of a command line: the pool width (`--jobs N`) and
+/// the journal (`--journal PATH [--resume] [--crash-after-jobs N]`).
 #[derive(Debug)]
 pub struct SweepArgs {
     /// `--jobs N` (`None`: `SHM_JOBS` or the machine decides).
     pub jobs: Option<usize>,
-    /// `--dist HOST:PORT`, with the loopback workers `SHM_DIST_WORKERS`
-    /// asks for.
-    pub dist: Option<DistSweepConfig>,
     /// `--journal PATH`: a file for `shm sweep`, a directory for `repro`.
     pub journal: Option<PathBuf>,
     /// `--resume`: continue an existing journal.
@@ -380,8 +368,7 @@ pub struct SweepArgs {
 
 impl SweepArgs {
     /// The options [`SweepArgs::from_args`] reads.
-    pub const OPTIONS: &'static [&'static str] =
-        &["jobs", "dist", "journal", "resume", "crash-after-jobs"];
+    pub const OPTIONS: &'static [&'static str] = &["jobs", "journal", "resume", "crash-after-jobs"];
 
     /// Reads the sweep options.
     ///
@@ -400,7 +387,6 @@ impl SweepArgs {
         }
         Ok(Self {
             jobs: args.jobs(),
-            dist: args.get("dist").map(DistSweepConfig::from_env),
             journal,
             resume,
             crash_after_jobs,
@@ -410,14 +396,12 @@ impl SweepArgs {
     /// Runs `sweep` the way both front ends report it and returns every
     /// job's stats in submission order.
     ///
-    /// - The jobs run on the `--dist` cluster or on `--jobs N` local
-    ///   workers; `local` simulates a job in this process (see
+    /// - The jobs run on `--jobs N` workers as `simulate(index, job)` (see
     ///   [`Sweep::run`]).
     /// - Under `--journal`, `journal(path, jobs)` names the journal file and
     ///   its config hash.  An existing journal needs `--resume`.
-    /// - Stderr gets one line per cluster worker, the reassignment count
-    ///   and the resumed-from line, each prefixed `name: `.  `probe` gets
-    ///   one `DistWorker` event per worker and the span tree `sweep name`.
+    /// - Stderr gets the resumed-from line, prefixed `name: `.  `probe`
+    ///   gets the span tree `sweep name`.
     /// - An interrupted sweep lists the jobs it journaled and fails with
     ///   exit code 130.
     ///
@@ -431,16 +415,13 @@ impl SweepArgs {
         name: &str,
         journal: J,
         probe: &Probe,
-        local: F,
+        simulate: F,
     ) -> Result<Vec<SimStats>, Failure>
     where
         J: FnOnce(&Path, &[SimJob]) -> Journal,
         F: Fn(usize, &SimJob) -> SimStats + Sync,
     {
-        sweep.backend = match &self.dist {
-            Some(cfg) => Backend::Dist(cfg.clone()),
-            None => Backend::Local(Executor::from_request(self.jobs)),
-        };
+        sweep.executor = Executor::from_request(self.jobs);
         if let Some(path) = &self.journal {
             let journal = Journal {
                 crash_after_jobs: self.crash_after_jobs,
@@ -455,42 +436,17 @@ impl SweepArgs {
             sweep.journal = Some(journal);
         }
         let run = sweep
-            .run(local)
+            .run(simulate)
             .map_err(|e| Failure::runtime(format!("{name} sweep failed: {e}"), probe))?;
-        for w in run.cluster.iter().flat_map(|c| &c.workers) {
-            probe.emit(
-                0,
-                Event::DistWorker {
-                    worker: w.id.clone(),
-                    jobs: w.jobs_done,
-                    bytes_rx: w.bytes_received,
-                    bytes_tx: w.bytes_sent,
-                    reassigned: w.reassigned,
-                },
-            );
-            eprintln!(
-                "{name}: worker {}: {} job(s), {} B dispatched, {} B of results, {} reassigned",
-                w.id, w.jobs_done, w.bytes_sent, w.bytes_received, w.reassigned
-            );
-        }
-        if let Some(n) = run
-            .cluster
-            .as_ref()
-            .map(|c| c.reassignments)
-            .filter(|&n| n > 0)
-        {
-            eprintln!("{name}: {n} job(s) reassigned after worker loss");
-        }
         if probe.is_enabled() {
-            // The canonical span tree: a sweep root plus one span per job,
-            // whichever backend ran it.
+            // The canonical span tree: a sweep root plus one span per job.
             let inputs: Vec<JobSpanInput> = run
                 .timings
                 .iter()
                 .map(|t| JobSpanInput {
                     index: t.index,
                     label: sweep.jobs[t.index].label(),
-                    worker: t.worker.clone(),
+                    worker: "local".to_string(),
                     dispatch_ms: t.dispatch_ms,
                     end_ms: t.end_ms,
                     run_ns: t.run_ns,

@@ -14,17 +14,17 @@ use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats, TrafficClass};
 pub use shm_recovery::RecoveryError;
 use shm_workloads::BenchmarkProfile;
-pub use sim_exec::{CancelToken, Executor, SweepError};
+pub use sim_exec::{Executor, SweepError};
 
-pub mod chaos;
 pub mod cli;
-pub mod dist;
+mod job;
 pub mod memo;
 pub mod pool;
 pub mod sweep;
 
+pub use job::{Detailed, SimJob};
 pub use memo::Memo;
-pub use sweep::{Backend, Journal, Sweep, SweepFailure, SweepRun};
+pub use sweep::{JobTiming, Journal, Sweep, SweepFailure, SweepRun};
 
 /// Scale factor for event counts: 1.0 = full runs (repro binary),
 /// smaller for quick tests/benches.

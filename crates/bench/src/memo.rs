@@ -7,15 +7,15 @@
 //! each job once and hands out copies of the result.
 //!
 //! A memo lives as long as one `repro` invocation and is never
-//! process-global: a long-lived `shm worker` must not pile up results.  It
-//! holds what [`SimJob::run_detailed`] returns, never a trace.
+//! process-global.  It holds what [`SimJob::run_detailed`] returns, never a
+//! trace.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use gpu_types::SimStats;
 
-use crate::dist::{Detailed, SimJob};
+use crate::{Detailed, SimJob};
 
 /// The results of the jobs simulated so far, keyed by job.
 #[derive(Debug, Default)]

@@ -1,16 +1,14 @@
 //! One runner for every (benchmark × design) sweep.
 //!
-//! A [`Sweep`] is a list of [`SimJob`]s, a [`Backend`] that runs them and
-//! an optional [`Journal`] that makes the sweep resumable.  The `repro`
-//! figures, `shm sweep` and the chaos campaign all go through
-//! [`Sweep::run`], so the journal bookkeeping — skip journaled jobs,
-//! append each completion as it lands, stop after exactly
-//! `crash_after_jobs` appends or on the first I/O error — the fallback from
-//! an empty cluster to the local executor, and the submission-order
-//! reassembly exist once and serve both backends.
+//! A [`Sweep`] is a list of [`SimJob`]s, the [`Executor`] that runs them
+//! and an optional [`Journal`] that makes the sweep resumable.  The
+//! `repro` figures and `shm sweep` both go through [`Sweep::run`], so the
+//! journal bookkeeping (skip journaled jobs, append each completion as it
+//! lands, stop after exactly `crash_after_jobs` appends or on the first
+//! I/O error) and the submission-order reassembly exist once.
 //!
 //! Results come back in submission order, and a journaled result decodes
-//! to the exact stats it recorded, so every backend and every resume
+//! to the exact stats it recorded, so every worker count and every resume
 //! renders the bytes a serial run does.
 
 use std::collections::BTreeMap;
@@ -20,26 +18,10 @@ use std::time::Instant;
 
 use gpu_mem_sim::DesignPoint;
 use gpu_types::SimStats;
-use shm_recovery::{JobJournal, JournalCodec, RecoveryError};
-use sim_dist::{
-    run_worker, Coordinator, DistError, DistJob, JobTiming, WorkerOptions, WorkerStats,
-};
-use sim_exec::{
-    effective_jobs, CancelToken, Executor, JobPanic, JobResult, LabelledPanic, SweepError,
-};
+use shm_recovery::{JobJournal, RecoveryError};
+use sim_exec::{CancelToken, Executor, JobPanic, LabelledPanic, SweepError};
 
-use crate::dist::{dist_config_hash, dist_worker_handler, DistSummary, DistSweepConfig, SimJob};
-use crate::{config_hash, scaled_suite, BenchRow};
-
-/// Where a sweep's jobs run.
-#[derive(Clone, Debug)]
-pub enum Backend {
-    /// The in-process executor (`--jobs N`).
-    Local(Executor),
-    /// A worker cluster; the sweep runs on the local executor instead when
-    /// no worker connects.
-    Dist(DistSweepConfig),
-}
+use crate::{config_hash, scaled_suite, BenchRow, SimJob};
 
 /// A durable log of a sweep's completed jobs (see
 /// [`shm_recovery::JobJournal`]): a re-run with the same config hash reuses
@@ -84,16 +66,30 @@ impl Journal {
     }
 }
 
-/// A list of simulation jobs, where to run them, and whether to journal
-/// them.
+/// A list of simulation jobs, the pool that runs them, and whether to
+/// journal them.
 #[derive(Clone, Debug)]
 pub struct Sweep {
     /// The jobs in submission order.
     pub jobs: Vec<SimJob>,
-    /// Where the jobs run.
-    pub backend: Backend,
+    /// The worker pool the jobs run on (`--jobs N`).
+    pub executor: Executor,
     /// Durable log of completed jobs, when the sweep must be resumable.
     pub journal: Option<Journal>,
+}
+
+/// When one job of a run started and ended, in ms since the sweep
+/// started, and how long its simulation ran: the input of the job's span.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct JobTiming {
+    /// Submission index of the job.
+    pub index: usize,
+    /// When a worker took the job.
+    pub dispatch_ms: u64,
+    /// When its result was recorded.
+    pub end_ms: u64,
+    /// Time spent inside the simulation, in ns.
+    pub run_ns: u64,
 }
 
 /// What [`Sweep::run`] produced.
@@ -110,10 +106,8 @@ pub struct SweepRun {
     pub completed_labels: Vec<String>,
     /// Observed timing of each job this run simulated, by submission index.
     pub timings: Vec<JobTiming>,
-    /// Distributed-trace id of this run (the coordinator's on a cluster).
+    /// Trace id of this run's span tree.
     pub trace_id: u64,
-    /// Cluster accounting, for a [`Backend::Dist`] sweep.
-    pub cluster: Option<DistSummary>,
 }
 
 impl SweepRun {
@@ -129,8 +123,6 @@ pub enum SweepFailure {
     /// The journal could not be opened, was written for another
     /// configuration, or an append failed.
     Journal(RecoveryError),
-    /// The cluster failed as a whole (bind error, protocol violation, …).
-    Cluster(DistError),
     /// One or more jobs failed; each is labelled.
     Jobs(SweepError),
 }
@@ -139,7 +131,6 @@ impl core::fmt::Display for SweepFailure {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SweepFailure::Journal(e) => write!(f, "{e}"),
-            SweepFailure::Cluster(e) => write!(f, "distributed sweep failed: {e}"),
             SweepFailure::Jobs(e) => write!(f, "{e}"),
         }
     }
@@ -153,7 +144,7 @@ impl From<RecoveryError> for SweepFailure {
     }
 }
 
-/// The journal bookkeeping both backends share.
+/// The journal bookkeeping of one run, shared by its workers.
 struct Log {
     journal: Option<JobJournal>,
     crash_after_jobs: Option<usize>,
@@ -163,18 +154,11 @@ struct Log {
 }
 
 impl Log {
-    /// Appends one completion (attributed to `worker` when it came from a
-    /// cluster) and trips `token` at the crash switch or on an I/O error.
-    /// Returns whether the result stands: once the switch has tripped or an
-    /// append failed, nothing more is journaled and late results are
-    /// dropped, as if the process had died there.
-    fn record(
-        &mut self,
-        label: &str,
-        worker: Option<&str>,
-        stats: &SimStats,
-        token: &CancelToken,
-    ) -> bool {
+    /// Appends one completion and trips `token` at the crash switch or on
+    /// an I/O error.  Returns whether the result stands: once the switch
+    /// has tripped or an append failed, nothing more is journaled and late
+    /// results are dropped, as if the process had died there.
+    fn record(&mut self, label: &str, stats: &SimStats, token: &CancelToken) -> bool {
         let Some(journal) = self.journal.as_mut() else {
             return true;
         };
@@ -182,7 +166,7 @@ impl Log {
             token.cancel();
             return false;
         }
-        match journal.record_with_worker(label, worker, stats) {
+        match journal.record(label, stats) {
             Ok(()) => {
                 self.appended += 1;
                 if self.crash_after_jobs == Some(self.appended) {
@@ -201,9 +185,6 @@ impl Log {
     }
 }
 
-/// How one job of a run ended: `None` when the sweep was cancelled first.
-type Outcome = Option<JobResult<SimStats>>;
-
 fn since_ms(started: Instant) -> u64 {
     started.elapsed().as_millis() as u64
 }
@@ -212,7 +193,7 @@ impl Sweep {
     fn new(jobs: Vec<SimJob>) -> Self {
         Sweep {
             jobs,
-            backend: Backend::Local(Executor::from_env()),
+            executor: Executor::from_env(),
             journal: None,
         }
     }
@@ -269,21 +250,18 @@ impl Sweep {
         rows
     }
 
-    /// Runs every job the journal does not already hold and returns all
-    /// results in submission order.
+    /// Runs every job the journal does not already hold on the executor,
+    /// as `simulate(index, job)`, and returns all results in submission
+    /// order.
     ///
-    /// `local(index, job)` simulates a job in this process: on the local
-    /// backend, and on a cluster nobody joined.  Cluster workers run
-    /// [`SimJob::run`] on the job's payload instead.  A cancelled sweep
-    /// (SIGINT/SIGTERM, or the journal's crash switch) is not an error: the
-    /// jobs it never ran, and those the crash switch dropped, come back
-    /// `None`.
+    /// A cancelled sweep (SIGINT/SIGTERM, or the journal's crash switch) is
+    /// not an error: the jobs it never ran, and those the crash switch
+    /// dropped, come back `None`.
     ///
     /// # Errors
     ///
-    /// [`SweepFailure`] on journal trouble, a failed cluster, or failed
-    /// jobs.
-    pub fn run<F>(&self, local: F) -> Result<SweepRun, SweepFailure>
+    /// [`SweepFailure`] on journal trouble or failed jobs.
+    pub fn run<F>(&self, simulate: F) -> Result<SweepRun, SweepFailure>
     where
         F: Fn(usize, &SimJob) -> SimStats + Sync,
     {
@@ -312,61 +290,24 @@ impl Sweep {
             io_error: None,
             timings: Vec::new(),
         });
-        let mut trace_id = shm_telemetry::wall_ms().wrapping_mul(1_000_000) | 1;
-        let mut cluster = None;
-        let mut outcomes = None;
-        match &self.backend {
-            // A fully journaled sweep starts no cluster.
-            Backend::Dist(cfg) if !missing.is_empty() => {
-                match self.run_cluster(cfg, &labels, &missing, &token, &log) {
-                    Ok((summary, id, results)) => {
-                        cluster = Some(summary);
-                        trace_id = id;
-                        outcomes = Some(results);
-                    }
-                    Err(DistError::NoWorkers) => {
-                        eprintln!(
-                            "warning: no distributed worker reachable at {}; running the \
-                             sweep on the local executor",
-                            cfg.bind
-                        );
-                        cluster = Some(DistSummary {
-                            degraded: true,
-                            ..DistSummary::default()
-                        });
-                    }
-                    Err(e) => return Err(SweepFailure::Cluster(e)),
-                }
+        let trace_id = shm_telemetry::wall_ms().wrapping_mul(1_000_000) | 1;
+        let started = Instant::now();
+        let outcomes = self.executor.map_cancellable(&missing, &token, |_, &i| {
+            let dispatch_ms = since_ms(started);
+            let begun = Instant::now();
+            let s = simulate(i, &self.jobs[i]);
+            let run_ns = begun.elapsed().as_nanos() as u64;
+            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
+            if !log.record(&labels[i], &s, &token) {
+                return None;
             }
-            _ => {}
-        }
-        let outcomes = outcomes.unwrap_or_else(|| {
-            let exec = match &self.backend {
-                Backend::Local(exec) => *exec,
-                Backend::Dist(_) => Executor::from_env(),
-            };
-            let started = Instant::now();
-            exec.map_cancellable(&missing, &token, |_, &i| {
-                let dispatch_ms = since_ms(started);
-                let begun = Instant::now();
-                let s = local(i, &self.jobs[i]);
-                let run_ns = begun.elapsed().as_nanos() as u64;
-                let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-                if !log.record(&labels[i], None, &s, &token) {
-                    return None;
-                }
-                log.timings.push(JobTiming {
-                    index: i,
-                    worker: "local".to_string(),
-                    dispatch_ms,
-                    end_ms: since_ms(started),
-                    run_ns,
-                });
-                Some(s)
-            })
-            .into_iter()
-            .map(|outcome| outcome.and_then(Result::transpose))
-            .collect()
+            log.timings.push(JobTiming {
+                index: i,
+                dispatch_ms,
+                end_ms: since_ms(started),
+                run_ns,
+            });
+            Some(s)
         });
 
         let log = log.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -377,8 +318,8 @@ impl Sweep {
         let mut failed = Vec::new();
         for (&i, outcome) in missing.iter().zip(outcomes) {
             match outcome {
-                None => {}
-                Some(Ok(s)) => {
+                None | Some(Ok(None)) => {}
+                Some(Ok(Some(s))) => {
                     executed += 1;
                     stats[i] = Some(s);
                 }
@@ -409,132 +350,8 @@ impl Sweep {
             executed,
             timings,
             trace_id,
-            cluster,
         })
     }
-
-    /// Runs the `missing` jobs on a cluster: binds the coordinator, spawns
-    /// the loopback self-workers, journals each result as it resolves, and
-    /// returns the cluster accounting, the trace id, and per-job outcomes
-    /// aligned with `missing`.
-    fn run_cluster(
-        &self,
-        cfg: &DistSweepConfig,
-        labels: &[String],
-        missing: &[usize],
-        token: &CancelToken,
-        log: &Mutex<Log>,
-    ) -> Result<(DistSummary, u64, Vec<Outcome>), DistError> {
-        let hash = dist_config_hash();
-        let coord = Coordinator::bind(&cfg.bind, hash, cfg.opts.clone())?;
-        let addr = coord.local_addr().to_string();
-        // Split the machine's parallelism across the loopback workers so a
-        // self-hosted cluster does not oversubscribe the cores.
-        let per_worker = effective_jobs(None)
-            .checked_div(cfg.self_workers)
-            .unwrap_or(0)
-            .max(1);
-        let self_workers: Vec<_> = (0..cfg.self_workers)
-            .map(|i| {
-                let addr = addr.clone();
-                let opts = WorkerOptions {
-                    worker_id: format!("local-{i}"),
-                    jobs: Some(per_worker),
-                    ..WorkerOptions::from_env()
-                };
-                std::thread::spawn(move || run_worker(&addr, hash, opts, dist_worker_handler))
-            })
-            .collect();
-
-        let jobs: Vec<DistJob> = missing.iter().map(|&i| self.jobs[i].dist_job()).collect();
-        // A job can resolve twice (a quarantine re-runs what the liar
-        // delivered); the journal, `decoded` and `kept_by` all keep the last
-        // result that stands.  `dropped` marks results the crash switch
-        // refused.
-        let mut decoded: Vec<Option<SimStats>> = vec![None; missing.len()];
-        let mut kept_by: Vec<Option<String>> = vec![None; missing.len()];
-        let mut dropped = vec![false; missing.len()];
-        let report = coord.run_with(jobs, token, |j, worker, outcome| {
-            let Some(s) = outcome
-                .as_ref()
-                .ok()
-                .and_then(|p| SimStats::decode_journal(p))
-            else {
-                return;
-            };
-            let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-            if log.record(&labels[missing[j]], Some(worker), &s, token) {
-                decoded[j] = Some(s);
-                kept_by[j] = Some(worker.to_string());
-            } else {
-                dropped[j] = true;
-            }
-        });
-        for h in self_workers {
-            let _ = h.join();
-        }
-        let report = report?;
-
-        let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-        log.timings
-            .extend(report.timings.into_iter().map(|t| JobTiming {
-                index: missing[t.index],
-                ..t
-            }));
-        let outcomes = report
-            .results
-            .into_iter()
-            .zip(decoded)
-            .enumerate()
-            .map(|(j, (outcome, stats))| {
-                if dropped[j] && stats.is_none() {
-                    return None;
-                }
-                outcome.map(|r| {
-                    r.and_then(|_| {
-                        stats.ok_or_else(|| JobPanic {
-                            index: missing[j],
-                            label: Some(labels[missing[j]].clone()),
-                            message: "worker returned an undecodable result payload".into(),
-                        })
-                    })
-                })
-            })
-            .collect();
-        let summary = DistSummary {
-            workers: kept_per_worker(report.workers, &kept_by),
-            reassignments: report.reassignments,
-            degraded: false,
-        };
-        Ok((summary, report.trace_id, outcomes))
-    }
-}
-
-/// One entry per worker id, in first-connection order (a worker that
-/// reconnects registers again under its id), whose `jobs_done` counts the
-/// results of that worker the sweep kept, so the counts add up to the jobs
-/// the run executed; results the crash switch dropped or a quarantine
-/// replaced count for nobody.
-fn kept_per_worker(connections: Vec<WorkerStats>, kept_by: &[Option<String>]) -> Vec<WorkerStats> {
-    let mut workers: Vec<WorkerStats> = Vec::new();
-    for c in connections {
-        match workers.iter_mut().find(|w| w.id == c.id) {
-            Some(w) => {
-                w.bytes_sent += c.bytes_sent;
-                w.bytes_received += c.bytes_received;
-                w.reassigned += c.reassigned;
-                w.quarantined |= c.quarantined;
-            }
-            None => workers.push(c),
-        }
-    }
-    for w in &mut workers {
-        w.jobs_done = kept_by
-            .iter()
-            .filter(|k| k.as_deref() == Some(w.id.as_str()))
-            .count() as u64;
-    }
-    workers
 }
 
 #[cfg(test)]
@@ -550,7 +367,7 @@ mod tests {
     /// function of the index.
     fn toy(path: &Path, crash_after_jobs: Option<usize>) -> Sweep {
         Sweep {
-            backend: Backend::Local(Executor::new(1)),
+            executor: Executor::new(1),
             journal: Some(Journal {
                 path: path.to_path_buf(),
                 config_hash: config_hash(&["toy"]),
@@ -597,11 +414,42 @@ mod tests {
     }
 
     #[test]
+    fn journal_with_worker_attributions_resumes_with_every_job_reused() {
+        // Sweeps on the retired worker cluster tagged each job line with
+        // the worker that ran it; such journals still resume in full.
+        let path = tmp("attributed");
+        let sweep = toy(&path, None);
+        let mut doc = format!(
+            "{{\"type\":\"journal_meta\",\"version\":1,\"config_hash\":\"{:016x}\"}}\n",
+            config_hash(&["toy"])
+        );
+        for (i, job) in sweep.jobs.iter().enumerate() {
+            let mut payload = String::new();
+            shm_recovery::JournalCodec::encode_journal(&fake(i), &mut payload);
+            doc.push_str(&format!(
+                "{{\"type\":\"job\",\"label\":\"{}\",\"worker\":\"local-{}\",\"payload\":{payload}}}\n",
+                job.label(),
+                i % 2
+            ));
+        }
+        std::fs::write(&path, doc).expect("journal written");
+
+        let run = sweep
+            .run(|_, job| panic!("{} was journaled", job.label()))
+            .expect("no job runs");
+        assert_eq!(run.reused, sweep.jobs.len());
+        assert_eq!(run.executed, 0);
+        let expected: Vec<SimStats> = (0..sweep.jobs.len()).map(fake).collect();
+        assert_eq!(run.complete(), Some(expected));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn crash_switch_stops_at_exactly_n_whatever_is_in_flight() {
         let path = tmp("exact");
         let _ = std::fs::remove_file(&path);
         let sweep = Sweep {
-            backend: Backend::Local(Executor::new(10)),
+            executor: Executor::new(10),
             ..toy(&path, Some(9))
         };
         assert_eq!(sweep.jobs.len(), 10);

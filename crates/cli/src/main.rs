@@ -7,7 +7,6 @@
 //! shm sweep -b kmeans [--events N] [--csv]      all designs on one benchmark
 //! shm sweep -b kmeans --journal s.jsonl --resume   checkpointed sweep
 //! shm crash --seed 7 --sweep                    power-cut recovery matrix
-//! shm chaos --schedule smoke --seed 7           cluster fault gauntlet
 //! shm trace gen -b lbm -o lbm.trace [--events N]
 //! shm trace info lbm.trace
 //! ```
@@ -15,8 +14,8 @@
 //! Each subcommand lives in its own module; this file installs the
 //! signal handlers, dispatches and prints the help.  Exit codes (see
 //! [`shm_bench::cli::Failure`]): 0 success, 1 runtime failure, 2 usage, 3
-//! broken integrity claim, 4 silent divergence in a chaos campaign, 130
-//! interrupted (SIGINT/SIGTERM; journaled sweeps stay resumable).
+//! broken integrity claim, 130 interrupted (SIGINT/SIGTERM; journaled
+//! sweeps stay resumable).
 
 use std::process::ExitCode;
 
@@ -24,14 +23,12 @@ use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
 
 mod args;
 mod attack;
-mod chaos;
 mod crash;
 mod list;
 mod obs;
 mod run;
 mod sweep;
 mod trace;
-mod worker;
 
 fn main() -> ExitCode {
     install_signal_handlers();
@@ -88,24 +85,6 @@ fn dispatch(argv: &[String]) -> Result<(), Failure> {
                 &["pools", "csv"],
             ],
         ),
-        ["worker", ..] => (
-            worker::cmd_worker,
-            1,
-            false,
-            &[METRICS, &["connect", "id", "jobs"]],
-        ),
-        ["chaos", ..] => (
-            chaos::cmd_chaos,
-            1,
-            false,
-            &[TELEMETRY, METRICS, &["schedule", "seed", "scale", "dir"]],
-        ),
-        ["top", ..] => (
-            obs::cmd_top,
-            1,
-            false,
-            &[&["connect", "interval-ms", "iterations", "once"]],
-        ),
         ["trace-report", ..] => (obs::cmd_trace_report, 1, true, &[&["top"]]),
         ["trace", "gen"] => (trace::cmd_gen, 2, false, &[TRACE, &["o", "out"]]),
         ["trace", "info"] => (trace::cmd_info, 2, true, &[]),
@@ -146,17 +125,9 @@ fn print_help() {
          \x20        rows per policy plus migration/spill/link counters\n\
          \x20 sweep ... --journal <file> [--resume]  checkpoint results; SIGINT/SIGTERM\n\
          \x20        stops gracefully (exit 130) and --resume skips completed jobs\n\
-         \x20 sweep -b <bench> --dist HOST:PORT    run the sweep on a worker cluster\n\
-         \x20        (SHM_DIST_WORKERS=N spawns loopback workers; composes with --journal)\n\
          \x20 sweep ... --metrics-addr HOST:PORT [--metrics-hold-ms N]   live /metrics\n\
          \x20        endpoint (Prometheus text)\n\
-         \x20 worker --connect HOST:PORT [--jobs N] [--id NAME] [--metrics-addr HOST:PORT]\n\
-         \x20        serve sweep jobs (SHM_HEARTBEAT_MS, SHM_RECONNECT_ATTEMPTS)\n\
-         \x20 chaos [--schedule smoke|full] [--seed S] [--scale X] [--dir D]   fault-\n\
-         \x20        injection campaign on the cluster; exit 4 on silent divergence\n\
          \x20 trace-report <file.jsonl> [--top N]  span timeline from a telemetry trace\n\
-         \x20 top --connect HOST:PORT [--interval-ms N] [--iterations N] [--once]\n\
-         \x20        live cluster monitor over a /metrics endpoint\n\
          \x20 env                                  every SHM_* environment knob\n\
          \x20 attack --campaign smoke|full [--seed S] [--policy abort|retry|quarantine]\n\
          \x20        [--telemetry ...]            adversary campaign; exit 3 on any miss\n\

@@ -1,11 +1,9 @@
 //! Observability subcommands and helpers: the `/metrics` endpoint guard
-//! (`--metrics-addr`), `shm trace-report`, `shm top`, and `shm env`.
+//! (`--metrics-addr`), `shm trace-report` and `shm env`.
 
-use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use shm_metrics::{fetch_metrics, parse_exposition, MetricsServer, Sample};
+use shm_metrics::MetricsServer;
 use shm_telemetry::span::{SpanEvent, TraceReport};
 use shm_telemetry::Probe;
 
@@ -57,7 +55,7 @@ impl MetricsGuard {
 }
 
 /// `shm trace-report <file.jsonl> [--top N]`: reconstructs the span tree
-/// of each distributed trace in a telemetry JSONL document and prints its
+/// of each sweep trace in a telemetry JSONL document and prints its
 /// timeline — wall time, queue-wait vs run-time, critical path, and the
 /// top-N slowest jobs.
 pub fn cmd_trace_report(args: &Args) -> Result<(), Failure> {
@@ -94,132 +92,6 @@ pub fn cmd_trace_report(args: &Args) -> Result<(), Failure> {
     Ok(())
 }
 
-/// One worker's live gauges, keyed off the coordinator's per-worker series.
-#[derive(Default)]
-struct WorkerRow {
-    in_flight: f64,
-    queued: f64,
-    completed: f64,
-    heartbeat_age_ms: f64,
-}
-
-fn scalar(samples: &[Sample], name: &str) -> Option<f64> {
-    samples
-        .iter()
-        .find(|s| s.name == name && s.labels.is_empty())
-        .map(|s| s.value)
-}
-
-fn worker_rows(samples: &[Sample]) -> BTreeMap<String, WorkerRow> {
-    let mut rows: BTreeMap<String, WorkerRow> = BTreeMap::new();
-    for s in samples {
-        let Some(worker) = s
-            .labels
-            .iter()
-            .find(|(k, _)| k == "worker")
-            .map(|(_, v)| v.clone())
-        else {
-            continue;
-        };
-        let row = rows.entry(worker).or_default();
-        match s.name.as_str() {
-            "shm_worker_in_flight" => row.in_flight = s.value,
-            "shm_worker_queued" => row.queued = s.value,
-            "shm_worker_completed" => row.completed = s.value,
-            "shm_worker_heartbeat_age_ms" => row.heartbeat_age_ms = s.value,
-            _ => {}
-        }
-    }
-    rows
-}
-
-fn render_top(samples: &[Sample], throughput: Option<f64>) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let completed = scalar(samples, "shm_jobs_completed_total").unwrap_or(0.0);
-    let total = scalar(samples, "shm_dist_jobs_total").unwrap_or(0.0);
-    let reassigned = scalar(samples, "shm_dist_reassignments_total").unwrap_or(0.0);
-    let retries = scalar(samples, "shm_dist_retries_total").unwrap_or(0.0);
-    let tx = scalar(samples, "shm_frame_tx_bytes_total").unwrap_or(0.0);
-    let rx = scalar(samples, "shm_frame_rx_bytes_total").unwrap_or(0.0);
-    let _ = writeln!(
-        out,
-        "sweep: {completed:.0}/{total:.0} jobs done  reassigned {reassigned:.0}  retries {retries:.0}"
-    );
-    let _ = writeln!(out, "wire:  {tx:.0} B out  {rx:.0} B in");
-    match throughput {
-        Some(jps) => {
-            let _ = writeln!(out, "rate:  {jps:.2} jobs/s");
-        }
-        None => {
-            let _ = writeln!(out, "rate:  (sampling)");
-        }
-    }
-    let rows = worker_rows(samples);
-    if !rows.is_empty() {
-        let _ = writeln!(
-            out,
-            "{:<16} {:>9} {:>7} {:>10} {:>9}",
-            "worker", "in-flight", "queued", "completed", "hb-age ms"
-        );
-        for (id, r) in &rows {
-            let _ = writeln!(
-                out,
-                "{:<16} {:>9.0} {:>7.0} {:>10.0} {:>9.0}",
-                id, r.in_flight, r.queued, r.completed, r.heartbeat_age_ms
-            );
-        }
-    }
-    out
-}
-
-/// `shm top --connect HOST:PORT`: a plain-text polling monitor over the
-/// coordinator's `/metrics` endpoint — job progress, wire traffic, job
-/// throughput and per-worker queue depth, redrawn every `--interval-ms`
-/// until `--iterations`, `--once` or SIGINT/SIGTERM stops it.
-pub fn cmd_top(args: &Args) -> Result<(), Failure> {
-    let addr = args
-        .get("connect")
-        .ok_or_else(|| Failure::usage("need --connect HOST:PORT"))?;
-    let interval = Duration::from_millis(args.get_u64("interval-ms")?.unwrap_or(1000).max(50));
-    let once = args.flag("once");
-    let iterations = args.get_u64("iterations")?;
-    let mut prev: Option<(f64, Instant)> = None;
-    let mut shown = 0u64;
-    loop {
-        let body = fetch_metrics(addr)
-            .map_err(|e| Failure::runtime(format!("fetch {addr}: {e}"), &Probe::disabled()))?;
-        let samples = parse_exposition(&body);
-        let now = Instant::now();
-        let completed = scalar(&samples, "shm_jobs_completed_total").unwrap_or(0.0);
-        let throughput = prev.map(|(last, at)| {
-            let dt = now.duration_since(at).as_secs_f64();
-            if dt > 0.0 {
-                (completed - last).max(0.0) / dt
-            } else {
-                0.0
-            }
-        });
-        prev = Some((completed, now));
-        let frame = render_top(&samples, throughput);
-        if !once {
-            // ANSI clear + home; plain prints compose with `watch`-less
-            // terminals and logs.
-            print!("\x1b[2J\x1b[H");
-        }
-        print!("{frame}");
-        let _ = std::io::stdout().flush();
-        shown += 1;
-        if once || iterations.is_some_and(|n| shown >= n) {
-            return Ok(());
-        }
-        std::thread::sleep(interval);
-        if sim_exec::cancel_requested() {
-            return Err(Failure::interrupted("top interrupted"));
-        }
-    }
-}
-
 /// `shm env`: every `SHM_*` environment knob the toolchain reads, with its
 /// current value.  The same table lives in README.md; a test checks that
 /// the two list the same knobs and that every knob the sources name has a
@@ -244,33 +116,11 @@ pub fn cmd_env(_: &Args) -> Result<(), Failure> {
 
 /// The full knob table (name, default, meaning), header row included.
 fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
-    let mut knobs: Vec<(&'static str, &'static str, &'static str)> = vec![
-        (
-            sim_exec::JOBS_ENV,
-            "auto",
-            "worker-pool width for local sweeps (1 = serial)",
-        ),
-        (
-            sim_dist::DIST_WORKERS_ENV,
-            "0",
-            "loopback workers a --dist sweep spawns in-process",
-        ),
-        (
-            sim_dist::HEARTBEAT_INTERVAL_ENV,
-            "500",
-            "worker liveness beacon period in ms",
-        ),
-        (
-            sim_dist::HEARTBEAT_TIMEOUT_ENV,
-            "5000",
-            "coordinator heartbeat miss window in ms",
-        ),
-        (
-            sim_dist::RECONNECT_ATTEMPTS_ENV,
-            "5",
-            "worker reconnect attempts before giving up",
-        ),
-    ];
+    let mut knobs: Vec<(&'static str, &'static str, &'static str)> = vec![(
+        sim_exec::JOBS_ENV,
+        "auto",
+        "worker-pool width for sweeps (1 = serial)",
+    )];
     knobs.extend(shm_pool::ENV_KNOBS.iter().copied());
     knobs
 }
@@ -278,21 +128,6 @@ fn env_knob_table() -> Vec<(&'static str, &'static str, &'static str)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn render_top_reads_worker_series() {
-        let body = "shm_jobs_completed_total 7\nshm_dist_jobs_total 12\n\
-                    shm_worker_in_flight{worker=\"w1\"} 2\n\
-                    shm_worker_queued{worker=\"w1\"} 3\n\
-                    shm_worker_completed{worker=\"w1\"} 7\n\
-                    shm_worker_heartbeat_age_ms{worker=\"w1\"} 41\n";
-        let samples = parse_exposition(body);
-        let frame = render_top(&samples, Some(3.5));
-        assert!(frame.contains("7/12 jobs done"), "frame:\n{frame}");
-        assert!(frame.contains("3.50 jobs/s"), "frame:\n{frame}");
-        assert!(frame.contains("w1"), "frame:\n{frame}");
-        assert!(frame.contains("41"), "frame:\n{frame}");
-    }
 
     /// Every `"SHM_[A-Z_]+"` string literal in the `.rs` files under the
     /// `src` dir of each crate named in `crates` (of every crate when
@@ -359,32 +194,12 @@ mod tests {
         assert_knobs_in_table(&knob_literals(&["pool"]), &expected);
     }
 
-    /// Every knob of the remote-sweep path has an `shm env` row: the
-    /// `--dist` coordinator and `shm worker` (sim-dist) and the executor
-    /// they run jobs on (sim-exec).
-    #[test]
-    fn every_serve_knob_is_in_the_env_table() {
-        assert_knobs_in_table(
-            &knob_literals(&["sim-dist", "sim-exec"]),
-            &[
-                sim_dist::DIST_WORKERS_ENV,
-                sim_dist::HEARTBEAT_INTERVAL_ENV,
-                sim_dist::HEARTBEAT_TIMEOUT_ENV,
-                sim_dist::RECONNECT_ATTEMPTS_ENV,
-                sim_exec::JOBS_ENV,
-            ],
-        );
-    }
-
     /// Every knob literal in any crate's sources has an `shm env` row, and
     /// README's "Environment knobs" table lists exactly the `shm env` rows,
     /// in the same order.
     #[test]
     fn env_table_covers_every_knob_and_matches_the_readme() {
-        assert_knobs_in_table(
-            &knob_literals(&[]),
-            &[sim_exec::JOBS_ENV, sim_dist::DIST_WORKERS_ENV],
-        );
+        assert_knobs_in_table(&knob_literals(&[]), &[sim_exec::JOBS_ENV]);
         let table: Vec<&str> = env_knob_table().iter().map(|(n, _, _)| *n).collect();
 
         let readme = std::fs::read_to_string(

@@ -34,11 +34,17 @@ pub fn cmd_run(args: &Args) -> Result<(), Failure> {
     };
     let cfg = GpuConfig::default();
     // The baseline and the protected design are independent runs — two jobs
-    // on the shared pool.  Only the design run carries the probe.
-    let designs = [DesignPoint::Unprotected, design];
+    // on the shared pool — unless the design is the baseline, whose one run
+    // is its own reference.  Only the design run, the last, carries the
+    // probe.
+    let designs: &[DesignPoint] = if design == DesignPoint::Unprotected {
+        &[design]
+    } else {
+        &[DesignPoint::Unprotected, design]
+    };
     let results = Executor::from_request(jobs)
         .try_map(
-            &designs,
+            designs,
             |_, d| format!("{} under {}", trace.name, d.name()),
             |i, &d| {
                 let mut sim = Simulator::new(&cfg, d);
@@ -47,7 +53,7 @@ pub fn cmd_run(args: &Args) -> Result<(), Failure> {
                 if let Some(p) = pools {
                     sim = sim.with_pools(p);
                 }
-                if i == 1 {
+                if i + 1 == designs.len() {
                     sim = sim.with_probe(probe.clone());
                 }
                 sim.run(&trace)
@@ -55,7 +61,7 @@ pub fn cmd_run(args: &Args) -> Result<(), Failure> {
         )
         .map_err(|e| Failure::runtime(format!("simulation failed: {e}"), &probe))?;
     let profiled_wall_ns = profile_started.elapsed().as_nanos() as u64;
-    let [base, stats] = &results[..] else {
+    let (Some(base), Some(stats)) = (results.first(), results.last()) else {
         return Err(Failure::runtime(
             "executor returned fewer results than jobs",
             &probe,

@@ -1,5 +1,5 @@
-//! `shm sweep`: every design on one trace — locally, on a `--dist`
-//! cluster, journaled, or once per placement policy with `--pools`.
+//! `shm sweep`: every design on one trace — journaled, or once per
+//! placement policy with `--pools`.
 
 use std::fmt::Write as _;
 
@@ -26,23 +26,18 @@ fn sweep(args: &Args) -> Result<(), Failure> {
     let opts = SweepArgs::from_args(args)?;
     // Without `--pools` the sweep is one section with no placement policy.
     let policies: Vec<Option<PlacementPolicy>> = match args::pools(args)? {
-        Some(_) if opts.dist.is_some() || opts.journal.is_some() => {
+        Some(_) if opts.journal.is_some() => {
             return Err(Failure::usage(
-                "--pools does not compose with --dist/--journal yet",
+                "--pools does not compose with --journal yet",
             ));
         }
         Some(policies) => policies.into_iter().map(Some).collect(),
         None => vec![None],
     };
-    if opts.dist.is_some() && (args.get("trace").is_some() || args.get("custom").is_some()) {
-        return Err(Failure::usage(
-            "--dist needs a named benchmark (-b): workers regenerate the trace from its name",
-        ));
-    }
     let trace = args::load_trace(args)?;
     let probe = telemetry_probe(args)?;
-    // Cluster workers regenerate a named benchmark's trace from (name,
-    // events, seed); a stored or custom trace only ever runs locally.
+    // The jobs name the trace by benchmark, event count and seed; each job
+    // simulates `trace` itself.
     let events = match args.get_u64("events")? {
         Some(n) => n,
         None => BenchmarkProfile::by_name(&trace.name).map_or(0, |p| p.events_per_kernel),
@@ -126,9 +121,8 @@ pub fn pool_counters(s: &SimStats) -> String {
     )
 }
 
-/// Renders the design table for one sweep.  Every consumer — local sweep,
-/// `--dist` sweep, and each policy of a `--pools` sweep — goes through this
-/// one formatter so their tables are byte-identical by construction.
+/// Renders the design table for one sweep.  A plain sweep and each policy
+/// of a `--pools` sweep go through this one formatter.
 fn format_sweep_table(stats: &[SimStats], csv: bool) -> String {
     let mut out = String::new();
     let energy = EnergyModel::default();

@@ -136,12 +136,8 @@ pub struct ShmConfig {
     pub tracker_phase_accesses: u32,
     /// Tracker timeout in cycles.
     pub tracker_timeout_cycles: u64,
-    /// Enable the L2-as-victim-cache mechanism.
-    pub l2_victim_cache: bool,
     /// Sampled L2 miss-rate threshold above which the victim cache engages.
     pub l2_victim_miss_threshold: f64,
-    /// Use oracle (profiled, unlimited) predictors — the SHM_upper_bound design.
-    pub oracle_predictors: bool,
 }
 
 impl Default for ShmConfig {
@@ -154,9 +150,7 @@ impl Default for ShmConfig {
             num_trackers: 8,
             tracker_phase_accesses: 32,
             tracker_timeout_cycles: 6000,
-            l2_victim_cache: false,
             l2_victim_miss_threshold: 0.90,
-            oracle_predictors: false,
         }
     }
 }

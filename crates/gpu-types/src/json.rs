@@ -1,6 +1,5 @@
 //! The flat-JSON reader and escaper behind every hand-written line format:
-//! the job journal, telemetry events and spans, and the distributed job
-//! payload.
+//! the job journal and telemetry events and spans.
 //!
 //! Each of those formats writes one object per line whose values are
 //! numbers, `null`, strings, or arrays/objects of numbers, so looking a key

@@ -2,8 +2,7 @@
 //!
 //! No HTTP library: the server reads the request head, matches the request
 //! line, and writes a fixed-format response with the rendered exposition.
-//! [`fetch_metrics`] is the matching raw-TcpStream scraper used by
-//! `shm top` and the smoke tests.
+//! [`fetch_metrics`] is the matching raw-TcpStream scraper the tests use.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

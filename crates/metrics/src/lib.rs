@@ -1,10 +1,10 @@
-//! Live metrics for the SHM simulator and sweep cluster.
+//! Live metrics for the SHM simulator.
 //!
 //! Three pieces, all dependency-free:
 //!
-//! * a lock-free **registry** of named counters and gauges
-//!   ([`register_counter`], [`counter!`], …) that is zero-cost while
-//!   [`enabled`] is false — every hot-path hook is one relaxed atomic load;
+//! * a lock-free **registry** of named counters ([`register_counter`],
+//!   [`counter!`]) that is zero-cost while [`enabled`] is false — every
+//!   hot-path hook is one relaxed atomic load;
 //! * a **Prometheus text-format** renderer ([`render_prometheus`]) plus a
 //!   one-thread blocking HTTP exposition endpoint ([`http::MetricsServer`])
 //!   and the matching scraper client ([`http::fetch_metrics`]);
@@ -12,7 +12,7 @@
 //!   wall time exclusively across the simulator pipeline phases.
 //!
 //! Registration takes a global mutex (cold path, once per call site thanks
-//! to the `OnceLock` inside the macros); updates are plain relaxed atomics.
+//! to the `OnceLock` inside the macro); updates are plain relaxed atomics.
 
 pub mod http;
 pub mod phase;
@@ -20,7 +20,6 @@ mod registry;
 
 pub use http::{fetch_metrics, MetricsServer};
 pub use registry::{
-    enable, enabled, is_valid_label_name, is_valid_metric_name, labeled_counter, labeled_gauge,
-    parse_exposition, register_counter, register_gauge, render_prometheus, set_enabled, Counter,
-    Gauge, Sample,
+    enabled, is_valid_label_name, is_valid_metric_name, parse_exposition, register_counter,
+    render_prometheus, set_enabled, Counter, Sample,
 };

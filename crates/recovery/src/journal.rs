@@ -6,8 +6,9 @@
 //! per completed job with its encoded result.  Each completion is appended
 //! and synced *as it happens*, so a SIGKILL at any instant leaves at most
 //! one torn final line — which [`JobJournal::open`] tolerates and drops.
-//! A label recorded twice (a distributed job re-run after its first
-//! producer was quarantined) resolves to its last line.
+//! A label recorded twice resolves to its last line.  Job lines that carry
+//! other members (the `worker` attribution older cluster sweeps wrote)
+//! still load: only `label` and `payload` are read.
 //!
 //! The sweep runner (`shm_bench::Sweep`) skips journaled jobs, decodes
 //! their results back, and appends the rest as they finish — so a resumed
@@ -135,9 +136,6 @@ pub struct JobJournal {
     path: PathBuf,
     file: std::fs::File,
     completed: BTreeMap<String, String>,
-    /// Which worker produced each result (distributed sweeps only; local
-    /// sweeps record no attribution).
-    workers: BTreeMap<String, String>,
 }
 
 impl JobJournal {
@@ -162,7 +160,6 @@ impl JobJournal {
         };
 
         let mut completed = BTreeMap::new();
-        let mut workers = BTreeMap::new();
         let mut needs_meta = true;
         if let Some(doc) = &existing {
             let lines: Vec<&str> = doc.lines().collect();
@@ -186,10 +183,7 @@ impl JobJournal {
                     continue;
                 }
                 match parse_job(line) {
-                    Some((label, worker, payload)) => {
-                        if let Some(w) = worker {
-                            workers.insert(label.clone(), w);
-                        }
+                    Some((label, payload)) => {
                         completed.insert(label, payload);
                     }
                     None if is_last => {} // torn final record: drop it
@@ -215,7 +209,6 @@ impl JobJournal {
             path,
             file,
             completed,
-            workers,
         })
     }
 
@@ -257,33 +250,10 @@ impl JobJournal {
     ///
     /// Propagates file write/sync errors.
     pub fn record<T: JournalCodec>(&mut self, label: &str, value: &T) -> std::io::Result<()> {
-        self.record_with_worker(label, None, value)
-    }
-
-    /// [`JobJournal::record`], attributing the result to the distributed
-    /// worker that produced it.  The attribution is informational — resume
-    /// matches on labels only, so a journal written by a cluster resumes
-    /// fine locally and vice versa.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file write/sync errors.
-    pub fn record_with_worker<T: JournalCodec>(
-        &mut self,
-        label: &str,
-        worker: Option<&str>,
-        value: &T,
-    ) -> std::io::Result<()> {
         let mut line = String::with_capacity(128);
         line.push_str("{\"type\":\"job\",\"label\":\"");
         json::escape_into(label, &mut line);
-        line.push('"');
-        if let Some(w) = worker {
-            line.push_str(",\"worker\":\"");
-            json::escape_into(w, &mut line);
-            line.push('"');
-        }
-        line.push_str(",\"payload\":");
+        line.push_str("\",\"payload\":");
         let mut payload = String::new();
         value.encode_journal(&mut payload);
         line.push_str(&payload);
@@ -291,16 +261,7 @@ impl JobJournal {
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()?;
         self.completed.insert(label.to_string(), payload);
-        if let Some(w) = worker {
-            self.workers.insert(label.to_string(), w.to_string());
-        }
         Ok(())
-    }
-
-    /// Which worker produced the result for `label`, when the journal was
-    /// written by a distributed sweep.
-    pub fn worker_of(&self, label: &str) -> Option<&str> {
-        self.workers.get(label).map(String::as_str)
     }
 }
 
@@ -314,20 +275,14 @@ fn parse_meta(line: &str) -> Option<(u32, u64)> {
     Some((version, u64::from_str_radix(&hash, 16).ok()?))
 }
 
-/// Parses a `job` line into `(label, worker, payload)`.  The `worker`
-/// field is optional — local sweeps never write it — so journals from
-/// before the distributed backend still parse.
-fn parse_job(line: &str) -> Option<(String, Option<String>, String)> {
+/// Parses a `job` line into `(label, payload)`.
+fn parse_job(line: &str) -> Option<(String, String)> {
     if !line.starts_with("{\"type\":\"job\",\"label\":\"") || !line.ends_with('}') {
         return None;
     }
     let label = json::str_field(line, "label")?;
-    let worker = match json::raw(line, "worker") {
-        Some(_) => Some(json::str_field(line, "worker")?),
-        None => None,
-    };
     let payload = json::raw(line, "payload")?;
-    Some((label, worker, payload.to_string()))
+    Some((label, payload.to_string()))
 }
 
 #[cfg(test)]
@@ -481,39 +436,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut j = JobJournal::open(&path, 7).expect("create");
-            j.record_with_worker("job-3", Some("liar"), &stats(1))
-                .expect("resolve");
-            // Quarantine invalidation re-runs the job and resolves again.
-            j.record_with_worker("job-3", Some("honest"), &stats(2))
-                .expect("re-resolve");
+            j.record("job-3", &stats(1)).expect("resolve");
+            j.record("job-3", &stats(2)).expect("re-resolve");
             assert_eq!(j.get::<SimStats>("job-3"), Some(stats(2)));
         }
         let j = JobJournal::open(&path, 7).expect("reopen");
         assert_eq!(j.len(), 1);
         assert_eq!(j.get::<SimStats>("job-3"), Some(stats(2)));
-        assert_eq!(j.worker_of("job-3"), Some("honest"));
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn worker_attribution_roundtrips_and_stays_optional() {
-        let path = tmp("worker-attr");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut j = JobJournal::open(&path, 5).expect("create");
-            j.record("local job", &stats(1)).expect("append");
-            j.record_with_worker("remote \"job\"", Some("node-a:2"), &stats(2))
-                .expect("append");
-            assert_eq!(j.worker_of("local job"), None);
-            assert_eq!(j.worker_of("remote \"job\""), Some("node-a:2"));
-        }
-        // Attribution survives reopen and never disturbs result lookup.
-        let j = JobJournal::open(&path, 5).expect("reopen");
-        assert_eq!(j.len(), 2);
-        assert_eq!(j.get::<SimStats>("local job"), Some(stats(1)));
-        assert_eq!(j.get::<SimStats>("remote \"job\""), Some(stats(2)));
-        assert_eq!(j.worker_of("local job"), None);
-        assert_eq!(j.worker_of("remote \"job\""), Some("node-a:2"));
         let _ = std::fs::remove_file(&path);
     }
 }

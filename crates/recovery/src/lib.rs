@@ -18,11 +18,10 @@
 //! independent (benchmark, design) jobs; [`journal::JobJournal`] is a
 //! durable JSONL record of completed jobs keyed by label and guarded by a
 //! config hash.  The sweep runner skips already-journaled jobs, appends
-//! each completion durably *as it finishes* — locally or from a worker
-//! cluster, with the worker's name — and drains in-flight jobs on
-//! cooperative cancellation, so `--resume` after SIGINT/SIGTERM, a kill or
-//! a dead coordinator re-runs only what is missing and reproduces
-//! byte-identical final tables.
+//! each completion durably *as it finishes* and drains in-flight jobs on
+//! cooperative cancellation, so `--resume` after SIGINT/SIGTERM or a kill
+//! re-runs only what is missing and reproduces byte-identical final
+//! tables.
 
 pub mod crash;
 pub mod journal;

@@ -25,9 +25,8 @@
 //!   forces fully serial execution on the calling thread.
 //!
 //! [`Executor::map`] and [`Executor::map_cancellable`] are each one call
-//! to the same job loop, [`Executor::pull`], fed from a shared cursor:
-//! cancellation is the cursor's stop check.  The sim-dist worker runs the
-//! same loop over the jobs its coordinator dispatches.
+//! to the same job loop, fed from a shared cursor: cancellation is the
+//! cursor's stop check.
 //!
 //! The [`arena`] module complements the executor: keyed scratch pools let
 //! repeated jobs reuse their per-job working state (bank matrices, event
@@ -56,11 +55,6 @@ pub fn request_cancel() {
 /// True once [`request_cancel`] has been called.
 pub fn cancel_requested() -> bool {
     GLOBAL_CANCEL.load(Ordering::SeqCst)
-}
-
-/// Clears the process-global cancellation flag (start of a fresh sweep).
-pub fn reset_cancel() {
-    GLOBAL_CANCEL.store(false, Ordering::SeqCst);
 }
 
 /// Cooperative cancellation handle for [`Executor::map_cancellable`].
@@ -127,9 +121,8 @@ pub type JobResult<T> = Result<T, JobPanic>;
 /// Runs `f`, turning a panic into its payload rendered as text
 /// (`&str`/`String` payloads verbatim, otherwise a placeholder).
 ///
-/// The workspace's one panic capture: the job loop ([`Executor::pull`])
-/// goes through it.
-pub fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+/// The workspace's one panic capture: the job loop goes through it.
+fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -168,7 +161,7 @@ fn warn_bad_jobs(source: &str, raw: &str) {
 /// Zero (from either source) means "auto"; an unparsable [`JOBS_ENV`]
 /// also means "auto", with a stderr warning rather than a panic or a
 /// silently serial run.
-pub fn effective_jobs(requested: Option<usize>) -> usize {
+fn effective_jobs(requested: Option<usize>) -> usize {
     let from_env = || match std::env::var(JOBS_ENV) {
         Err(_) => None,
         Ok(raw) => {
@@ -238,12 +231,6 @@ pub struct Executor {
     jobs: usize,
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Self::from_env()
-    }
-}
-
 impl Executor {
     /// An executor with exactly `jobs` workers (clamped to at least 1).
     pub fn new(jobs: usize) -> Self {
@@ -263,21 +250,13 @@ impl Executor {
         Self::new(effective_jobs(requested))
     }
 
-    /// Number of workers this executor uses.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// The job loop behind every sweep and the sim-dist worker.
+    /// The job loop behind every sweep.
     ///
-    /// Up to [`jobs`](Executor::jobs) threads (the calling thread alone,
-    /// for one) each call `next()` until it returns `None`, run
-    /// `work(&job)` under [`catch`] and hand the job and its outcome to
-    /// `done`, so a panicking job never stops its thread.  `next` may
-    /// block: a source that waits for work ends the loop by returning
-    /// `None` once it is closed.  Returns when every thread has seen
-    /// `None`.
-    pub fn pull<J, T>(
+    /// Up to `jobs` threads (the calling thread alone, for one) each call
+    /// `next()` until it returns `None`, run `work(&job)` under [`catch`]
+    /// and hand the job and its outcome to `done`, so a panicking job
+    /// never stops its thread.  Returns when every thread has seen `None`.
+    fn pull<J, T>(
         &self,
         next: impl Fn() -> Option<J> + Sync,
         work: impl Fn(&J) -> T + Sync,
@@ -747,7 +726,7 @@ mod tests {
         assert!(!token.is_cancelled());
         request_cancel();
         assert!(token.is_cancelled(), "global flag must trip local tokens");
-        reset_cancel();
+        GLOBAL_CANCEL.store(false, Ordering::SeqCst);
         assert!(!token.is_cancelled());
     }
 

@@ -123,15 +123,6 @@ events! {
         violation: &'static str,
         action: &'static str,
     }
-    /// One distributed sweep worker's end-of-sweep accounting (jobs run,
-    /// wire bytes each way, jobs reassigned away after it was lost).
-    DistWorker = "dist_worker", low_frequency: true {
-        worker: String,
-        jobs: u64,
-        bytes_rx: u64,
-        bytes_tx: u64,
-        reassigned: u64,
-    }
 }
 
 impl Event {
@@ -190,13 +181,6 @@ mod tests {
                 addr: 0,
                 violation: "block_mac_mismatch",
                 action: "abort",
-            },
-            Event::DistWorker {
-                worker: "w".into(),
-                jobs: 0,
-                bytes_rx: 0,
-                bytes_tx: 0,
-                reassigned: 0,
             },
         ];
         assert_eq!(events.len(), NUM_KINDS);

@@ -1,9 +1,9 @@
-//! Distributed trace spans for sweep jobs.
+//! Trace spans for sweep jobs.
 //!
 //! A **trace** covers one sweep; it gets a root span plus one child span per
 //! job.  Span ids are minted at submission (root = 1, job `i` = `i + 2`) so
-//! a local `--jobs N` run and a `--dist` loopback run of the same sweep
-//! produce the same span-tree *shape* even though timings differ.  Spans are
+//! runs of the same sweep at any `--jobs N` produce the same span-tree
+//! *shape* even though timings differ.  Spans are
 //! written to the JSONL telemetry document as `{"type":"span",...}` lines
 //! and reconstructed by `shm trace-report`.
 
@@ -119,9 +119,7 @@ pub struct JobSpanInput {
 }
 
 /// Builds the canonical span tree for one sweep: a root span covering all
-/// jobs plus one child span per job.  Used identically by the local executor
-/// path and the distributed coordinator path, so both produce the same
-/// tree shape.
+/// jobs plus one child span per job.
 pub fn build_job_spans(trace_id: u64, sweep_label: &str, jobs: &[JobSpanInput]) -> Vec<SpanEvent> {
     let end = jobs.iter().map(|j| j.end_ms).max().unwrap_or(0);
     let mut spans = Vec::with_capacity(jobs.len() + 1);

@@ -5,7 +5,7 @@
 //! observable under repeated violations of the same region.
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::{format_table, Backend, BenchRow, Executor, Journal, Sweep, SweepRun};
+use shm_bench::{format_table, BenchRow, Executor, Journal, Sweep, SweepRun};
 use shm_recovery::{crash_sweep, run_crash, CrashConfig, CrashOutcome, RegionOutcome};
 use shm_runtime::{BufferKind, Context, RecoveryPolicy};
 use shm_telemetry::{Probe, TelemetryConfig};
@@ -123,7 +123,7 @@ fn journaled(
     crash_after_jobs: Option<usize>,
 ) -> Sweep {
     let mut sweep = Sweep {
-        backend: Backend::Local(Executor::new(jobs)),
+        executor: Executor::new(jobs),
         ..Sweep::suite(designs, SCALE)
     };
     sweep.journal = Some(Journal::figure(

@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use gpu_mem_sim::{set_batch_issue, DesignPoint};
 use proptest::prelude::*;
-use shm_bench::{scaled_suite, Backend, BenchRow, Executor, Sweep};
+use shm_bench::{scaled_suite, BenchRow, Executor, Sweep};
 use shm_crypto::aes::{aesni_available, reference, Aes128};
 
 /// Batching and profiling are process-global toggles; every test that
@@ -26,7 +26,7 @@ const SCALE: f64 = 0.05;
 /// The suite sweep over `designs` at `scale` on `jobs` local workers.
 fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow> {
     let sweep = Sweep {
-        backend: Backend::Local(Executor::new(jobs)),
+        executor: Executor::new(jobs),
         ..Sweep::suite(designs, scale)
     };
     let run = sweep.run(|_, job| job.run()).expect("sweep");

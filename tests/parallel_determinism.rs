@@ -3,7 +3,7 @@
 //! many must produce byte-identical results.
 
 use gpu_mem_sim::DesignPoint;
-use shm_bench::{format_table, Backend, BenchRow, Sweep};
+use shm_bench::{format_table, BenchRow, Sweep};
 use sim_exec::Executor;
 
 const DESIGNS: &[DesignPoint] = &[DesignPoint::Pssm, DesignPoint::Shm];
@@ -12,7 +12,7 @@ const SCALE: f64 = 0.02;
 /// The suite sweep over `designs` at `scale` on `jobs` local workers.
 fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow> {
     let sweep = Sweep {
-        backend: Backend::Local(Executor::new(jobs)),
+        executor: Executor::new(jobs),
         ..Sweep::suite(designs, scale)
     };
     let run = sweep.run(|_, job| job.run()).expect("sweep");

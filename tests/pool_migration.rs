@@ -7,14 +7,14 @@
 
 use gpu_mem_sim::DesignPoint;
 use shm_bench::pool::{format_pool_table, run_one_pooled, try_run_pool_sweep};
-use shm_bench::{run_one, scaled_suite, Backend, BenchRow, Executor, Sweep};
+use shm_bench::{run_one, scaled_suite, BenchRow, Executor, Sweep};
 use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_workloads::BenchmarkProfile;
 
 /// The suite sweep over `designs` at `scale` on `jobs` local workers.
 fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow> {
     let sweep = Sweep {
-        backend: Backend::Local(Executor::new(jobs)),
+        executor: Executor::new(jobs),
         ..Sweep::suite(designs, scale)
     };
     let run = sweep.run(|_, job| job.run()).expect("sweep");

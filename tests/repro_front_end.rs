@@ -1,7 +1,8 @@
 //! The `repro` front end, driven through the binary: a journaled figure
 //! stopped by the crash switch or by SIGTERM exits 130, and `--resume` then
 //! prints exactly what an uninterrupted run prints, for one figure and for
-//! the whole evaluation.  An option `repro` does not read is a usage error.
+//! the whole evaluation.  An option `repro` does not read, `--dist` of the
+//! retired worker cluster among them, is a usage error.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -29,6 +30,15 @@ fn telemetry_dir_is_an_unknown_option() {
         "stderr: {stderr}"
     );
     assert!(!dir.exists(), "no telemetry directory is created");
+}
+
+#[test]
+fn dist_is_an_unknown_option() {
+    let out = repro(&["fig16", "--scale", "0.02", "--dist", "127.0.0.1:0"]);
+    assert_eq!(out.status.code(), Some(2), "an unknown option exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --dist"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no figure is rendered");
 }
 
 #[test]

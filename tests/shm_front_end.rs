@@ -3,8 +3,8 @@
 //! the journal flags refuse to run without `--journal` or over an existing
 //! journal (exit 2), a `--pools` sweep of a stored trace prints the same at
 //! any job count, an option the command does not read is refused (exit 2)
-//! before it does anything, and a command whose stdout reader is gone ends
-//! quietly.
+//! before it does anything, the retired cluster commands and `--dist` are
+//! usage errors, and a command whose stdout reader is gone ends quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -106,6 +106,24 @@ fn a_misspelled_option_is_refused_before_the_command_runs() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(!trace.exists(), "nothing is written");
+}
+
+#[test]
+fn the_retired_cluster_surface_is_refused() {
+    let out = shm(&["sweep", "-b", "lbm", "--dist", "127.0.0.1:0"]);
+    assert_eq!(out.status.code(), Some(2), "--dist is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --dist"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no sweep runs");
+    for command in ["worker", "chaos", "top"] {
+        let out = shm(&[command]);
+        assert_eq!(out.status.code(), Some(2), "shm {command} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown command \"{command}\"")),
+            "{stderr}"
+        );
+    }
 }
 
 /// `shm list | head -1`: SIGPIPE ends the command the way it ends
