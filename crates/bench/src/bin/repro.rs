@@ -508,7 +508,6 @@ fn suite_table(
         &mut sweep,
         figure,
         |dir, jobs| Journal::figure(dir, figure, jobs, None),
-        &Probe::disabled(),
         |_, job| memo.stats(job),
     )?;
     let rows = sweep.rows(stats);

@@ -1,9 +1,9 @@
 //! The command-line front end `repro` and `shm` share: one argument
 //! parser ([`Args`]), one failure type carrying the process exit code
 //! ([`Failure`]), the signal handlers ([`install_signal_handlers`]), the
-//! `--telemetry` probe and its epilogue, and one reporting sweep run
-//! ([`SweepArgs::run`]) that owns `--jobs`, the journal, `--resume`,
-//! `--crash-after-jobs` and interrupted-run handling.
+//! `--telemetry` probe of `shm run` and `shm attack` and its epilogue, and
+//! one reporting sweep run ([`SweepArgs::run`]) that owns `--jobs`, the
+//! journal, `--resume`, `--crash-after-jobs` and interrupted-run handling.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -11,7 +11,6 @@ use std::process::ExitCode;
 use std::str::FromStr;
 
 use gpu_types::SimStats;
-use shm_telemetry::span::JobSpanInput;
 use shm_telemetry::{Probe, TelemetryConfig};
 
 use crate::{Executor, Journal, SimJob, Sweep};
@@ -400,8 +399,7 @@ impl SweepArgs {
     ///   [`Sweep::run`]).
     /// - Under `--journal`, `journal(path, jobs)` names the journal file and
     ///   its config hash.  An existing journal needs `--resume`.
-    /// - Stderr gets the resumed-from line, prefixed `name: `.  `probe`
-    ///   gets the span tree `sweep name`.
+    /// - Stderr gets the resumed-from line, prefixed `name: `.
     /// - An interrupted sweep lists the jobs it journaled and fails with
     ///   exit code 130.
     ///
@@ -414,7 +412,6 @@ impl SweepArgs {
         sweep: &mut Sweep,
         name: &str,
         journal: J,
-        probe: &Probe,
         simulate: F,
     ) -> Result<Vec<SimStats>, Failure>
     where
@@ -435,26 +432,9 @@ impl SweepArgs {
             }
             sweep.journal = Some(journal);
         }
-        let run = sweep
-            .run(simulate)
-            .map_err(|e| Failure::runtime(format!("{name} sweep failed: {e}"), probe))?;
-        if probe.is_enabled() {
-            // The canonical span tree: a sweep root plus one span per job.
-            let inputs: Vec<JobSpanInput> = run
-                .timings
-                .iter()
-                .map(|t| JobSpanInput {
-                    index: t.index,
-                    label: sweep.jobs[t.index].label(),
-                    worker: "local".to_string(),
-                    dispatch_ms: t.dispatch_ms,
-                    end_ms: t.end_ms,
-                    run_ns: t.run_ns,
-                    cycles: run.stats[t.index].as_ref().map_or(0, |s| s.cycles),
-                })
-                .collect();
-            probe.emit_job_spans(run.trace_id, &format!("sweep {name}"), &inputs);
-        }
+        let run = sweep.run(simulate).map_err(|e| {
+            Failure::runtime(format!("{name} sweep failed: {e}"), &Probe::disabled())
+        })?;
         if let Some(journal) = sweep.journal.as_ref().filter(|_| run.reused > 0) {
             eprintln!(
                 "{name}: resumed from {}: {} job(s) reused, {} executed",

@@ -24,7 +24,7 @@ pub mod sweep;
 
 pub use job::{Detailed, SimJob};
 pub use memo::Memo;
-pub use sweep::{JobTiming, Journal, Sweep, SweepFailure, SweepRun};
+pub use sweep::{Journal, Sweep, SweepFailure, SweepRun};
 
 /// Scale factor for event counts: 1.0 = full runs (repro binary),
 /// smaller for quick tests/benches.

@@ -9,12 +9,13 @@
 //!
 //! Results come back in submission order, and a journaled result decodes
 //! to the exact stats it recorded, so every worker count and every resume
-//! renders the bytes a serial run does.
+//! renders the bytes a serial run does.  A run reads no clock, so what it
+//! returns depends only on its jobs, their simulation, the journal and
+//! cancellation.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use gpu_mem_sim::DesignPoint;
 use gpu_types::SimStats;
@@ -78,20 +79,6 @@ pub struct Sweep {
     pub journal: Option<Journal>,
 }
 
-/// When one job of a run started and ended, in ms since the sweep
-/// started, and how long its simulation ran: the input of the job's span.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobTiming {
-    /// Submission index of the job.
-    pub index: usize,
-    /// When a worker took the job.
-    pub dispatch_ms: u64,
-    /// When its result was recorded.
-    pub end_ms: u64,
-    /// Time spent inside the simulation, in ns.
-    pub run_ns: u64,
-}
-
 /// What [`Sweep::run`] produced.
 #[derive(Clone, Debug)]
 pub struct SweepRun {
@@ -104,10 +91,6 @@ pub struct SweepRun {
     pub executed: usize,
     /// Labels of every job with a result, in submission order.
     pub completed_labels: Vec<String>,
-    /// Observed timing of each job this run simulated, by submission index.
-    pub timings: Vec<JobTiming>,
-    /// Trace id of this run's span tree.
-    pub trace_id: u64,
 }
 
 impl SweepRun {
@@ -150,7 +133,6 @@ struct Log {
     crash_after_jobs: Option<usize>,
     appended: usize,
     io_error: Option<std::io::Error>,
-    timings: Vec<JobTiming>,
 }
 
 impl Log {
@@ -183,10 +165,6 @@ impl Log {
             }
         }
     }
-}
-
-fn since_ms(started: Instant) -> u64 {
-    started.elapsed().as_millis() as u64
 }
 
 impl Sweep {
@@ -288,26 +266,11 @@ impl Sweep {
             crash_after_jobs: self.journal.as_ref().and_then(|j| j.crash_after_jobs),
             appended: 0,
             io_error: None,
-            timings: Vec::new(),
         });
-        let trace_id = shm_telemetry::wall_ms().wrapping_mul(1_000_000) | 1;
-        let started = Instant::now();
         let outcomes = self.executor.map_cancellable(&missing, &token, |_, &i| {
-            let dispatch_ms = since_ms(started);
-            let begun = Instant::now();
             let s = simulate(i, &self.jobs[i]);
-            let run_ns = begun.elapsed().as_nanos() as u64;
             let mut log = log.lock().unwrap_or_else(|e| e.into_inner());
-            if !log.record(&labels[i], &s, &token) {
-                return None;
-            }
-            log.timings.push(JobTiming {
-                index: i,
-                dispatch_ms,
-                end_ms: since_ms(started),
-                run_ns,
-            });
-            Some(s)
+            log.record(&labels[i], &s, &token).then_some(s)
         });
 
         let log = log.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -336,8 +299,6 @@ impl Sweep {
         if !failed.is_empty() {
             return Err(SweepFailure::Jobs(SweepError { failed }));
         }
-        let mut timings = log.timings;
-        timings.sort_by_key(|t| t.index);
         Ok(SweepRun {
             completed_labels: labels
                 .into_iter()
@@ -348,8 +309,6 @@ impl Sweep {
             stats,
             reused,
             executed,
-            timings,
-            trace_id,
         })
     }
 }

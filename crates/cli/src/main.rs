@@ -41,7 +41,7 @@ fn main() -> ExitCode {
 
 /// Options of the trace a command simulates or stores (`args::load_trace`).
 const TRACE: &[&str] = &["b", "benchmark", "trace", "custom", "events", "seed"];
-/// `--telemetry` and the outputs it enables (`telemetry_probe`).
+/// `--telemetry` and the outputs it enables for one run (`telemetry_probe`).
 const TELEMETRY: &[&str] = &["telemetry", "epoch-cycles", "trace-out", "epoch-csv"];
 /// The live `/metrics` endpoint (`obs::MetricsGuard`).
 const METRICS: &[&str] = &["metrics-addr", "metrics-hold-ms"];
@@ -77,15 +77,8 @@ fn dispatch(argv: &[String]) -> Result<(), Failure> {
             sweep::cmd_sweep,
             1,
             false,
-            &[
-                TRACE,
-                TELEMETRY,
-                METRICS,
-                SweepArgs::OPTIONS,
-                &["pools", "csv"],
-            ],
+            &[TRACE, METRICS, SweepArgs::OPTIONS, &["pools", "csv"]],
         ),
-        ["trace-report", ..] => (obs::cmd_trace_report, 1, true, &[&["top"]]),
         ["trace", "gen"] => (trace::cmd_gen, 2, false, &[TRACE, &["o", "out"]]),
         ["trace", "info"] => (trace::cmd_info, 2, true, &[]),
         ["trace", ..] => {
@@ -127,7 +120,6 @@ fn print_help() {
          \x20        stops gracefully (exit 130) and --resume skips completed jobs\n\
          \x20 sweep ... --metrics-addr HOST:PORT [--metrics-hold-ms N]   live /metrics\n\
          \x20        endpoint (Prometheus text)\n\
-         \x20 trace-report <file.jsonl> [--top N]  span timeline from a telemetry trace\n\
          \x20 env                                  every SHM_* environment knob\n\
          \x20 attack --campaign smoke|full [--seed S] [--policy abort|retry|quarantine]\n\
          \x20        [--telemetry ...]            adversary campaign; exit 3 on any miss\n\

@@ -1,10 +1,9 @@
-//! Observability subcommands and helpers: the `/metrics` endpoint guard
-//! (`--metrics-addr`), `shm trace-report` and `shm env`.
+//! Observability helpers: the `/metrics` endpoint guard (`--metrics-addr`)
+//! and `shm env`.
 
 use std::time::Duration;
 
 use shm_metrics::MetricsServer;
-use shm_telemetry::span::{SpanEvent, TraceReport};
 use shm_telemetry::Probe;
 
 use shm_bench::cli::{Args, Failure};
@@ -52,44 +51,6 @@ impl MetricsGuard {
             server.shutdown();
         }
     }
-}
-
-/// `shm trace-report <file.jsonl> [--top N]`: reconstructs the span tree
-/// of each sweep trace in a telemetry JSONL document and prints its
-/// timeline — wall time, queue-wait vs run-time, critical path, and the
-/// top-N slowest jobs.
-pub fn cmd_trace_report(args: &Args) -> Result<(), Failure> {
-    let path = args
-        .target()
-        .ok_or_else(|| Failure::usage("need a telemetry JSONL file"))?;
-    let top = args.get_u64("top")?.unwrap_or(10).max(1) as usize;
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| Failure::runtime(format!("read {path}: {e}"), &Probe::disabled()))?;
-    let spans: Vec<SpanEvent> = text.lines().filter_map(SpanEvent::parse_json).collect();
-    if spans.is_empty() {
-        return Err(Failure::runtime(
-            format!(
-                "{path} contains no span records; produce them with \
-                 `shm sweep ... --telemetry --trace-out {path}`"
-            ),
-            &Probe::disabled(),
-        ));
-    }
-    let mut broken = false;
-    for report in TraceReport::from_spans(spans) {
-        for problem in report.check_invariants() {
-            broken = true;
-            eprintln!("warning: trace {:#x}: {problem}", report.trace_id);
-        }
-        print!("{}", report.render(top));
-    }
-    if broken {
-        return Err(Failure::runtime(
-            "span tree violated trace invariants (see warnings above)",
-            &Probe::disabled(),
-        ));
-    }
-    Ok(())
 }
 
 /// `shm env`: every `SHM_*` environment knob the toolchain reads, with its

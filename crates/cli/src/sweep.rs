@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats};
-use shm_bench::cli::{finish_telemetry, telemetry_probe, Args, Failure, SweepArgs};
+use shm_bench::cli::{Args, Failure, SweepArgs};
 use shm_bench::{config_hash, Journal, Sweep};
 use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_workloads::BenchmarkProfile;
@@ -35,7 +35,6 @@ fn sweep(args: &Args) -> Result<(), Failure> {
         None => vec![None],
     };
     let trace = args::load_trace(args)?;
-    let probe = telemetry_probe(args)?;
     // The jobs name the trace by benchmark, event count and seed; each job
     // simulates `trace` itself.
     let events = match args.get_u64("events")? {
@@ -56,7 +55,6 @@ fn sweep(args: &Args) -> Result<(), Failure> {
             &mut sweep,
             &name,
             |path, _| journal(path, &trace),
-            &probe,
             |i, _| {
                 let sim = Simulator::new(&cfg, DesignPoint::ALL[i]);
                 match policy {
@@ -72,7 +70,7 @@ fn sweep(args: &Args) -> Result<(), Failure> {
         }
     }
     print!("{out}");
-    finish_telemetry(args, &probe)
+    Ok(())
 }
 
 /// The journal of `shm sweep --journal path`, bound to this exact sweep:

@@ -542,9 +542,12 @@ impl Simulator {
                     }
                     if probe.is_enabled() {
                         if out.remote {
+                            // A migrating access moves the whole page, not
+                            // its sector: it counts as one CPU access and
+                            // its link bytes are the migration's.
                             probe.record(Hook::PoolRemoteAccess {
                                 cycle: t,
-                                bytes: SECTOR_BYTES,
+                                bytes: if out.migrated { 0 } else { SECTOR_BYTES },
                                 is_write,
                             });
                         }

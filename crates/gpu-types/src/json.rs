@@ -1,5 +1,6 @@
-//! The flat-JSON reader and escaper behind every hand-written line format:
-//! the job journal and telemetry events and spans.
+//! The flat-JSON reader and escaper behind the hand-written line formats:
+//! the job journal reads and writes through both, and telemetry events
+//! escape their strings with [`escape_into`].
 //!
 //! Each of those formats writes one object per line whose values are
 //! numbers, `null`, strings, or arrays/objects of numbers, so looking a key

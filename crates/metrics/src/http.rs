@@ -2,10 +2,9 @@
 //!
 //! No HTTP library: the server reads the request head, matches the request
 //! line, and writes a fixed-format response with the rendered exposition.
-//! [`fetch_metrics`] is the matching raw-TcpStream scraper the tests use.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 use std::thread;
@@ -122,39 +121,23 @@ fn write_response(
     conn.flush()
 }
 
-/// Scrapes `GET /metrics` from `addr` and returns the response body.
-pub fn fetch_metrics(addr: &str) -> io::Result<String> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-    let mut conn = TcpStream::connect_timeout(&sock, CONN_TIMEOUT)?;
-    conn.set_read_timeout(Some(CONN_TIMEOUT))?;
-    conn.set_write_timeout(Some(CONN_TIMEOUT))?;
-    conn.write_all(
-        format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut response = String::new();
-    conn.read_to_string(&mut response)?;
-    let status = response.lines().next().unwrap_or("");
-    if !status.contains("200") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected status: {status}"),
-        ));
-    }
-    match response.split_once("\r\n\r\n") {
-        Some((_, body)) => Ok(body.to_string()),
-        None => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "malformed HTTP response",
-        )),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Sends `GET path` to `addr` over a plain `TcpStream` and returns the
+    /// whole response, status line and headers included.
+    fn get(addr: SocketAddr, path: &str) -> String {
+        let mut conn = TcpStream::connect_timeout(&addr, CONN_TIMEOUT).unwrap();
+        write!(
+            conn,
+            "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
+        let mut resp = String::new();
+        conn.read_to_string(&mut resp).unwrap();
+        resp
+    }
 
     #[test]
     fn serves_metrics_and_rejects_other_paths() {
@@ -163,24 +146,20 @@ mod tests {
         let c = crate::register_counter("shm_test_http_total", "http test");
         c.add(11);
         let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
-        let addr = server.local_addr().to_string();
-        let body = fetch_metrics(&addr).expect("scrape");
+        let resp = get(server.local_addr(), "/metrics");
+        assert!(resp.starts_with("HTTP/1.1 200 OK\r\n"), "{resp}");
+        let (_, body) = resp.split_once("\r\n\r\n").expect("head and body");
         assert!(body.contains("# TYPE shm_test_http_total counter"));
-        let samples = crate::parse_exposition(&body);
-        let sample = samples
-            .iter()
-            .find(|s| s.name == "shm_test_http_total")
-            .expect("series present");
-        assert!(sample.value >= 11.0);
+        let value: u64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix("shm_test_http_total "))
+            .expect("series present")
+            .parse()
+            .expect("integer sample");
+        assert!(value >= 11);
 
         // Non-/metrics paths get a 404.
-        let sock: SocketAddr = addr.parse().unwrap();
-        let mut conn = TcpStream::connect_timeout(&sock, CONN_TIMEOUT).unwrap();
-        conn.write_all(b"GET /other HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
-            .unwrap();
-        let mut resp = String::new();
-        conn.read_to_string(&mut resp).unwrap();
-        assert!(resp.starts_with("HTTP/1.1 404"));
+        assert!(get(server.local_addr(), "/other").starts_with("HTTP/1.1 404"));
         server.shutdown();
         crate::set_enabled(false);
     }

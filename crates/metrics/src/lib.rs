@@ -6,8 +6,7 @@
 //!   [`counter!`]) that is zero-cost while [`enabled`] is false — every
 //!   hot-path hook is one relaxed atomic load;
 //! * a **Prometheus text-format** renderer ([`render_prometheus`]) plus a
-//!   one-thread blocking HTTP exposition endpoint ([`http::MetricsServer`])
-//!   and the matching scraper client ([`http::fetch_metrics`]);
+//!   one-thread blocking HTTP exposition endpoint ([`http::MetricsServer`]);
 //! * a **phase self-profiler** ([`phase`]) of scoped RAII timers that tile
 //!   wall time exclusively across the simulator pipeline phases.
 //!
@@ -18,8 +17,8 @@ pub mod http;
 pub mod phase;
 mod registry;
 
-pub use http::{fetch_metrics, MetricsServer};
+pub use http::MetricsServer;
 pub use registry::{
-    enabled, is_valid_label_name, is_valid_metric_name, parse_exposition, register_counter,
-    render_prometheus, set_enabled, Counter, Sample,
+    enabled, is_valid_label_name, is_valid_metric_name, register_counter, render_prometheus,
+    set_enabled, Counter,
 };

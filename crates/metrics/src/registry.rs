@@ -1,5 +1,5 @@
 //! Atomic counters, the global name registry, and the Prometheus
-//! text-format renderer / parser.
+//! text-format renderer.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -118,93 +118,6 @@ pub fn render_prometheus() -> String {
     out
 }
 
-/// One parsed exposition sample (for scrapers and smoke assertions).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
-    pub name: String,
-    pub labels: Vec<(String, String)>,
-    pub value: f64,
-}
-
-impl Sample {
-    /// Value of label `key`, if present.
-    pub fn label(&self, key: &str) -> Option<&str> {
-        self.labels
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
-/// Parses Prometheus text exposition back into samples; skips comments and
-/// lines it cannot understand (a scraper must be lenient).
-pub fn parse_exposition(text: &str) -> Vec<Sample> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name_and_labels, value) = match line.rsplit_once(' ') {
-            Some(pair) => pair,
-            None => continue,
-        };
-        let value: f64 = match value.parse() {
-            Ok(v) => v,
-            Err(_) => {
-                if value == "+Inf" {
-                    f64::INFINITY
-                } else {
-                    continue;
-                }
-            }
-        };
-        let (name, labels) = match name_and_labels.split_once('{') {
-            None => (name_and_labels.to_string(), Vec::new()),
-            Some((name, rest)) => {
-                let rest = rest.trim_end_matches('}');
-                let mut labels = Vec::new();
-                for part in split_label_pairs(rest) {
-                    if let Some((k, v)) = part.split_once('=') {
-                        let v = v.trim_matches('"');
-                        labels.push((k.to_string(), v.replace("\\\"", "\"").replace("\\\\", "\\")));
-                    }
-                }
-                (name.to_string(), labels)
-            }
-        };
-        out.push(Sample {
-            name,
-            labels,
-            value,
-        });
-    }
-    out
-}
-
-/// Splits `k1="v1",k2="v2"` on commas outside quoted values.
-fn split_label_pairs(s: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut start = 0;
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for (i, c) in s.char_indices() {
-        match c {
-            '\\' if in_quotes => escaped = !escaped,
-            '"' if !escaped => in_quotes = !in_quotes,
-            ',' if !in_quotes => {
-                parts.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => escaped = false,
-        }
-    }
-    if start < s.len() {
-        parts.push(&s[start..]);
-    }
-    parts
-}
-
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -286,25 +199,5 @@ mod tests {
             }
         }
         set_enabled(false);
-    }
-
-    #[test]
-    fn parse_round_trips_rendered_text() {
-        let _g = test_lock();
-        set_enabled(true);
-        let c = register_counter("shm_test_parse_total", "parse test");
-        c.add(3);
-        let samples = parse_exposition(&render_prometheus());
-        let c = samples
-            .iter()
-            .find(|s| s.name == "shm_test_parse_total")
-            .unwrap();
-        assert!(c.value >= 3.0);
-        set_enabled(false);
-        // Labelled series, as the phase profiler writes them.
-        let phase = parse_exposition("shm_phase_nanos_total{phase=\"l2\"} 42\n");
-        assert_eq!(phase[0].name, "shm_phase_nanos_total");
-        assert_eq!(phase[0].label("phase"), Some("l2"));
-        assert_eq!(phase[0].value, 42.0);
     }
 }

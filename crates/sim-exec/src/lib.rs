@@ -179,13 +179,15 @@ fn effective_jobs(requested: Option<usize>) -> usize {
 }
 
 /// Runs `job(index)` for every index below `n` on up to `workers`
-/// threads and returns each outcome in its index's slot.
+/// threads (the calling thread alone, for one) and returns each outcome in
+/// its index's slot.
 ///
 /// The job source is one shared cursor: jobs are coarse (milliseconds to
 /// seconds), so one atomic increment per job balances load as well as
 /// per-worker queues would, and jobs never add jobs, so an exhausted
 /// cursor means the sweep is done.  `stop` is checked before each take;
-/// slots of jobs it kept from starting come back as `None`.
+/// slots of jobs it kept from starting come back as `None`.  Each job runs
+/// under [`catch`], so a panicking job never stops its thread.
 fn run_jobs<T, J, S>(workers: usize, n: usize, stop: S, job: J) -> Vec<Option<JobResult<T>>>
 where
     T: Send,
@@ -196,25 +198,30 @@ where
     // Relaxed suffices: the cursor only hands out distinct indices; results
     // travel through the slot mutexes and the scope's join.
     let cursor = AtomicUsize::new(0);
-    let next = || {
-        if stop() {
-            return None;
-        }
-        let index = cursor.fetch_add(1, Ordering::Relaxed);
-        (index < n).then_some(index)
-    };
-    Executor::new(workers.min(n)).pull(
-        next,
-        |&index| job(index),
-        |index, outcome| {
-            let outcome = outcome.map_err(|message| JobPanic {
+    let worker = || {
+        while !stop() {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            if index >= n {
+                break;
+            }
+            let outcome = catch(|| job(index)).map_err(|message| JobPanic {
                 index,
                 label: None,
                 message,
             });
             *slots[index].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-        },
-    );
+        }
+    };
+    let workers = workers.min(n);
+    if workers <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(worker);
+            }
+        });
+    }
     slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap_or_else(|e| e.into_inner()))
@@ -248,35 +255,6 @@ impl Executor {
     /// [`from_env`]: Executor::from_env
     pub fn from_request(requested: Option<usize>) -> Self {
         Self::new(effective_jobs(requested))
-    }
-
-    /// The job loop behind every sweep.
-    ///
-    /// Up to `jobs` threads (the calling thread alone, for one) each call
-    /// `next()` until it returns `None`, run `work(&job)` under [`catch`]
-    /// and hand the job and its outcome to `done`, so a panicking job
-    /// never stops its thread.  Returns when every thread has seen `None`.
-    fn pull<J, T>(
-        &self,
-        next: impl Fn() -> Option<J> + Sync,
-        work: impl Fn(&J) -> T + Sync,
-        done: impl Fn(J, Result<T, String>) + Sync,
-    ) {
-        let worker = || {
-            while let Some(job) = next() {
-                let outcome = catch(|| work(&job));
-                done(job, outcome);
-            }
-        };
-        if self.jobs <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..self.jobs {
-                    scope.spawn(worker);
-                }
-            });
-        }
     }
 
     /// Runs `work(index, &items[index])` for every item and returns the
@@ -539,35 +517,33 @@ mod tests {
     }
 
     #[test]
-    fn pull_drains_its_source_on_at_most_n_threads_and_captures_panics() {
+    fn map_runs_on_at_most_width_threads_and_captures_panics() {
         within(DEADLINE, || {
             for width in [1, 3] {
-                let source = Mutex::new((0..60u32).collect::<std::collections::VecDeque<_>>());
+                let items: Vec<u32> = (0..60).collect();
                 let threads = Mutex::new(std::collections::HashSet::new());
-                let ok = AtomicUsize::new(0);
-                let failed = Mutex::new(Vec::new());
-                Executor::new(width).pull(
-                    || source.lock().unwrap().pop_front(),
-                    |&x| {
-                        threads.lock().unwrap().insert(std::thread::current().id());
-                        // Hold each job briefly so every thread gets some.
-                        std::thread::sleep(Duration::from_millis(1));
-                        if x % 20 == 7 {
-                            panic!("job {x} failed");
-                        }
-                        x * 2
-                    },
-                    |x, outcome| match outcome {
+                let out = Executor::new(width).map(&items, |_, &x| {
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                    // Hold each job briefly so every thread gets some.
+                    std::thread::sleep(Duration::from_millis(1));
+                    if x % 20 == 7 {
+                        panic!("job {x} failed");
+                    }
+                    x * 2
+                });
+                assert_eq!(out.len(), items.len(), "every job has an outcome");
+                let mut ok = 0;
+                let mut failed = Vec::new();
+                for (&x, outcome) in items.iter().zip(out) {
+                    match outcome {
                         Ok(v) => {
                             assert_eq!(v, x * 2);
-                            ok.fetch_add(1, Ordering::SeqCst);
+                            ok += 1;
                         }
-                        Err(message) => failed.lock().unwrap().push(message),
-                    },
-                );
-                assert!(source.lock().unwrap().is_empty(), "source not drained");
-                assert_eq!(ok.load(Ordering::SeqCst), 57);
-                let mut failed = failed.into_inner().unwrap();
+                        Err(p) => failed.push(p.message),
+                    }
+                }
+                assert_eq!(ok, 57);
                 failed.sort();
                 assert_eq!(failed, ["job 27 failed", "job 47 failed", "job 7 failed"]);
                 let threads = threads.into_inner().unwrap();

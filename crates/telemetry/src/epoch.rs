@@ -155,9 +155,9 @@ columns! {
         /// Data accesses served by the CPU-side pool during the epoch.
         pool_cpu_accesses: u64,
         /// Bytes the coherent link carried toward the GPU pool this epoch.
-        link_to_gpu_bytes: u64,
+        link_bytes_to_gpu: u64,
         /// Bytes the coherent link carried toward the CPU pool this epoch.
-        link_to_cpu_bytes: u64,
+        link_bytes_to_cpu: u64,
         ;
         /// Per-partition traffic and L2 hit/miss breakdown (index = partition).
         partitions: Vec<PartitionEpoch>,

@@ -19,25 +19,19 @@
 //! goes (machine-readable), [`sink::summary`] (human-readable), and
 //! [`sink::flight_dump`] (last-K events for panic and error paths, installed
 //! process-wide by [`Probe::install_panic_hook`]).
+//!
+//! Everything a probe collects is stamped in simulated cycles, never in
+//! wall-clock time, so the document is a deterministic function of the run:
+//! the same simulation writes the same bytes at any `--jobs` width.
 
 pub mod epoch;
 pub mod event;
 pub mod hist;
 pub mod sink;
-pub mod span;
 
 pub use epoch::{EpochSnapshot, EpochTracker, PartitionEpoch};
 pub use event::{Event, NUM_KINDS};
 pub use hist::Histogram;
-pub use span::SpanEvent;
-
-/// Current wall-clock time as milliseconds since the Unix epoch.
-pub fn wall_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
 
 use gpu_types::TrafficClass;
 use std::collections::VecDeque;
@@ -70,13 +64,6 @@ impl Default for TelemetryConfig {
 /// Collected telemetry state for one simulation run.
 pub struct Telemetry {
     cfg: TelemetryConfig,
-    /// Completed trace spans (written to the document at finalize).
-    spans: Vec<SpanEvent>,
-    /// `(seq, ts_ms)` tags parallel to `spans`, assigned at emission.
-    spans_meta: Vec<(u64, u64)>,
-    /// Next document-wide monotonic sequence number; shared by event and
-    /// span lines so interleaved multi-worker streams merge deterministically.
-    next_seq: u64,
     ring: VecDeque<(u64, Event)>,
     kind_totals: [u64; NUM_KINDS],
     sampled_out: u64,
@@ -112,9 +99,6 @@ impl Telemetry {
         let epochs = EpochTracker::new(cfg.epoch_cycles);
         Self {
             cfg,
-            spans: Vec::new(),
-            spans_meta: Vec::new(),
-            next_seq: 0,
             ring: VecDeque::new(),
             kind_totals: [0; NUM_KINDS],
             sampled_out: 0,
@@ -246,9 +230,9 @@ impl Telemetry {
             } => {
                 cur.pool_cpu_accesses += 1;
                 if is_write {
-                    cur.link_to_cpu_bytes += bytes;
+                    cur.link_bytes_to_cpu += bytes;
                 } else {
-                    cur.link_to_gpu_bytes += bytes;
+                    cur.link_bytes_to_gpu += bytes;
                 }
             }
             Hook::PoolMigration {
@@ -257,10 +241,10 @@ impl Telemetry {
                 ..
             } => {
                 cur.pool_migrations += 1;
-                cur.link_to_gpu_bytes += to_gpu_bytes;
+                cur.link_bytes_to_gpu += to_gpu_bytes;
                 if to_cpu_bytes > 0 {
                     cur.pool_spills += 1;
-                    cur.link_to_cpu_bytes += to_cpu_bytes;
+                    cur.link_bytes_to_cpu += to_cpu_bytes;
                 }
             }
         }
@@ -275,11 +259,9 @@ impl Telemetry {
         // survive sampling; after that every stride-th occurrence is kept.
         let logged = event.is_low_frequency() || self.kind_totals[idx] % SAMPLE_STRIDE == 1;
         if logged {
-            let seq = self.next_seq;
-            self.next_seq += 1;
             if self.stream.is_some() {
                 let mut line = String::new();
-                sink::event_json_tagged(&event, cycle, seq, wall_ms(), &mut line);
+                event.write_json(cycle, &mut line);
                 line.push('\n');
                 self.stream_write(&line);
             }
@@ -292,18 +274,6 @@ impl Telemetry {
         self.ring.push_back((cycle, event));
     }
 
-    /// Records one completed trace span.  Spans are buffered (even in
-    /// streaming mode they are few and arrive at end of run) and written
-    /// into the JSONL document at [`finalize`].
-    ///
-    /// [`finalize`]: Telemetry::finalize
-    pub fn emit_span(&mut self, span: SpanEvent) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.spans.push(span);
-        self.spans_meta.push((seq, wall_ms()));
-    }
-
     /// Closes the run: flushes the trailing partial epoch and, when a
     /// stream sink is attached, its remaining snapshots plus the trailing
     /// histogram and drops lines.
@@ -313,10 +283,6 @@ impl Telemetry {
             self.stream_done = true;
             self.stream_completed_epochs();
             let mut tail = String::new();
-            for (span, (seq, ts_ms)) in self.spans.iter().zip(&self.spans_meta) {
-                span.write_json(*seq, *ts_ms, &mut tail);
-                tail.push('\n');
-            }
             for (name, hist) in sink::named_histograms(self) {
                 sink::hist_json(name, hist, &mut tail);
                 tail.push('\n');
@@ -416,7 +382,9 @@ pub enum Hook {
     /// terminating (at a cached node or the root).
     BmtWalk { cycle: u64, depth: u64 },
     /// One data access served by the CPU-side pool: `bytes` crossed the
-    /// coherent link (toward the CPU for writes, the GPU for reads).
+    /// coherent link (toward the CPU for writes, the GPU for reads); 0 when
+    /// the access migrated its page, whose bytes [`Hook::PoolMigration`]
+    /// carries.
     PoolRemoteAccess {
         cycle: u64,
         bytes: u64,
@@ -462,8 +430,8 @@ impl Hook {
 /// buffer drains into [`Telemetry`] a block at a time, so the per-hook cost
 /// on the simulation hot path is a vector push instead of epoch accounting,
 /// ring rotation, and (when streaming) per-event JSON formatting.  Replay
-/// happens strictly in emission order, so collected state — including JSONL
-/// sequence numbers — is identical to the unbuffered probe's.
+/// happens strictly in emission order, so collected state — the streamed
+/// JSONL document included — is identical to the unbuffered probe's.
 #[derive(Clone, Default)]
 pub struct Probe {
     inner: Option<Arc<Mutex<Telemetry>>>,
@@ -561,7 +529,7 @@ impl Probe {
 
     /// A probe that streams its JSONL document to `path` incrementally as
     /// the run produces events and epoch snapshots: the one way to get the
-    /// document.  It is completed (spans, histograms, drops line) and
+    /// document.  It is completed (histograms, drops line) and
     /// flushed by [`Probe::finalize`].
     ///
     /// # Errors
@@ -602,25 +570,6 @@ impl Probe {
         }
         let mut guard = Self::lock_any(inner);
         Some(f(&mut guard))
-    }
-
-    /// See [`Telemetry::emit_span`].
-    pub fn emit_span(&self, span: SpanEvent) {
-        if self.inner.is_some() {
-            self.with(|t| t.emit_span(span));
-        }
-    }
-
-    /// Records one span per job plus the trace root (see
-    /// [`span::build_job_spans`]); no-op when disabled.
-    pub fn emit_job_spans(&self, trace_id: u64, sweep: &str, jobs: &[span::JobSpanInput]) {
-        if self.inner.is_some() {
-            self.with(|t| {
-                for s in span::build_job_spans(trace_id, sweep, jobs) {
-                    t.emit_span(s);
-                }
-            });
-        }
     }
 
     /// See [`Telemetry::finalize`].
@@ -832,9 +781,8 @@ mod tests {
     #[test]
     fn buffered_probe_replays_identically() {
         // The same hook sequence through a buffered and an unbuffered probe
-        // must produce identical collected state (event lines, seq tags,
-        // epochs, histograms) — block draining only changes *when* records
-        // land.
+        // must produce identical collected state (event lines, epochs,
+        // histograms) — block draining only changes *when* records land.
         let (direct, direct_doc) = streaming(TelemetryConfig::default());
         let (base, buffered_doc) = streaming(TelemetryConfig::default());
         let buffered = base.buffered();
@@ -878,18 +826,10 @@ mod tests {
         assert_eq!(a.0, b.0, "kind totals diverged");
         assert_eq!(a.1, b.1, "epochs diverged");
         assert_eq!(a.2, b.2, "histogram counts diverged");
-        // The documents agree line for line once the wall-clock tags go.
-        let untimed = |doc: String| -> Vec<String> {
-            doc.lines()
-                .map(|l| match l.find(",\"ts_ms\":") {
-                    Some(at) => l[..at].to_string(),
-                    None => l.to_string(),
-                })
-                .collect()
-        };
-        let (a, b) = (untimed(direct_doc()), untimed(buffered_doc()));
+        // The documents agree byte for byte.
+        let (a, b) = (direct_doc(), buffered_doc());
         assert_eq!(a, b, "streamed documents diverged");
-        assert!(event_lines(&a.join("\n"), "l2_miss") > 1);
+        assert!(event_lines(&a, "l2_miss") > 1);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! human-readable summary, flight-recorder dump.
 //!
 //! The JSONL document is one `meta` line, then `event` and `epoch` lines
-//! interleaved in production order, then the `span` lines, one `hist` line
-//! per histogram and a trailing `drops` line making any sampling loss
-//! explicit.  [`crate::Telemetry::attach_stream`] writes it.
+//! interleaved in production order, then one `hist` line per histogram and
+//! a trailing `drops` line making any sampling loss explicit.
+//! [`crate::Telemetry::attach_stream`] writes it.  Event lines are
+//! [`Event::write_json`] output, the same lines [`flight_dump`] prints.
 
 use crate::event::Event;
 use crate::hist::Histogram;
@@ -35,16 +36,6 @@ pub fn drops_json(t: &Telemetry, out: &mut String) {
         let _ = write!(out, "\"{}\":{}", Event::kind_label(i), total);
     }
     out.push_str("}}");
-}
-
-/// Appends one event as a JSONL object line tagged with the document-wide
-/// monotonic `seq` and wall-clock `ts_ms` (no trailing newline).  The tags
-/// let interleaved multi-worker streams be ordered and merged
-/// deterministically by `shm trace-report`.
-pub fn event_json_tagged(event: &Event, cycle: u64, seq: u64, ts_ms: u64, out: &mut String) {
-    event.write_json(cycle, out);
-    out.pop(); // reopen the object to append the tags
-    let _ = write!(out, ",\"seq\":{seq},\"ts_ms\":{ts_ms}}}");
 }
 
 /// Renders completed epoch snapshots as CSV, mirroring the JSONL `epoch`
@@ -262,69 +253,6 @@ mod tests {
         let dump = populated().flight_dump().unwrap();
         assert_eq!(dump.lines().count(), 3);
         assert!(dump.lines().all(|l| l.contains("\"type\":\"event\"")));
-    }
-
-    #[test]
-    fn events_carry_monotonic_seq_and_ts_tags() {
-        let doc = populated_doc();
-        let mut last_seq: Option<u64> = None;
-        let mut tagged = 0;
-        for line in doc.lines() {
-            if !line.contains("\"type\":\"event\"") {
-                continue;
-            }
-            let seq_at = line.find("\"seq\":").expect("event line has seq") + 6;
-            let seq: u64 = line[seq_at..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect::<String>()
-                .parse()
-                .unwrap();
-            assert!(line.contains("\"ts_ms\":"), "event line has ts_ms: {line}");
-            if let Some(prev) = last_seq {
-                assert!(seq > prev, "seq must be monotonic: {prev} then {seq}");
-            }
-            last_seq = Some(seq);
-            tagged += 1;
-        }
-        assert_eq!(tagged, 3);
-    }
-
-    #[test]
-    fn spans_land_in_both_document_paths() {
-        use crate::span::{JobSpanInput, SpanEvent};
-        let job = JobSpanInput {
-            index: 0,
-            label: "fdtd2d/SHM".into(),
-            worker: "local".into(),
-            dispatch_ms: 1,
-            end_ms: 9,
-            run_ns: 7_000_000,
-            cycles: 123,
-        };
-
-        // A sink attached to any writer.
-        let (p, doc) = crate::tests::streaming(cfg());
-        p.emit_job_spans(0xabc, "fig16", std::slice::from_ref(&job));
-        populate(&p); // populate() finalizes, flushing the spans
-        let doc = doc();
-        let mem_spans: Vec<SpanEvent> = doc.lines().filter_map(SpanEvent::parse_json).collect();
-        assert_eq!(mem_spans.len(), 2, "root + one job span in {doc}");
-
-        // The file `--trace-out` streams to.
-        let path =
-            std::env::temp_dir().join(format!("shm-telemetry-span-{}.jsonl", std::process::id()));
-        let p = Probe::enabled_streaming(cfg(), &path).unwrap();
-        p.emit_job_spans(0xabc, "fig16", std::slice::from_ref(&job));
-        populate(&p);
-        drop(p);
-        let streamed = std::fs::read_to_string(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let stream_spans: Vec<SpanEvent> =
-            streamed.lines().filter_map(SpanEvent::parse_json).collect();
-        assert_eq!(mem_spans, stream_spans);
-        assert_eq!(stream_spans[0].parent, None);
-        assert_eq!(stream_spans[1].cycles, 123);
     }
 
     #[test]

@@ -60,8 +60,8 @@ recovery-smoke scale="0.25":
 
 # Observability smoke: live /metrics during a sweep must serve the key
 # series, the sweep table must stay byte-identical to a metrics-off serial
-# run, and trace-report + the phase profiler must render (see
-# docs/OBSERVABILITY.md).
+# run, two identical telemetry runs must write byte-identical JSONL, and
+# the phase profiler must render (see docs/OBSERVABILITY.md).
 obs-smoke:
     bash scripts/obs_smoke.sh
 

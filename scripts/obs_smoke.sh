@@ -3,7 +3,8 @@
 #   1. byte-identity: a sweep with live metrics enabled must print the exact
 #      table a metrics-off serial sweep prints
 #   2. the sweep's /metrics endpoint must serve the simulator's counters
-#   3. the span JSONL a sweep emits must render via `shm trace-report`
+#   3. a run's telemetry JSONL must be deterministic: two identical
+#      `shm run --telemetry --trace-out` runs write byte-identical files
 #   4. `shm run --profile` must print the phase table and coverage line,
 #      with the SHM engine's metadata work in its own `metadata_walk` row
 set -euo pipefail
@@ -53,11 +54,12 @@ if [ -z "$scraped" ]; then
 fi
 diff "$tmp/serial.txt" "$tmp/live.txt"
 
-# --- 3: sweep trace spans and the timeline report.
-"$SHM" sweep -b lbm --telemetry --trace-out "$tmp/spans.jsonl" > /dev/null
-grep -q '"type":"span"' "$tmp/spans.jsonl"
-"$SHM" trace-report "$tmp/spans.jsonl" --top 5 > "$tmp/report.txt"
-grep -q 'critical path' "$tmp/report.txt"
+# --- 3: the telemetry document is a deterministic function of its run.
+for i in 1 2; do
+    "$SHM" run -b fdtd2d -d SHM --events 8192 --telemetry \
+        --trace-out "$tmp/telemetry$i.jsonl" > /dev/null
+done
+cmp "$tmp/telemetry1.jsonl" "$tmp/telemetry2.jsonl"
 
 # --- 4: the phase self-profiler.
 "$SHM" run -b fdtd2d -d SHM --profile > "$tmp/profile.txt"

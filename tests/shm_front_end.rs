@@ -2,9 +2,10 @@
 //! killed by the crash switch exits 130 and resumes to the serial table,
 //! the journal flags refuse to run without `--journal` or over an existing
 //! journal (exit 2), a `--pools` sweep of a stored trace prints the same at
-//! any job count, an option the command does not read is refused (exit 2)
-//! before it does anything, the retired cluster commands and `--dist` are
-//! usage errors, and a command whose stdout reader is gone ends quietly.
+//! any job count, a telemetry document is the same bytes at any job count,
+//! an option the command does not read is refused (exit 2) before it does
+//! anything, the retired cluster and span-trace surface is a usage error,
+//! and a command whose stdout reader is gone ends quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -88,6 +89,40 @@ fn pools_sweep_of_a_stored_trace_is_identical_at_any_job_count() {
 }
 
 #[test]
+fn telemetry_documents_are_identical_at_any_job_count() {
+    let run = |tag: &str, extra: &[&str]| {
+        let path = temp_path(tag);
+        let p = path.to_str().expect("UTF-8 temp path");
+        let argv = [
+            "run",
+            "-b",
+            "fdtd2d",
+            "-d",
+            "SHM",
+            "--events",
+            "4096",
+            "--telemetry",
+            "--trace-out",
+            p,
+        ];
+        stdout(&shm(&[&argv[..], extra].concat()));
+        let doc = std::fs::read(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        doc
+    };
+    let default_width = run("default.jsonl", &[]);
+    let serial = run("serial.jsonl", &["--jobs", "1"]);
+    assert!(
+        default_width.starts_with(b"{\"type\":\"meta\""),
+        "a telemetry document"
+    );
+    assert!(
+        default_width == serial,
+        "telemetry documents differ between the default width and --jobs 1"
+    );
+}
+
+#[test]
 fn a_misspelled_option_is_refused_before_the_command_runs() {
     let trace = temp_path("misspelled.trace");
     let _ = std::fs::remove_file(&trace);
@@ -115,8 +150,23 @@ fn the_retired_cluster_surface_is_refused() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --dist"), "{stderr}");
     assert!(out.stdout.is_empty(), "no sweep runs");
-    for command in ["worker", "chaos", "top"] {
-        let out = shm(&[command]);
+    let out = shm(&["sweep", "-b", "lbm", "--telemetry"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "sweep --telemetry is a usage error"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --telemetry"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no sweep runs");
+    for argv in [
+        &["worker"][..],
+        &["chaos"],
+        &["top"],
+        &["trace-report", "F"],
+    ] {
+        let command = argv[0];
+        let out = shm(argv);
         assert_eq!(out.status.code(), Some(2), "shm {command} is a usage error");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(

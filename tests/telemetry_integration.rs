@@ -1,13 +1,14 @@
 //! End-to-end telemetry invariants over real simulator runs.
 //!
 //! The telemetry subsystem promises *exact* accounting: every DRAM byte
-//! lands in exactly one epoch snapshot, the latency histogram counts every
-//! completed request, and the event-kind totals are exact even though the
-//! event log itself is sampled.
+//! and every pool counter tick lands in exactly one epoch snapshot, the
+//! latency histogram counts every completed request, and the event-kind
+//! totals are exact even though the event log itself is sampled.
 
 use gpu_mem_sim::{DesignPoint, Simulator};
 use gpu_types::{GpuConfig, TrafficClass};
 use proptest::prelude::*;
+use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_telemetry::{Hook, Probe, Telemetry, TelemetryConfig};
 use shm_workloads::BenchmarkProfile;
 
@@ -38,6 +39,57 @@ fn epoch_snapshots_sum_to_simstats_traffic() {
     }
     let epochs = probe.with(|t| t.snapshots().len()).expect("enabled");
     assert!(epochs >= 2, "expected >=2 epochs, got {epochs}");
+}
+
+/// A hot-page-migrate run that migrates and spills pages: each of the five
+/// pool columns, summed over the epochs, equals its `SimStats` counter.  A
+/// migrating access moves its page, not its sector, so no sector bytes of
+/// its own reach the link columns.
+#[test]
+fn pool_epoch_columns_sum_to_simstats_pool_counters() {
+    let mut profile = BenchmarkProfile::kv_cache_growth();
+    profile.events_per_kernel = 4096;
+    let trace = profile.generate(0xBEEF);
+    // A GPU pool the 32 MiB footprint cannot fit, so pages get hot and move.
+    let mut pools = PoolsConfig::new(PlacementPolicy::HotPageMigrate);
+    pools.gpu_capacity = 1 << 20;
+    pools.cpu_capacity = 64 << 20;
+    pools.hot_touches = 2;
+    let probe = Probe::enabled(TelemetryConfig {
+        epoch_cycles: 5_000,
+    });
+    let stats = Simulator::new(&GpuConfig::default(), DesignPoint::Shm)
+        .with_pools(pools)
+        .with_probe(probe.clone())
+        .run(&trace);
+    probe.finalize(0);
+    let sums = probe
+        .with(|t| {
+            t.snapshots().iter().fold([0u64; 5], |acc, s| {
+                [
+                    acc[0] + s.pool_migrations,
+                    acc[1] + s.pool_spills,
+                    acc[2] + s.pool_cpu_accesses,
+                    acc[3] + s.link_bytes_to_gpu,
+                    acc[4] + s.link_bytes_to_cpu,
+                ]
+            })
+        })
+        .expect("enabled");
+    assert!(stats.pool_migrations > 0, "no page migrated");
+    assert!(stats.pool_spills > 0, "no page spilled");
+    assert_eq!(
+        sums,
+        [
+            stats.pool_migrations,
+            stats.pool_spills,
+            stats.pool_cpu_accesses,
+            stats.link_bytes_to_gpu,
+            stats.link_bytes_to_cpu,
+        ],
+        "epoch pool columns (migrations, spills, cpu accesses, link to-gpu, to-cpu) \
+         diverge from SimStats"
+    );
 }
 
 #[test]
