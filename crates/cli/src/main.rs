@@ -43,8 +43,6 @@ fn main() -> ExitCode {
 const TRACE: &[&str] = &["b", "benchmark", "trace", "custom", "events", "seed"];
 /// `--telemetry` and the outputs it enables for one run (`telemetry_probe`).
 const TELEMETRY: &[&str] = &["telemetry", "epoch-cycles", "trace-out", "epoch-csv"];
-/// The live `/metrics` endpoint (`obs::MetricsGuard`).
-const METRICS: &[&str] = &["metrics-addr", "metrics-hold-ms"];
 /// The design and pools of `shm run`.
 const RUN: &[&str] = &["d", "design", "pools", "jobs", "profile"];
 
@@ -77,7 +75,7 @@ fn dispatch(argv: &[String]) -> Result<(), Failure> {
             sweep::cmd_sweep,
             1,
             false,
-            &[TRACE, METRICS, SweepArgs::OPTIONS, &["pools", "csv"]],
+            &[TRACE, SweepArgs::OPTIONS, &["pools", "csv"]],
         ),
         ["trace", "gen"] => (trace::cmd_gen, 2, false, &[TRACE, &["o", "out"]]),
         ["trace", "info"] => (trace::cmd_info, 2, true, &[]),
@@ -118,8 +116,6 @@ fn print_help() {
          \x20        rows per policy plus migration/spill/link counters\n\
          \x20 sweep ... --journal <file> [--resume]  checkpoint results; SIGINT/SIGTERM\n\
          \x20        stops gracefully (exit 130) and --resume skips completed jobs\n\
-         \x20 sweep ... --metrics-addr HOST:PORT [--metrics-hold-ms N]   live /metrics\n\
-         \x20        endpoint (Prometheus text)\n\
          \x20 env                                  every SHM_* environment knob\n\
          \x20 attack --campaign smoke|full [--seed S] [--policy abort|retry|quarantine]\n\
          \x20        [--telemetry ...]            adversary campaign; exit 3 on any miss\n\

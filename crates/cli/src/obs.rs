@@ -1,57 +1,6 @@
-//! Observability helpers: the `/metrics` endpoint guard (`--metrics-addr`)
-//! and `shm env`.
-
-use std::time::Duration;
-
-use shm_metrics::MetricsServer;
-use shm_telemetry::Probe;
+//! `shm env`: the `SHM_*` environment knobs and their current values.
 
 use shm_bench::cli::{Args, Failure};
-
-/// Live `/metrics` endpoint for the duration of one command.  Starting it
-/// flips the process-global metrics registry on; without it every counter
-/// in the hot paths stays a single relaxed load.
-pub struct MetricsGuard {
-    server: Option<MetricsServer>,
-    hold_ms: u64,
-}
-
-impl MetricsGuard {
-    /// Starts the exposition server when `--metrics-addr HOST:PORT` (port
-    /// 0 = OS-assigned) asks for one.
-    pub fn from_args(args: &Args) -> Result<Self, Failure> {
-        let hold_ms = args.get_u64("metrics-hold-ms")?.unwrap_or(0);
-        let Some(addr) = args.get("metrics-addr") else {
-            return Ok(Self {
-                server: None,
-                hold_ms,
-            });
-        };
-        shm_metrics::set_enabled(true);
-        let server = MetricsServer::bind(addr).map_err(|e| {
-            Failure::runtime(
-                format!("bind metrics endpoint {addr}: {e}"),
-                &Probe::disabled(),
-            )
-        })?;
-        eprintln!("metrics: serving http://{}/metrics", server.local_addr());
-        Ok(Self {
-            server: Some(server),
-            hold_ms,
-        })
-    }
-
-    /// Keeps the endpoint up for `--metrics-hold-ms` (so a scraper can take
-    /// a final post-sweep sample), then shuts it down.
-    pub fn finish(self) {
-        if let Some(server) = self.server {
-            if self.hold_ms > 0 {
-                std::thread::sleep(Duration::from_millis(self.hold_ms));
-            }
-            server.shutdown();
-        }
-    }
-}
 
 /// `shm env`: every `SHM_*` environment knob the toolchain reads, with its
 /// current value.  The same table lives in README.md; a test checks that
@@ -182,15 +131,5 @@ mod tests {
             listed, table,
             "README's Environment knobs table must list exactly the `shm env` knobs"
         );
-    }
-
-    #[test]
-    fn metrics_guard_without_request_is_inert() {
-        let args = Args::parse(&[]).expect("parse");
-        let Ok(guard) = MetricsGuard::from_args(&args) else {
-            panic!("no server requested must not fail");
-        };
-        assert!(guard.server.is_none());
-        guard.finish();
     }
 }

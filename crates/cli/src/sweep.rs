@@ -11,18 +11,8 @@ use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_workloads::BenchmarkProfile;
 
 use crate::args;
-use crate::obs::MetricsGuard;
 
 pub fn cmd_sweep(args: &Args) -> Result<(), Failure> {
-    // The /metrics endpoint (when requested) covers the whole sweep and is
-    // shut down after the table prints, honoring --metrics-hold-ms.
-    let metrics = MetricsGuard::from_args(args)?;
-    let result = sweep(args);
-    metrics.finish();
-    result
-}
-
-fn sweep(args: &Args) -> Result<(), Failure> {
     let opts = SweepArgs::from_args(args)?;
     // Without `--pools` the sweep is one section with no placement policy.
     let policies: Vec<Option<PlacementPolicy>> = match args::pools(args)? {

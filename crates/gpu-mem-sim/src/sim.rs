@@ -285,11 +285,6 @@ impl Simulator {
         stats.cycles = clock.max(drain).max(1);
         stats.traffic = fabric.traffic();
         stats.dram_requests = fabric.requests();
-        stats.visit_metrics(|m, value| {
-            if pool.is_some() || !m.pooled {
-                shm_metrics::register_counter(m.name, m.help).add(value);
-            }
-        });
         probe.finalize(stats.cycles);
         (stats, engine, fabric)
     }
@@ -549,6 +544,7 @@ impl Simulator {
                                 cycle: t,
                                 bytes: if out.migrated { 0 } else { SECTOR_BYTES },
                                 is_write,
+                                capacity_event: out.capacity_event,
                             });
                         }
                         if out.migrated {

@@ -38,7 +38,7 @@ pub use addr::{ChunkId, LocalAddr, PartitionId, PartitionMap, PhysAddr, RegionId
 pub use config::{GpuConfig, MdcConfig, ShmConfig};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use rng::SplitMix64;
-pub use stats::{SimStats, StatMetric, StatValue, TrafficBytes, TrafficClass};
+pub use stats::{SimStats, StatValue, TrafficBytes, TrafficClass};
 
 /// Size of a cache line / memory block in bytes (a "block" in the paper).
 pub const BLOCK_BYTES: u64 = 128;

@@ -110,17 +110,6 @@ pub enum StatValue {
     PerClass([u64; 5]),
 }
 
-/// A [`SimStats`] counter published to the metrics registry at end of run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct StatMetric {
-    /// Prometheus metric name.
-    pub name: &'static str,
-    /// Prometheus help string.
-    pub help: &'static str,
-    /// Only runs that model heterogeneous pools publish it.
-    pub pooled: bool,
-}
-
 /// How one declared field appears to the visitor and the by-name setter.
 trait StatField {
     fn visit(&self, name: &'static str, f: &mut impl FnMut(&'static str, StatValue));
@@ -158,30 +147,12 @@ impl StatField for TrafficBytes {
     }
 }
 
-macro_rules! stat_metric {
-    (metric, $name:literal, $help:literal) => {
-        StatMetric {
-            name: $name,
-            help: $help,
-            pooled: false,
-        }
-    };
-    (pool_metric, $name:literal, $help:literal) => {
-        StatMetric {
-            name: $name,
-            help: $help,
-            pooled: true,
-        }
-    };
-}
-
-/// Declares every [`SimStats`] field once.  A field may carry
-/// `=> metric(name, help)` (published by every run) or
-/// `=> pool_metric(name, help)` (published by pool runs only).
+/// Declares every [`SimStats`] field once; the struct, [`SimStats::visit`]
+/// and [`SimStats::set`] follow from the one list.
 macro_rules! sim_stats {
     ($(
         $(#[doc = $doc:literal])+
-        $field:ident: $ty:ty $(=> $kind:ident($metric:literal, $help:literal))?,
+        $field:ident: $ty:ty,
     )*) => {
         /// End-of-run statistics from one simulation.
         #[derive(Clone, Default, Debug, PartialEq)]
@@ -201,11 +172,6 @@ macro_rules! sim_stats {
             pub fn set(&mut self, name: &str, value: StatValue) -> bool {
                 $(StatField::set(&mut self.$field, stringify!($field), name, value) ||)* false
             }
-
-            /// Visits every exported counter with its value.
-            pub fn visit_metrics(&self, mut f: impl FnMut(StatMetric, u64)) {
-                $($(f(stat_metric!($kind, $metric, $help), self.$field);)?)*
-            }
         }
     };
 }
@@ -216,11 +182,11 @@ sim_stats! {
     /// Instructions retired (trace events completed, including think time).
     instructions: u64,
     /// Warp-level memory accesses issued.
-    accesses: u64 => metric("shm_accesses_total", "Warp-level memory accesses issued"),
-    /// L2 hits.
-    l2_hits: u64 => metric("shm_l2_hits_total", "L2 hits (merged misses included)"),
-    /// L2 misses.
-    l2_misses: u64 => metric("shm_l2_misses_total", "L2 misses (write allocations included)"),
+    accesses: u64,
+    /// L2 hits (merged misses included).
+    l2_hits: u64,
+    /// L2 misses (write allocations included).
+    l2_misses: u64,
     /// L2 write-backs sent to DRAM.
     l2_writebacks: u64,
     /// Counter-cache hits/misses.
@@ -255,32 +221,17 @@ sim_stats! {
     dram_requests: u64,
     /// Pages migrated CPU→GPU through the secure inter-pool channel
     /// (heterogeneous-pool runs only; zero in single-pool mode).
-    pool_migrations: u64 => pool_metric(
-        "shm_pool_migrations_total",
-        "Pages migrated CPU->GPU through the secure channel"
-    ),
+    pool_migrations: u64,
     /// Pages spilled GPU→CPU to make room for a hot page.
-    pool_spills: u64 => pool_metric("shm_pool_spills_total", "Pages spilled GPU->CPU"),
+    pool_spills: u64,
     /// Data accesses served by the CPU-side pool.
-    pool_cpu_accesses: u64 => pool_metric(
-        "shm_pool_cpu_accesses_total",
-        "Data accesses served by the CPU-side pool"
-    ),
+    pool_cpu_accesses: u64,
     /// Accesses that hit GPU-pool capacity pressure (gpu-only policy).
-    pool_capacity_events: u64 => pool_metric(
-        "shm_pool_capacity_events_total",
-        "Accesses under gpu-only capacity pressure"
-    ),
+    pool_capacity_events: u64,
     /// Bytes the coherent link carried toward the GPU pool.
-    link_bytes_to_gpu: u64 => pool_metric(
-        "shm_link_to_gpu_bytes_total",
-        "Bytes the coherent link carried toward the GPU pool"
-    ),
+    link_bytes_to_gpu: u64,
     /// Bytes the coherent link carried toward the CPU pool.
-    link_bytes_to_cpu: u64 => pool_metric(
-        "shm_link_to_cpu_bytes_total",
-        "Bytes the coherent link carried toward the CPU pool"
-    ),
+    link_bytes_to_cpu: u64,
 }
 
 impl SimStats {

@@ -46,7 +46,7 @@ pub const ALL_PHASES: [Phase; 7] = [
 const NUM_PHASES: usize = ALL_PHASES.len();
 
 impl Phase {
-    /// Stable snake_case label used in reports and exposition.
+    /// Stable snake_case label used in reports.
     pub fn label(self) -> &'static str {
         match self {
             Phase::TraceGen => "trace_gen",
@@ -198,50 +198,21 @@ pub fn report() -> String {
     out
 }
 
-/// Appends `shm_phase_nanos_total` / `shm_phase_calls_total` families to a
-/// Prometheus exposition if any phase has been recorded.
-pub(crate) fn render_prometheus_into(out: &mut String) {
-    use std::fmt::Write as _;
-    let stats = snapshot();
-    if stats.iter().all(|s| s.calls == 0) {
-        return;
-    }
-    let _ = writeln!(
-        out,
-        "# HELP shm_phase_nanos_total Exclusive wall nanos per pipeline phase"
-    );
-    let _ = writeln!(out, "# TYPE shm_phase_nanos_total counter");
-    for s in &stats {
-        let _ = writeln!(
-            out,
-            "shm_phase_nanos_total{{phase=\"{}\"}} {}",
-            s.phase.label(),
-            s.nanos
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP shm_phase_calls_total Guard activations per pipeline phase"
-    );
-    let _ = writeln!(out, "# TYPE shm_phase_calls_total counter");
-    for s in &stats {
-        let _ = writeln!(
-            out,
-            "shm_phase_calls_total{{phase=\"{}\"}} {}",
-            s.phase.label(),
-            s.calls
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use std::time::Duration;
+
+    /// Profiling state is process-global; the tests serialize on this.
+    fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn disabled_guard_records_nothing() {
-        let _g = crate::registry::test_lock();
+        let _g = test_lock();
         set_profiling(false);
         reset_phases();
         for _ in 0..1000 {
@@ -253,7 +224,7 @@ mod tests {
 
     #[test]
     fn nested_guards_tile_time_exclusively() {
-        let _g = crate::registry::test_lock();
+        let _g = test_lock();
         reset_phases();
         set_profiling(true);
         let wall = Instant::now();
@@ -289,12 +260,5 @@ mod tests {
             "phases missed wall time: {sum} vs {wall}"
         );
         reset_phases();
-    }
-
-    #[test]
-    fn phase_labels_are_valid_prometheus_values() {
-        for p in ALL_PHASES {
-            assert!(crate::is_valid_label_name(p.label()));
-        }
     }
 }

@@ -65,16 +65,12 @@ impl WriteAheadLog {
         self.records.push(record);
         if self.records.len() - self.durable >= self.flush_interval {
             self.durable = self.records.len();
-            shm_metrics::counter!("shm_wal_flushes_total", "WAL group commits made durable").inc();
         }
     }
 
     /// Forces everything appended so far durable (clean shutdown).
     pub fn flush(&mut self) {
         let _wal_phase = shm_metrics::phase::guard(shm_metrics::phase::Phase::Wal);
-        if self.durable < self.records.len() {
-            shm_metrics::counter!("shm_wal_flushes_total", "WAL group commits made durable").inc();
-        }
         self.durable = self.records.len();
     }
 

@@ -87,11 +87,6 @@ pub struct MeeCore {
     bmt_cache: SectoredCache,
     cfg: MdcConfig,
     probe: Probe,
-    /// Hoisted metric handles: owned `Arc<Counter>`s skip the per-call-site
-    /// registry lookup on the per-request and counter-miss paths.
-    bmt_walks: std::sync::Arc<shm_metrics::Counter>,
-    bmt_levels: std::sync::Arc<shm_metrics::Counter>,
-    mac_verifies: std::sync::Arc<shm_metrics::Counter>,
 }
 
 impl MeeCore {
@@ -114,27 +109,15 @@ impl MeeCore {
             bmt_cache: mk(cfg),
             cfg: cfg.clone(),
             probe: Probe::disabled(),
-            bmt_walks: shm_metrics::register_counter(
-                "shm_bmt_walks_total",
-                "BMT freshness walks after counter misses",
-            ),
-            bmt_levels: shm_metrics::register_counter(
-                "shm_bmt_levels_total",
-                "BMT levels visited across all walks",
-            ),
-            mac_verifies: shm_metrics::register_counter(
-                "shm_mac_verifies_total",
-                "Block MACs computed or verified",
-            ),
         }
     }
 
-    /// Starts the metadata work of one protected request: counts the MAC it
-    /// computes (write) or verifies (read) and enters the profiler's
-    /// metadata-walk phase until the returned guard drops.  Nested fabric
+    /// Starts the metadata work of one protected request (the MAC it
+    /// computes on a write or verifies on a read): enters the profiler's
+    /// metadata-walk phase until the returned guard drops, so the phase's
+    /// call count is the number of protected requests.  Nested fabric
     /// guards carve their own share out of that phase.
     pub fn begin_request(&self) -> shm_metrics::phase::PhaseGuard {
-        self.mac_verifies.inc();
         shm_metrics::phase::guard(shm_metrics::phase::Phase::MetadataWalk)
     }
 
@@ -405,8 +388,6 @@ impl MeeCore {
                 break; // cached ⇒ verified ⇒ stop the walk
             }
         }
-        self.bmt_walks.inc();
-        self.bmt_levels.add(u64::from(walked));
         if self.probe.is_enabled() {
             self.probe.emit(
                 now,

@@ -154,6 +154,8 @@ columns! {
         pool_spills: u64,
         /// Data accesses served by the CPU-side pool during the epoch.
         pool_cpu_accesses: u64,
+        /// Of those, accesses under gpu-only capacity pressure.
+        pool_capacity_events: u64,
         /// Bytes the coherent link carried toward the GPU pool this epoch.
         link_bytes_to_gpu: u64,
         /// Bytes the coherent link carried toward the CPU pool this epoch.

@@ -226,9 +226,13 @@ impl Telemetry {
                 cur.bmt_depth_max = cur.bmt_depth_max.max(depth);
             }
             Hook::PoolRemoteAccess {
-                bytes, is_write, ..
+                bytes,
+                is_write,
+                capacity_event,
+                ..
             } => {
                 cur.pool_cpu_accesses += 1;
+                cur.pool_capacity_events += u64::from(capacity_event);
                 if is_write {
                     cur.link_bytes_to_cpu += bytes;
                 } else {
@@ -384,11 +388,13 @@ pub enum Hook {
     /// One data access served by the CPU-side pool: `bytes` crossed the
     /// coherent link (toward the CPU for writes, the GPU for reads); 0 when
     /// the access migrated its page, whose bytes [`Hook::PoolMigration`]
-    /// carries.
+    /// carries.  `capacity_event` marks a gpu-only access to a page with no
+    /// GPU backing.
     PoolRemoteAccess {
         cycle: u64,
         bytes: u64,
         is_write: bool,
+        capacity_event: bool,
     },
     /// One secure page migration: `to_gpu_bytes` promoted across the link,
     /// `to_cpu_bytes` spilled the other way to make room (0 = no eviction

@@ -58,10 +58,9 @@ recovery-smoke scale="0.25":
     diff /tmp/shm_recovery_sweep_serial.txt /tmp/shm_recovery_sweep_resumed.txt
     rm -f /tmp/shm_recovery_sweep.jsonl /tmp/shm_recovery_sweep_serial.txt /tmp/shm_recovery_sweep_resumed.txt
 
-# Observability smoke: live /metrics during a sweep must serve the key
-# series, the sweep table must stay byte-identical to a metrics-off serial
-# run, two identical telemetry runs must write byte-identical JSONL, and
-# the phase profiler must render (see docs/OBSERVABILITY.md).
+# Observability smoke: a two-lane sweep table must stay byte-identical to
+# a serial run, two identical telemetry runs must write byte-identical
+# JSONL, and the phase profiler must render (see docs/OBSERVABILITY.md).
 obs-smoke:
     bash scripts/obs_smoke.sh
 

@@ -143,22 +143,26 @@ fn a_misspelled_option_is_refused_before_the_command_runs() {
     assert!(!trace.exists(), "nothing is written");
 }
 
+/// Options and commands of retired subsystems are usage errors: exit 2
+/// before anything runs.
 #[test]
 fn the_retired_cluster_surface_is_refused() {
-    let out = shm(&["sweep", "-b", "lbm", "--dist", "127.0.0.1:0"]);
-    assert_eq!(out.status.code(), Some(2), "--dist is a usage error");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown option --dist"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no sweep runs");
-    let out = shm(&["sweep", "-b", "lbm", "--telemetry"]);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "sweep --telemetry is a usage error"
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown option --telemetry"), "{stderr}");
-    assert!(out.stdout.is_empty(), "no sweep runs");
+    for argv in [
+        &["sweep", "-b", "lbm", "--dist", "127.0.0.1:0"][..],
+        &["sweep", "-b", "lbm", "--telemetry"],
+        &["sweep", "-b", "lbm", "--metrics-addr", "127.0.0.1:0"],
+        &["sweep", "-b", "lbm", "--metrics-hold-ms", "1"],
+    ] {
+        let flag = argv[3];
+        let out = shm(argv);
+        assert_eq!(out.status.code(), Some(2), "sweep {flag} is a usage error");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "sweep {flag}: no sweep runs");
+    }
     for argv in [
         &["worker"][..],
         &["chaos"],

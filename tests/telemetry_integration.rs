@@ -41,17 +41,15 @@ fn epoch_snapshots_sum_to_simstats_traffic() {
     assert!(epochs >= 2, "expected >=2 epochs, got {epochs}");
 }
 
-/// A hot-page-migrate run that migrates and spills pages: each of the five
-/// pool columns, summed over the epochs, equals its `SimStats` counter.  A
-/// migrating access moves its page, not its sector, so no sector bytes of
-/// its own reach the link columns.
-#[test]
-fn pool_epoch_columns_sum_to_simstats_pool_counters() {
+/// A kv-cache-growth run under `policy` whose 32 MiB footprint overflows
+/// a 1 MiB GPU pool: its `SimStats` and, summed over the epochs, its six
+/// pool columns (migrations, spills, cpu accesses, capacity events, link
+/// to-gpu, to-cpu).
+fn pressured_pool_run(policy: PlacementPolicy) -> (gpu_types::SimStats, [u64; 6]) {
     let mut profile = BenchmarkProfile::kv_cache_growth();
     profile.events_per_kernel = 4096;
     let trace = profile.generate(0xBEEF);
-    // A GPU pool the 32 MiB footprint cannot fit, so pages get hot and move.
-    let mut pools = PoolsConfig::new(PlacementPolicy::HotPageMigrate);
+    let mut pools = PoolsConfig::new(policy);
     pools.gpu_capacity = 1 << 20;
     pools.cpu_capacity = 64 << 20;
     pools.hot_touches = 2;
@@ -65,31 +63,48 @@ fn pool_epoch_columns_sum_to_simstats_pool_counters() {
     probe.finalize(0);
     let sums = probe
         .with(|t| {
-            t.snapshots().iter().fold([0u64; 5], |acc, s| {
+            t.snapshots().iter().fold([0u64; 6], |acc, s| {
                 [
                     acc[0] + s.pool_migrations,
                     acc[1] + s.pool_spills,
                     acc[2] + s.pool_cpu_accesses,
-                    acc[3] + s.link_bytes_to_gpu,
-                    acc[4] + s.link_bytes_to_cpu,
+                    acc[3] + s.pool_capacity_events,
+                    acc[4] + s.link_bytes_to_gpu,
+                    acc[5] + s.link_bytes_to_cpu,
                 ]
             })
         })
         .expect("enabled");
-    assert!(stats.pool_migrations > 0, "no page migrated");
-    assert!(stats.pool_spills > 0, "no page spilled");
-    assert_eq!(
-        sums,
-        [
-            stats.pool_migrations,
-            stats.pool_spills,
-            stats.pool_cpu_accesses,
-            stats.link_bytes_to_gpu,
-            stats.link_bytes_to_cpu,
-        ],
-        "epoch pool columns (migrations, spills, cpu accesses, link to-gpu, to-cpu) \
-         diverge from SimStats"
-    );
+    (stats, sums)
+}
+
+/// Each of the six pool columns, summed over the epochs, equals its
+/// `SimStats` counter: on a hot-page-migrate run that migrates and spills
+/// pages (a migrating access moves its page, not its sector, so no sector
+/// bytes of its own reach the link columns), and on a gpu-only run under
+/// capacity pressure.
+#[test]
+fn pool_epoch_columns_sum_to_simstats_pool_counters() {
+    let (migrate, migrate_sums) = pressured_pool_run(PlacementPolicy::HotPageMigrate);
+    assert!(migrate.pool_migrations > 0, "no page migrated");
+    assert!(migrate.pool_spills > 0, "no page spilled");
+    let (gpu_only, gpu_only_sums) = pressured_pool_run(PlacementPolicy::GpuOnly);
+    assert!(gpu_only.pool_capacity_events > 0, "no capacity pressure");
+    for (stats, sums) in [(migrate, migrate_sums), (gpu_only, gpu_only_sums)] {
+        assert_eq!(
+            sums,
+            [
+                stats.pool_migrations,
+                stats.pool_spills,
+                stats.pool_cpu_accesses,
+                stats.pool_capacity_events,
+                stats.link_bytes_to_gpu,
+                stats.link_bytes_to_cpu,
+            ],
+            "epoch pool columns (migrations, spills, cpu accesses, capacity events, \
+             link to-gpu, to-cpu) diverge from SimStats"
+        );
+    }
 }
 
 #[test]
