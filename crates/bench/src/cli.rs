@@ -56,7 +56,7 @@ impl core::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Options that never take a value.
-const FLAGS: &[&str] = &["csv", "telemetry", "resume", "sweep", "profile"];
+const FLAGS: &[&str] = &["csv", "telemetry", "resume", "profile"];
 
 impl Args {
     /// Parses `argv` (without the command name); every token must be an
@@ -195,9 +195,9 @@ impl Failure {
         Self::new(message, 1, probe)
     }
 
-    /// Integrity failure: an attack campaign or crash matrix broke the
-    /// security claim (exit code 3, so scripts can tell a broken claim
-    /// from a crashed run).
+    /// Integrity failure: an attack campaign broke the security claim
+    /// (exit code 3, so scripts can tell a broken claim from a crashed
+    /// run).
     pub fn integrity(message: impl Into<String>, probe: &Probe) -> Self {
         Self::new(message, 3, probe)
     }

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use gpu_mem_sim::{DesignPoint, EnergyModel, Simulator};
+use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats, TrafficClass};
 pub use shm_recovery::RecoveryError;
 use shm_workloads::BenchmarkProfile;
@@ -54,6 +54,15 @@ pub fn trace_seed(name: &str) -> u64 {
 pub fn config_hash(parts: &[&str]) -> u64 {
     let joined: Vec<u8> = parts.iter().flat_map(|p| p.bytes().chain([0x1f])).collect();
     sim_dist::protocol::payload_digest(&joined)
+}
+
+/// FNV-1a over `trace` as [`gpu_mem_sim::write_trace`] encodes it: the
+/// [`config_hash`] part that binds a journal to a trace's content (its
+/// seed, `--custom` shape or stored file), not only to its name.
+pub fn trace_digest(trace: &ContextTrace) -> u64 {
+    let mut encoded = Vec::new();
+    gpu_mem_sim::write_trace(trace, &mut encoded).expect("writing to a Vec cannot fail");
+    sim_dist::protocol::payload_digest(&encoded)
 }
 
 /// Runs one benchmark under one design; seeds are fixed for determinism.

@@ -63,11 +63,6 @@ impl Mshr {
         }
     }
 
-    /// Drops every outstanding entry (pooled-reuse reset).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Completes the outstanding miss on `line`, returning how many requests
     /// had merged into it (0 if the line had no entry).
     pub fn complete(&mut self, line: u64) -> u32 {

@@ -1,5 +1,7 @@
 //! A set-associative, sectored, write-back cache with LRU replacement.
 
+use std::ops::Range;
+
 /// Outcome of a cache lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Lookup {
@@ -60,7 +62,10 @@ impl Way {
 /// cache.
 #[derive(Clone, Debug)]
 pub struct SectoredCache {
-    sets: Vec<Vec<Way>>,
+    /// Every way of every set in one allocation: set `s` is
+    /// `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
+    assoc: usize,
     num_sets: u64,
     line_bytes: u64,
     sectors_per_line: u32,
@@ -99,7 +104,8 @@ impl SectoredCache {
             "number of sets must be a power of two"
         );
         Self {
-            sets: vec![vec![Way::default(); assoc as usize]; num_sets as usize],
+            ways: vec![Way::default(); (num_sets * assoc as u64) as usize],
+            assoc: assoc as usize,
             num_sets,
             line_bytes,
             sectors_per_line,
@@ -108,19 +114,6 @@ impl SectoredCache {
             hits: 0,
             misses: 0,
         }
-    }
-
-    /// Invalidates every line and zeroes the counters, keeping the allocated
-    /// set storage so a pooled cache can be reused without reallocating.
-    pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = Way::default();
-            }
-        }
-        self.tick = 0;
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Line-aligned address for `addr`.
@@ -172,8 +165,10 @@ impl SectoredCache {
         self.misses
     }
 
-    fn set_of(&self, line: u64) -> usize {
-        ((line / self.line_bytes) % self.num_sets) as usize
+    /// The slots of `ways` holding the set `line` maps to.
+    fn set_of(&self, line: u64) -> Range<usize> {
+        let set = ((line / self.line_bytes) % self.num_sets) as usize;
+        set * self.assoc..(set + 1) * self.assoc
     }
 
     /// Set index a raw address maps to (used by set-sampling monitors).
@@ -188,7 +183,7 @@ impl SectoredCache {
         let set = self.set_of(line);
         self.tick += 1;
         let tick = self.tick;
-        for way in &mut self.sets[set] {
+        for way in &mut self.ways[set] {
             if way.is_valid() && way.tag == line {
                 way.lru = tick;
                 let missing = sectors & !way.valid_sectors;
@@ -210,7 +205,7 @@ impl SectoredCache {
     pub fn probe(&self, addr: u64, sectors: u8) -> bool {
         let line = self.line_base(addr);
         let set = self.set_of(line);
-        self.sets[set]
+        self.ways[set]
             .iter()
             .any(|w| w.is_valid() && w.tag == line && sectors & !w.valid_sectors == 0)
     }
@@ -224,7 +219,7 @@ impl SectoredCache {
         let tick = self.tick;
 
         // Already present: merge sectors.
-        if let Some(way) = self.sets[set]
+        if let Some(way) = self.ways[set.clone()]
             .iter_mut()
             .find(|w| w.is_valid() && w.tag == line)
         {
@@ -234,7 +229,7 @@ impl SectoredCache {
         }
 
         // Free way?
-        if let Some(way) = self.sets[set].iter_mut().find(|w| !w.is_valid()) {
+        if let Some(way) = self.ways[set.clone()].iter_mut().find(|w| !w.is_valid()) {
             *way = Way {
                 tag: line,
                 valid_sectors: sectors,
@@ -246,14 +241,12 @@ impl SectoredCache {
         }
 
         // Evict LRU.
-        let victim_idx = self.sets[set]
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.lru)
-            .map(|(i, _)| i)
+        let way = self.ways[set]
+            .iter_mut()
+            .min_by_key(|w| w.lru)
             .expect("set is non-empty");
-        let victim = self.sets[set][victim_idx];
-        self.sets[set][victim_idx] = Way {
+        let victim = *way;
+        *way = Way {
             tag: line,
             valid_sectors: sectors,
             dirty_sectors: 0,
@@ -275,7 +268,7 @@ impl SectoredCache {
     pub fn mark_dirty(&mut self, addr: u64, sectors: u8) -> bool {
         let line = self.line_base(addr);
         let set = self.set_of(line);
-        if let Some(way) = self.sets[set]
+        if let Some(way) = self.ways[set]
             .iter_mut()
             .find(|w| w.is_valid() && w.tag == line)
         {
@@ -295,7 +288,7 @@ impl SectoredCache {
     pub fn clear_dirty(&mut self, addr: u64, sectors: u8) {
         let line = self.line_base(addr);
         let set = self.set_of(line);
-        if let Some(way) = self.sets[set]
+        if let Some(way) = self.ways[set]
             .iter_mut()
             .find(|w| w.is_valid() && w.tag == line)
         {
@@ -307,7 +300,7 @@ impl SectoredCache {
     pub fn invalidate(&mut self, addr: u64) -> Option<Eviction> {
         let line = self.line_base(addr);
         let set = self.set_of(line);
-        if let Some(way) = self.sets[set]
+        if let Some(way) = self.ways[set]
             .iter_mut()
             .find(|w| w.is_valid() && w.tag == line)
         {
@@ -327,17 +320,15 @@ impl SectoredCache {
     /// Drains every valid line (end-of-kernel flush), returning evictions.
     pub fn flush(&mut self) -> Vec<Eviction> {
         let mut out = Vec::new();
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                if way.is_valid() {
-                    out.push(Eviction {
-                        addr: way.tag,
-                        dirty_sectors: way.dirty_sectors,
-                        valid_sectors: way.valid_sectors,
-                        uses: way.uses,
-                    });
-                    *way = Way::default();
-                }
+        for way in &mut self.ways {
+            if way.is_valid() {
+                out.push(Eviction {
+                    addr: way.tag,
+                    dirty_sectors: way.dirty_sectors,
+                    valid_sectors: way.valid_sectors,
+                    uses: way.uses,
+                });
+                *way = Way::default();
             }
         }
         out
@@ -345,10 +336,7 @@ impl SectoredCache {
 
     /// Number of currently valid lines.
     pub fn occupancy(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.is_valid()).count())
-            .sum()
+        self.ways.iter().filter(|w| w.is_valid()).count()
     }
 }
 

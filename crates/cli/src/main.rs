@@ -6,7 +6,6 @@
 //! shm run --trace file.trace -d PSSM            replay a stored trace
 //! shm sweep -b kmeans [--events N] [--csv]      all designs on one benchmark
 //! shm sweep -b kmeans --journal s.jsonl --resume   checkpointed sweep
-//! shm crash --seed 7 --sweep                    power-cut recovery matrix
 //! shm trace gen -b lbm -o lbm.trace [--events N]
 //! shm trace info lbm.trace
 //! ```
@@ -23,7 +22,6 @@ use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
 
 mod args;
 mod attack;
-mod crash;
 mod list;
 mod obs;
 mod run;
@@ -64,12 +62,6 @@ fn dispatch(argv: &[String]) -> Result<(), Failure> {
             1,
             false,
             &[TELEMETRY, &["campaign", "seed", "policy"]],
-        ),
-        ["crash", ..] => (
-            crash::cmd_crash,
-            1,
-            false,
-            &[&["seed", "ops", "flush", "at-cycle", "sweep"]],
         ),
         ["sweep", ..] => (
             sweep::cmd_sweep,
@@ -119,8 +111,6 @@ fn print_help() {
          \x20 env                                  every SHM_* environment knob\n\
          \x20 attack --campaign smoke|full [--seed S] [--policy abort|retry|quarantine]\n\
          \x20        [--telemetry ...]            adversary campaign; exit 3 on any miss\n\
-         \x20 crash --at-cycle N [--seed S] [--ops K] [--flush F]   cut power at a\n\
-         \x20        micro-op cycle, recover, classify; --sweep covers every cycle\n\
          \x20 trace gen  -b <bench> -o <file> [--events N] [--seed S]\n\
          \x20 trace info <file>\n"
     );

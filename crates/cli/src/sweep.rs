@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use gpu_mem_sim::{ContextTrace, DesignPoint, EnergyModel, Simulator};
 use gpu_types::{GpuConfig, SimStats};
 use shm_bench::cli::{Args, Failure, SweepArgs};
-use shm_bench::{config_hash, Journal, Sweep};
+use shm_bench::{config_hash, trace_digest, Journal, Sweep};
 use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_workloads::BenchmarkProfile;
 
@@ -64,13 +64,11 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Failure> {
 }
 
 /// The journal of `shm sweep --journal path`, bound to this exact sweep:
-/// same trace content (name and event count) and same design list, or the
+/// same trace content (a digest of its encoded bytes, so another `--seed`,
+/// `--custom` spec or `--trace` file differs) and same design list, or the
 /// journal is rejected.
 fn journal(path: &std::path::Path, trace: &ContextTrace) -> Journal {
-    let mut parts: Vec<String> = vec![
-        trace.name.to_string(),
-        trace.all_events().count().to_string(),
-    ];
+    let mut parts = vec![format!("{:016x}", trace_digest(trace))];
     parts.extend(DesignPoint::ALL.iter().map(|d| d.name().to_string()));
     let part_refs: Vec<&str> = parts.iter().map(String::as_str).collect();
     Journal {

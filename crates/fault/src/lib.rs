@@ -63,9 +63,8 @@ pub enum TamperKind {
     /// re-fetch (the transient the retry-once recovery policy absorbs).
     TransientBitFlip,
     /// Power-cut tear: a write's ciphertext lands but its MAC, counter and
-    /// BMT micro-ops do not (the crash axis — `crates/recovery` models the
-    /// full cut-and-recover flow; here the campaign asserts the torn state
-    /// itself can never be served silently).
+    /// BMT micro-ops do not; the campaign asserts the torn state can never
+    /// be served silently.
     TornWrite,
     /// Man-in-the-middle on the CPU↔GPU coherent link: flip wire bytes of a
     /// page mid-migration between the pools.  The link MAC must reject the

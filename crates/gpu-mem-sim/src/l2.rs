@@ -221,20 +221,6 @@ impl L2Bank {
         out.append(&mut self.deferred_writebacks);
     }
 
-    /// Returns the bank to its just-built state while keeping every
-    /// allocation (cache sets, MSHR map, heaps), so a pooled bank can be
-    /// reused across jobs without reallocating.
-    pub fn reset(&mut self) {
-        self.cache.reset();
-        self.mshr.clear();
-        self.pending.clear();
-        self.completions.clear();
-        self.sampler.reset();
-        self.deferred_writebacks.clear();
-        self.data_evictions.clear();
-        self.mshr_stalls = 0;
-    }
-
     /// Flushes the bank (kernel boundary), returning dirty lines.
     pub fn flush(&mut self) -> Vec<Eviction> {
         self.pending.clear();

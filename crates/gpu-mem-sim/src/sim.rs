@@ -31,31 +31,6 @@ pub fn batch_issue_enabled() -> bool {
     BATCH_ISSUE.load(std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Geometry fields that determine an [`L2Bank`]'s construction; two configs
-/// with the same key produce interchangeable bank matrices.
-type BankPoolKey = (u16, u32, u64, u32, u32, u32);
-
-/// Process-wide pool of retired L2 bank matrices, keyed by geometry.  A
-/// sweep runs thousands of jobs over a handful of geometries, so reusing a
-/// reset matrix skips rebuilding every set, way and MSHR table per job.
-static BANK_POOL: std::sync::OnceLock<sim_exec::arena::ScratchPool<BankPoolKey, Vec<Vec<L2Bank>>>> =
-    std::sync::OnceLock::new();
-
-fn bank_pool() -> &'static sim_exec::arena::ScratchPool<BankPoolKey, Vec<Vec<L2Bank>>> {
-    BANK_POOL.get_or_init(sim_exec::arena::ScratchPool::new)
-}
-
-fn bank_pool_key(cfg: &GpuConfig) -> BankPoolKey {
-    (
-        cfg.num_partitions,
-        cfg.l2_banks_per_partition,
-        cfg.l2_bank_bytes,
-        cfg.l2_assoc,
-        cfg.l2_mshr_entries,
-        cfg.l2_mshr_merges,
-    )
-}
-
 /// A trace-driven simulation of one design point on the Table-V GPU.
 pub struct Simulator {
     cfg: GpuConfig,
@@ -173,23 +148,13 @@ impl Simulator {
         fabric.set_probe(probe.clone());
         engine.set_probe(&probe);
         let mut stats = SimStats::default();
-        // Check the bank matrix out of the geometry-keyed pool; a recycled
-        // matrix still holds the previous job's cache state, so reset it
-        // back to the just-built state (allocations are kept).
-        let mut banks = bank_pool().take(bank_pool_key(&self.cfg), || {
-            (0..self.cfg.num_partitions)
-                .map(|_| {
-                    (0..self.cfg.l2_banks_per_partition)
-                        .map(|_| L2Bank::new(&self.cfg))
-                        .collect()
-                })
-                .collect::<Vec<Vec<L2Bank>>>()
-        });
-        if banks.is_recycled() {
-            for bank in banks.iter_mut().flatten() {
-                bank.reset();
-            }
-        }
+        let mut banks: Vec<Vec<L2Bank>> = (0..self.cfg.num_partitions)
+            .map(|_| {
+                (0..self.cfg.l2_banks_per_partition)
+                    .map(|_| L2Bank::new(&self.cfg))
+                    .collect()
+            })
+            .collect();
 
         // Heterogeneous pools ride alongside the fabric; `None` keeps the
         // single-pool hot path untouched (and its output byte-identical).

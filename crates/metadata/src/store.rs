@@ -498,41 +498,30 @@ impl SecureMemory {
         self.chunk_macs.remove(&(addr / CHUNK_BYTES));
     }
 
-    // --- Persistence domain: recovery actions replaying a write-ahead log.
+    // --- Persistence domain: restores of earlier snapshots, which the fault
+    // campaign's torn-write class uses to leave a write half-landed.
     //
     // Unlike the attacker hooks above, these restore *consistent* state: a
-    // counter restore always rewrites the full BMT path, so a recovered
+    // counter restore always rewrites the full BMT path, so a restored
     // region verifies again instead of merely holding old bytes.
 
-    /// Recovery action: restore a block's stored ciphertext from a journal
-    /// record (undo/redo of a torn data write).
+    /// Restores a block's stored ciphertext from a snapshot.
     pub fn restore_ciphertext(&mut self, addr: u64, ct: [u8; 128]) {
         self.ciphertext.insert(addr & !(BLOCK_BYTES - 1), ct);
     }
 
-    /// Recovery action: restore a block's stored per-block MAC from a
-    /// journal record.
+    /// Restores a block's stored per-block MAC from a snapshot.
     pub fn restore_block_mac(&mut self, addr: u64, mac: u64) {
         self.block_macs.insert(addr & !(BLOCK_BYTES - 1), mac);
     }
 
-    /// Recovery action: restore the counter sector covering `addr` and
-    /// rebuild the whole BMT path over its counter line, leaving the tree
-    /// consistent with the restored sector (contrast
+    /// Restores the counter sector covering `addr` and rebuilds the whole
+    /// BMT path over its counter line, leaving the tree consistent with the
+    /// restored sector (contrast
     /// [`Self::replay_counter`], which deliberately leaves the tree stale).
     pub fn restore_counter(&mut self, addr: u64, sector: CounterSector) {
         let sector_addr = self.layout.counter_sector(addr);
         self.counters.insert(sector_addr, sector);
-        let leaf = self.bmt_leaf_of(addr);
-        let hash = self.counter_hash(sector_addr);
-        self.bmt.update_leaf(leaf, hash);
-    }
-
-    /// Recovery action: recompute the BMT leaf covering `addr` from the
-    /// counters currently stored and rewrite its path bottom-up — heals a
-    /// tree whose leaf or inner nodes were torn mid-update.
-    pub fn rebuild_bmt_leaf(&mut self, addr: u64) {
-        let sector_addr = self.layout.counter_sector(addr);
         let leaf = self.bmt_leaf_of(addr);
         let hash = self.counter_hash(sector_addr);
         self.bmt.update_leaf(leaf, hash);
@@ -750,21 +739,6 @@ mod tests {
         assert_eq!(m.read_block(0x1000), Err(VerifyError::BlockMacMismatch));
         assert!(!m.transient_fault_armed(0x1000), "fault is one-shot");
         assert_eq!(m.read_block(0x1000).expect("refetch verifies"), [5u8; 128]);
-    }
-
-    #[test]
-    fn rebuild_bmt_leaf_heals_torn_tree_write() {
-        // A crash between the counter write and the BMT path write leaves
-        // the tree stale (exactly what tamper_bmt_leaf models); recovery
-        // recomputes the leaf from the stored counters and the read verifies.
-        let mut m = mem();
-        m.write_block(0x1000, &[1u8; 128]);
-        let stale = m.snapshot_bmt_leaf(0x1000);
-        m.write_block(0x1000, &[2u8; 128]);
-        m.tamper_bmt_leaf(0x1000, stale);
-        assert_eq!(m.read_block(0x1000), Err(VerifyError::FreshnessViolation));
-        m.rebuild_bmt_leaf(0x1000);
-        assert_eq!(m.read_block(0x1000).expect("healed read"), [2u8; 128]);
     }
 
     #[test]

@@ -28,19 +28,16 @@ pub enum Phase {
     MetadataWalk,
     /// AES pad generation and MAC arithmetic.
     Aes,
-    /// Write-ahead-log appends and group commits.
-    Wal,
 }
 
 /// Every phase, in display order.
-pub const ALL_PHASES: [Phase; 7] = [
+pub const ALL_PHASES: [Phase; 6] = [
     Phase::TraceGen,
     Phase::AccessIssue,
     Phase::L2,
     Phase::Fabric,
     Phase::MetadataWalk,
     Phase::Aes,
-    Phase::Wal,
 ];
 
 const NUM_PHASES: usize = ALL_PHASES.len();
@@ -55,7 +52,6 @@ impl Phase {
             Phase::Fabric => "fabric",
             Phase::MetadataWalk => "metadata_walk",
             Phase::Aes => "aes",
-            Phase::Wal => "wal",
         }
     }
 

@@ -13,8 +13,8 @@
 //! The sweep runner (`shm_bench::Sweep`) skips journaled jobs, decodes
 //! their results back, and appends the rest as they finish — so a resumed
 //! sweep renders the exact bytes an uninterrupted one would.  The config
-//! hash guards against resuming with a different benchmark set, scale or
-//! design list.
+//! hash guards against resuming with a different benchmark set, scale,
+//! trace or design list.
 
 use gpu_types::json;
 use gpu_types::{SimStats, StatValue};

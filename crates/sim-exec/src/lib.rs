@@ -27,12 +27,6 @@
 //! [`Executor::map`] and [`Executor::map_cancellable`] are each one call
 //! to the same job loop, fed from a shared cursor: cancellation is the
 //! cursor's stop check.
-//!
-//! The [`arena`] module complements the executor: keyed scratch pools let
-//! repeated jobs reuse their per-job working state (bank matrices, event
-//! buffers) instead of rebuilding it from the allocator every time.
-
-pub mod arena;
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -38,12 +38,10 @@ bench-micro:
 attack-smoke seed="7":
     cargo run --release -p shm-cli -- attack --campaign smoke --seed {{seed}}
 
-# Crash-consistency smoke: the power-cut matrix must classify every cut with
-# zero silent divergence, and a sweep killed mid-run must --resume to
+# Checkpoint/resume smoke: a sweep killed mid-run must --resume to
 # byte-identical tables without re-executing completed jobs (a repro
 # figure, and an `shm sweep` journal resumed on two lanes).
 recovery-smoke scale="0.25":
-    cargo run --release -p shm-cli -- crash --sweep --seed 7
     rm -rf /tmp/shm_recovery_j
     cargo run --release -p shm-bench --bin repro -- fig16 --scale {{scale}} > /tmp/shm_recovery_golden.txt
     cargo run --release -p shm-bench --bin repro -- fig16 --scale {{scale}} --journal /tmp/shm_recovery_j --crash-after-jobs 5; test $? -eq 130

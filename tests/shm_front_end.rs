@@ -1,11 +1,11 @@
 //! The `shm` front end, driven through the binary: a journaled sweep
-//! killed by the crash switch exits 130 and resumes to the serial table,
-//! the journal flags refuse to run without `--journal` or over an existing
+//! killed by the crash switch exits 130, refuses a resume over another
+//! trace (exit 1) and resumes to the serial table, the journal flags refuse to run without `--journal` or over an existing
 //! journal (exit 2), a `--pools` sweep of a stored trace prints the same at
 //! any job count, a telemetry document is the same bytes at any job count,
 //! an option the command does not read is refused (exit 2) before it does
-//! anything, the retired cluster and span-trace surface is a usage error,
-//! and a command whose stdout reader is gone ends quietly.
+//! anything, the retired cluster, span-trace and power-cut surface is a
+//! usage error, and a command whose stdout reader is gone ends quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -56,6 +56,14 @@ fn crashed_journaled_sweep_resumes_to_the_serial_table() {
         Some(2),
         "existing journal needs --resume"
     );
+
+    // Another seed is another trace under the same labels: its results
+    // must not be mixed into this journal.
+    let reseeded = with(&["--journal", j, "--resume", "--seed", "7"]);
+    assert_eq!(reseeded.status.code(), Some(1), "another trace is refused");
+    let stderr = String::from_utf8_lossy(&reseeded.stderr);
+    assert!(stderr.contains("different configuration"), "{stderr}");
+    assert!(reseeded.stdout.is_empty(), "no table from a refused resume");
 
     let resumed = stdout(&with(&["--journal", j, "--resume"]));
     assert_eq!(resumed, serial, "resume must print the serial table");
@@ -168,6 +176,7 @@ fn the_retired_cluster_surface_is_refused() {
         &["chaos"],
         &["top"],
         &["trace-report", "F"],
+        &["crash", "--sweep"],
     ] {
         let command = argv[0];
         let out = shm(argv);
