@@ -330,7 +330,7 @@ pub fn finish_telemetry(args: &Args, probe: &Probe) -> Result<(), Failure> {
     if !probe.is_enabled() {
         return Ok(());
     }
-    probe.finalize(0);
+    probe.finalize();
     if let Some(s) = probe.summary() {
         println!("{s}");
     }

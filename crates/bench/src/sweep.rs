@@ -316,6 +316,7 @@ impl Sweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shm_recovery::journal::JOURNAL_VERSION;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
@@ -379,7 +380,7 @@ mod tests {
         let path = tmp("attributed");
         let sweep = toy(&path, None);
         let mut doc = format!(
-            "{{\"type\":\"journal_meta\",\"version\":1,\"config_hash\":\"{:016x}\"}}\n",
+            "{{\"type\":\"journal_meta\",\"version\":{JOURNAL_VERSION},\"config_hash\":\"{:016x}\"}}\n",
             config_hash(&["toy"])
         );
         for (i, job) in sweep.jobs.iter().enumerate() {

@@ -10,6 +10,7 @@ use secure_core::{DramFabric, MemRequest};
 use shm::{DesignPoint, OracleProfile, ShmSystem};
 use shm_cache::Eviction;
 use shm_metadata::MetadataKind;
+use shm_pool::PoolSim;
 use shm_telemetry::{Event, Hook, Probe};
 
 use crate::l2::{L2Bank, L2Outcome, L2_HIT_LATENCY};
@@ -141,13 +142,11 @@ impl Simulator {
         let map = self.cfg.partition_map();
         let mut engine = self.build_engine(trace);
         let mut fabric = DramFabric::new(&self.cfg);
-        // All layers of this run share one buffered probe, so hooks append
-        // to a preallocated block buffer (drained in emission order) instead
-        // of locking and updating the telemetry state per event.
-        let probe = self.probe.buffered();
+        let probe = &self.probe;
         fabric.set_probe(probe.clone());
-        engine.set_probe(&probe);
+        engine.set_probe(probe);
         let mut stats = SimStats::default();
+        let mut next_epoch = probe.next_epoch_at();
         let mut banks: Vec<Vec<L2Bank>> = (0..self.cfg.num_partitions)
             .map(|_| {
                 (0..self.cfg.l2_banks_per_partition)
@@ -158,7 +157,7 @@ impl Simulator {
 
         // Heterogeneous pools ride alongside the fabric; `None` keeps the
         // single-pool hot path untouched (and its output byte-identical).
-        let mut pool = self.pools.map(shm_pool::PoolSim::new);
+        let mut pool = self.pools.map(PoolSim::new);
 
         let mut clock = 0u64;
         for kernel in &trace.kernels {
@@ -185,7 +184,8 @@ impl Simulator {
                 clock,
                 &kernel.events,
                 map,
-                &probe,
+                probe,
+                &mut next_epoch,
                 &mut engine,
                 &mut fabric,
                 &mut banks,
@@ -203,8 +203,17 @@ impl Simulator {
             }
             clock = kernel_end;
 
-            // Kernel boundary: flush the L2 (dirty data drains through the
-            // MEE) and reset the miss-rate samplers.
+            // Kernel boundary: close the epochs that ended before it, flush
+            // the L2 (dirty data drains through the MEE) and reset the
+            // miss-rate samplers.
+            tick_epochs(
+                probe,
+                &mut next_epoch,
+                clock,
+                &stats,
+                &fabric,
+                pool.as_ref(),
+            );
             for (p, pbanks) in banks.iter_mut().enumerate() {
                 for bank in pbanks.iter_mut() {
                     for ev in bank.flush() {
@@ -223,10 +232,6 @@ impl Simulator {
                 }
             }
             stats.instructions += kernel.instructions();
-            probe.record(Hook::Instructions {
-                cycle: clock,
-                n: kernel.instructions(),
-            });
         }
 
         // End of context: metadata caches drain.
@@ -237,20 +242,9 @@ impl Simulator {
             .map(|i| fabric.partition(PartitionId(i as u16)).bus_free_at())
             .max()
             .unwrap_or(0);
-        if let Some(pool) = &pool {
-            let c = pool.counters();
-            stats.pool_migrations = c.migrations;
-            stats.pool_spills = c.spills;
-            stats.pool_cpu_accesses = c.cpu_accesses;
-            stats.pool_capacity_events = c.capacity_events;
-            let (to_gpu, to_cpu) = pool.link_bytes();
-            stats.link_bytes_to_gpu = to_gpu;
-            stats.link_bytes_to_cpu = to_cpu;
-        }
+        let mut stats = totals(&stats, &fabric, pool.as_ref());
         stats.cycles = clock.max(drain).max(1);
-        stats.traffic = fabric.traffic();
-        stats.dram_requests = fabric.requests();
-        probe.finalize(stats.cycles);
+        probe.end_run(&stats);
         (stats, engine, fabric)
     }
 
@@ -270,10 +264,11 @@ impl Simulator {
         events: &[MemEvent],
         map: gpu_types::PartitionMap,
         probe: &Probe,
+        next_epoch: &mut u64,
         engine: &mut ShmSystem,
         fabric: &mut DramFabric,
         banks: &mut [Vec<L2Bank>],
-        pool: &mut Option<shm_pool::PoolSim>,
+        pool: &mut Option<PoolSim>,
         stats: &mut SimStats,
     ) -> u64 {
         let num_sms = self.cfg.num_sms as usize;
@@ -325,6 +320,7 @@ impl Simulator {
                     }
                 }
 
+                tick_epochs(probe, next_epoch, t, stats, fabric, pool.as_ref());
                 let completion = self.access_memory(
                     t,
                     ev,
@@ -338,6 +334,7 @@ impl Simulator {
                     pool,
                     stats,
                 );
+                stats.accesses += 1;
                 stats.lat_sum += completion.saturating_sub(t);
                 stats.lat_max = stats.lat_max.max(completion.saturating_sub(t));
                 outstanding[sm].push(Reverse(completion));
@@ -375,7 +372,6 @@ impl Simulator {
             }
         }
 
-        stats.accesses += events.len() as u64;
         end
     }
 
@@ -395,7 +391,7 @@ impl Simulator {
         engine: &mut ShmSystem,
         fabric: &mut DramFabric,
         banks: &mut [Vec<L2Bank>],
-        pool: &mut Option<shm_pool::PoolSim>,
+        pool: &mut Option<PoolSim>,
         stats: &mut SimStats,
     ) -> u64 {
         let local = map.to_local(ev.addr);
@@ -415,7 +411,6 @@ impl Simulator {
             }
         }
 
-        probe.record(Hook::Access { cycle: t });
         let bank = &mut banks[p.index()][bank_idx];
         let stalls_before = bank.mshr_stalls();
         let outcome = {
@@ -433,34 +428,18 @@ impl Simulator {
         let completion = match outcome {
             L2Outcome::Hit => {
                 stats.l2_hits += 1;
-                probe.record(Hook::L2Hit {
-                    cycle: t,
-                    partition: p.index(),
-                });
                 t + L2_HIT_LATENCY
             }
             L2Outcome::WriteAllocated => {
                 stats.l2_misses += 1;
-                probe.record(Hook::L2Miss {
-                    cycle: t,
-                    partition: p.index(),
-                });
                 t + L2_HIT_LATENCY
             }
             L2Outcome::MergedMiss { ready_at } => {
                 stats.l2_hits += 1; // merged: no extra DRAM traffic
-                probe.record(Hook::L2Hit {
-                    cycle: t,
-                    partition: p.index(),
-                });
                 ready_at.max(t) + L2_HIT_LATENCY
             }
             L2Outcome::Miss => {
                 stats.l2_misses += 1;
-                probe.record(Hook::L2Miss {
-                    cycle: t,
-                    partition: p.index(),
-                });
                 if probe.is_enabled() {
                     probe.emit(
                         t,
@@ -490,37 +469,14 @@ impl Simulator {
                 // top of the native pipeline — completion is whichever is
                 // later — and may trigger a secure page migration.
                 if let Some(pool) = pool.as_mut() {
-                    let is_write = ev.kind.is_write();
                     let out = pool.on_dram_access(
                         t + L2_HIT_LATENCY,
                         ev.addr.raw(),
                         SECTOR_BYTES,
-                        is_write,
+                        ev.kind.is_write(),
                     );
                     if let Some(remote_done) = out.remote_done {
                         done = done.max(remote_done);
-                    }
-                    if probe.is_enabled() {
-                        if out.remote {
-                            // A migrating access moves the whole page, not
-                            // its sector: it counts as one CPU access and
-                            // its link bytes are the migration's.
-                            probe.record(Hook::PoolRemoteAccess {
-                                cycle: t,
-                                bytes: if out.migrated { 0 } else { SECTOR_BYTES },
-                                is_write,
-                                capacity_event: out.capacity_event,
-                            });
-                        }
-                        if out.migrated {
-                            let page = pool.config().page_bytes;
-                            let spilled = if out.spilled { page } else { 0 };
-                            probe.record(Hook::PoolMigration {
-                                cycle: t,
-                                to_gpu_bytes: page,
-                                to_cpu_bytes: spilled,
-                            });
-                        }
                     }
                 }
                 banks[p.index()][bank_idx].note_pending(local.offset, done);
@@ -609,6 +565,41 @@ impl Simulator {
         if bytes > 0 {
             fabric.access_local(t, p, evicted.addr, bytes, true, class);
         }
+    }
+}
+
+/// The run's statistics so far: the counters updated in place plus the
+/// fabric's traffic and request counts and the pool counters.  It builds
+/// the end-of-run `SimStats` and the running totals every telemetry epoch
+/// is a delta of.
+fn totals(stats: &SimStats, fabric: &DramFabric, pool: Option<&PoolSim>) -> SimStats {
+    let mut totals = stats.clone();
+    totals.traffic = fabric.traffic();
+    totals.dram_requests = fabric.requests();
+    if let Some(pool) = pool {
+        let c = pool.counters();
+        totals.pool_migrations = c.migrations;
+        totals.pool_spills = c.spills;
+        totals.pool_cpu_accesses = c.cpu_accesses;
+        totals.pool_capacity_events = c.capacity_events;
+        (totals.link_bytes_to_gpu, totals.link_bytes_to_cpu) = pool.link_bytes();
+    }
+    totals
+}
+
+/// Hands `probe` the run's running totals once `t` reaches the next epoch
+/// boundary, `next` (`u64::MAX` with telemetry off), and moves `next` on.
+#[inline]
+fn tick_epochs(
+    probe: &Probe,
+    next: &mut u64,
+    t: u64,
+    stats: &SimStats,
+    fabric: &DramFabric,
+    pool: Option<&PoolSim>,
+) {
+    if t >= *next {
+        *next = probe.close_epochs(t, &totals(stats, fabric, pool));
     }
 }
 

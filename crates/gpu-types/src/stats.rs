@@ -1,6 +1,7 @@
 //! Simulation statistics: traffic accounting, breakdowns and derived metrics.
 
 use core::fmt;
+use std::fmt::Write as _;
 use std::ops::AddAssign;
 
 /// Categories of DRAM traffic tracked separately (drives Fig. 14).
@@ -110,15 +111,21 @@ pub enum StatValue {
     PerClass([u64; 5]),
 }
 
-/// How one declared field appears to the visitor and the by-name setter.
+/// How one declared field appears to the visitor and the by-name setter,
+/// and how much it grew since an earlier value.
 trait StatField {
     fn visit(&self, name: &'static str, f: &mut impl FnMut(&'static str, StatValue));
     fn set(&mut self, name: &'static str, key: &str, value: StatValue) -> bool;
+    fn since(&self, earlier: &Self) -> Self;
 }
 
 impl StatField for u64 {
     fn visit(&self, name: &'static str, f: &mut impl FnMut(&'static str, StatValue)) {
         f(name, StatValue::Count(*self));
+    }
+
+    fn since(&self, earlier: &Self) -> Self {
+        self - earlier
     }
 
     fn set(&mut self, name: &'static str, key: &str, value: StatValue) -> bool {
@@ -145,10 +152,17 @@ impl StatField for TrafficBytes {
         }
         true
     }
+
+    fn since(&self, earlier: &Self) -> Self {
+        TrafficBytes {
+            read: std::array::from_fn(|i| self.read[i] - earlier.read[i]),
+            write: std::array::from_fn(|i| self.write[i] - earlier.write[i]),
+        }
+    }
 }
 
-/// Declares every [`SimStats`] field once; the struct, [`SimStats::visit`]
-/// and [`SimStats::set`] follow from the one list.
+/// Declares every [`SimStats`] field once; the struct, [`SimStats::visit`],
+/// [`SimStats::set`] and [`SimStats::since`] follow from the one list.
 macro_rules! sim_stats {
     ($(
         $(#[doc = $doc:literal])+
@@ -172,6 +186,16 @@ macro_rules! sim_stats {
             pub fn set(&mut self, name: &str, value: StatValue) -> bool {
                 $(StatField::set(&mut self.$field, stringify!($field), name, value) ||)* false
             }
+
+            /// What a run counted between the running totals `earlier` and
+            /// `self`, field by field, so deltas over consecutive spans sum
+            /// back to the totals (a maximum, like `lat_max`, contributes
+            /// how far it rose).  Panics in debug builds if a value shrank.
+            pub fn since(&self, earlier: &SimStats) -> SimStats {
+                SimStats {
+                    $($field: StatField::since(&self.$field, &earlier.$field),)*
+                }
+            }
         }
     };
 }
@@ -193,6 +217,11 @@ sim_stats! {
     ctr_hits: u64,
     /// Counter-cache misses.
     ctr_misses: u64,
+    /// Counter-cache lines evicted.
+    ctr_victims: u64,
+    /// Lookup hits those evicted counter lines had served: the hotness the
+    /// replacement policy gave up by evicting them.
+    ctr_victim_uses: u64,
     /// MAC-cache hits.
     mac_hits: u64,
     /// MAC-cache misses.
@@ -201,6 +230,11 @@ sim_stats! {
     bmt_hits: u64,
     /// BMT-cache misses.
     bmt_misses: u64,
+    /// BMT authentication walks, one per counter-cache miss.
+    bmt_walks: u64,
+    /// Levels those walks climbed before a cached node or the root
+    /// (`bmt_depth_sum / bmt_walks` is the mean walk depth).
+    bmt_depth_sum: u64,
     /// Victim-cache (L2) hits for metadata.
     victim_hits: u64,
     /// DRAM traffic broken down by class.
@@ -235,6 +269,27 @@ sim_stats! {
 }
 
 impl SimStats {
+    /// Appends one `"name":value` JSON member per value [`SimStats::visit`]
+    /// reports, comma-separated, with no enclosing braces: a count is a
+    /// number, a per-class value an array in `TrafficClass::ALL` order.
+    /// The job journal's payload and the telemetry epoch line both write
+    /// their statistics here.
+    pub fn write_json_members(&self, out: &mut String) {
+        let mut sep = "";
+        self.visit(|name, value| {
+            let _ = write!(out, "{sep}\"{name}\":");
+            sep = ",";
+            match value {
+                StatValue::Count(v) => {
+                    let _ = write!(out, "{v}");
+                }
+                StatValue::PerClass([a, b, c, d, e]) => {
+                    let _ = write!(out, "[{a},{b},{c},{d},{e}]");
+                }
+            }
+        });
+    }
+
     /// Instructions per cycle.
     pub fn ipc(&self) -> f64 {
         if self.cycles == 0 {

@@ -34,7 +34,7 @@ pub struct PoolCounters {
     pub capacity_events: u64,
 }
 
-/// What one access did, for stats/telemetry accounting at the call site.
+/// What one access did; the counters it moved are in [`PoolCounters`].
 #[derive(Clone, Copy, Default, Debug)]
 pub struct PoolOutcome {
     /// Absolute completion cycle of the remote path, when the access left
@@ -44,10 +44,6 @@ pub struct PoolOutcome {
     pub remote: bool,
     /// This access triggered a CPU→GPU page migration.
     pub migrated: bool,
-    /// The migration evicted (spilled) a GPU page to make room.
-    pub spilled: bool,
-    /// gpu-only oversubscription: the page has no GPU backing.
-    pub capacity_event: bool,
 }
 
 /// Heterogeneous-pool state for one simulation run.
@@ -121,7 +117,6 @@ impl PoolSim {
         if self.cfg.policy == PlacementPolicy::GpuOnly {
             // No GPU backing and no migration: every touch is demand-paged
             // over the link — that is the capacity-pressure signal.
-            out.capacity_event = true;
             self.counters.capacity_events += 1;
         }
 
@@ -180,7 +175,6 @@ impl PoolSim {
                 v.touches = 0;
                 self.gpu_bytes -= self.cfg.page_bytes;
                 self.counters.spills += 1;
-                out.spilled = true;
             }
         }
         self.channel

@@ -22,8 +22,10 @@ use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-/// Journal format version; bump on any schema change.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Journal format version; bump on any schema change.  Version 2 added
+/// the `ctr_victims`, `ctr_victim_uses`, `bmt_walks` and `bmt_depth_sum`
+/// members to the `SimStats` payload.
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// How a job result crosses the journal boundary.  Implementations must
 /// round-trip exactly: `decode(encode(x)) == x`, or resumed tables would
@@ -36,29 +38,11 @@ pub trait JournalCodec: Sized {
 }
 
 /// A flat object with one member per [`SimStats::visit`] value, in
-/// declaration order.
+/// declaration order ([`SimStats::write_json_members`]).
 impl JournalCodec for SimStats {
     fn encode_journal(&self, out: &mut String) {
-        use std::fmt::Write as _;
         out.push('{');
-        self.visit(|name, value| {
-            let _ = write!(out, "\"{name}\":");
-            match value {
-                StatValue::Count(v) => {
-                    let _ = write!(out, "{v}");
-                }
-                StatValue::PerClass(arr) => {
-                    out.push('[');
-                    for v in arr {
-                        let _ = write!(out, "{v},");
-                    }
-                    out.pop();
-                    out.push(']');
-                }
-            }
-            out.push(',');
-        });
-        out.pop();
+        self.write_json_members(out);
         out.push('}');
     }
 
@@ -81,6 +65,15 @@ impl JournalCodec for SimStats {
 pub enum RecoveryError {
     /// Journal file I/O failed.
     Io(std::io::Error),
+    /// The journal on disk was written in another format version.
+    VersionMismatch {
+        /// Journal file path.
+        path: PathBuf,
+        /// The version this build writes ([`JOURNAL_VERSION`]).
+        expected: u32,
+        /// Version stored in the journal.
+        found: u32,
+    },
     /// The journal on disk was written under a different configuration.
     ConfigMismatch {
         /// Journal file path.
@@ -104,6 +97,16 @@ impl core::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             RecoveryError::Io(e) => write!(f, "journal I/O error: {e}"),
+            RecoveryError::VersionMismatch {
+                path,
+                expected,
+                found,
+            } => write!(
+                f,
+                "journal {} was written in format version {found}, and this build \
+                 reads version {expected}; delete it or pass another --journal path",
+                path.display()
+            ),
             RecoveryError::ConfigMismatch {
                 path,
                 expected,
@@ -112,7 +115,7 @@ impl core::fmt::Display for RecoveryError {
                 f,
                 "journal {} was written under a different configuration \
                  (expected hash {expected:#018x}, found {found:#018x}); \
-                 delete it or re-run without --resume",
+                 delete it or pass another --journal path",
                 path.display()
             ),
             RecoveryError::Corrupt { path, line } => {
@@ -149,8 +152,8 @@ impl JobJournal {
     ///
     /// # Errors
     ///
-    /// [`RecoveryError::Io`], [`RecoveryError::ConfigMismatch`] or
-    /// [`RecoveryError::Corrupt`].
+    /// [`RecoveryError::Io`], [`RecoveryError::VersionMismatch`],
+    /// [`RecoveryError::ConfigMismatch`] or [`RecoveryError::Corrupt`].
     pub fn open(path: impl AsRef<Path>, config_hash: u64) -> Result<Self, RecoveryError> {
         let path = path.as_ref().to_path_buf();
         let existing = match std::fs::read_to_string(&path) {
@@ -167,8 +170,15 @@ impl JobJournal {
                 let is_last = i + 1 == lines.len();
                 if i == 0 {
                     match parse_meta(line) {
-                        Some((version, found)) => {
-                            if version != JOURNAL_VERSION || found != config_hash {
+                        Some((version, _)) if version != JOURNAL_VERSION => {
+                            return Err(RecoveryError::VersionMismatch {
+                                path,
+                                expected: JOURNAL_VERSION,
+                                found: version,
+                            });
+                        }
+                        Some((_, found)) => {
+                            if found != config_hash {
                                 return Err(RecoveryError::ConfigMismatch {
                                     path,
                                     expected: config_hash,
@@ -304,10 +314,14 @@ mod tests {
             l2_writebacks: 3 + k,
             ctr_hits: 4 + k,
             ctr_misses: 5 + k,
+            ctr_victims: 24 + k,
+            ctr_victim_uses: 25 + k,
             mac_hits: 6 + k,
             mac_misses: 7 + k,
             bmt_hits: 8 + k,
             bmt_misses: 9 + k,
+            bmt_walks: 26 + k,
+            bmt_depth_sum: 27 + k,
             victim_hits: 10 + k,
             traffic: TrafficBytes {
                 read: [k, k + 1, k + 2, k + 3, k + 4],
@@ -394,6 +408,31 @@ mod tests {
             }
             other => panic!("expected mismatch, got {other:?}"),
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn older_journal_version_is_rejected_by_name() {
+        let path = tmp("version");
+        std::fs::write(
+            &path,
+            "{\"type\":\"journal_meta\",\"version\":1,\"config_hash\":\"0000000000000007\"}\n",
+        )
+        .expect("write version-1 journal");
+        let err = JobJournal::open(&path, 7).expect_err("version 1 is refused");
+        assert!(matches!(
+            err,
+            RecoveryError::VersionMismatch {
+                expected: JOURNAL_VERSION,
+                found: 1,
+                ..
+            }
+        ));
+        let message = err.to_string();
+        assert!(
+            message.contains("format version 1") && message.contains("reads version 2"),
+            "{message}"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

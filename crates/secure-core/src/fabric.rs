@@ -42,7 +42,7 @@ impl DramFabric {
     }
 
     /// Attaches a telemetry probe; the DRAM layer reports per-request
-    /// latency, per-class traffic and queue-depth gauges through it.
+    /// latency and queue-depth gauges through it.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
     }
@@ -78,16 +78,8 @@ impl DramFabric {
             );
         }
         let done = chan.access(now, offset, bytes, is_write);
-        self.probe.record(Hook::Traffic {
-            cycle: now,
-            partition: partition.index(),
-            class,
-            bytes,
-            is_write,
-        });
-        self.probe.record(Hook::DramRequest {
-            cycle: done,
-            latency: done.saturating_sub(now),
+        self.probe.record(Hook::DramLatency {
+            cycles: done.saturating_sub(now),
         });
         done
     }
@@ -130,16 +122,8 @@ impl DramFabric {
         self.traffic.record(class, bytes, false);
         self.requests += 1;
         let done = self.partitions[partition.index()].access_priority(now, offset, bytes);
-        self.probe.record(Hook::Traffic {
-            cycle: now,
-            partition: partition.index(),
-            class,
-            bytes,
-            is_write: false,
-        });
-        self.probe.record(Hook::DramRequest {
-            cycle: done,
-            latency: done.saturating_sub(now),
+        self.probe.record(Hook::DramLatency {
+            cycles: done.saturating_sub(now),
         });
         if partition != from {
             self.cross_partition_accesses += 1;

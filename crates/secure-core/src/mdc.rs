@@ -218,19 +218,17 @@ impl MeeCore {
         victim: &mut dyn VictimStore,
         stats: &mut SimStats,
     ) {
+        // Counter-cache victims carry their hotness (lookup hits served
+        // while resident), so the victim policy can be tuned per epoch
+        // instead of from aggregate miss rates.
+        if matches!(class, TrafficClass::Counter) {
+            stats.ctr_victims += 1;
+            stats.ctr_victim_uses += ev.uses;
+        }
         // Only MAC lines are worth keeping in the L2: a 128 B MAC line holds
         // sixteen block-/chunk-MACs and has far more reuse than a data line
         // (Section IV-D, "especially the MAC cache").  Counter/BMT victims
         // would mostly pollute the L2.
-        // Counter-cache victims carry their hotness (lookup hits served
-        // while resident) to telemetry so the victim policy can be tuned
-        // from traces instead of aggregate miss rates.
-        if matches!(class, TrafficClass::Counter) {
-            self.probe.record(Hook::CtrVictim {
-                cycle: now,
-                uses: ev.uses,
-            });
-        }
         if matches!(class, TrafficClass::Mac)
             && victim.insert_victim(ev.addr, ev.valid_sectors, ev.dirty_sectors)
         {
@@ -239,7 +237,6 @@ impl MeeCore {
         if ev.is_dirty() {
             let bytes = ev.dirty_sectors.count_ones() as u64 * SECTOR_BYTES;
             self.dram_access(f, now, ev.addr, bytes, true, class);
-            let _ = stats;
         }
     }
 
@@ -273,9 +270,9 @@ impl MeeCore {
             Lookup::SectorMiss { missing } => missing,
             _ => mask,
         };
-        let (done, from_victim) = if victim.probe_victim(base, missing) {
+        let done = if victim.probe_victim(base, missing) {
             stats.victim_hits += 1;
-            (now + 10, true) // L2 probe latency, no DRAM traffic
+            now + 10 // L2 probe latency, no DRAM traffic
         } else {
             match kind {
                 MdcKind::Counter => stats.ctr_misses += 1,
@@ -283,15 +280,11 @@ impl MeeCore {
                 MdcKind::Bmt => stats.bmt_misses += 1,
             }
             let miss_bytes = (missing.count_ones() as u64 * SECTOR_BYTES).min(bytes);
-            (
-                self.dram_access(f, now, base, miss_bytes, false, class),
-                false,
-            )
+            self.dram_access(f, now, base, miss_bytes, false, class)
         };
         if let Some(ev) = self.cache_mut(kind).fill(base, mask) {
             self.handle_eviction(ev, class, now, f, victim, stats);
         }
-        let _ = from_victim;
         done
     }
 
@@ -388,6 +381,8 @@ impl MeeCore {
                 break; // cached ⇒ verified ⇒ stop the walk
             }
         }
+        stats.bmt_walks += 1;
+        stats.bmt_depth_sum += u64::from(walked);
         if self.probe.is_enabled() {
             self.probe.emit(
                 now,
@@ -399,10 +394,6 @@ impl MeeCore {
             // Counter level plus every BMT level visited.
             self.probe.record(Hook::EngineDepth {
                 depth: 1 + u64::from(walked),
-            });
-            self.probe.record(Hook::BmtWalk {
-                cycle: now,
-                depth: u64::from(walked),
             });
         }
         ctr_ready
@@ -832,8 +823,6 @@ mod tests {
     #[test]
     fn counter_victims_report_hotness_to_telemetry() {
         let (mut mee, mut f, mut stats) = setup();
-        let probe = shm_telemetry::Probe::enabled(shm_telemetry::TelemetryConfig::default());
-        mee.set_probe(probe.clone());
         let mut v = NoVictim;
         // Re-touch one hot counter sector, then stream enough distinct
         // counter lines to evict it (2 KB cache = 16 lines of 128 B).
@@ -852,24 +841,26 @@ mod tests {
                 &mut stats,
             );
         }
-        probe.finalize(0);
-        probe.with(|t| {
-            let victims: u64 = t.snapshots().iter().map(|s| s.ctr_victims).sum();
-            let uses: u64 = t.snapshots().iter().map(|s| s.ctr_victim_uses).sum();
-            assert!(victims > 0, "streaming misses must evict counter lines");
-            assert!(uses > 0, "the hot line's hits must surface as hotness");
-        });
+        assert!(
+            stats.ctr_victims > 0,
+            "streaming misses must evict counter lines"
+        );
+        assert!(
+            stats.ctr_victim_uses > 0,
+            "the hot line's hits must surface as hotness"
+        );
     }
 
     #[test]
     fn bmt_walk_depths_land_in_epoch_snapshots() {
+        // The walk counters are `SimStats` fields, so each telemetry epoch
+        // carries its share of them.
         let (mut mee, mut f, mut stats) = setup();
-        let probe = shm_telemetry::Probe::enabled(shm_telemetry::TelemetryConfig::default());
-        mee.set_probe(probe.clone());
         let mut v = NoVictim;
         // Cold counter miss walks the whole tree; a distant counter sharing
         // the upper path early-terminates, so a shallower walk is recorded.
         mee.fetch_counter(0, la(0), PhysAddr::new(0), true, &mut f, &mut v, &mut stats);
+        let first_depth = stats.bmt_depth_sum;
         mee.fetch_counter(
             0,
             la(8192),
@@ -879,15 +870,13 @@ mod tests {
             &mut v,
             &mut stats,
         );
-        probe.finalize(0);
-        probe.with(|t| {
-            let walks: u64 = t.snapshots().iter().map(|s| s.bmt_walks).sum();
-            let depth_sum: u64 = t.snapshots().iter().map(|s| s.bmt_depth_sum).sum();
-            let depth_max = t.snapshots().iter().map(|s| s.bmt_depth_max).max().unwrap();
-            assert_eq!(walks, 2, "each counter miss records one walk");
-            assert!(depth_sum > depth_max, "two walks contribute to the sum");
-            assert!(depth_max as usize <= mee.layout.bmt().levels());
-        });
+        assert_eq!(stats.bmt_walks, 2, "each counter miss records one walk");
+        assert_eq!(first_depth as usize, mee.layout.bmt().levels());
+        let second_depth = stats.bmt_depth_sum - first_depth;
+        assert!(
+            (1..first_depth).contains(&second_depth),
+            "the second walk stops early: {second_depth} of {first_depth} levels"
+        );
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   JSONL log when one streams to disk);
 //! - [`Histogram`]s for DRAM request latency, MSHR residency and
 //!   secure-engine pipeline depth;
-//! - [`EpochSnapshot`]s every `epoch_cycles` of per-`TrafficClass` bandwidth,
-//!   an IPC proxy, and cache hit rates.
+//! - [`EpochSnapshot`]s, each what the run's `SimStats` counted over
+//!   `epoch_cycles` cycles: per-class DRAM bytes, instructions, cache hits
+//!   and misses, pool counters, every value the run reports.
 //!
 //! Sinks: the JSONL document [`Probe::enabled_streaming`] writes as the run
 //! goes (machine-readable), [`sink::summary`] (human-readable), and
@@ -29,11 +30,11 @@ pub mod event;
 pub mod hist;
 pub mod sink;
 
-pub use epoch::{EpochSnapshot, EpochTracker, PartitionEpoch};
+pub use epoch::EpochSnapshot;
 pub use event::{Event, NUM_KINDS};
 pub use hist::Histogram;
 
-use gpu_types::TrafficClass;
+use gpu_types::SimStats;
 use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::{Arc, Mutex, TryLockError};
@@ -73,30 +74,34 @@ pub struct Telemetry {
     pub mshr_residency: Histogram,
     /// Secure-engine pipeline depth per request (DRAM round-trips).
     pub engine_depth: Histogram,
-    epochs: EpochTracker,
-    dram_requests: u64,
+    snapshots: Vec<EpochSnapshot>,
+    /// The run's running totals at the start of the open epoch; once the
+    /// run has ended, its end-of-run statistics.
+    totals: SimStats,
+    /// First cycle of the open epoch.
+    epoch_start: u64,
+    run_ended: bool,
     /// Incremental JSONL sink: when attached, logged events stream out and
-    /// epoch snapshots flush as they complete — memory stays bounded over
-    /// arbitrarily long runs.
+    /// epoch snapshots flush as they close.  Events are not kept beyond
+    /// the flight-recorder ring; snapshots are, for the CSV export.
     stream: Option<Box<dyn std::io::Write + Send>>,
     stream_error: Option<String>,
-    epochs_streamed: usize,
     stream_done: bool,
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("epochs", &self.epochs.snapshots().len())
+            .field("epochs", &self.snapshots.len())
             .field("streaming", &self.stream.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Telemetry {
-    /// Fresh collection state.
-    pub fn new(cfg: TelemetryConfig) -> Self {
-        let epochs = EpochTracker::new(cfg.epoch_cycles);
+    /// Fresh collection state; `epoch_cycles` is clamped to at least 1.
+    pub fn new(mut cfg: TelemetryConfig) -> Self {
+        cfg.epoch_cycles = cfg.epoch_cycles.max(1);
         Self {
             cfg,
             ring: VecDeque::new(),
@@ -105,19 +110,20 @@ impl Telemetry {
             dram_latency: Histogram::new(),
             mshr_residency: Histogram::new(),
             engine_depth: Histogram::new(),
-            epochs,
-            dram_requests: 0,
+            snapshots: Vec::new(),
+            totals: SimStats::default(),
+            epoch_start: 0,
+            run_ended: false,
             stream: None,
             stream_error: None,
-            epochs_streamed: 0,
             stream_done: false,
         }
     }
 
     /// Attaches an incremental JSONL sink.  The `meta` line is written
     /// immediately; from here on, logged events are written straight to the
-    /// sink and epoch snapshots flush as each one completes.  Histogram and
-    /// drops lines follow at [`finalize`].
+    /// sink and epoch snapshots as each one closes.  Histogram and drops
+    /// lines follow at [`finalize`].
     /// Record types may interleave — JSONL consumers dispatch on `type`.
     ///
     /// # Errors
@@ -155,102 +161,76 @@ impl Telemetry {
         }
     }
 
-    /// Advances epoch time and flushes any snapshots that just completed to
-    /// the stream sink.
-    fn advance_epochs(&mut self, cycle: u64) {
-        self.epochs.advance(cycle);
-        if self.stream.is_some() {
-            self.stream_completed_epochs();
+    /// The first cycle past the open epoch: the simulator hands over its
+    /// running totals at the first access it issues at or past it.
+    /// `u64::MAX` once the run has ended.
+    pub fn next_epoch_at(&self) -> u64 {
+        if self.run_ended {
+            u64::MAX
+        } else {
+            self.epoch_start + self.cfg.epoch_cycles
         }
     }
 
-    /// Streams every not-yet-written completed epoch snapshot.
-    fn stream_completed_epochs(&mut self) {
-        while self.epochs_streamed < self.epochs.snapshots().len() {
+    /// Closes every epoch that ends before `cycle`, given the run's
+    /// running `totals` at `cycle`, and returns the next boundary.  All
+    /// of the activity goes to the first epoch closed; any further ones
+    /// are empty.  The `cycles` of `totals` is not read: a closed epoch's
+    /// share of the cycle count is its length.  An earlier `cycle` than
+    /// the open epoch's end closes nothing.
+    pub fn close_epochs(&mut self, cycle: u64, totals: &SimStats) -> u64 {
+        while cycle >= self.next_epoch_at() {
+            let boundary = self.next_epoch_at();
+            let at_boundary = SimStats {
+                cycles: boundary,
+                ..totals.clone()
+            };
+            self.close_epoch(boundary - 1, at_boundary);
+        }
+        self.next_epoch_at()
+    }
+
+    /// Ends the run at `totals.cycles`, where its end-of-run statistics
+    /// are `totals`: the epochs that end before it close, the last one
+    /// closes at it, and the document is finalized.  Later calls only
+    /// finalize.
+    pub fn end_run(&mut self, totals: &SimStats) {
+        if !self.run_ended {
+            self.close_epochs(totals.cycles, totals);
+            self.close_epoch(totals.cycles, totals.clone());
+            self.run_ended = true;
+        }
+        self.finalize();
+    }
+
+    /// Closes the open epoch at `end_cycle`, where the run's running
+    /// totals are `totals`, and streams it.
+    fn close_epoch(&mut self, end_cycle: u64, totals: SimStats) {
+        let snapshot = EpochSnapshot {
+            index: self.snapshots.len() as u64,
+            start_cycle: self.epoch_start,
+            end_cycle,
+            stats: totals.since(&self.totals),
+        };
+        self.totals = totals;
+        self.epoch_start = end_cycle + 1;
+        if self.stream.is_some() {
             let mut line = String::new();
-            self.epochs.snapshots()[self.epochs_streamed].write_json(&mut line);
+            snapshot.write_json(&mut line);
             line.push('\n');
-            self.epochs_streamed += 1;
             self.stream_write(&line);
         }
+        self.snapshots.push(snapshot);
     }
 
     /// Turns one probe hook into collected state: the only place hooks
-    /// update epochs, histograms and the event log.
-    pub fn apply(&mut self, hook: Hook) {
-        if let Some(cycle) = hook.cycle() {
-            self.advance_epochs(cycle);
-        }
-        let cur = self.epochs.current_mut();
+    /// update the histograms and the event log.
+    fn apply(&mut self, hook: Hook) {
         match hook {
             Hook::Event { cycle, event } => self.log_event(cycle, event),
-            Hook::Traffic {
-                partition,
-                class,
-                bytes,
-                is_write,
-                ..
-            } => {
-                cur.traffic.record(class, bytes, is_write);
-                let part = cur.partition_mut(partition);
-                if is_write {
-                    part.write_bytes += bytes;
-                } else {
-                    part.read_bytes += bytes;
-                }
-            }
-            Hook::DramRequest { latency, .. } => {
-                cur.dram_requests += 1;
-                self.dram_requests += 1;
-                self.dram_latency.record(latency);
-            }
+            Hook::DramLatency { cycles } => self.dram_latency.record(cycles),
             Hook::MshrResidency { cycles } => self.mshr_residency.record(cycles),
             Hook::EngineDepth { depth } => self.engine_depth.record(depth),
-            Hook::Instructions { n, .. } => cur.instructions += n,
-            Hook::Access { .. } => cur.accesses += 1,
-            Hook::L2Hit { partition, .. } => {
-                cur.l2_hits += 1;
-                cur.partition_mut(partition).l2_hits += 1;
-            }
-            Hook::L2Miss { partition, .. } => {
-                cur.l2_misses += 1;
-                cur.partition_mut(partition).l2_misses += 1;
-            }
-            Hook::CtrVictim { uses, .. } => {
-                cur.ctr_victims += 1;
-                cur.ctr_victim_uses += uses;
-            }
-            Hook::BmtWalk { depth, .. } => {
-                cur.bmt_walks += 1;
-                cur.bmt_depth_sum += depth;
-                cur.bmt_depth_max = cur.bmt_depth_max.max(depth);
-            }
-            Hook::PoolRemoteAccess {
-                bytes,
-                is_write,
-                capacity_event,
-                ..
-            } => {
-                cur.pool_cpu_accesses += 1;
-                cur.pool_capacity_events += u64::from(capacity_event);
-                if is_write {
-                    cur.link_bytes_to_cpu += bytes;
-                } else {
-                    cur.link_bytes_to_gpu += bytes;
-                }
-            }
-            Hook::PoolMigration {
-                to_gpu_bytes,
-                to_cpu_bytes,
-                ..
-            } => {
-                cur.pool_migrations += 1;
-                cur.link_bytes_to_gpu += to_gpu_bytes;
-                if to_cpu_bytes > 0 {
-                    cur.pool_spills += 1;
-                    cur.link_bytes_to_cpu += to_cpu_bytes;
-                }
-            }
         }
     }
 
@@ -278,14 +258,12 @@ impl Telemetry {
         self.ring.push_back((cycle, event));
     }
 
-    /// Closes the run: flushes the trailing partial epoch and, when a
-    /// stream sink is attached, its remaining snapshots plus the trailing
-    /// histogram and drops lines.
-    pub fn finalize(&mut self, end_cycle: u64) {
-        self.epochs.finalize(end_cycle);
+    /// Closes the document: when a stream sink is attached, writes the
+    /// trailing histogram and drops lines and flushes.  Idempotent; record
+    /// nothing after calling it.
+    pub fn finalize(&mut self) {
         if self.stream.is_some() && !self.stream_done {
             self.stream_done = true;
-            self.stream_completed_epochs();
             let mut tail = String::new();
             for (name, hist) in sink::named_histograms(self) {
                 sink::hist_json(name, hist, &mut tail);
@@ -318,19 +296,9 @@ impl Telemetry {
         self.sampled_out
     }
 
-    /// Completed epoch snapshots.
+    /// Closed epoch snapshots.
     pub fn snapshots(&self) -> &[EpochSnapshot] {
-        self.epochs.snapshots()
-    }
-
-    /// Per-class traffic summed over every epoch (equals the run totals).
-    pub fn total_traffic(&self) -> gpu_types::TrafficBytes {
-        self.epochs.total_traffic()
-    }
-
-    /// DRAM requests completed over the whole run.
-    pub fn dram_requests(&self) -> u64 {
-        self.dram_requests
+        &self.snapshots
     }
 }
 
@@ -346,102 +314,31 @@ impl Drop for Telemetry {
     }
 }
 
-/// Number of buffered hooks drained into [`Telemetry`] per block.
-const HOOK_BLOCK: usize = 1024;
-
-/// One probe hook: a structured event or a counter update reported by a
+/// One probe hook: a structured event or a histogram sample reported by a
 /// simulator layer.  [`Probe::record`] takes every hook and
-/// [`Telemetry::apply`] is the one place that turns it into state.
+/// `Telemetry::apply` is the one place that turns it into state.  Counts
+/// are not hooks: they are [`SimStats`] fields, which reach the epochs
+/// through [`Probe::close_epochs`].
 #[derive(Clone, Debug)]
 pub enum Hook {
     /// A structured event, sampled into the log (see [`SAMPLE_STRIDE`]).
     Event { cycle: u64, event: Event },
-    /// DRAM traffic through `partition`, attributed to the current epoch
-    /// both in the per-class totals and the per-partition breakdown.
-    Traffic {
-        cycle: u64,
-        partition: usize,
-        class: TrafficClass,
-        bytes: u64,
-        is_write: bool,
-    },
-    /// One completed DRAM request and its latency.
-    DramRequest { cycle: u64, latency: u64 },
+    /// One DRAM request's latency, issue to completion.
+    DramLatency { cycles: u64 },
     /// How long an MSHR entry stayed allocated.
     MshrResidency { cycles: u64 },
     /// The secure-engine pipeline depth for one request.
     EngineDepth { depth: u64 },
-    /// Retired instructions, toward the current epoch's IPC proxy.
-    Instructions { cycle: u64, n: u64 },
-    /// One warp-level memory access.
-    Access { cycle: u64 },
-    /// An L2 hit in `partition`.
-    L2Hit { cycle: u64, partition: usize },
-    /// An L2 miss in `partition`.
-    L2Miss { cycle: u64, partition: usize },
-    /// A counter-cache victim eviction: `uses` is how many lookup hits the
-    /// evicted line had served (its hotness).
-    CtrVictim { cycle: u64, uses: u64 },
-    /// One BMT authentication walk that climbed `depth` levels before
-    /// terminating (at a cached node or the root).
-    BmtWalk { cycle: u64, depth: u64 },
-    /// One data access served by the CPU-side pool: `bytes` crossed the
-    /// coherent link (toward the CPU for writes, the GPU for reads); 0 when
-    /// the access migrated its page, whose bytes [`Hook::PoolMigration`]
-    /// carries.  `capacity_event` marks a gpu-only access to a page with no
-    /// GPU backing.
-    PoolRemoteAccess {
-        cycle: u64,
-        bytes: u64,
-        is_write: bool,
-        capacity_event: bool,
-    },
-    /// One secure page migration: `to_gpu_bytes` promoted across the link,
-    /// `to_cpu_bytes` spilled the other way to make room (0 = no eviction
-    /// was needed).
-    PoolMigration {
-        cycle: u64,
-        to_gpu_bytes: u64,
-        to_cpu_bytes: u64,
-    },
-}
-
-impl Hook {
-    /// The cycle the hook happened at; hooks without one do not advance
-    /// epoch time.
-    fn cycle(&self) -> Option<u64> {
-        match *self {
-            Hook::MshrResidency { .. } | Hook::EngineDepth { .. } => None,
-            Hook::Event { cycle, .. }
-            | Hook::Traffic { cycle, .. }
-            | Hook::DramRequest { cycle, .. }
-            | Hook::Instructions { cycle, .. }
-            | Hook::Access { cycle }
-            | Hook::L2Hit { cycle, .. }
-            | Hook::L2Miss { cycle, .. }
-            | Hook::CtrVictim { cycle, .. }
-            | Hook::BmtWalk { cycle, .. }
-            | Hook::PoolRemoteAccess { cycle, .. }
-            | Hook::PoolMigration { cycle, .. } => Some(cycle),
-        }
-    }
 }
 
 /// Cheap cloneable telemetry handle threaded through the simulator.
 ///
 /// `Probe::default()` is disabled: every hook reduces to one `Option` check.
-///
-/// A probe made with [`Probe::buffered`] additionally carries a preallocated
-/// hook buffer shared by all of its clones: hooks append one record and the
-/// buffer drains into [`Telemetry`] a block at a time, so the per-hook cost
-/// on the simulation hot path is a vector push instead of epoch accounting,
-/// ring rotation, and (when streaming) per-event JSON formatting.  Replay
-/// happens strictly in emission order, so collected state — the streamed
-/// JSONL document included — is identical to the unbuffered probe's.
+/// All clones of an enabled probe feed one shared [`Telemetry`], which
+/// belongs to one simulation run.
 #[derive(Clone, Default)]
 pub struct Probe {
     inner: Option<Arc<Mutex<Telemetry>>>,
-    buf: Option<Arc<Mutex<Vec<Hook>>>>,
 }
 
 impl std::fmt::Debug for Probe {
@@ -462,24 +359,6 @@ impl Probe {
     pub fn enabled(cfg: TelemetryConfig) -> Self {
         Self {
             inner: Some(Arc::new(Mutex::new(Telemetry::new(cfg)))),
-            buf: None,
-        }
-    }
-
-    /// A handle over the same telemetry state whose hooks append to a
-    /// preallocated block buffer instead of updating [`Telemetry`] directly.
-    /// All clones of the returned probe share one buffer, so records from
-    /// every simulator layer drain in global emission order.  Draining
-    /// happens when a block fills and before any read through
-    /// [`Probe::with`] (summaries, sinks, `finalize`), so readers never see
-    /// stale state.  Disabled probes return a plain clone.
-    pub fn buffered(&self) -> Self {
-        if self.inner.is_none() {
-            return self.clone();
-        }
-        Self {
-            inner: self.inner.clone(),
-            buf: Some(Arc::new(Mutex::new(Vec::with_capacity(HOOK_BLOCK)))),
         }
     }
 
@@ -492,19 +371,11 @@ impl Probe {
         }
     }
 
-    /// Applies queued hooks to `t` in order, keeping the buffer's capacity
-    /// for reuse.
-    fn replay(t: &mut Telemetry, buf: &mut Vec<Hook>) {
-        for hook in buf.drain(..) {
-            t.apply(hook);
-        }
-    }
-
     /// Reports one hook; a disabled probe drops it after one branch.
     #[inline]
     pub fn record(&self, hook: Hook) {
-        if self.inner.is_some() {
-            self.push(hook);
+        if let Some(inner) = &self.inner {
+            Self::apply(inner, hook);
         }
     }
 
@@ -514,23 +385,11 @@ impl Probe {
         self.record(Hook::Event { cycle, event });
     }
 
-    /// Queues `hook` (buffered mode) or applies it immediately.  Lock order
-    /// is always buffer → telemetry.  Kept out of line so the disabled
+    /// Applies `hook` under the lock.  Kept out of line so the disabled
     /// check in [`Probe::record`] inlines into every hook site.
     #[inline(never)]
-    fn push(&self, hook: Hook) {
-        if let Some(buf) = &self.buf {
-            let mut b = Self::lock_any(buf);
-            b.push(hook);
-            if b.len() >= HOOK_BLOCK {
-                if let Some(inner) = &self.inner {
-                    let mut t = Self::lock_any(inner);
-                    Self::replay(&mut t, &mut b);
-                }
-            }
-        } else if let Some(inner) = &self.inner {
-            Self::lock_any(inner).apply(hook);
-        }
+    fn apply(inner: &Mutex<Telemetry>, hook: Hook) {
+        Self::lock_any(inner).apply(hook);
     }
 
     /// A probe that streams its JSONL document to `path` incrementally as
@@ -563,28 +422,37 @@ impl Probe {
         self.inner.is_some()
     }
 
-    /// Runs `f` on the telemetry state when enabled.  A buffered probe first
-    /// drains its pending hook records, so `f` always sees up-to-date state.
+    /// Runs `f` on the telemetry state when enabled.
     #[inline]
     pub fn with<R>(&self, f: impl FnOnce(&mut Telemetry) -> R) -> Option<R> {
         let inner = self.inner.as_ref()?;
-        if let Some(buf) = &self.buf {
-            let mut b = Self::lock_any(buf);
-            let mut guard = Self::lock_any(inner);
-            Self::replay(&mut guard, &mut b);
-            return Some(f(&mut guard));
-        }
-        let mut guard = Self::lock_any(inner);
-        Some(f(&mut guard))
+        Some(f(&mut Self::lock_any(inner)))
+    }
+
+    /// See [`Telemetry::next_epoch_at`]; `u64::MAX` when disabled, so the
+    /// simulator's boundary check never fires.
+    pub fn next_epoch_at(&self) -> u64 {
+        self.with(|t| t.next_epoch_at()).unwrap_or(u64::MAX)
+    }
+
+    /// See [`Telemetry::close_epochs`]; `u64::MAX` when disabled.
+    pub fn close_epochs(&self, cycle: u64, totals: &SimStats) -> u64 {
+        self.with(|t| t.close_epochs(cycle, totals))
+            .unwrap_or(u64::MAX)
+    }
+
+    /// See [`Telemetry::end_run`].
+    pub fn end_run(&self, totals: &SimStats) {
+        self.with(|t| t.end_run(totals));
     }
 
     /// See [`Telemetry::finalize`].
-    pub fn finalize(&self, end_cycle: u64) {
-        self.with(|t| t.finalize(end_cycle));
+    pub fn finalize(&self) {
+        self.with(Telemetry::finalize);
     }
 
-    /// Writes completed epoch snapshots as CSV to `path` (same quantities
-    /// as the JSONL `epoch` lines). Returns `Ok(false)` when disabled.
+    /// Writes the epoch snapshots as CSV to `path` (same quantities as
+    /// the JSONL `epoch` lines). Returns `Ok(false)` when disabled.
     pub fn write_epoch_csv(&self, path: &Path) -> std::io::Result<bool> {
         match self.with(|t| sink::epoch_csv(t)) {
             Some(doc) => {
@@ -606,9 +474,7 @@ impl Probe {
     }
 
     /// Installs a process-wide panic hook that dumps the flight recorder to
-    /// stderr before the previous hook runs. No-op when disabled.  Records
-    /// still queued in a buffered probe's block are not part of the dump
-    /// (the hook cannot safely take the buffer lock mid-panic).
+    /// stderr before the previous hook runs. No-op when disabled.
     pub fn install_panic_hook(&self) {
         let Some(inner) = &self.inner else { return };
         let inner = Arc::clone(inner);
@@ -676,14 +542,10 @@ mod tests {
     fn disabled_probe_is_inert() {
         let p = Probe::disabled();
         p.emit(0, Event::MshrStall { bank: 0 });
-        p.record(Hook::Traffic {
-            cycle: 0,
-            partition: 0,
-            class: TrafficClass::Data,
-            bytes: 128,
-            is_write: false,
-        });
-        p.finalize(10);
+        p.record(Hook::DramLatency { cycles: 40 });
+        assert_eq!(p.next_epoch_at(), u64::MAX);
+        assert_eq!(p.close_epochs(10, &SimStats::default()), u64::MAX);
+        p.end_run(&SimStats::default());
         assert!(!p.is_enabled());
         assert!(p.summary().is_none());
         assert!(p.flight_dump().is_none());
@@ -703,7 +565,7 @@ mod tests {
                 cycles: 200,
             },
         );
-        p.finalize(200);
+        p.finalize();
         p.with(|t| {
             assert_eq!(
                 t.kind_totals()[Event::L2Miss { bank: 0, addr: 0 }.kind_index()],
@@ -734,194 +596,110 @@ mod tests {
 
     #[test]
     fn dram_requests_match_histogram_count() {
+        // The summary's request count is the run's `SimStats` value and
+        // the histogram counts the latency hooks: one per request.
         let p = Probe::enabled(TelemetryConfig::default());
         for i in 0..50u64 {
-            p.record(Hook::DramRequest {
-                cycle: i * 7,
-                latency: 100 + i,
-            });
+            p.record(Hook::DramLatency { cycles: 100 + i });
         }
-        p.finalize(50 * 7);
-        p.with(|t| {
-            assert_eq!(t.dram_requests(), 50);
-            assert_eq!(t.dram_latency.count(), 50);
-            let epoch_sum: u64 = t.snapshots().iter().map(|s| s.dram_requests).sum();
-            assert_eq!(epoch_sum, 50);
+        p.end_run(&SimStats {
+            cycles: 350,
+            dram_requests: 50,
+            ..SimStats::default()
         });
+        let summary = p.summary().expect("enabled");
+        assert!(summary.contains("dram requests: 50"), "{summary}");
+        assert!(summary.contains("dram_latency    n=50 "), "{summary}");
     }
 
     #[test]
     fn ctr_victim_hotness_lands_in_epochs() {
+        // Through the probe: running totals handed over at cycles 120 and
+        // 150, then the run's end at 180, split into three epochs of 100
+        // cycles (the last one short).
         let p = Probe::enabled(TelemetryConfig { epoch_cycles: 100 });
-        for (cycle, uses) in [(10, 3), (20, 5), (150, 1)] {
-            p.record(Hook::CtrVictim { cycle, uses });
-        }
-        p.finalize(150);
+        let totals = |victims, uses| SimStats {
+            ctr_victims: victims,
+            ctr_victim_uses: uses,
+            ..SimStats::default()
+        };
+        assert_eq!(p.next_epoch_at(), 100);
+        assert_eq!(p.close_epochs(120, &totals(2, 8)), 200);
+        // Not yet at the next boundary: nothing closes.
+        assert_eq!(p.close_epochs(150, &totals(3, 9)), 200);
+        p.end_run(&SimStats {
+            cycles: 180,
+            ..totals(3, 9)
+        });
+        assert_eq!(p.next_epoch_at(), u64::MAX);
         p.with(|t| {
             let snaps = t.snapshots();
-            assert_eq!(snaps[0].ctr_victims, 2);
-            assert_eq!(snaps[0].ctr_victim_uses, 8);
-            assert_eq!(snaps[1].ctr_victims, 1);
-            assert_eq!(snaps[1].ctr_victim_uses, 1);
+            assert_eq!(snaps.len(), 2);
+            assert_eq!(
+                (snaps[0].stats.ctr_victims, snaps[0].stats.ctr_victim_uses),
+                (2, 8)
+            );
+            assert_eq!(
+                (snaps[1].stats.ctr_victims, snaps[1].stats.ctr_victim_uses),
+                (1, 1)
+            );
+            assert_eq!((snaps[1].start_cycle, snaps[1].end_cycle), (100, 180));
+            assert_eq!(snaps[0].stats.cycles + snaps[1].stats.cycles, 180);
         });
     }
 
     #[test]
     fn bmt_walk_depths_split_per_epoch() {
-        let p = Probe::enabled(TelemetryConfig { epoch_cycles: 100 });
-        for (cycle, depth) in [(10, 2), (20, 5), (150, 3)] {
-            p.record(Hook::BmtWalk { cycle, depth });
-        }
-        p.finalize(150);
-        p.with(|t| {
-            let snaps = t.snapshots();
-            assert_eq!(snaps[0].bmt_walks, 2);
-            assert_eq!(snaps[0].bmt_depth_sum, 7);
-            assert_eq!(snaps[0].bmt_depth_max, 5);
-            assert_eq!(snaps[1].bmt_walks, 1);
-            assert_eq!(snaps[1].bmt_depth_sum, 3);
-            assert_eq!(snaps[1].bmt_depth_max, 3);
-        });
-    }
-
-    #[test]
-    fn buffered_probe_replays_identically() {
-        // The same hook sequence through a buffered and an unbuffered probe
-        // must produce identical collected state (event lines, epochs,
-        // histograms) — block draining only changes *when* records land.
-        let (direct, direct_doc) = streaming(TelemetryConfig::default());
-        let (base, buffered_doc) = streaming(TelemetryConfig::default());
-        let buffered = base.buffered();
-        for p in [&direct, &buffered] {
-            for i in 0..3000u64 {
-                // Enough volume to cross several HOOK_BLOCK boundaries.
-                p.record(Hook::Access { cycle: i * 5 });
-                p.record(Hook::L2Hit {
-                    cycle: i * 5,
-                    partition: (i % 4) as usize,
-                });
-                p.record(Hook::Traffic {
-                    cycle: i * 5,
-                    partition: 1,
-                    class: TrafficClass::Data,
-                    bytes: 32,
-                    is_write: i % 3 == 0,
-                });
-                p.record(Hook::DramRequest {
-                    cycle: i * 5,
-                    latency: 100 + i % 50,
-                });
-                if i % 7 == 0 {
-                    p.emit(i * 5, Event::L2Miss { bank: 0, addr: i });
-                }
-            }
-            p.finalize(15_000);
-        }
-        let collect = |p: &Probe| {
-            p.with(|t| {
-                (
-                    *t.kind_totals(),
-                    t.snapshots().to_vec(),
-                    t.dram_latency.count(),
-                )
-            })
-            .expect("enabled")
+        // Each epoch line streams as its epoch closes, between the events
+        // around it, and carries the walk counters.
+        let (p, doc) = streaming(TelemetryConfig { epoch_cycles: 100 });
+        p.emit(0, Event::KernelStart { kernel: "k".into() });
+        p.emit(
+            20,
+            Event::BmtWalk {
+                partition: 0,
+                depth: 5,
+            },
+        );
+        let walks = |walks, depth_sum| SimStats {
+            bmt_walks: walks,
+            bmt_depth_sum: depth_sum,
+            ..SimStats::default()
         };
-        let a = collect(&direct);
-        let b = collect(&buffered);
-        assert_eq!(a.0, b.0, "kind totals diverged");
-        assert_eq!(a.1, b.1, "epochs diverged");
-        assert_eq!(a.2, b.2, "histogram counts diverged");
-        // The documents agree byte for byte.
-        let (a, b) = (direct_doc(), buffered_doc());
-        assert_eq!(a, b, "streamed documents diverged");
-        assert!(event_lines(&a, "l2_miss") > 1);
-    }
-
-    #[test]
-    fn buffered_clones_share_one_queue() {
-        let base = Probe::enabled(TelemetryConfig::default());
-        let a = base.buffered();
-        let b = a.clone();
-        // Interleave below the block size; order must survive the drain.
-        a.emit(1, Event::MshrStall { bank: 1 });
-        b.emit(2, Event::MshrStall { bank: 2 });
-        a.emit(3, Event::MshrStall { bank: 3 });
-        a.with(|t| {
-            // The flight-recorder ring sees every emission (no sampling), so
-            // it reflects the replayed global order.
-            let cycles: Vec<u64> = t.flight_recorder().map(|&(c, _)| c).collect();
-            assert_eq!(cycles, vec![1, 2, 3]);
+        p.close_epochs(150, &walks(2, 7));
+        p.emit(
+            160,
+            Event::KernelEnd {
+                kernel: "k".into(),
+                cycles: 160,
+            },
+        );
+        p.end_run(&SimStats {
+            cycles: 160,
+            ..walks(3, 10)
         });
+        let doc = doc();
+        let types: Vec<&str> = doc.lines().filter_map(|l| l.split('"').nth(3)).collect();
+        assert_eq!(
+            types,
+            [
+                "meta", "event", "event", "epoch", "event", "epoch", "hist", "hist", "hist",
+                "drops"
+            ]
+        );
+        let epochs: Vec<&str> = doc.lines().filter(|l| l.contains("\"epoch\"")).collect();
+        assert!(epochs[0].contains("\"bmt_walks\":2,\"bmt_depth_sum\":7"));
+        assert!(epochs[1].contains("\"bmt_walks\":1,\"bmt_depth_sum\":3"));
+        assert!(!doc.contains("bmt_depth_max"));
     }
 
     #[test]
     fn probe_clones_share_state() {
         let p = Probe::enabled(TelemetryConfig::default());
         let q = p.clone();
-        p.record(Hook::Traffic {
-            cycle: 5,
-            partition: 2,
-            class: TrafficClass::Mac,
-            bytes: 32,
-            is_write: true,
-        });
-        q.record(Hook::Traffic {
-            cycle: 9,
-            partition: 2,
-            class: TrafficClass::Mac,
-            bytes: 32,
-            is_write: false,
-        });
-        p.with(|t| assert_eq!(t.total_traffic().class_total(TrafficClass::Mac), 64));
-    }
-
-    #[test]
-    fn partition_breakdown_tracks_traffic_and_l2() {
-        let p = Probe::enabled(TelemetryConfig { epoch_cycles: 100 });
-        p.record(Hook::Traffic {
-            cycle: 10,
-            partition: 3,
-            class: TrafficClass::Data,
-            bytes: 128,
-            is_write: false,
-        });
-        p.record(Hook::Traffic {
-            cycle: 20,
-            partition: 3,
-            class: TrafficClass::Mac,
-            bytes: 32,
-            is_write: true,
-        });
-        p.record(Hook::L2Hit {
-            cycle: 30,
-            partition: 1,
-        });
-        p.record(Hook::L2Miss {
-            cycle: 40,
-            partition: 3,
-        });
-        p.finalize(50);
-        p.with(|t| {
-            let snap = &t.snapshots()[0];
-            // Grown to the highest touched index; untouched ones are zero.
-            assert_eq!(snap.partitions.len(), 4);
-            assert_eq!(snap.partitions[3].read_bytes, 128);
-            assert_eq!(snap.partitions[3].write_bytes, 32);
-            assert_eq!(snap.partitions[3].l2_misses, 1);
-            assert_eq!(snap.partitions[1].l2_hits, 1);
-            assert_eq!(snap.partitions[0], PartitionEpoch::default());
-            // Per-partition totals agree with the epoch-wide counters.
-            let (r, w): (u64, u64) = snap
-                .partitions
-                .iter()
-                .fold((0, 0), |(r, w), p| (r + p.read_bytes, w + p.write_bytes));
-            assert_eq!(r + w, snap.total_bytes());
-            let mut json = String::new();
-            snap.write_json(&mut json);
-            assert!(json.contains("\"partitions\":[{\"read_bytes\":0"));
-            assert!(json
-                .contains("{\"read_bytes\":128,\"write_bytes\":32,\"l2_hits\":0,\"l2_misses\":1}"));
-        });
+        p.record(Hook::DramLatency { cycles: 32 });
+        q.record(Hook::DramLatency { cycles: 64 });
+        p.with(|t| assert_eq!(t.dram_latency.count(), 2));
+        q.with(|t| assert_eq!(t.dram_latency.max(), 64));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::event::Event;
 use crate::hist::Histogram;
-use crate::{EpochSnapshot, PartitionEpoch, Telemetry, RING_CAPACITY, SAMPLE_STRIDE};
+use crate::{EpochSnapshot, Telemetry, RING_CAPACITY, SAMPLE_STRIDE};
 use gpu_types::TrafficClass;
 use std::fmt::Write as _;
 
@@ -38,32 +38,15 @@ pub fn drops_json(t: &Telemetry, out: &mut String) {
     out.push_str("}}");
 }
 
-/// Renders completed epoch snapshots as CSV, mirroring the JSONL `epoch`
-/// schema: identity columns, per-class read/write byte columns, the counter
-/// columns, then per-partition breakdown columns (`p<i>_read_bytes`, …) for
-/// every partition any epoch touched — rows are zero-padded to that width
-/// so the table is always rectangular.
+/// Renders the epoch snapshots as CSV, mirroring the JSONL `epoch`
+/// schema: the identity columns, then one column per `SimStats` value,
+/// with each per-class value split into `<name>_<class>` columns.
 pub fn epoch_csv(t: &Telemetry) -> String {
-    let num_partitions = t
-        .snapshots()
-        .iter()
-        .map(|s| s.partitions.len())
-        .max()
-        .unwrap_or(0);
     let mut out = String::new();
-    EpochSnapshot::write_csv_header("", &mut out);
-    for p in 0..num_partitions {
-        PartitionEpoch::write_csv_header(&format!("p{p}_"), &mut out);
-    }
-    out.pop();
+    EpochSnapshot::write_csv_header(&mut out);
     out.push('\n');
-    let zero = PartitionEpoch::default();
     for s in t.snapshots() {
         s.write_csv_row(&mut out);
-        for p in 0..num_partitions {
-            s.partitions.get(p).unwrap_or(&zero).write_csv_row(&mut out);
-        }
-        out.pop();
         out.push('\n');
     }
     out
@@ -117,15 +100,15 @@ pub fn summary(t: &Telemetry) -> String {
             t.sampled_out()
         );
     }
+    // What the epochs sum to: the run's end-of-run statistics.
     let _ = writeln!(out, "  epochs: {}", t.snapshots().len());
-    let total = t.total_traffic();
     for class in TrafficClass::ALL {
-        let bytes = total.class_total(class);
+        let bytes = t.totals.traffic.class_total(class);
         if bytes > 0 {
             let _ = writeln!(out, "    {:<10} {} B", class.label(), bytes);
         }
     }
-    let _ = writeln!(out, "  dram requests: {}", t.dram_requests());
+    let _ = writeln!(out, "  dram requests: {}", t.totals.dram_requests);
     for (name, h) in named_histograms(t) {
         if h.count() == 0 {
             continue;
@@ -160,11 +143,14 @@ pub fn flight_dump(t: &Telemetry) -> String {
 mod tests {
     use super::*;
     use crate::{Hook, Probe, TelemetryConfig};
+    use gpu_types::{SimStats, StatValue};
 
     fn cfg() -> TelemetryConfig {
         TelemetryConfig { epoch_cycles: 100 }
     }
 
+    /// A short run: 128 B of data read and one DRAM request before cycle
+    /// 100, handed over at cycle 250, where the run ends.
     fn populate(p: &Probe) {
         p.emit(
             0,
@@ -179,17 +165,13 @@ mod tests {
                 addr: 4096,
             },
         );
-        p.record(Hook::Traffic {
-            cycle: 5,
-            partition: 1,
-            class: TrafficClass::Data,
-            bytes: 128,
-            is_write: false,
-        });
-        p.record(Hook::DramRequest {
-            cycle: 40,
-            latency: 35,
-        });
+        p.record(Hook::DramLatency { cycles: 35 });
+        let mut totals = SimStats {
+            dram_requests: 1,
+            ..SimStats::default()
+        };
+        totals.traffic.record(TrafficClass::Data, 128, false);
+        p.close_epochs(250, &totals);
         p.emit(
             250,
             Event::KernelEnd {
@@ -197,7 +179,10 @@ mod tests {
                 cycles: 250,
             },
         );
-        p.finalize(250);
+        p.end_run(&SimStats {
+            cycles: 250,
+            ..totals
+        });
     }
 
     fn populated() -> Probe {
@@ -243,9 +228,10 @@ mod tests {
     fn summary_mentions_populated_sections() {
         let s = populated().summary().unwrap();
         assert!(s.contains("kernel_start"));
+        assert!(s.contains("epochs: 3"));
         assert!(s.contains("dram requests: 1"));
         assert!(s.contains("dram_latency"));
-        assert!(s.contains("data"));
+        assert!(s.contains("data       128 B"));
     }
 
     #[test]
@@ -260,25 +246,28 @@ mod tests {
         let csv = populated().with(|t| epoch_csv(t)).unwrap();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
-        assert!(header.starts_with("index,start_cycle,end_cycle,read_"));
+        assert!(header.starts_with("index,start_cycle,end_cycle,cycles,instructions,accesses,"));
         assert!(header.contains(
-            "instructions,accesses,l2_hits,l2_misses,dram_requests,ctr_victims,ctr_victim_uses,bmt_walks,bmt_depth_sum,bmt_depth_max"
+            ",ctr_hits,ctr_misses,ctr_victims,ctr_victim_uses,mac_hits,mac_misses,bmt_hits,bmt_misses,bmt_walks,bmt_depth_sum,"
         ));
-        // Traffic landed in partition 1, so the breakdown covers p0..p1.
-        assert!(header.ends_with(
-            "p0_read_bytes,p0_write_bytes,p0_l2_hits,p0_l2_misses,p1_read_bytes,p1_write_bytes,p1_l2_hits,p1_l2_misses"
+        assert!(header.contains(
+            ",read_data,read_counter,read_mac,read_bmt,read_fixup,write_data,write_counter,write_mac,write_bmt,write_fixup,"
         ));
-        let cols = header.split(',').count();
+        assert!(header.ends_with(",link_bytes_to_gpu,link_bytes_to_cpu"));
+        let cols: Vec<&str> = header.split(',').collect();
         // Same epochs as the JSONL document: 0..100, 100..200, 200..250.
         let rows: Vec<&str> = lines.collect();
         assert_eq!(rows.len(), 3);
         for row in &rows {
-            assert_eq!(row.split(',').count(), cols, "ragged row: {row}");
+            assert_eq!(row.split(',').count(), cols.len(), "ragged row: {row}");
         }
         // 128 B of data-class read traffic lands in the first epoch.
-        assert!(rows[0].contains(",128"), "first epoch row: {}", rows[0]);
-        assert!(rows[0].starts_with("0,0,99"));
-        assert!(rows[2].starts_with("2,200,250"));
+        let read_data = cols.iter().position(|&c| c == "read_data").unwrap();
+        let cell = |row: &str| row.split(',').nth(read_data).unwrap().to_string();
+        assert_eq!(cell(rows[0]), "128");
+        assert_eq!(cell(rows[1]), "0");
+        assert!(rows[0].starts_with("0,0,99,100,"));
+        assert!(rows[2].starts_with("2,200,250,50,"));
     }
 
     /// Top-level keys of one JSON object line, in order (the epoch line's
@@ -305,43 +294,37 @@ mod tests {
         keys
     }
 
-    /// The declared columns with `traffic` replaced by its cells.
-    fn expand_traffic(traffic: &[String]) -> Vec<String> {
-        EpochSnapshot::COLUMNS
-            .iter()
-            .flat_map(|&c| match c {
-                "traffic" => traffic.to_vec(),
-                c => vec![c.to_string()],
-            })
-            .collect()
-    }
-
     #[test]
     fn epoch_jsonl_keys_and_csv_columns_follow_the_declaration() {
+        // Both writers walk `SimStats::visit`: a JSON member per value, and
+        // a CSV column per count or one per class of a per-class value.
+        let (mut json_keys, mut columns) = (vec![], vec![]);
+        SimStats::default().visit(|name, value| {
+            json_keys.push(name.to_string());
+            match value {
+                StatValue::Count(_) => columns.push(name.to_string()),
+                StatValue::PerClass(_) => columns
+                    .extend(TrafficClass::ALL.map(|class| format!("{name}_{}", class.label()))),
+            }
+        });
+        let identity = ["index", "start_cycle", "end_cycle"].map(String::from);
+
         let doc = populated_doc();
         let line = doc
             .lines()
             .find(|l| l.contains("\"type\":\"epoch\""))
             .unwrap();
-        let mut json_keys = vec!["type".to_string()];
-        json_keys.extend(expand_traffic(&[
-            "read_bytes".to_string(),
-            "write_bytes".to_string(),
-        ]));
-        json_keys.push("partitions".to_string());
-        assert_eq!(top_level_keys(line), json_keys);
+        let expected: Vec<String> = ["type".to_string()]
+            .into_iter()
+            .chain(identity.clone())
+            .chain(json_keys)
+            .collect();
+        assert_eq!(top_level_keys(line), expected);
 
         let csv = populated().with(|t| epoch_csv(t)).unwrap();
         let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
-        let cells: Vec<String> = ["read", "write"]
-            .iter()
-            .flat_map(|dir| TrafficClass::ALL.map(|c| format!("{dir}_{}", c.label())))
-            .collect();
-        let mut columns = expand_traffic(&cells);
-        for part in ["p0_", "p1_"] {
-            columns.extend(PartitionEpoch::COLUMNS.iter().map(|c| format!("{part}{c}")));
-        }
-        assert_eq!(header, columns);
+        let expected: Vec<String> = identity.into_iter().chain(columns).collect();
+        assert_eq!(header, expected);
     }
 
     #[test]
@@ -356,8 +339,7 @@ mod tests {
             .lines()
             .map(str::trim)
             .collect();
-        // No snapshots, so no per-partition columns: the header is exactly
-        // the fixed columns.
+        // No snapshots: the export is the header line alone.
         let csv = epoch_csv(&Telemetry::new(cfg()));
         assert_eq!(documented, csv.trim_end());
     }
