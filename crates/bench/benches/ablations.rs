@@ -115,8 +115,8 @@ fn bench_ablations(c: &mut Criterion) {
     group.finish();
 
     // The summary sweeps below are independent simulations — run them on
-    // the shared sim-exec pool (SHM_JOBS opts out).
-    let pool = sim_exec::Executor::from_env();
+    // the shared sim-exec pool, one worker per available core.
+    let pool = sim_exec::Executor::from_request(None);
 
     println!("\ntree-arity ablation (PSSM, random reads): BMT bytes");
     let arities = [4u64, 8, 16];

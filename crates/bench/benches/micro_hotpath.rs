@@ -1,13 +1,12 @@
 //! Hot-path microbenches for the profile-guided optimizations: single-block
 //! AES-128 across all three implementations (per-byte reference, T-tables,
-//! AES-NI) and the simulator issue loop with batching on vs off.
+//! AES-NI) and the simulator issue loop on two scheduling extremes.
 //!
 //! The AES-NI group is skipped with a notice when the host CPU lacks the
-//! AES extension; the batched/unbatched pair must stay byte-identical in
-//! results — only the wall time may differ.
+//! AES extension.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpu_mem_sim::{set_batch_issue, ContextTrace, DesignPoint, Simulator};
+use gpu_mem_sim::{ContextTrace, DesignPoint, Simulator};
 use gpu_types::GpuConfig;
 use shm_crypto::aes::{aesni_available, reference, Aes128};
 
@@ -42,8 +41,7 @@ fn bench_aes_single_block(c: &mut Criterion) {
 }
 
 /// A streaming-read kernel confined to one warp: the scheduler's next pick
-/// is always the same SM, so the batched loop amortizes every heap
-/// push/pop while the unbatched loop pays one per event.
+/// is always the same SM, and every event still pays one heap push/pop.
 fn single_warp_trace(n: u64) -> ContextTrace {
     use gpu_types::{AccessKind, MemEvent, PhysAddr};
     let events: Vec<MemEvent> = (0..n)
@@ -59,9 +57,7 @@ fn single_warp_trace(n: u64) -> ContextTrace {
 fn bench_issue_loop(c: &mut Criterion) {
     let cfg = GpuConfig::default();
     let sim = Simulator::new(&cfg, DesignPoint::Shm);
-    // Two scheduling extremes: 60 interleaved warps (runs degenerate to one
-    // event, batching must not cost anything) and a single warp (maximal
-    // run length, batching skips nearly every heap operation).
+    // Two scheduling extremes: 60 interleaved warps and a single warp.
     let traces = [
         ("interleaved", ContextTrace::streaming_read_demo(16_384)),
         ("single_warp", single_warp_trace(16_384)),
@@ -70,27 +66,11 @@ fn bench_issue_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("issue_loop");
     group.sample_size(10);
     for (shape, trace) in &traces {
-        for (mode, batched) in [("unbatched", false), ("batched", true)] {
-            group.bench_function(
-                BenchmarkId::from_parameter(format!("{shape}/{mode}")),
-                |b| {
-                    set_batch_issue(batched);
-                    b.iter(|| std::hint::black_box(sim.run(trace).cycles));
-                    set_batch_issue(true);
-                },
-            );
-        }
+        group.bench_function(BenchmarkId::from_parameter(shape), |b| {
+            b.iter(|| std::hint::black_box(sim.run(trace).cycles))
+        });
     }
     group.finish();
-
-    // The two paths must agree exactly, not just statistically.
-    for (shape, trace) in &traces {
-        set_batch_issue(false);
-        let unbatched = sim.run(trace);
-        set_batch_issue(true);
-        let batched = sim.run(trace);
-        assert_eq!(unbatched, batched, "batched issue loop diverged on {shape}");
-    }
 }
 
 criterion_group!(benches, bench_aes_single_block, bench_issue_loop);

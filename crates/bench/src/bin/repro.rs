@@ -1,10 +1,9 @@
 //! `repro` — regenerates every table and figure of the SHM evaluation.
 //!
-//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|hetero|all] [--scale X] [--jobs N] [--journal DIR [--resume] [--crash-after-jobs N]]`
+//! Usage: `repro [fig5|fig10|fig11|fig12|fig13|fig14|fig15|fig16|table1|table3_4|table7|table9|micro|sensitivity|all] [--scale X] [--jobs N] [--journal DIR [--resume] [--crash-after-jobs N]]`
 //!
-//! The `hetero` target renders the heterogeneous-pool placement sweep; it
-//! is deliberately *not* part of `all`, which stays byte-identical to a
-//! pool-free build.
+//! Every target is single-pool; the heterogeneous-pool placement sweep is
+//! `shm sweep --pools all`.
 //!
 //! With `--journal DIR`, the suite-based figures (fig12–fig16) checkpoint
 //! every completed (benchmark, design) job to `DIR/<figure>.jsonl` as it
@@ -15,10 +14,10 @@
 //! N fresh completions (CI crash-recovery smoke).
 //!
 //! Figures run their (benchmark × design) simulations on the `sim-exec`
-//! worker pool; `--jobs N` bounds the pool (1 = serial) and the
-//! `SHM_JOBS` environment variable is the session-wide override.  Results
-//! are reassembled in submission order, so the printed tables are
-//! byte-identical at any worker count.
+//! worker pool; `--jobs N` bounds the pool (1 = serial; the default is
+//! the machine's available parallelism).  Results are reassembled in
+//! submission order, so the printed tables are byte-identical at any
+//! worker count.
 //!
 //! The figures of one invocation share one simulation per (benchmark,
 //! design): Table VII and Figs. 10–16 read one [`Memo`], so `all` runs each
@@ -108,7 +107,6 @@ fn render(what: &str, scale: f64, opts: &SweepArgs, memo: &Memo) -> Result<Strin
         "fig16" => fig16(scale, opts, memo)?,
         "micro" => micro_diag(),
         "sensitivity" => sensitivity(scale),
-        "hetero" => hetero(scale, jobs)?,
         _ => return Err(Failure::usage(format!("unknown target: {what}"))),
     })
 }
@@ -179,15 +177,6 @@ fn sensitivity(scale: f64) -> String {
         }
     }
     out
-}
-
-/// Heterogeneous-pool placement sweep: the confidential-AI profiles under
-/// every placement policy.  `SHM_POOL_*` / `SHM_LINK_*` knobs shape the
-/// pool geometry; not part of `all` (the paper tables stay single-pool).
-fn hetero(scale: f64, jobs: Option<usize>) -> Result<String, Failure> {
-    let rows = shm_bench::pool::try_run_pool_sweep(&shm_pool::PlacementPolicy::ALL, scale, jobs)
-        .map_err(|e| Failure::runtime(format!("hetero sweep failed: {e}"), &Probe::disabled()))?;
-    Ok(shm_bench::pool::format_pool_table(&rows))
 }
 
 /// Calibration diagnostics: per-class overheads on pure access patterns.

@@ -150,19 +150,17 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
-    /// `--jobs N`: the worker-pool width (`None` defers to `SHM_JOBS` and
-    /// the machine).  `--jobs 0` or a non-numeric value means "auto" with
-    /// a stderr warning, mirroring the `SHM_JOBS` policy.
-    pub fn jobs(&self) -> Option<usize> {
-        let raw = self.get("jobs")?;
-        let parsed = sim_exec::parse_jobs_spec(raw);
-        if parsed.is_none() {
-            eprintln!(
-                "warning: ignoring --jobs {raw:?} (expected a positive integer); \
-                 using auto parallelism"
-            );
+    /// `--jobs N`: the worker-pool width (`None`: the machine's available
+    /// parallelism).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when the value is zero or not a number.
+    pub fn jobs(&self) -> Result<Option<usize>, String> {
+        match self.get_u64("jobs")? {
+            Some(0) => Err("option --jobs expects a positive number, got \"0\"".to_string()),
+            n => Ok(n.map(|n| n as usize)),
         }
-        parsed
     }
 }
 
@@ -355,7 +353,7 @@ pub fn finish_telemetry(args: &Args, probe: &Probe) -> Result<(), Failure> {
 /// the journal (`--journal PATH [--resume] [--crash-after-jobs N]`).
 #[derive(Debug)]
 pub struct SweepArgs {
-    /// `--jobs N` (`None`: `SHM_JOBS` or the machine decides).
+    /// `--jobs N` (`None`: the machine's available parallelism).
     pub jobs: Option<usize>,
     /// `--journal PATH`: a file for `shm sweep`, a directory for `repro`.
     pub journal: Option<PathBuf>,
@@ -374,8 +372,9 @@ impl SweepArgs {
     /// # Errors
     ///
     /// A usage failure for `--resume` or `--crash-after-jobs` without
-    /// `--journal`, or a bad number.
+    /// `--journal`, a bad number or `--jobs 0`.
     pub fn from_args(args: &Args) -> Result<Self, Failure> {
+        let jobs = args.jobs()?;
         let journal = args.get("journal").map(PathBuf::from);
         let resume = args.flag("resume");
         let crash_after_jobs = args.get_u64("crash-after-jobs")?.map(|n| n as usize);
@@ -385,7 +384,7 @@ impl SweepArgs {
             ));
         }
         Ok(Self {
-            jobs: args.jobs(),
+            jobs,
             journal,
             resume,
             crash_after_jobs,
@@ -489,6 +488,16 @@ mod tests {
         let a = Args::parse(&argv(&["--scale", "1", "--resume", "--bogus", "x"])).expect("parse");
         assert_eq!(a.unknown_option(&["scale", "resume"]), Some("bogus"));
         assert_eq!(a.unknown_option(&["scale", "resume", "bogus"]), None);
+    }
+
+    #[test]
+    fn jobs_must_be_a_positive_integer() {
+        let jobs = |v: &str| Args::parse(&argv(&["--jobs", v])).expect("parse").jobs();
+        assert_eq!(jobs("4"), Ok(Some(4)));
+        for bad in ["0", "banana", "-1", "1.5", "", " 8 "] {
+            assert!(jobs(bad).is_err(), "--jobs {bad:?} must be refused");
+        }
+        assert_eq!(Args::parse(&[]).expect("parse").jobs(), Ok(None));
     }
 
     #[test]

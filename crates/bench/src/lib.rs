@@ -19,7 +19,6 @@ pub use sim_exec::{Executor, SweepError};
 pub mod cli;
 mod job;
 pub mod memo;
-pub mod pool;
 pub mod sweep;
 
 pub use job::{Detailed, SimJob};

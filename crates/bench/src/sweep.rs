@@ -171,7 +171,7 @@ impl Sweep {
     fn new(jobs: Vec<SimJob>) -> Self {
         Sweep {
             jobs,
-            executor: Executor::from_env(),
+            executor: Executor::from_request(None),
             journal: None,
         }
     }

@@ -23,7 +23,6 @@ use shm_bench::cli::{install_signal_handlers, Args, Failure, SweepArgs};
 mod args;
 mod attack;
 mod list;
-mod obs;
 mod run;
 mod sweep;
 mod trace;
@@ -55,7 +54,6 @@ fn dispatch(argv: &[String]) -> Result<(), Failure> {
             return Ok(());
         }
         ["list", ..] => (list::cmd_list, 1, false, &[]),
-        ["env", ..] => (obs::cmd_env, 1, false, &[]),
         ["run", ..] => (run::cmd_run, 1, false, &[TRACE, TELEMETRY, RUN]),
         ["attack", ..] => (
             attack::cmd_attack,
@@ -102,13 +100,12 @@ fn print_help() {
          \x20 run   ... --telemetry [--epoch-cycles N] [--trace-out t.jsonl] [--epoch-csv e.csv]\n\
          \x20 run   ... --profile                  phase self-profiler (forces --jobs 1)\n\
          \x20 run   ... --pools gpu-only|static-split|hot-page-migrate   heterogeneous\n\
-         \x20        CPU+GPU pools (SHM_POOL_*/SHM_LINK_* shape them; default single-pool)\n\
+         \x20        CPU+GPU pools (default single-pool)\n\
          \x20 sweep -b <bench> [--events N] [--csv] [--jobs N]\n\
          \x20 sweep -b <bench> --pools <policy|all>   placement-policy sweep: design\n\
          \x20        rows per policy plus migration/spill/link counters\n\
          \x20 sweep ... --journal <file> [--resume]  checkpoint results; SIGINT/SIGTERM\n\
          \x20        stops gracefully (exit 130) and --resume skips completed jobs\n\
-         \x20 env                                  every SHM_* environment knob\n\
          \x20 attack --campaign smoke|full [--seed S] [--policy abort|retry|quarantine]\n\
          \x20        [--telemetry ...]            adversary campaign; exit 3 on any miss\n\
          \x20 trace gen  -b <bench> -o <file> [--events N] [--seed S]\n\

@@ -13,11 +13,12 @@ use crate::args;
 use crate::sweep::pool_counters;
 
 pub fn cmd_run(args: &Args) -> Result<(), Failure> {
+    let jobs = args.jobs()?;
     let profiling = args.flag("profile");
     if profiling {
         // Phase timers are process-global, so profiled runs are serial —
         // concurrent jobs would double-charge wall time to the phases.
-        // Always say so: an SHM_JOBS setting is silently overridden too.
+        // Always say so: the machine's default width is overridden too.
         eprintln!("note: --profile forces --jobs 1 (phase timers are process-global)");
         shm_metrics::phase::enable_profiling();
         shm_metrics::phase::reset_phases();
@@ -26,10 +27,10 @@ pub fn cmd_run(args: &Args) -> Result<(), Failure> {
     let trace = args::load_trace(args)?;
     let design = args::design(args)?;
     let probe = telemetry_probe(args)?;
-    let jobs = if profiling { Some(1) } else { args.jobs() };
+    let jobs = if profiling { Some(1) } else { jobs };
     let pools = match args::pools(args)?.as_deref() {
         None => None,
-        Some(&[policy]) => Some(PoolsConfig::from_env(policy)),
+        Some(&[policy]) => Some(PoolsConfig::new(policy)),
         Some(_) => return Err(Failure::usage("`shm run` takes one --pools policy")),
     };
     let cfg = GpuConfig::default();

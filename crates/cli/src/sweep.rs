@@ -48,7 +48,7 @@ pub fn cmd_sweep(args: &Args) -> Result<(), Failure> {
             |i, _| {
                 let sim = Simulator::new(&cfg, DesignPoint::ALL[i]);
                 match policy {
-                    Some(p) => sim.with_pools(PoolsConfig::from_env(p)),
+                    Some(p) => sim.with_pools(PoolsConfig::new(p)),
                     None => sim,
                 }
                 .run(&trace)

@@ -114,7 +114,7 @@ pub enum AesBackend {
 }
 
 impl AesBackend {
-    /// Stable label used in `shm env` and bench output.
+    /// Stable label used in the benchmark report (`aes_backend`).
     pub fn name(self) -> &'static str {
         match self {
             AesBackend::TTable => "ttable",

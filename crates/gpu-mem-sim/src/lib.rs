@@ -35,5 +35,5 @@ pub use codec::{read_trace, write_trace, CodecError};
 pub use energy::EnergyModel;
 pub use l2::L2Bank;
 pub use shm::DesignPoint;
-pub use sim::{batch_issue_enabled, set_batch_issue, Simulator};
+pub use sim::Simulator;
 pub use trace::{ContextTrace, HostAction, KernelTrace};

@@ -16,22 +16,6 @@ use shm_telemetry::{Event, Hook, Probe};
 use crate::l2::{L2Bank, L2Outcome, L2_HIT_LATENCY};
 use crate::trace::{ContextTrace, HostAction};
 
-/// Gate for the batched issue loop (on by default).  Turning it off makes
-/// [`Simulator`] process one event per scheduler pick, exactly the
-/// pre-batching loop — kept so tests and microbenches can check that both
-/// paths produce byte-identical results.
-static BATCH_ISSUE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(true);
-
-/// Enables/disables the batched issue loop process-wide.
-pub fn set_batch_issue(on: bool) {
-    BATCH_ISSUE.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// True when the batched issue loop is active.
-pub fn batch_issue_enabled() -> bool {
-    BATCH_ISSUE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// A trace-driven simulation of one design point on the Table-V GPU.
 pub struct Simulator {
     cfg: GpuConfig,
@@ -250,13 +234,9 @@ impl Simulator {
 
     /// Simulates one kernel starting at `start_cycle`; returns its end cycle.
     ///
-    /// The issue loop is batched: after an SM completes an event it keeps
-    /// issuing its following events as one *run* for as long as it provably
-    /// remains the scheduler's next pick, skipping a heap push/pop per event.
-    /// The continuation test replicates the priority-queue order exactly
-    /// (including the `(time, sm)` tie-break and the lazy-requeue rule), so
-    /// issue order — and therefore every statistic and telemetry byte — is
-    /// identical to the one-event-per-pick loop.
+    /// Each pop of the scheduler heap issues at most one access: the SM with
+    /// the earliest `(time, sm)` estimate issues its next event and is
+    /// requeued at its new ready time.
     #[allow(clippy::too_many_arguments)]
     fn run_kernel(
         &self,
@@ -274,7 +254,6 @@ impl Simulator {
         let num_sms = self.cfg.num_sms as usize;
         let max_outstanding = self.cfg.sm_max_outstanding as usize;
         let span = self.cfg.protected_bytes_per_partition();
-        let batch = batch_issue_enabled();
         // Scratch for drained evictions, reused across every access in the
         // kernel so the hot path never allocates.
         let mut scratch: Vec<Eviction> = Vec::new();
@@ -297,78 +276,62 @@ impl Simulator {
         let mut end = start_cycle;
         let mut accesses_since_policy = 0u64;
 
-        while let Some(Reverse((first_est, sm))) = pq.pop() {
+        while let Some(Reverse((est, sm))) = pq.pop() {
             if cursors[sm] >= queues[sm].len() {
                 continue;
             }
-            let mut est = first_est;
-            loop {
-                // Compute the actual issue time for this SM's next event.
-                let ev = queues[sm][cursors[sm]];
-                let think = ev.think_cycles as u64;
-                let mut t = ready[sm] + think;
-                while outstanding[sm].len() >= max_outstanding {
-                    let Reverse(done) = outstanding[sm].pop().expect("non-empty at limit");
-                    t = t.max(done);
+            // Compute the actual issue time for this SM's next event.
+            let ev = queues[sm][cursors[sm]];
+            let think = ev.think_cycles as u64;
+            let mut t = ready[sm] + think;
+            while outstanding[sm].len() >= max_outstanding {
+                let Reverse(done) = outstanding[sm].pop().expect("non-empty at limit");
+                t = t.max(done);
+            }
+            // If another SM became strictly earlier, requeue lazily.
+            if let Some(Reverse((other_est, _))) = pq.peek() {
+                if t > *other_est && t > est {
+                    pq.push(Reverse((t, sm)));
+                    ready[sm] = ready[sm].max(t - think);
+                    continue;
                 }
-                // If another SM became strictly earlier, requeue lazily.
-                if let Some(Reverse((other_est, _))) = pq.peek() {
-                    if t > *other_est && t > est {
-                        pq.push(Reverse((t, sm)));
-                        ready[sm] = ready[sm].max(t - think);
-                        break;
-                    }
-                }
+            }
 
-                tick_epochs(probe, next_epoch, t, stats, fabric, pool.as_ref());
-                let completion = self.access_memory(
-                    t,
-                    ev,
-                    map,
-                    span,
-                    probe,
-                    &mut scratch,
-                    engine,
-                    fabric,
-                    banks,
-                    pool,
-                    stats,
-                );
-                stats.accesses += 1;
-                stats.lat_sum += completion.saturating_sub(t);
-                stats.lat_max = stats.lat_max.max(completion.saturating_sub(t));
-                outstanding[sm].push(Reverse(completion));
-                ready[sm] = t + 1;
-                end = end.max(completion).max(t + 1);
-                cursors[sm] += 1;
+            tick_epochs(probe, next_epoch, t, stats, fabric, pool.as_ref());
+            let completion = self.access_memory(
+                t,
+                ev,
+                map,
+                span,
+                probe,
+                &mut scratch,
+                engine,
+                fabric,
+                banks,
+                pool,
+                stats,
+            );
+            stats.accesses += 1;
+            stats.lat_sum += completion.saturating_sub(t);
+            stats.lat_max = stats.lat_max.max(completion.saturating_sub(t));
+            outstanding[sm].push(Reverse(completion));
+            ready[sm] = t + 1;
+            end = end.max(completion).max(t + 1);
+            cursors[sm] += 1;
 
-                // Periodically refresh the victim-cache policy from sampled
-                // L2 miss rates (Section IV-D).
-                accesses_since_policy += 1;
-                if accesses_since_policy >= 4096 {
-                    accesses_since_policy = 0;
-                    for (p, pbanks) in banks.iter().enumerate() {
-                        let rate = pbanks[0].sampled_miss_rate();
-                        engine.update_victim_policy(PartitionId(p as u16), rate);
-                    }
+            // Periodically refresh the victim-cache policy from sampled
+            // L2 miss rates (Section IV-D).
+            accesses_since_policy += 1;
+            if accesses_since_policy >= 4096 {
+                accesses_since_policy = 0;
+                for (p, pbanks) in banks.iter().enumerate() {
+                    let rate = pbanks[0].sampled_miss_rate();
+                    engine.update_victim_policy(PartitionId(p as u16), rate);
                 }
+            }
 
-                if cursors[sm] >= queues[sm].len() {
-                    break;
-                }
-                est = ready[sm];
-                // Continue the run only if popping the entry we would push,
-                // `(ready[sm], sm)`, beats every other queued SM.
-                if !batch {
-                    pq.push(Reverse((est, sm)));
-                    break;
-                }
-                if let Some(&Reverse((other_est, other_sm))) = pq.peek() {
-                    if (other_est, other_sm) < (est, sm) {
-                        pq.push(Reverse((est, sm)));
-                        break;
-                    }
-                }
+            if cursors[sm] < queues[sm].len() {
+                pq.push(Reverse((ready[sm], sm)));
             }
         }
 
@@ -469,13 +432,12 @@ impl Simulator {
                 // top of the native pipeline — completion is whichever is
                 // later — and may trigger a secure page migration.
                 if let Some(pool) = pool.as_mut() {
-                    let out = pool.on_dram_access(
+                    if let Some(remote_done) = pool.on_dram_access(
                         t + L2_HIT_LATENCY,
                         ev.addr.raw(),
                         SECTOR_BYTES,
                         ev.kind.is_write(),
-                    );
-                    if let Some(remote_done) = out.remote_done {
+                    ) {
                         done = done.max(remote_done);
                     }
                 }
@@ -731,25 +693,6 @@ mod tests {
         assert!(ro.total() > 0);
         assert!(st.total() > 0);
         assert!(ro.accuracy() > 0.5, "ro accuracy {}", ro.accuracy());
-    }
-
-    #[test]
-    fn batched_issue_matches_unbatched() {
-        // The batched run loop must be invisible: same stats, access for
-        // access, as the one-event-per-pick scheduler.
-        let t = demo(8192);
-        for design in [
-            DesignPoint::Unprotected,
-            DesignPoint::Naive,
-            DesignPoint::Pssm,
-            DesignPoint::Shm,
-        ] {
-            set_batch_issue(false);
-            let slow = run(design, &t);
-            set_batch_issue(true);
-            let fast = run(design, &t);
-            assert_eq!(slow, fast, "divergence for {design:?}");
-        }
     }
 
     #[test]

@@ -1,42 +1,6 @@
-//! Pool/link configuration and the `SHM_POOL_*` / `SHM_LINK_*` environment
-//! knobs.
+//! Pool/link configuration: the placement policies and the pool geometry.
 
 use shm_dram::DramConfig;
-
-/// `SHM_POOL_GPU_MB` — GPU-pool capacity in MiB.
-pub const GPU_MB_ENV: &str = "SHM_POOL_GPU_MB";
-/// `SHM_POOL_CPU_MB` — CPU-pool capacity in MiB.
-pub const CPU_MB_ENV: &str = "SHM_POOL_CPU_MB";
-/// `SHM_POOL_PAGE_KB` — migration page size in KiB.
-pub const PAGE_KB_ENV: &str = "SHM_POOL_PAGE_KB";
-/// `SHM_POOL_HOT_TOUCHES` — touches before a CPU-resident page migrates.
-pub const HOT_TOUCHES_ENV: &str = "SHM_POOL_HOT_TOUCHES";
-/// `SHM_LINK_LATENCY` — one-way link latency in core cycles.
-pub const LINK_LATENCY_ENV: &str = "SHM_LINK_LATENCY";
-/// `SHM_LINK_BYTES_PER_CYCLE` — per-direction link bandwidth.
-pub const LINK_BPC_ENV: &str = "SHM_LINK_BYTES_PER_CYCLE";
-
-/// Every pool/link knob, in `shm env` table form: `(name, default, what)`.
-pub const ENV_KNOBS: &[(&str, &str, &str)] = &[
-    (GPU_MB_ENV, "8", "pools: GPU-pool capacity in MiB"),
-    (CPU_MB_ENV, "64", "pools: CPU-pool capacity in MiB"),
-    (PAGE_KB_ENV, "16", "pools: migration page size in KiB"),
-    (
-        HOT_TOUCHES_ENV,
-        "64",
-        "pools: CPU-page touches before hot-page-migrate promotes it",
-    ),
-    (
-        LINK_LATENCY_ENV,
-        "500",
-        "link: one-way CPU<->GPU link latency in core cycles",
-    ),
-    (
-        LINK_BPC_ENV,
-        "16.0",
-        "link: per-direction link bandwidth in bytes per core cycle",
-    ),
-];
 
 /// Where a first-touch page lands and when (if ever) it moves.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,7 +35,7 @@ impl PlacementPolicy {
         }
     }
 
-    /// Parses a CLI/env label.
+    /// Parses a CLI label.
     pub fn parse(s: &str) -> Option<Self> {
         PlacementPolicy::ALL
             .iter()
@@ -82,6 +46,8 @@ impl PlacementPolicy {
 
 /// Full heterogeneous-pool configuration. Absence of this struct on a
 /// simulator means single-pool mode (today's byte-identical default).
+/// The CLI runs [`PoolsConfig::new`]'s geometry; code that wants another
+/// sets the public fields.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct PoolsConfig {
     /// Placement policy.
@@ -117,39 +83,6 @@ impl PoolsConfig {
         }
     }
 
-    /// `new(policy)` with every `SHM_POOL_*` / `SHM_LINK_*` env override
-    /// applied. Unparseable values fall back to the default.
-    pub fn from_env(policy: PlacementPolicy) -> Self {
-        let mut cfg = Self::new(policy);
-        if let Some(mb) = env_u64(GPU_MB_ENV) {
-            cfg.gpu_capacity = mb << 20;
-        }
-        if let Some(mb) = env_u64(CPU_MB_ENV) {
-            cfg.cpu_capacity = mb << 20;
-        }
-        if let Some(kb) = env_u64(PAGE_KB_ENV) {
-            let bytes = kb << 10;
-            if bytes >= 128 && bytes.is_power_of_two() {
-                cfg.page_bytes = bytes;
-            }
-        }
-        if let Some(t) = env_u64(HOT_TOUCHES_ENV) {
-            cfg.hot_touches = t.max(1);
-        }
-        if let Some(l) = env_u64(LINK_LATENCY_ENV) {
-            cfg.link_latency = l;
-        }
-        if let Some(b) = std::env::var(LINK_BPC_ENV)
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-        {
-            if b > 0.0 {
-                cfg.link_bytes_per_cycle = b;
-            }
-        }
-        cfg
-    }
-
     /// Timing model for the CPU-side pool: one LPDDR-like channel — lower
     /// bandwidth, slower row timing, longer controller path than the GPU
     /// partitions (`DramConfig::default`).
@@ -162,10 +95,6 @@ impl PoolsConfig {
             ..DramConfig::default()
         }
     }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
 }
 
 #[cfg(test)]
@@ -192,22 +121,6 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_apply_and_bad_values_fall_back() {
-        // Env vars are process-global; run the whole scenario in one test to
-        // avoid cross-test races.
-        std::env::set_var(GPU_MB_ENV, "4");
-        std::env::set_var(PAGE_KB_ENV, "3"); // not a power of two: ignored
-        std::env::set_var(LINK_BPC_ENV, "32.0");
-        let cfg = PoolsConfig::from_env(PlacementPolicy::StaticSplit);
-        std::env::remove_var(GPU_MB_ENV);
-        std::env::remove_var(PAGE_KB_ENV);
-        std::env::remove_var(LINK_BPC_ENV);
-        assert_eq!(cfg.gpu_capacity, 4 << 20);
-        assert_eq!(cfg.page_bytes, 16 << 10);
-        assert!((cfg.link_bytes_per_cycle - 32.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn cpu_pool_is_slower_than_gpu_partitions() {
         let cfg = PoolsConfig::new(PlacementPolicy::GpuOnly);
         let cpu = cfg.cpu_dram_config();
@@ -215,22 +128,5 @@ mod tests {
         assert!(cpu.bytes_per_cycle < gpu.bytes_per_cycle);
         assert!(cpu.t_row_hit > gpu.t_row_hit);
         assert!(cpu.t_base > gpu.t_base);
-    }
-
-    #[test]
-    fn every_knob_constant_appears_in_the_table() {
-        for name in [
-            GPU_MB_ENV,
-            CPU_MB_ENV,
-            PAGE_KB_ENV,
-            HOT_TOUCHES_ENV,
-            LINK_LATENCY_ENV,
-            LINK_BPC_ENV,
-        ] {
-            assert!(
-                ENV_KNOBS.iter().any(|(n, _, _)| *n == name),
-                "{name} missing from ENV_KNOBS"
-            );
-        }
     }
 }

@@ -13,14 +13,14 @@
 //! takes exactly the single-pool code path and produces byte-identical output.
 //!
 //! See `docs/HETERO.md` for the pool model, link model, migration protocol
-//! and every `SHM_POOL_*` / `SHM_LINK_*` knob.
+//! and the default geometry of [`PoolsConfig::new`].
 
 pub mod config;
 pub mod link;
 pub mod migrate;
 pub mod sim;
 
-pub use config::{PlacementPolicy, PoolsConfig, ENV_KNOBS};
+pub use config::{PlacementPolicy, PoolsConfig};
 pub use link::{CoherentLink, LinkDir};
 pub use migrate::{LinkTamper, MigrationChannel};
-pub use sim::{PoolCounters, PoolOutcome, PoolSim};
+pub use sim::{PoolCounters, PoolSim};

@@ -34,18 +34,6 @@ pub struct PoolCounters {
     pub capacity_events: u64,
 }
 
-/// What one access did; the counters it moved are in [`PoolCounters`].
-#[derive(Clone, Copy, Default, Debug)]
-pub struct PoolOutcome {
-    /// Absolute completion cycle of the remote path, when the access left
-    /// the GPU pool; `None` means GPU-local (caller's timing stands).
-    pub remote_done: Option<u64>,
-    /// The access was served by the CPU pool.
-    pub remote: bool,
-    /// This access triggered a CPU→GPU page migration.
-    pub migrated: bool,
-}
-
 /// Heterogeneous-pool state for one simulation run.
 pub struct PoolSim {
     cfg: PoolsConfig,
@@ -91,28 +79,28 @@ impl PoolSim {
     }
 
     /// Offers one DRAM-bound data access to the pool model. `now` is the
-    /// cycle the access reaches DRAM; the returned outcome carries the
-    /// remote completion when the CPU pool was involved.
+    /// cycle the access reaches DRAM. Returns the absolute completion cycle
+    /// of the remote path when the access left the GPU pool, or `None` for a
+    /// GPU-local access (the caller's single-pool timing stands); the
+    /// counters it moved are in [`PoolCounters`].
     pub fn on_dram_access(
         &mut self,
         now: u64,
         addr: u64,
         bytes: u64,
         is_write: bool,
-    ) -> PoolOutcome {
+    ) -> Option<u64> {
         let page = addr & !(self.cfg.page_bytes - 1);
         let state = self.first_touch(page);
-        let mut out = PoolOutcome::default();
         let touches = {
             let s = self.pages.get_mut(&page).expect("page just placed");
             s.touches += 1;
             s.touches
         };
         if state.in_gpu {
-            return out; // GPU-local: the caller's single-pool timing stands.
+            return None;
         }
 
-        out.remote = true;
         self.counters.cpu_accesses += 1;
         if self.cfg.policy == PlacementPolicy::GpuOnly {
             // No GPU backing and no migration: every touch is demand-paged
@@ -121,8 +109,7 @@ impl PoolSim {
         }
 
         if self.cfg.policy == PlacementPolicy::HotPageMigrate && touches >= self.cfg.hot_touches {
-            out = self.migrate_in(now, page, out);
-            return out;
+            return Some(self.migrate_in(now, page));
         }
 
         // Plain remote access: command latency out, LPDDR access, data back
@@ -136,8 +123,7 @@ impl PoolSim {
         } else {
             LinkDir::ToGpu
         };
-        out.remote_done = Some(self.link.transfer(dram_done, bytes, dir));
-        out
+        Some(self.link.transfer(dram_done, bytes, dir))
     }
 
     /// First-touch placement of `page`; returns its (possibly new) state.
@@ -160,8 +146,9 @@ impl PoolSim {
     }
 
     /// Pulls `page` into the GPU pool through the secure channel, spilling
-    /// the coldest GPU page first when the pool is full.
-    fn migrate_in(&mut self, now: u64, page: u64, mut out: PoolOutcome) -> PoolOutcome {
+    /// the coldest GPU page first when the pool is full; returns the cycle
+    /// the migration completes.
+    fn migrate_in(&mut self, now: u64, page: u64) -> u64 {
         let mut done = now;
         if self.gpu_bytes + self.cfg.page_bytes > self.cfg.gpu_capacity {
             if let Some(victim) = self.coldest_gpu_page() {
@@ -186,9 +173,7 @@ impl PoolSim {
         s.in_gpu = true;
         self.gpu_bytes += self.cfg.page_bytes;
         self.counters.migrations += 1;
-        out.migrated = true;
-        out.remote_done = Some(done);
-        out
+        done
     }
 
     /// Deterministic eviction victim: fewest touches, lowest address.
@@ -220,7 +205,7 @@ mod tests {
             let mut pool = PoolSim::new(small_cfg(policy));
             for i in 0..8 {
                 let out = pool.on_dram_access(i * 10, (i % 2) * 2048, 32, false);
-                assert!(!out.remote, "{policy:?} access {i} went remote");
+                assert!(out.is_none(), "{policy:?} access {i} went remote");
             }
             assert_eq!(pool.counters().cpu_accesses, 0);
             assert_eq!(pool.link_bytes(), (0, 0));
@@ -277,7 +262,7 @@ mod tests {
         assert!(to_cpu >= 2048, "spill moved a page toward the CPU");
         // The promoted page is now GPU-local.
         let out = pool.on_dram_access(now + 500, 2 * 2048, 32, false);
-        assert!(!out.remote);
+        assert!(out.is_none());
     }
 
     #[test]
@@ -286,9 +271,9 @@ mod tests {
         for p in 0..3u64 {
             pool.on_dram_access(p, p * 2048, 32, false);
         }
-        let out = pool.on_dram_access(1000, 2 * 2048, 32, false);
-        assert!(out.remote);
-        let done = out.remote_done.expect("remote completion");
+        let done = pool
+            .on_dram_access(1000, 2 * 2048, 32, false)
+            .expect("remote completion");
         // Two link traversals plus the LPDDR access floor.
         assert!(done >= 1000 + 2 * pool.config().link_latency);
     }
@@ -300,8 +285,8 @@ mod tests {
             let mut log = Vec::new();
             for i in 0..200u64 {
                 let addr = (i % 5) * 2048 + (i % 3) * 128;
-                let out = pool.on_dram_access(i * 7, addr, 32, i % 4 == 0);
-                log.push((out.remote, out.migrated, out.remote_done));
+                let done = pool.on_dram_access(i * 7, addr, 32, i % 4 == 0);
+                log.push((done, pool.counters().migrations));
             }
             let c = pool.counters();
             (

@@ -19,10 +19,9 @@
 //! * **Panic isolation** — each job body runs under [`catch`]; a
 //!   panicking job yields a [`JobPanic`] carrying its index and payload
 //!   instead of poisoning the whole sweep.
-//! * **Opt-out** — the pool width comes from (in priority order) an
-//!   explicit `--jobs N` style request, the `SHM_JOBS` environment
-//!   variable, then [`std::thread::available_parallelism`].  `SHM_JOBS=1`
-//!   forces fully serial execution on the calling thread.
+//! * **Opt-out** — the pool width is an explicit `--jobs N` style
+//!   request, or else [`std::thread::available_parallelism`].  One
+//!   worker runs every job serially on the calling thread.
 //!
 //! [`Executor::map`] and [`Executor::map_cancellable`] are each one call
 //! to the same job loop, fed from a shared cursor: cancellation is the
@@ -31,9 +30,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Environment variable overriding the worker-pool width (`1` = serial).
-pub const JOBS_ENV: &str = "SHM_JOBS";
 
 /// Process-global cancellation flag, set by the CLI's SIGINT/SIGTERM
 /// handler.  An atomic store is all a signal handler may safely do, so the
@@ -128,47 +124,11 @@ fn catch<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-/// Interprets a jobs specification (`SHM_JOBS`, `--jobs N`): `Some(n)`
-/// for a positive integer, `None` for anything else — zero and garbage
-/// both mean "auto" (the caller decides whether that deserves a warning).
-pub fn parse_jobs_spec(raw: &str) -> Option<usize> {
-    raw.trim().parse::<usize>().ok().filter(|&n| n > 0)
-}
-
-/// Warns (once per process, to keep sweep loops quiet) that a jobs
-/// specification was unusable and auto parallelism is in effect.
-static BAD_JOBS_WARNING: std::sync::Once = std::sync::Once::new();
-
-fn warn_bad_jobs(source: &str, raw: &str) {
-    BAD_JOBS_WARNING.call_once(|| {
-        eprintln!(
-            "warning: ignoring {source}={raw:?} (expected a positive integer); \
-             using auto parallelism"
-        );
-    });
-}
-
-/// Resolves the worker-pool width.
-///
-/// Priority: `requested` (a CLI `--jobs N`), then the [`JOBS_ENV`]
-/// environment variable, then the machine's available parallelism.
-/// Zero (from either source) means "auto"; an unparsable [`JOBS_ENV`]
-/// also means "auto", with a stderr warning rather than a panic or a
-/// silently serial run.
+/// Resolves the worker-pool width: `requested` (a CLI `--jobs N`) when
+/// positive, otherwise the machine's available parallelism.
 fn effective_jobs(requested: Option<usize>) -> usize {
-    let from_env = || match std::env::var(JOBS_ENV) {
-        Err(_) => None,
-        Ok(raw) => {
-            let parsed = parse_jobs_spec(&raw);
-            if parsed.is_none() {
-                warn_bad_jobs(JOBS_ENV, &raw);
-            }
-            parsed
-        }
-    };
     requested
         .filter(|&n| n > 0)
-        .or_else(from_env)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
@@ -238,15 +198,8 @@ impl Executor {
         Self { jobs: jobs.max(1) }
     }
 
-    /// Pool width from `SHM_JOBS` or the machine's available parallelism.
-    pub fn from_env() -> Self {
-        Self::new(effective_jobs(None))
-    }
-
-    /// Pool width from an explicit request, falling back to [`from_env`]
-    /// resolution (`Executor::from_request(None) == Executor::from_env()`).
-    ///
-    /// [`from_env`]: Executor::from_env
+    /// Pool width from an explicit request, falling back to the machine's
+    /// available parallelism for `None` (or zero).
     pub fn from_request(requested: Option<usize>) -> Self {
         Self::new(effective_jobs(requested))
     }
@@ -704,40 +657,8 @@ mod tests {
     fn effective_jobs_priority() {
         // Explicit request wins over everything.
         assert_eq!(effective_jobs(Some(3)), 3);
-        // Zero request falls through to env/auto, which is at least 1.
+        // Zero request falls through to auto, which is at least 1.
         assert!(effective_jobs(Some(0)) >= 1);
         assert!(effective_jobs(None) >= 1);
-    }
-
-    #[test]
-    fn parse_jobs_spec_accepts_only_positive_integers() {
-        assert_eq!(parse_jobs_spec("4"), Some(4));
-        assert_eq!(parse_jobs_spec(" 8 "), Some(8));
-        assert_eq!(parse_jobs_spec("0"), None);
-        assert_eq!(parse_jobs_spec("garbage"), None);
-        assert_eq!(parse_jobs_spec("-1"), None);
-        assert_eq!(parse_jobs_spec("1.5"), None);
-        assert_eq!(parse_jobs_spec(""), None);
-    }
-
-    /// Serializes tests that mutate the `SHM_JOBS` environment variable.
-    static JOBS_ENV_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn bad_jobs_env_values_fall_back_to_auto() {
-        let _guard = JOBS_ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get());
-        for bad in ["0", "banana", "-3", "1.5", " "] {
-            std::env::set_var(JOBS_ENV, bad);
-            assert_eq!(
-                effective_jobs(None),
-                auto,
-                "SHM_JOBS={bad:?} must mean auto, not panic or serial"
-            );
-        }
-        std::env::set_var(JOBS_ENV, "3");
-        assert_eq!(effective_jobs(None), 3);
-        assert_eq!(effective_jobs(Some(2)), 2, "explicit request beats env");
-        std::env::remove_var(JOBS_ENV);
     }
 }

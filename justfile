@@ -29,7 +29,7 @@ telemetry out="run.jsonl":
     cargo run --release -p shm-cli -- run -b fdtd2d -d SHM --telemetry --trace-out {{out}}
 
 # Hot-path microbenches: single-block AES (per-byte reference vs T-tables vs
-# AES-NI) and the batched-vs-unbatched issue loop (see docs/PERFORMANCE.md).
+# AES-NI) and the simulator issue loop (see docs/PERFORMANCE.md).
 bench-micro:
     cargo bench -p shm-bench --bench micro_hotpath
 
@@ -52,7 +52,7 @@ recovery-smoke scale="0.25":
     cargo run --release -p shm-cli -- sweep -b lbm --journal /tmp/shm_recovery_sweep.jsonl --crash-after-jobs 3; test $? -eq 130
     cargo run --release -p shm-cli -- sweep -b lbm --journal /tmp/shm_recovery_sweep.jsonl --resume --jobs 2 > /tmp/shm_recovery_sweep_resumed.txt
     grep -q '^SHM ' /tmp/shm_recovery_sweep_resumed.txt
-    SHM_JOBS=1 cargo run --release -p shm-cli -- sweep -b lbm > /tmp/shm_recovery_sweep_serial.txt
+    cargo run --release -p shm-cli -- sweep -b lbm --jobs 1 > /tmp/shm_recovery_sweep_serial.txt
     diff /tmp/shm_recovery_sweep_serial.txt /tmp/shm_recovery_sweep_resumed.txt
     rm -f /tmp/shm_recovery_sweep.jsonl /tmp/shm_recovery_sweep_serial.txt /tmp/shm_recovery_sweep_resumed.txt
 
@@ -62,11 +62,11 @@ recovery-smoke scale="0.25":
 obs-smoke:
     bash scripts/obs_smoke.sh
 
-# Heterogeneous-pool smoke: a capacity-pressured sweep across all three
-# placement policies must show the policy signatures (pressure under
-# gpu-only, real migrations with non-zero inter-pool byte counters under
-# hot-page-migrate), stay byte-identical across job counts, and the
-# inter_pool_tamper campaign class must detect every migration tamper
-# (exit 3 — docs/HETERO.md).
+# Heterogeneous-pool smoke: a sweep whose footprint overflows the default GPU
+# pool, across all three placement policies, must show the policy signatures
+# (pressure under gpu-only, real migrations with non-zero inter-pool byte
+# counters under hot-page-migrate), stay byte-identical across job counts,
+# and the inter_pool_tamper campaign class must detect every migration
+# tamper (exit 3 — docs/HETERO.md).
 hetero-smoke:
     bash scripts/hetero_smoke.sh

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Heterogeneous-pool smoke (docs/HETERO.md):
-#   1. a capacity-pressured sweep across all three placement policies must
-#      show the policy signatures: gpu-only reports capacity pressure,
-#      hot-page-migrate actually migrates with non-zero inter-pool byte
-#      counters
+#   1. a sweep whose footprint overflows the default GPU pool, across all
+#      three placement policies, must show the policy signatures: gpu-only
+#      reports capacity pressure, hot-page-migrate actually migrates with
+#      non-zero inter-pool byte counters
 #   2. the --pools sweep must be byte-identical between --jobs 1 and
 #      --jobs 4 (submission-order determinism through the pool hook)
 #   3. the default (pool-free) sweep must not mention pools at all — the
@@ -19,10 +19,10 @@ trap 'rm -rf "$tmp"' EXIT
 
 cargo build --release -p shm-cli
 
-# --- 1: pressure the 32 MiB kv-cache-growth footprint into a 2 MiB pool.
-pressure="SHM_POOL_GPU_MB=2 SHM_POOL_HOT_TOUCHES=4"
-env $pressure SHM_JOBS=1 "$SHM" sweep -b kv-cache-growth --events 4096 \
-    --pools all | tee "$tmp/pools.txt"
+# --- 1: the 32 MiB kv-cache-growth footprint overflows the default 8 MiB
+#     GPU pool.
+"$SHM" sweep -b kv-cache-growth --events 20000 --pools all --jobs 1 \
+    | tee "$tmp/pools.txt"
 for policy in gpu-only static-split hot-page-migrate; do
     grep -q "== pools: $policy ==" "$tmp/pools.txt"
 done
@@ -40,12 +40,12 @@ test "$(counters hot-page-migrate 20)" -gt 0   # link bytes toward the CPU
 test "$(counters static-split 6)" -eq 0        # static split never migrates
 
 # --- 2: job-count determinism through the pool hook.
-env $pressure SHM_JOBS=4 "$SHM" sweep -b kv-cache-growth --events 4096 \
-    --pools all > "$tmp/pools_j4.txt"
+"$SHM" sweep -b kv-cache-growth --events 20000 --pools all --jobs 4 \
+    > "$tmp/pools_j4.txt"
 diff "$tmp/pools.txt" "$tmp/pools_j4.txt"
 
 # --- 3: the default sweep stays single-pool (no pool output at all).
-SHM_JOBS=1 "$SHM" sweep -b fdtd2d --events 2048 --seed 7 > "$tmp/default.txt"
+"$SHM" sweep -b fdtd2d --events 2048 --seed 7 --jobs 1 > "$tmp/default.txt"
 ! grep -qi 'pool' "$tmp/default.txt"
 
 # --- 4: every migration tamper must be detected, never silent.

@@ -18,7 +18,7 @@ trap 'rm -rf "$tmp"' EXIT
 cargo build --release -p shm-cli
 
 # --- 1: the sweep table does not depend on the worker count.
-SHM_JOBS=1 "$SHM" sweep -b lbm > "$tmp/serial.txt"
+"$SHM" sweep -b lbm --jobs 1 > "$tmp/serial.txt"
 "$SHM" sweep -b lbm --jobs 2 > "$tmp/parallel.txt"
 diff "$tmp/serial.txt" "$tmp/parallel.txt"
 

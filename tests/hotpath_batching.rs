@@ -1,26 +1,19 @@
-//! Hot-path optimizations must be invisible in results: the batched issue
-//! loop, the AES-NI backend and the profiler re-tiling may change wall
-//! time only, never a simulated statistic or an encrypted byte.
+//! Hot-path optimizations must be invisible in results: the AES-NI
+//! backend and the profiler re-tiling may change wall time only, never a
+//! simulated statistic or an encrypted byte.
 
 use std::sync::Mutex;
 
-use gpu_mem_sim::{set_batch_issue, DesignPoint};
+use gpu_mem_sim::DesignPoint;
 use proptest::prelude::*;
 use shm_bench::{scaled_suite, BenchRow, Executor, Sweep};
 use shm_crypto::aes::{aesni_available, reference, Aes128};
 
-/// Batching and profiling are process-global toggles; every test that
-/// flips one serializes on this lock and restores the default state.
+/// Profiling is a process-global toggle whose phase timers charge every
+/// simulation in the process; every test that simulates serializes on this
+/// lock, and the one that turns profiling on turns it off again.
 static GLOBAL_STATE: Mutex<()> = Mutex::new(());
 
-const DESIGNS: &[DesignPoint] = &[
-    DesignPoint::Naive,
-    DesignPoint::CommonCtr,
-    DesignPoint::Pssm,
-    DesignPoint::PssmCctr,
-    DesignPoint::Shm,
-    DesignPoint::ShmUpperBound,
-];
 const SCALE: f64 = 0.05;
 
 /// The suite sweep over `designs` at `scale` on `jobs` local workers.
@@ -31,31 +24,6 @@ fn suite_rows(designs: &[DesignPoint], scale: f64, jobs: usize) -> Vec<BenchRow>
     };
     let run = sweep.run(|_, job| job.run()).expect("sweep");
     sweep.rows(run.complete().expect("sweep completes"))
-}
-
-/// Every statistic every repro figure reads — cycles, traffic classes,
-/// cache counters, predictor accuracies — must be identical whether the
-/// scheduler processes one event per heap pick or batches runs.
-#[test]
-fn batched_issue_is_byte_identical_across_the_suite() {
-    let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-    set_batch_issue(false);
-    let unbatched = suite_rows(DESIGNS, SCALE, 1);
-    set_batch_issue(true);
-    let batched = suite_rows(DESIGNS, SCALE, 1);
-
-    assert_eq!(unbatched.len(), batched.len());
-    for (u, b) in unbatched.iter().zip(&batched) {
-        assert_eq!(u.name, b.name);
-        for (design, stats) in &u.stats {
-            assert_eq!(
-                Some(stats),
-                b.stats.get(design),
-                "{}/{design}: batched stats diverge",
-                u.name
-            );
-        }
-    }
 }
 
 /// The profiler's exclusive phase tiling must still account for
@@ -92,7 +60,6 @@ fn identity_sweep_covers_the_whole_suite() {
     assert!(!profiles.is_empty());
     let rows = {
         let _lock = GLOBAL_STATE.lock().unwrap_or_else(|e| e.into_inner());
-        set_batch_issue(true);
         suite_rows(&[DesignPoint::Shm], SCALE, 1)
     };
     assert_eq!(rows.len(), profiles.len());

@@ -1,13 +1,13 @@
 //! Heterogeneous-pool contract: the default configuration is single-pool
 //! and byte-identical across job counts (pools change *nothing* unless
-//! asked for), the placement sweep is deterministic for any `--jobs`, and
+//! asked for), pressured pool runs are deterministic for any `--jobs`, and
 //! capacity pressure behaves per policy — gpu-only signals pressure,
 //! static-split overflows to the CPU pool, hot-page-migrate pulls hot
 //! pages across the secure link with non-zero inter-pool byte counters.
 
-use gpu_mem_sim::DesignPoint;
-use shm_bench::pool::{format_pool_table, run_one_pooled, try_run_pool_sweep};
-use shm_bench::{run_one, scaled_suite, BenchRow, Executor, Sweep};
+use gpu_mem_sim::{DesignPoint, Simulator};
+use gpu_types::{GpuConfig, SimStats};
+use shm_bench::{run_one, scaled_suite, trace_seed, BenchRow, Executor, Sweep};
 use shm_pool::{PlacementPolicy, PoolsConfig};
 use shm_workloads::BenchmarkProfile;
 
@@ -53,23 +53,6 @@ fn default_sweep_is_byte_identical_across_job_counts() {
     }
 }
 
-/// The placement-policy sweep itself (profiles × policies on the shared
-/// executor) reassembles in submission order: same rows, same rendered
-/// table, for any job count.
-#[test]
-fn pool_sweep_is_deterministic_across_job_counts() {
-    let serial =
-        try_run_pool_sweep(&PlacementPolicy::ALL, 0.02, Some(1)).expect("serial pool sweep");
-    let parallel =
-        try_run_pool_sweep(&PlacementPolicy::ALL, 0.02, Some(4)).expect("parallel pool sweep");
-    assert_eq!(format_pool_table(&serial), format_pool_table(&parallel));
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.name, p.name);
-        assert_eq!(s.policy, p.policy);
-        assert_eq!(s.stats, p.stats, "{} diverged across job counts", s.name);
-    }
-}
-
 /// A pool geometry the kv-cache-growth footprint (32 MiB) cannot fit.
 fn pressured(policy: PlacementPolicy) -> PoolsConfig {
     let mut cfg = PoolsConfig::new(policy);
@@ -79,20 +62,21 @@ fn pressured(policy: PlacementPolicy) -> PoolsConfig {
     cfg
 }
 
-fn kv_cache_growth_small() -> BenchmarkProfile {
-    let mut p = BenchmarkProfile::kv_cache_growth();
-    p.events_per_kernel = 4096;
-    p
+/// kv-cache-growth at 4,096 events under SHM with `pools`.
+fn run_pooled(pools: PoolsConfig) -> SimStats {
+    let mut profile = BenchmarkProfile::kv_cache_growth();
+    profile.events_per_kernel = 4096;
+    let trace = profile.generate(trace_seed(profile.name));
+    Simulator::new(&GpuConfig::default(), DesignPoint::Shm)
+        .with_pools(pools)
+        .run(&trace)
 }
 
 /// gpu-only under oversubscription: every overflow touch is a capacity
 /// event, and nothing ever migrates.
 #[test]
 fn gpu_only_reports_capacity_pressure_under_oversubscription() {
-    let stats = run_one_pooled(
-        &kv_cache_growth_small(),
-        pressured(PlacementPolicy::GpuOnly),
-    );
+    let stats = run_pooled(pressured(PlacementPolicy::GpuOnly));
     assert!(stats.pool_capacity_events > 0, "no capacity pressure seen");
     assert!(stats.pool_cpu_accesses > 0);
     assert_eq!(stats.pool_migrations, 0, "gpu-only never migrates");
@@ -103,10 +87,7 @@ fn gpu_only_reports_capacity_pressure_under_oversubscription() {
 /// pool and every touch crosses the link, but no pages move.
 #[test]
 fn static_split_spills_to_cpu_pool_without_migrating() {
-    let stats = run_one_pooled(
-        &kv_cache_growth_small(),
-        pressured(PlacementPolicy::StaticSplit),
-    );
+    let stats = run_pooled(pressured(PlacementPolicy::StaticSplit));
     assert!(stats.pool_cpu_accesses > 0, "overflow must go remote");
     assert!(stats.link_bytes_to_gpu > 0, "remote reads cross the link");
     assert_eq!(stats.pool_migrations, 0, "static split never migrates");
@@ -121,10 +102,7 @@ fn static_split_spills_to_cpu_pool_without_migrating() {
 /// byte counters are non-zero and migrations happened.
 #[test]
 fn hot_page_migrate_moves_pages_with_nonzero_link_counters() {
-    let stats = run_one_pooled(
-        &kv_cache_growth_small(),
-        pressured(PlacementPolicy::HotPageMigrate),
-    );
+    let stats = run_pooled(pressured(PlacementPolicy::HotPageMigrate));
     assert!(stats.pool_migrations > 0, "no page ever got hot enough");
     assert!(
         stats.pool_spills > 0,
@@ -137,17 +115,21 @@ fn hot_page_migrate_moves_pages_with_nonzero_link_counters() {
     assert!(stats.link_bytes_to_cpu > 0, "spill bytes toward the CPU");
 }
 
+/// The three policies' pressured runs on the shared executor reassemble
+/// in submission order: the same stats, migrations and link bytes
+/// included, for any job count.
+#[test]
+fn pool_sweep_is_deterministic_across_job_counts() {
+    let sweep =
+        |jobs| Executor::new(jobs).map(&PlacementPolicy::ALL, |_, &p| run_pooled(pressured(p)));
+    assert_eq!(sweep(1), sweep(4));
+}
+
 /// The same pooled run twice is bit-for-bit the same run — migration
 /// decisions, link accounting and all.
 #[test]
 fn pooled_runs_are_deterministic() {
-    let a = run_one_pooled(
-        &kv_cache_growth_small(),
-        pressured(PlacementPolicy::HotPageMigrate),
-    );
-    let b = run_one_pooled(
-        &kv_cache_growth_small(),
-        pressured(PlacementPolicy::HotPageMigrate),
-    );
+    let a = run_pooled(pressured(PlacementPolicy::HotPageMigrate));
+    let b = run_pooled(pressured(PlacementPolicy::HotPageMigrate));
     assert_eq!(a, b);
 }

@@ -2,7 +2,8 @@
 //! stopped by the crash switch or by SIGTERM exits 130, and `--resume` then
 //! prints exactly what an uninterrupted run prints, for one figure and for
 //! the whole evaluation.  An option `repro` does not read, `--dist` of the
-//! retired worker cluster among them, is a usage error.
+//! retired worker cluster among them, is a usage error, and so is the
+//! retired `hetero` target.
 
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
@@ -10,7 +11,6 @@ use std::time::{Duration, Instant};
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(args)
-        .env_remove("SHM_JOBS")
         .output()
         .expect("repro runs")
 }
@@ -39,6 +39,19 @@ fn dist_is_an_unknown_option() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --dist"), "stderr: {stderr}");
     assert!(out.stdout.is_empty(), "no figure is rendered");
+}
+
+#[test]
+fn the_hetero_target_is_retired() {
+    // `shm sweep -b kv-cache-growth --pools all` prints its rows.
+    let out = repro(&["hetero", "--scale", "0.02"]);
+    assert_eq!(out.status.code(), Some(2), "an unknown target exits 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown target: hetero"),
+        "stderr: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "no table is rendered");
 }
 
 #[test]
@@ -122,7 +135,6 @@ fn sigterm_drains_a_journaled_figure_that_resumes_to_the_plain_run() {
 
     let child = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([&fig16[..], &["--jobs", "1", "--journal", d]].concat())
-        .env_remove("SHM_JOBS")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -2,10 +2,11 @@
 //! killed by the crash switch exits 130, refuses a resume over another
 //! trace (exit 1) and resumes to the serial table, the journal flags refuse to run without `--journal` or over an existing
 //! journal (exit 2), a `--pools` sweep of a stored trace prints the same at
-//! any job count, a telemetry document is the same bytes at any job count,
-//! an option the command does not read is refused (exit 2) before it does
-//! anything, the retired cluster, span-trace and power-cut surface is a
-//! usage error, and a command whose stdout reader is gone ends quietly.
+//! any job count and whatever the environment holds, a telemetry document
+//! is the same bytes at any job count, an option the command does not read
+//! is refused (exit 2) before it does anything, the retired cluster,
+//! span-trace, power-cut and `shm env` surface and `--jobs 0` are usage
+//! errors, and a command whose stdout reader is gone ends quietly.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -17,7 +18,6 @@ fn temp_path(tag: &str) -> PathBuf {
 fn shm(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_shm"))
         .args(args)
-        .env_remove("SHM_JOBS")
         .output()
         .expect("shm runs")
 }
@@ -93,6 +93,20 @@ fn pools_sweep_of_a_stored_trace_is_identical_at_any_job_count() {
         );
     }
     assert_eq!(pools("2"), serial);
+    // The command line is the only input: a pool-geometry variable and a
+    // bad worker count in the environment change nothing and print nothing.
+    let out = Command::new(env!("CARGO_BIN_EXE_shm"))
+        .args(["sweep", "--trace", t, "--pools", "all", "--jobs", "1"])
+        .env("SHM_POOL_GPU_MB", "1")
+        .env("SHM_JOBS", "banana")
+        .output()
+        .expect("shm runs");
+    assert_eq!(stdout(&out), serial, "the environment moved a result");
+    assert!(
+        out.stderr.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let _ = std::fs::remove_file(&trace);
 }
 
@@ -177,6 +191,7 @@ fn the_retired_cluster_surface_is_refused() {
         &["top"],
         &["trace-report", "F"],
         &["crash", "--sweep"],
+        &["env"],
     ] {
         let command = argv[0];
         let out = shm(argv);
@@ -187,6 +202,10 @@ fn the_retired_cluster_surface_is_refused() {
             "{stderr}"
         );
     }
+    // A zero width no longer means "auto".
+    let out = shm(&["sweep", "-b", "lbm", "--events", "4096", "--jobs", "0"]);
+    assert_eq!(out.status.code(), Some(2), "--jobs 0 is a usage error");
+    assert!(out.stdout.is_empty(), "--jobs 0: no sweep runs");
 }
 
 /// `shm list | head -1`: SIGPIPE ends the command the way it ends
